@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import (
     DesignMismatchError,
     DimensionMismatchError,
@@ -152,15 +153,16 @@ def verify_2design(basis_set: WeightedBasisSet, tol: float = 1e-10) -> tuple[boo
     """Check the weighted second-moment identity against (I + d|Phi><Phi|)/(d+1).
 
     The left side pairs each ket with its entrywise complex conjugate in the
-    standard basis.  Returns (passed, max-norm residual).
+    standard basis, sum_l w_l sum_j |psi_j psi_j*><psi_j psi_j*|, and is
+    formed as one Gram product of the stacked pair vectors.  Returns
+    (passed, max-norm residual).
     """
     d = basis_set.d
-    lhs = np.zeros((d * d, d * d), dtype=complex)
-    for basis, w in zip(basis_set.bases, basis_set.weights):
-        for j in range(d):
-            psi = basis.ket(j)
-            pair = np.kron(psi, psi.conj())
-            lhs += w * np.outer(pair, pair.conj())
+    pairs = (
+        (np.einsum("aj,bj->abj", b.vectors, b.vectors.conj()).reshape(d * d, d), w)
+        for b, w in zip(basis_set.bases, basis_set.weights)
+    )
+    lhs = linalg.weighted_gram(pairs, d * d)
     phi = maximally_entangled_ket(d)
     rhs = (np.eye(d * d, dtype=complex) + d * np.outer(phi, phi.conj())) / (d + 1)
     residual = float(np.abs(lhs - rhs).max())

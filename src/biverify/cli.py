@@ -36,6 +36,38 @@ from .states import (
 CSV_HEADER = "theta,N_PLM,N_I,N_II,N_IV,N_V,N_VI"
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
+
+
+# JobConfig field -> (type check, description, whether null is accepted)
+_FIELD_TYPES = {
+    "strategy": (_is_str, "a string", True),
+    "d": (_is_int, "an integer", True),
+    "schmidt": (_is_number_list, "a list of numbers", True),
+    "theta": (_is_number, "a number", True),
+    "p": (_is_number, "a number", True),
+    "m": (_is_int, "an integer", True),
+    "epsilon": (_is_number, "a number", False),
+    "delta": (_is_number, "a number", False),
+    "noise": (_is_str, "a string", False),
+    "trials": (_is_int, "an integer", False),
+    "seed": (_is_int, "an integer", False),
+}
+
+
 @dataclass
 class JobConfig:
     """One verification job, as given on the command line or in a JSON file."""
@@ -57,10 +89,18 @@ class JobConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobConfig":
+        if not isinstance(data, dict):
+            raise OutOfRangeError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise OutOfRangeError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            check, kind, nullable = _FIELD_TYPES[key]
+            if not (check(value) or (nullable and value is None)):
+                raise OutOfRangeError(
+                    f"config field {key!r} must be {kind}, got {value!r}"
+                )
         return cls(**data)
 
     def target_state(self) -> SchmidtState:
@@ -87,7 +127,12 @@ class JobConfig:
         if spec == "none":
             sigma = depolarize(target, 0.0)
         elif spec.startswith("depolarize:"):
-            sigma = depolarize(target, float(spec.split(":", 1)[1]))
+            text = spec.split(":", 1)[1]
+            try:
+                lam = float(text)
+            except ValueError as exc:
+                raise OutOfRangeError(f"cannot parse depolarizing weight {text!r}") from exc
+            sigma = depolarize(target, lam)
         elif spec.startswith("file:"):
             sigma = _load_density(spec.split(":", 1)[1])
         else:
@@ -103,12 +148,28 @@ class JobConfig:
         return sigma
 
 
-def _load_density(path: str) -> DensityOperator:
+def _load_json(path: str, what: str):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    real = np.asarray(data["real"], dtype=float)
-    imag = np.asarray(data.get("imag", np.zeros_like(real)), dtype=float)
-    return density_operator(real + 1j * imag)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise OutOfRangeError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+
+
+def _load_density(path: str) -> DensityOperator:
+    data = _load_json(path, "noise file")
+    if not isinstance(data, dict) or "real" not in data:
+        raise OutOfRangeError(
+            f"noise file {path!r} must be a JSON object with a \"real\" matrix "
+            "(and optionally \"imag\")"
+        )
+    try:
+        real = np.asarray(data["real"], dtype=float)
+        imag = np.asarray(data.get("imag", np.zeros_like(real)), dtype=float)
+        matrix = real + 1j * imag
+    except (TypeError, ValueError) as exc:
+        raise OutOfRangeError(f"noise file {path!r} holds no numeric matrix: {exc}") from exc
+    return density_operator(matrix)
 
 
 def _parse_schmidt(text: str) -> list[float]:
@@ -121,8 +182,7 @@ def _parse_schmidt(text: str) -> list[float]:
 def _config_from_args(args) -> JobConfig:
     data = JobConfig().to_dict()
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_data = json.load(fh)
+        file_data = _load_json(args.config, "config file")
         data.update(JobConfig.from_dict(file_data).to_dict())
     overrides = {
         "strategy": args.strategy,

@@ -1,4 +1,4 @@
-"""Dense complex-matrix helpers: tensor products and Hermitian spectra.
+"""Dense complex-matrix helpers: tensor products, Gram sums and Hermitian spectra.
 
 Every operator in this package is a small dense ``complex128`` matrix, so
 numpy's eigensolver is used directly; what this module adds are the explicit
@@ -7,12 +7,17 @@ analysis relies on.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import NonHermitianError, OutOfRangeError
 
 HERMITIAN_ATOL = 1e-10
 MAX_EIG_DIM = 4096
+# Blocks stacked into one matrix product by weighted_gram: large enough for
+# BLAS to run at full speed, small enough that the stack stays a few MiB.
+GRAM_CHUNK = 16
 
 
 def as_matrix(a) -> np.ndarray:
@@ -30,6 +35,23 @@ def kron(a, b) -> np.ndarray:
 
 def dagger(a) -> np.ndarray:
     return np.conj(np.asarray(a)).T
+
+
+def weighted_gram(blocks, dim: int) -> np.ndarray:
+    """sum_k q_k X_k X_k^dagger over ``(X_k, q_k)`` pairs as one dim x dim matrix.
+
+    Each ``X_k`` is a ``dim x n_k`` block of column vectors sharing the real
+    weight ``q_k``.  Blocks are consumed lazily and stacked ``GRAM_CHUNK`` at
+    a time into one product ``X diag(q) X^dagger``, so only one chunk of
+    vectors is ever held.
+    """
+    out = np.zeros((dim, dim), dtype=complex)
+    blocks = iter(blocks)
+    while chunk := list(itertools.islice(blocks, GRAM_CHUNK)):
+        x = np.concatenate([block for block, _ in chunk], axis=1)
+        q = np.repeat([q for _, q in chunk], [block.shape[1] for block, _ in chunk])
+        out += (x * q) @ x.conj().T
+    return out
 
 
 def hermiticity_defect(h) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -72,26 +73,52 @@ class ConditionalProjectorTest:
 
     The measuring party projects onto ``measured_basis``; on outcome j the
     other party checks the unit ket ``conditional_kets[:, j]`` (outcomes
-    without target support reject outright).  ``matrix`` is the projector the
-    test realizes on C^{d^2}.
+    without target support reject outright).  The test is stored as these
+    factors only: the projector it realizes on C^{d^2} is
+    sum_j |u_j><u_j| x |v_j><v_j| over the supported outcomes (factors
+    swapped for B -> A), and ``matrix`` builds it on first access.
     """
 
     direction: Direction
     measured_basis: Basis
     supported: np.ndarray
     conditional_kets: np.ndarray
-    matrix: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.measured_basis.d
+
+    def pair_vectors(self) -> np.ndarray:
+        """Columns u_j x v_j (v_j x u_j for B -> A), one per supported outcome."""
+        u = self.measured_basis.vectors[:, self.supported]
+        v = self.conditional_kets[:, self.supported]
+        first, second = (u, v) if self.direction is Direction.A_TO_B else (v, u)
+        return np.einsum("aj,bj->abj", first, second).reshape(self.d * self.d, -1)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense d^2 x d^2 projector, built on first access."""
+        x = self.pair_vectors()
+        return _freeze(x @ x.conj().T)
 
 
 @dataclass(frozen=True)
 class RandomizedDiagonalTest:
     """Both parties measure the standard basis; outcome (j, k) is accepted
-    with probability ``acceptance[j, k]``.  ``matrix`` is the diagonal
-    operator the test realizes."""
+    with probability ``acceptance[j, k]``.  ``matrix`` builds the diagonal
+    operator the test realizes on first access."""
 
     direction: Direction
     acceptance: np.ndarray
-    matrix: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.acceptance.shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense d^2 x d^2 diagonal operator, built on first access."""
+        return _freeze(np.diag(self.acceptance.ravel()).astype(complex))
 
 
 TestOperator = ConditionalProjectorTest | RandomizedDiagonalTest
@@ -128,34 +155,29 @@ def test_projector(
 
     For each outcome j with nonzero target support, the non-measuring party's
     conditional ket is the normalized partial inner product of the basis ket
-    with the target.  The resulting matrix is an orthogonal projector that
-    the target passes with certainty.
+    with the target.  The test is an orthogonal projector that the target
+    passes with certainty; both facts are checked on the pair vectors
+    x_j = u_j x v_j, without forming the d^2 x d^2 matrix: P = sum_j
+    |x_j><x_j| is a projector iff the x_j are orthonormal, i.e. their Gram
+    matrix (U^dagger U) o (V^dagger V) is the identity, and the target passes
+    with probability sum_j |<x_j|Psi>|^2.
     """
     if basis.d != state.d:
         raise DimensionMismatchError(f"basis dim {basis.d} != state dim {state.d}")
     d = state.d
-    supported = np.zeros(d, dtype=bool)
+    v_tilde = state.coeffs[:, None] * basis.vectors.conj()
+    weights = np.einsum("kj,kj->j", v_tilde.conj(), v_tilde).real
+    supported = weights > SUPPORT_CUTOFF
     kets = np.zeros((d, d), dtype=complex)
-    matrix = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        u = basis.ket(j)
-        v_tilde = state.coeffs * u.conj()
-        weight = float(np.vdot(v_tilde, v_tilde).real)
-        if weight <= SUPPORT_CUTOFF:
-            continue
-        supported[j] = True
-        v = v_tilde / math.sqrt(weight)
-        kets[:, j] = v
-        p_u = np.outer(u, u.conj())
-        p_v = np.outer(v, v.conj())
-        if direction is Direction.A_TO_B:
-            matrix += np.kron(p_u, p_v)
-        else:
-            matrix += np.kron(p_v, p_u)
-    if np.abs(matrix @ matrix - matrix).max() > PROJECTOR_ATOL:
+    kets[:, supported] = v_tilde[:, supported] / np.sqrt(weights[supported])
+    u = basis.vectors[:, supported]
+    v = kets[:, supported]
+    gram = (u.conj().T @ u) * (v.conj().T @ v)
+    if np.abs(gram - np.eye(gram.shape[0])).max() > PROJECTOR_ATOL:
         raise DesignMismatchError("conditional test failed the projector check")
-    psi = state_vector(state)
-    pass_target = float((psi.conj() @ matrix @ psi).real)
+    # <u_j v_j|Psi> = sum_k c_k conj(u_kj) conj(v_kj); the same for B -> A
+    amplitudes = np.einsum("k,kj,kj->j", state.coeffs, u.conj(), v.conj())
+    pass_target = float(np.sum(np.abs(amplitudes) ** 2))
     if abs(pass_target - 1.0) > TARGET_PASS_ATOL:
         raise DesignMismatchError(
             f"target pass probability {pass_target:.12g} is not 1"
@@ -165,7 +187,6 @@ def test_projector(
         measured_basis=basis,
         supported=_freeze(supported),
         conditional_kets=_freeze(kets),
-        matrix=_freeze(matrix),
     )
 
 
@@ -182,12 +203,7 @@ def _diagonal_test(state: SchmidtState, acceptance: np.ndarray) -> RandomizedDia
     if acceptance.min() < -1e-12 or acceptance.max() > 1.0 + 1e-12:
         raise OutOfRangeError("acceptance probabilities must lie in [0, 1]")
     acceptance = np.clip(acceptance, 0.0, 1.0)
-    matrix = np.diag(acceptance.ravel()).astype(complex)
-    return RandomizedDiagonalTest(
-        direction=Direction.A_TO_B,
-        acceptance=_freeze(acceptance),
-        matrix=_freeze(matrix),
-    )
+    return RandomizedDiagonalTest(direction=Direction.A_TO_B, acceptance=_freeze(acceptance))
 
 
 def one_way_diagonal_test(state: SchmidtState, p: float) -> RandomizedDiagonalTest:
@@ -237,13 +253,10 @@ def pi_operator(
     """
     d = state.d
     c2 = state.coeffs**2
-    reduced = np.diag(c2).astype(complex)
-    if direction is Direction.A_TO_B:
-        pi = target_projector(state) + np.kron(np.eye(d, dtype=complex), reduced)
-    else:
-        pi = target_projector(state) + np.kron(reduced, np.eye(d, dtype=complex))
-    diag_idx = np.arange(d) * (d + 1)
-    pi[diag_idx, diag_idx] -= c2
+    # I x rho_B (rho_A x I for B -> A) is diagonal in the |jk> basis
+    diagonal = np.tile(c2, d) if direction is Direction.A_TO_B else np.repeat(c2, d)
+    diagonal[np.arange(d) * (d + 1)] -= c2
+    pi = target_projector(state) + np.diag(diagonal)
     if basis_set is not None:
         residual = design_average_residual(state, basis_set, direction)
         if residual > tol:
@@ -262,28 +275,55 @@ def pi_two_way(state: SchmidtState) -> np.ndarray:
     return target_projector(state) + np.diag(pair_mean.ravel()).astype(complex)
 
 
+def _mix(d: int, tests) -> np.ndarray:
+    """sum_l q_l P_l over ``(q_l, test)`` pairs as one d^2 x d^2 matrix.
+
+    The conditional tests enter through one chunked Gram product of their
+    pair vectors, the randomized diagonal tests through the diagonal.
+    """
+    omega = linalg.weighted_gram(
+        (
+            (test.pair_vectors(), q)
+            for q, test in tests
+            if isinstance(test, ConditionalProjectorTest)
+        ),
+        d * d,
+    )
+    for q, test in tests:
+        if isinstance(test, RandomizedDiagonalTest):
+            omega.flat[:: d * d + 1] += q * test.acceptance.ravel()
+    return omega
+
+
+def _design_residual(state: SchmidtState, weights, tests, direction: Direction) -> float:
+    """max-norm of sum_l w_l P_l - d/(d+1) * Pi for one direction's design tests."""
+    d = state.d
+    avg = _mix(d, list(zip(weights, tests)))
+    target = pi_operator(state, direction=direction) * d / (d + 1)
+    return float(np.abs(avg - target).max())
+
+
 def design_average_residual(
     state: SchmidtState,
     basis_set: WeightedBasisSet,
     direction: Direction = Direction.A_TO_B,
 ) -> float:
     """max-norm of sum_{l>=1} w_l P_l - d/(d+1) * Pi for the given set."""
-    d = state.d
-    avg = np.zeros((d * d, d * d), dtype=complex)
-    for l in range(1, basis_set.m):
-        test = test_projector(state, basis_set.bases[l], direction)
-        avg += basis_set.weights[l] * test.matrix
-    target = pi_operator(state, direction=direction) * d / (d + 1)
-    return float(np.abs(avg - target).max())
+    tests = [test_projector(state, basis, direction) for basis in basis_set.bases[1:]]
+    return _design_residual(state, basis_set.weights[1:], tests, direction)
 
 
 def design_for_dimension(d: int, m: int | None = None) -> WeightedBasisSet:
     """Weighted basis set suitable for the design strategies: the complete
-    MUB set when d is prime, the phase-basis design otherwise."""
+    MUB set when d is prime, the phase-basis design otherwise.  At d = 2 only
+    the complete MUB set exists, so a design size ``m`` is rejected there."""
+    if d == 2 and m is not None:
+        raise OutOfRangeError(
+            "the design size m does not apply at d = 2, which always uses the "
+            "complete MUB set"
+        )
     if is_prime(d) and m is None:
         return prime_mub_set(d)
-    if d == 2:
-        return prime_mub_set(2)
     return roy_scott_set(d, m)
 
 
@@ -297,8 +337,9 @@ def assemble_strategy(
 
     ``tests`` is an iterable of (probability, TestOperator) with positive
     probabilities summing to one.  The verification operator is the exact
-    weighted sum of the test matrices; its top eigenvalue must be 1 with the
-    target as the top eigenvector.
+    weighted sum of the test operators, formed from their factors without
+    building any test's matrix; its top eigenvalue must be 1 with the target
+    as the top eigenvector.
     """
     tests = tuple((float(q), t) for q, t in tests)
     if not tests:
@@ -308,12 +349,9 @@ def assemble_strategy(
         raise OutOfRangeError("test probabilities must be positive")
     if abs(float(probs.sum()) - 1.0) > 1e-12:
         raise OutOfRangeError(f"test probabilities sum to {probs.sum():.15g}, not 1")
-    dd = state.dim
-    omega = np.zeros((dd, dd), dtype=complex)
-    for q, test in tests:
-        if test.matrix.shape != (dd, dd):
-            raise DimensionMismatchError("test operator dimension mismatch")
-        omega += q * test.matrix
+    if any(test.d != state.d for _, test in tests):
+        raise DimensionMismatchError("test operator dimension mismatch")
+    omega = _mix(state.d, tests)
     w, v = linalg.eig_hermitian(omega)
     if abs(w[0] - 1.0) > TOP_EIGENVALUE_ATOL:
         raise TopEigenvalueError(f"top eigenvalue is {w[0]:.12g}, expected 1")
@@ -378,15 +416,26 @@ def _normalize_kind(kind) -> str:
     return label
 
 
-def _design_tests(state, design, total, directions):
-    """Tests realizing `total * Pi` (averaged over directions) from a design."""
+def _design_tests(state, design, total, two_way):
+    """Tests realizing `total * Pi` (averaged over directions) from a design.
+
+    The identity sum_{l>=1} w_l P_l = d/(d+1) Pi is checked on the A -> B
+    tests before they are used.
+    """
     d = state.d
-    share = (d + 1) / d
+    forward = [test_projector(state, basis) for basis in design.bases[1:]]
+    residual = _design_residual(state, design.weights[1:], forward, Direction.A_TO_B)
+    if residual > 1e-10:
+        raise DesignMismatchError(
+            f"design average misses the closed form by {residual:.3e}"
+        )
+    share = (d + 1) / d / (2 if two_way else 1)
     out = []
-    for l in range(1, design.m):
-        q = total * share * float(design.weights[l]) / len(directions)
-        for direction in directions:
-            out.append((q, test_projector(state, design.bases[l], direction)))
+    for basis, weight, test in zip(design.bases[1:], design.weights[1:], forward):
+        q = total * share * float(weight)
+        out.append((q, test))
+        if two_way:
+            out.append((q, test_projector(state, basis, Direction.B_TO_A)))
     return out
 
 
@@ -440,7 +489,6 @@ def build_strategy(
         p = optimal_p(state, kind)
     p = float(p)
 
-    design = None
     if kind == "I":
         if not 0.0 < p < 1.0:
             raise OutOfRangeError(f"p must be in (0, 1) for kind I, got {p}")
@@ -453,34 +501,20 @@ def build_strategy(
     elif kind in ("II", "III", "IV"):
         if not 0.0 <= p < 1.0:
             raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
-        if kind == "II":
-            design = prime_mub_set(d)
-        else:
-            design = design_for_dimension(d, m)
-        directions = (Direction.A_TO_B, Direction.B_TO_A) if kind == "IV" else (
-            Direction.A_TO_B,
-        )
+        design = prime_mub_set(d) if kind == "II" else design_for_dimension(d, m)
         tests = [] if p == 0.0 else [(p, standard_test(state))]
-        tests += _design_tests(state, design, 1.0 - p, directions)
+        tests += _design_tests(state, design, 1.0 - p, two_way=kind == "IV")
     elif kind == "V":
         design = design_for_dimension(d, m)
         tests = [(p, one_way_diagonal_test(state, p))]
-        tests += _design_tests(state, design, 1.0 - p, (Direction.A_TO_B,))
+        tests += _design_tests(state, design, 1.0 - p, two_way=False)
     else:  # VI
         design = design_for_dimension(d, m)
         tests = [(p, two_way_diagonal_test(state, p))]
-        tests += _design_tests(
-            state, design, 1.0 - p, (Direction.A_TO_B, Direction.B_TO_A)
-        )
+        tests += _design_tests(state, design, 1.0 - p, two_way=True)
 
-    if design is not None:
-        residual = design_average_residual(state, design)
-        if residual > 1e-10:
-            raise DesignMismatchError(
-                f"design average misses the closed form by {residual:.3e}"
-            )
     strategy = assemble_strategy(state, tests, label=kind, p=p)
-    beta_nu(strategy)  # closed-form crosscheck
+    _check_closed_form_beta(strategy, strategy.beta)
     return strategy
 
 
@@ -495,6 +529,13 @@ def beta_nu(strategy: Strategy) -> tuple[float, float]:
     if abs(w[0] - 1.0) > TOP_EIGENVALUE_ATOL:
         raise TopEigenvalueError(f"top eigenvalue is {w[0]:.12g}, expected 1")
     beta = float(w[1])
+    _check_closed_form_beta(strategy, beta)
+    return beta, 1.0 - beta
+
+
+def _check_closed_form_beta(strategy: Strategy, beta: float) -> None:
+    """Raise DesignMismatchError if a built-in label's closed-form beta
+    disagrees with the eigensolver's ``beta`` beyond BETA_CROSSCHECK_ATOL."""
     if strategy.label in STRATEGY_KINDS and strategy.p is not None:
         expected = closed_form_beta(strategy.state, strategy.label, strategy.p)
         if expected is not None and abs(beta - expected) > BETA_CROSSCHECK_ATOL:
@@ -502,7 +543,6 @@ def beta_nu(strategy: Strategy) -> tuple[float, float]:
                 f"eigensolver beta {beta:.15g} deviates from the closed form "
                 f"{expected:.15g} for kind {strategy.label}"
             )
-    return beta, 1.0 - beta
 
 
 def is_homogeneous(strategy: Strategy, tol: float = 1e-10) -> bool:

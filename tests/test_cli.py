@@ -296,3 +296,36 @@ class TestJobConfig:
             JobConfig(strategy="I").target_state()
         with pytest.raises(OutOfRangeError):
             JobConfig(strategy="I", theta=0.5, schmidt=[1.0, 1.0]).target_state()
+
+
+class TestMalformedInput:
+    """Bad input files and flags are validation errors (exit 2), not crashes."""
+
+    def assert_validation_error(self, code, err):
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_config_field_of_wrong_type(self, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"strategy": "V", "theta": 0.5, "trials": "100"}))
+        code, _, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        self.assert_validation_error(code, err)
+        assert "'trials'" in err
+
+    def test_unparsable_depolarizing_weight(self, capsys):
+        code, _, err = run_cli(
+            ["simulate", "--theta", "0.5", "--strategy", "V", "--noise", "depolarize:abc"],
+            capsys,
+        )
+        self.assert_validation_error(code, err)
+
+    def test_noise_file_without_real_part(self, tmp_path, capsys):
+        noise = tmp_path / "rho.json"
+        noise.write_text(json.dumps({"imag": np.zeros((4, 4)).tolist()}))
+        code, _, err = run_cli(
+            ["simulate", "--theta", "0.5", "--strategy", "V", "--noise", f"file:{noise}"],
+            capsys,
+        )
+        self.assert_validation_error(code, err)
+        assert '"real"' in err

@@ -215,6 +215,12 @@ class TestBuildStrategy:
             build_strategy(two_qubit_state(np.pi / 6), "VII")
 
     @pytest.mark.parametrize("kind", ["I", "II", "III", "IV", "V", "VI"])
+    def test_design_size_rejected_for_two_qubits(self, kind):
+        """d = 2 always uses the complete MUB set, so m must not be ignored."""
+        with pytest.raises(OutOfRangeError):
+            build_strategy(two_qubit_state(np.pi / 6), kind, m=99)
+
+    @pytest.mark.parametrize("kind", ["I", "II", "III", "IV", "V", "VI"])
     def test_every_test_operator_is_a_valid_effect(self, kind):
         """Each mixed-in test satisfies 0 <= T <= I and passes the target."""
         s = make_schmidt_state([2.0, 1.0, 1.0])
