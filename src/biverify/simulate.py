@@ -6,19 +6,31 @@ probability (a trace ratio), which is statistically identical to simulating
 the partner's full binary measurement.  Randomized diagonal tests sample the
 joint standard-basis outcome and accept from the tabulated probabilities.
 
+The mixture and the outcome distributions are folded into one categorical
+distribution over (test, outcome) cells: cell (l, j) has weight q_l P_l(j)
+and acceptance a_l(j), and cells of zero weight are left out, so they are
+never drawn.  The cells are sampled through a Walker/Vose alias table, so a
+trial costs O(1) however many tests the strategy mixes: one uniform picks
+the cell, a second decides acceptance.  ``run_single_test`` is a one-trial
+draw from the same cells.
+
 Reproducibility contract: trials are partitioned into fixed blocks of
-``TRIALS_PER_STREAM``; block k draws from the counter-based Philox stream
-``SeedSequence(seed, spawn_key=(k,))`` and tallies merge by summation, so a
+``TRIALS_PER_STREAM``; block k makes one call ``random(2 * block)`` on the
+counter-based Philox stream ``SeedSequence(seed, spawn_key=(k,))`` (first
+half: cells, second half: acceptance) and tallies merge by summation, so a
 run is bit-for-bit reproducible from its seed and independent of how blocks
 are scheduled.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .analysis import fidelity_from_pass_rate
 from .errors import DimensionMismatchError, NotHomogeneousError, OutOfRangeError
 from .states import DensityOperator
@@ -60,85 +72,155 @@ class FidelityEstimate:
     record: RunRecord
 
 
+def _integer_arg(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int >= ``minimum``; bools and non-integers raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise OutOfRangeError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def trial_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream); identical arguments
     reproduce identical draws, distinct streams are independent."""
-    if seed < 0 or stream < 0:
-        raise OutOfRangeError(f"seed and stream must be non-negative, got {seed}, {stream}")
+    seed = _integer_arg("seed", seed, 0)
+    stream = _integer_arg("stream", stream, 0)
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,)))
     )
 
 
-def _conditional_tables(test: ConditionalProjectorTest, sigma4: np.ndarray, d: int):
-    basis = test.measured_basis.vectors
-    kets = test.conditional_kets
-    if test.direction is Direction.A_TO_B:
-        marginal = np.einsum("abcb->ac", sigma4)
-        conditional = np.einsum("aj,abcd,cj->jbd", basis.conj(), sigma4, basis)
-    else:
-        marginal = np.einsum("abad->bd", sigma4)
-        conditional = np.einsum("bj,abcd,dj->jac", basis.conj(), sigma4, basis)
-    probs = np.einsum("aj,ac,cj->j", basis.conj(), marginal, basis).real
-    probs = np.clip(probs, 0.0, None)
-    joint = np.einsum("bj,jbd,dj->j", kets.conj(), conditional, kets).real
-    accept = np.zeros(d)
-    live = test.supported & (probs > PROB_FLOOR)
-    accept[live] = np.clip(joint[live] / probs[live], 0.0, 1.0)
-    return probs, accept
-
-
-def _test_tables(test, sigma: np.ndarray, d: int):
-    """Outcome distribution and per-outcome acceptance probability."""
-    if isinstance(test, RandomizedDiagonalTest):
-        probs = np.clip(np.diag(sigma).real, 0.0, None)
-        return probs, test.acceptance.ravel()
-    return _conditional_tables(test, sigma.reshape(d, d, d, d), d)
-
-
-def compile_tables(strategy: Strategy, sigma: DensityOperator):
-    """Per-test sampling tables for a fixed (strategy, state) pair."""
+def _check_dimension(strategy: Strategy, sigma: DensityOperator) -> None:
     if sigma.dim != strategy.state.dim:
         raise DimensionMismatchError(
             f"state dimension {sigma.dim} != strategy dimension {strategy.state.dim}"
         )
+
+
+def _pair_pass_probabilities(rho: np.ndarray, tests):
+    """<x_j|sigma|x_j> over the pair-vector columns of each conditional test.
+
+    Yields one array per conditional test, in order.  The columns of
+    ``linalg.GRAM_CHUNK`` tests are stacked into one product ``sigma @ X``,
+    so only one chunk of vectors is held at a time.
+    """
+    conditional = (t for t in tests if isinstance(t, ConditionalProjectorTest))
+    while chunk := list(itertools.islice(conditional, linalg.GRAM_CHUNK)):
+        x = np.concatenate([test.pair_vectors() for test in chunk], axis=1)
+        values = np.einsum("ij,ij->j", x.conj(), rho @ x).real
+        sizes = [int(test.supported.sum()) for test in chunk]
+        yield from np.split(values, np.cumsum(sizes)[:-1])
+
+
+def compile_tables(strategy: Strategy, sigma: DensityOperator):
+    """Per-test sampling tables for a fixed (strategy, state) pair.
+
+    Returns the normalized mixture ``pvec`` and, per test, ``(probs,
+    accept)``: the outcome distribution and the per-outcome acceptance
+    probability.  A conditional test's outcome probabilities come from the
+    measuring party's reduced state (O(d^3) per test); its acceptance is the
+    joint pass probability <u_j v_j|sigma|u_j v_j> over the outcome
+    probability, the joint values computed a chunk of tests at a time.
+    """
+    _check_dimension(strategy, sigma)
     d = strategy.state.d
-    pvec = np.array([q for q, _ in strategy.tests])
+    rho = sigma.matrix
+    sigma4 = rho.reshape(d, d, d, d)
+    reduced = {
+        Direction.A_TO_B: np.einsum("abcb->ac", sigma4),
+        Direction.B_TO_A: np.einsum("abad->bd", sigma4),
+    }
+    tests = [test for _, test in strategy.tests]
+    pair_pass = _pair_pass_probabilities(rho, tests)
     tables = []
-    for _, test in strategy.tests:
-        probs, accept = _test_tables(test, sigma.matrix, d)
+    for test in tests:
+        if isinstance(test, RandomizedDiagonalTest):
+            probs = np.clip(np.diag(rho).real, 0.0, None)
+            accept = test.acceptance.ravel()
+        else:
+            basis = test.measured_basis.vectors
+            marginal = reduced[test.direction] @ basis
+            probs = np.clip(np.einsum("aj,aj->j", basis.conj(), marginal).real, 0.0, None)
+            joint = np.zeros(d)
+            joint[test.supported] = next(pair_pass)
+            accept = np.zeros(d)
+            live = test.supported & (probs > PROB_FLOOR)
+            accept[live] = np.clip(joint[live] / probs[live], 0.0, 1.0)
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise OutOfRangeError(f"outcome probabilities sum to {total:.12g}")
         tables.append((probs / total, accept))
+    pvec = np.array([q for q, _ in strategy.tests])
     return pvec / pvec.sum(), tables
+
+
+def alias_table(weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walker/Vose alias table for the categorical distribution ``weights``.
+
+    Returns ``(column, prob, alias)`` over the K cells of positive weight:
+    picking k uniformly from range(K), then cell ``column[k]`` with
+    probability ``prob[k]`` and cell ``alias[k]`` otherwise, draws cell i with
+    probability ``weights[i] / sum(weights)``.  Cells of zero weight are
+    neither a column nor an alias, so they are never drawn.
+    """
+    weights = np.asarray(weights, dtype=float)
+    column = np.flatnonzero(weights > 0.0)
+    if column.size == 0:
+        raise OutOfRangeError("no cell has positive weight")
+    scaled = (weights[column] * (column.size / weights[column].sum())).tolist()
+    cells = column.tolist()
+    prob = [1.0] * len(cells)
+    alias = list(cells)
+    small = [k for k, s in enumerate(scaled) if s < 1.0]
+    large = [k for k, s in enumerate(scaled) if s >= 1.0]
+    while small and large:
+        s, big = small.pop(), large[-1]
+        prob[s] = scaled[s]
+        alias[s] = cells[big]
+        scaled[big] = (scaled[big] + scaled[s]) - 1.0
+        if scaled[big] < 1.0:
+            small.append(large.pop())
+    # whatever is left holds weight 1 up to rounding and keeps its own cell
+    return column, np.array(prob), np.array(alias, dtype=np.intp)
+
+
+def _cells(strategy: Strategy, sigma: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The flattened (test, outcome) cells as ``(threshold, accept)``.
+
+    For a uniform u and x = u * K, column k = floor(x) keeps its own cell iff
+    x < threshold[k] = k + prob[k]; the drawn cell's acceptance is then
+    ``accept[2k + keep]`` (the alias's at even, the column's at odd index).
+    """
+    pvec, tables = compile_tables(strategy, sigma)
+    weights = np.concatenate([q * probs for q, (probs, _) in zip(pvec, tables)])
+    accept = np.concatenate([acc for _, acc in tables])
+    column, prob, alias = alias_table(weights)
+    threshold = np.arange(column.size) + prob
+    return threshold, np.stack([accept[alias], accept[column]], axis=1).ravel()
+
+
+def _count_passes(cells: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> int:
+    """Passes among ``u.size // 2`` trials: the first half of the uniforms
+    ``u`` picks each trial's cell, the second half decides acceptance."""
+    threshold, accept = cells
+    n = u.size // 2
+    x = u[:n] * threshold.size
+    k = x.astype(np.intp)
+    keep = x < threshold.take(k)
+    return int(np.count_nonzero(u[n:] < accept.take(2 * k + keep)))
 
 
 def run_single_test(
     strategy: Strategy, sigma: DensityOperator, rng: np.random.Generator
 ) -> bool:
     """One verification trial; True iff the sampled test passes."""
-    if sigma.dim != strategy.state.dim:
-        raise DimensionMismatchError(
-            f"state dimension {sigma.dim} != strategy dimension {strategy.state.dim}"
-        )
-    d = strategy.state.d
-    pvec = np.array([q for q, _ in strategy.tests])
-    l = int(rng.choice(pvec.size, p=pvec / pvec.sum()))
-    probs, accept = _test_tables(strategy.tests[l][1], sigma.matrix, d)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise OutOfRangeError(f"outcome probabilities sum to {total:.12g}")
-    outcome = int(rng.choice(probs.size, p=probs / total))
-    return bool(rng.random() < accept[outcome])
+    return _count_passes(_cells(strategy, sigma), rng.random(2)) == 1
 
 
 def exact_pass_rate(strategy: Strategy, sigma: DensityOperator) -> float:
     """tr(Omega sigma), the exact average pass probability."""
-    if sigma.dim != strategy.state.dim:
-        raise DimensionMismatchError(
-            f"state dimension {sigma.dim} != strategy dimension {strategy.state.dim}"
-        )
+    _check_dimension(strategy, sigma)
     return float(np.einsum("ij,ji->", strategy.omega, sigma.matrix).real)
 
 
@@ -148,30 +230,15 @@ def run_verification(
     """Run ``n_trials`` independent tests of ``sigma`` and tally the passes.
 
     Trials are vectorized per RNG block; see the module docstring for the
-    reproducibility contract.
+    sampler and the reproducibility contract.
     """
-    if n_trials < 1:
-        raise OutOfRangeError(f"n_trials must be >= 1, got {n_trials}")
-    pvec, tables = compile_tables(strategy, sigma)
-    n_tests = pvec.size
+    n_trials = _integer_arg("n_trials", n_trials, 1)
+    seed = _integer_arg("seed", seed, 0)
+    cells = _cells(strategy, sigma)
     n_pass = 0
-    done = 0
-    stream = 0
-    while done < n_trials:
+    for stream, done in enumerate(range(0, n_trials, TRIALS_PER_STREAM)):
         block = min(TRIALS_PER_STREAM, n_trials - done)
-        rng = trial_rng(seed, stream)
-        chosen = rng.choice(n_tests, size=block, p=pvec)
-        acceptance = np.zeros(block)
-        for l in range(n_tests):
-            sel = np.flatnonzero(chosen == l)
-            if sel.size == 0:
-                continue
-            probs, accept = tables[l]
-            outcomes = rng.choice(probs.size, size=sel.size, p=probs)
-            acceptance[sel] = accept[outcomes]
-        n_pass += int((rng.random(block) < acceptance).sum())
-        done += block
-        stream += 1
+        n_pass += _count_passes(cells, trial_rng(seed, stream).random(2 * block))
     rate = n_pass / n_trials
     std_err = math.sqrt(max(rate * (1.0 - rate), 0.0) / n_trials)
     return RunRecord(
@@ -197,8 +264,8 @@ def estimate_fidelity(
             f"strategy {strategy.label} is not homogeneous; fidelity is not an "
             "affine function of its pass rate"
         )
-    if n_trials < 100:
-        raise OutOfRangeError(f"need n_trials >= 100 for the normal error bar, got {n_trials}")
+    # at least 100 trials, for the normal error bar
+    n_trials = _integer_arg("n_trials", n_trials, 100)
     record = run_verification(strategy, sigma, n_trials, seed)
     f_hat = fidelity_from_pass_rate(record.pass_rate, strategy.beta).fidelity
     return FidelityEstimate(
