@@ -16,7 +16,6 @@ from biverify import (
     fidelity,
     make_schmidt_state,
     random_state_at_fidelity,
-    run_single_test,
     run_verification,
     target_projector,
     trial_rng,
@@ -28,7 +27,13 @@ from biverify.errors import (
     NotHomogeneousError,
     OutOfRangeError,
 )
-from biverify.simulate import TRIALS_PER_STREAM, alias_table, compile_tables
+from biverify.simulate import (
+    TRIALS_PER_STREAM,
+    _cells,
+    _count_passes,
+    alias_table,
+    compile_tables,
+)
 
 KINDS = ("I", "II", "III", "IV", "V", "VI")
 
@@ -66,23 +71,6 @@ class TestRngStreams:
         assert np.array_equal(a, trial_rng(42, 3).random(10))
 
 
-class TestRunSingleTest:
-    def test_target_always_passes(self):
-        rng = trial_rng(7)
-        for kind in ("I", "II", "III", "IV", "V", "VI"):
-            s = two_qubit_state(np.pi / 6)
-            strat = build_strategy(s, kind)
-            sigma = density_operator(target_projector(s))
-            assert all(run_single_test(strat, sigma, rng) for _ in range(200))
-
-    def test_dimension_mismatch(self):
-        s = two_qubit_state(np.pi / 6)
-        strat = build_strategy(s, "I")
-        sigma = density_operator(np.eye(9) / 9)
-        with pytest.raises(DimensionMismatchError):
-            run_single_test(strat, sigma, trial_rng(0))
-
-
 class TestRunVerification:
     def test_deterministic_for_equal_seeds(self):
         s = two_qubit_state(np.pi / 6)
@@ -95,7 +83,11 @@ class TestRunVerification:
         assert c.n_pass != a.n_pass or c.pass_rate != a.pass_rate
 
     def test_target_state_passes_every_trial(self):
-        targets = (two_qubit_state(np.pi / 5), make_schmidt_state([3.0, 2.0, 1.0, 0.0]))
+        targets = (
+            two_qubit_state(np.pi / 5),
+            two_qubit_state(np.pi / 6),
+            make_schmidt_state([3.0, 2.0, 1.0, 0.0]),
+        )
         for s in targets:
             for kind in KINDS:
                 strat = build_strategy(s, kind)
@@ -104,6 +96,13 @@ class TestRunVerification:
                 assert record.n_pass == 5000, (s.d, kind)
                 assert record.pass_rate == 1.0
                 assert record.std_err == 0.0
+
+    def test_dimension_mismatch(self):
+        s = two_qubit_state(np.pi / 6)
+        strat = build_strategy(s, "I")
+        sigma = density_operator(np.eye(9) / 9)
+        with pytest.raises(DimensionMismatchError):
+            run_verification(strat, sigma, 100, seed=0)
 
     def test_exact_rate_for_maximally_mixed(self):
         """tr(Omega)/4 = (1 + 3p)/4 for the one-way homogeneous strategy."""
@@ -278,19 +277,19 @@ class TestBinomialOracle:
     """Each trial is an independent Bernoulli(tr(Omega sigma)) draw, so the
     pass count of a 4096-trial block is Binomial(4096, exact_rate).
 
-    For every kind on a d = 3 target and a random source that is not
-    swap-symmetric, 200 seeds of one block each are checked two ways, both
-    at a 5-sigma bound: the pooled count's z-score, and the dispersion
-    sum_i (n_i - n r)^2 / (n r (1 - r)), which is chi-square with 200
-    degrees of freedom (r is exact, not fitted): mean 200, sd sqrt(400).
+    For every kind on a d = 3 and a two-qubit target, with a random source
+    that is not swap-symmetric, 200 seeds of one block each are checked two
+    ways, both at a 5-sigma bound: the pooled count's z-score, and the
+    dispersion sum_i (n_i - n r)^2 / (n r (1 - r)), which is chi-square with
+    200 degrees of freedom (r is exact, not fitted): mean 200, sd sqrt(400).
+    The two-qubit strategies have the fewest cells, where a slip in the
+    layout of an alias column moves the pass rate most.
     """
 
     SEEDS = 200
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_block_counts_are_binomial(self, kind):
-        s = make_schmidt_state([3.0, 2.0, 1.0])
-        strat = build_strategy(s, kind)
+    def _check(self, state, kind):
+        strat = build_strategy(state, kind)
         sigma = _random_density(strat.state.dim, np.random.default_rng(2024))
         n = TRIALS_PER_STREAM
         records = [run_verification(strat, sigma, n, seed=seed) for seed in range(self.SEEDS)]
@@ -303,6 +302,54 @@ class TestBinomialOracle:
         assert abs(z) <= 5.0
         dispersion = float(np.sum((counts - n * r) ** 2) / var)
         assert abs(dispersion - self.SEEDS) <= 5.0 * math.sqrt(2 * self.SEEDS)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_counts_are_binomial(self, kind):
+        self._check(make_schmidt_state([3.0, 2.0, 1.0]), kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_qubit_block_counts_are_binomial(self, kind):
+        self._check(two_qubit_state(np.pi / 5), kind)
+
+
+def _threshold_cases():
+    targets = {
+        "d2": two_qubit_state(np.pi / 5),
+        "d3": make_schmidt_state([3.0, 2.0, 1.0]),
+        "d4-zero-tail": make_schmidt_state([3.0, 2.0, 1.0, 0.0]),
+    }
+    return [pytest.param(s, kind, id=f"{name}-{kind}") for name, s in targets.items() for kind in KINDS]
+
+
+class TestPassThresholds:
+    """Column k of the alias table passes the uniforms with u K in
+    [k, threshold[k]), so threshold[k] - k is that column's pass probability
+    and their mean is the strategy's pass rate."""
+
+    @pytest.mark.parametrize("state,kind", _threshold_cases())
+    def test_column_pass_fractions_average_to_exact_rate(self, state, kind):
+        strat = build_strategy(state, kind)
+        sigma = _random_density(strat.state.dim, np.random.default_rng(17))
+        threshold = _cells(strat, sigma)
+        fraction = threshold - np.arange(threshold.size)
+        assert np.all((fraction >= 0.0) & (fraction <= 1.0))
+        assert abs(fraction.mean() - exact_pass_rate(strat, sigma)) <= 1e-12
+
+    @pytest.mark.parametrize("state,kind", _threshold_cases())
+    def test_target_thresholds_are_column_ends(self, state, kind):
+        strat = build_strategy(state, kind)
+        sigma = density_operator(target_projector(strat.state))
+        threshold = _cells(strat, sigma)
+        assert np.array_equal(threshold, np.arange(1, threshold.size + 1))
+
+    def test_largest_uniform_lands_in_last_column(self):
+        u = np.nextafter(1.0, 0.0)
+        k = np.arange(1, 10**5 + 1)
+        assert np.array_equal((u * k).astype(np.intp), k - 1)
+        for size in (1, 2, 3, 7, 2400, 10**5):
+            ends = np.arange(1.0, size + 1.0)
+            assert _count_passes(ends, np.array([u, 0.0])) == 2
+            assert _count_passes(ends - 1.0, np.array([u, 0.0])) == 0
 
 
 def _oracle_tables(test, rho, d):
