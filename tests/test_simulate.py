@@ -71,6 +71,25 @@ class TestRngStreams:
         assert np.array_equal(a, trial_rng(42, 3).random(10))
 
 
+class TestRunSingleTest:
+    """Single-trial runs: ``run_verification(strategy, sigma, 1, seed)``."""
+
+    def test_target_always_passes(self):
+        for kind in KINDS:
+            s = two_qubit_state(np.pi / 6)
+            strat = build_strategy(s, kind)
+            sigma = density_operator(target_projector(s))
+            for seed in range(200):
+                assert run_verification(strat, sigma, 1, seed).n_pass == 1, (kind, seed)
+
+    def test_dimension_mismatch(self):
+        s = two_qubit_state(np.pi / 6)
+        strat = build_strategy(s, "I")
+        sigma = density_operator(np.eye(9) / 9)
+        with pytest.raises(DimensionMismatchError):
+            run_verification(strat, sigma, 1, seed=0)
+
+
 class TestRunVerification:
     def test_deterministic_for_equal_seeds(self):
         s = two_qubit_state(np.pi / 6)
@@ -83,11 +102,7 @@ class TestRunVerification:
         assert c.n_pass != a.n_pass or c.pass_rate != a.pass_rate
 
     def test_target_state_passes_every_trial(self):
-        targets = (
-            two_qubit_state(np.pi / 5),
-            two_qubit_state(np.pi / 6),
-            make_schmidt_state([3.0, 2.0, 1.0, 0.0]),
-        )
+        targets = (two_qubit_state(np.pi / 5), make_schmidt_state([3.0, 2.0, 1.0, 0.0]))
         for s in targets:
             for kind in KINDS:
                 strat = build_strategy(s, kind)
@@ -96,13 +111,6 @@ class TestRunVerification:
                 assert record.n_pass == 5000, (s.d, kind)
                 assert record.pass_rate == 1.0
                 assert record.std_err == 0.0
-
-    def test_dimension_mismatch(self):
-        s = two_qubit_state(np.pi / 6)
-        strat = build_strategy(s, "I")
-        sigma = density_operator(np.eye(9) / 9)
-        with pytest.raises(DimensionMismatchError):
-            run_verification(strat, sigma, 100, seed=0)
 
     def test_exact_rate_for_maximally_mixed(self):
         """tr(Omega)/4 = (1 + 3p)/4 for the one-way homogeneous strategy."""
