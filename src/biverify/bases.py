@@ -238,18 +238,20 @@ def roy_scott_set(d: int, m: int | None = None) -> WeightedBasisSet:
         raise TooFewBasesError(f"need at least {bound} bases for d={d}, got {m}")
     k = np.arange(d)
     comb2 = (k * (k - 1)) // 2
-    bases = [standard_basis(d)]
-    for l in range(1, m):
-        cols = np.empty((d, d), dtype=complex)
-        phase_l = np.exp(2j * np.pi * ((l * comb2) % (m - 1)) / (m - 1))
-        for j in range(d):
-            phase_j = np.exp(2j * np.pi * ((j * k) % d) / d)
-            cols[:, j] = phase_j * phase_l
-        bases.append(Basis(d=d, vectors=cols / math.sqrt(d)))
+    l = np.arange(1, m)
+    # phases[l-1, k, j] = exp(2 pi i jk/d) * exp(2 pi i l binom(k,2)/(m-1))
+    phase_l = np.exp(2j * np.pi * (np.outer(l, comb2) % (m - 1)) / (m - 1))
+    phase_j = np.exp(2j * np.pi * (np.outer(k, k) % d) / d)
+    phases = phase_j[None, :, :] * phase_l[:, :, None] / math.sqrt(d)
+    bases = [standard_basis(d)] + [Basis(d=d, vectors=cols) for cols in phases]
     weights = np.full(m, d / ((m - 1) * (d + 1)))
     weights[0] = 1.0 / (d + 1)
     out = WeightedBasisSet(bases=tuple(bases), weights=weights)
-    for l in range(1, m):
-        if not is_unbiased(bases[0], bases[l]):
-            raise DesignMismatchError(f"phase basis {l} is not unbiased with standard")
+    # overlaps with the standard basis are the entries themselves
+    bias = np.abs(np.abs(phases) ** 2 - 1.0 / d).max(axis=(1, 2))
+    biased = np.flatnonzero(~(bias <= UNBIASED_ATOL))
+    if biased.size:
+        raise DesignMismatchError(
+            f"phase basis {biased[0] + 1} is not unbiased with standard"
+        )
     return out

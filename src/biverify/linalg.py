@@ -2,8 +2,9 @@
 
 Every operator in this package is a small dense ``complex128`` matrix, so
 numpy's eigensolver is used directly; what this module adds are the explicit
-tolerance checks and the descending eigenvalue convention the verification
-analysis relies on.
+tolerance checks, the descending eigenvalue convention the verification
+analysis relies on, and the block spectrum of operators on C^d x C^d that
+commute with the local phases diag(e^{i phi}) x diag(e^{-i phi}).
 """
 from __future__ import annotations
 
@@ -15,6 +16,11 @@ from .errors import NonHermitianError, OutOfRangeError
 
 HERMITIAN_ATOL = 1e-10
 MAX_EIG_DIM = 4096
+# Frobenius norm up to which the part of a d^2 x d^2 operator outside the
+# {|jj>} block and the diagonal is treated as round-off.  By Weyl's
+# inequality no eigenvalue moves by more than this norm; the design
+# strategies' operators measure below 1e-15 there up to d = 20.
+PHASE_BLOCK_ATOL = 1e-12
 # Blocks stacked into one matrix product by weighted_gram: large enough for
 # BLAS to run at full speed, small enough that the stack stays a few MiB.
 GRAM_CHUNK = 16
@@ -54,6 +60,12 @@ def weighted_gram(blocks, dim: int) -> np.ndarray:
     return out
 
 
+def party_swap(m: np.ndarray, d: int) -> np.ndarray:
+    """SWAP M SWAP for a d^2 x d^2 operator on C^d x C^d: a permutation of
+    its entries, so exact."""
+    return m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+
+
 def hermiticity_defect(h) -> float:
     """max-norm of H - H^dagger."""
     h = as_matrix(h)
@@ -87,6 +99,46 @@ def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
         )
     w, v = np.linalg.eigh(h)
     return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def eig_phase_invariant(h, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian d^2 x d^2 operator, read from its
+    d x d block on span{|jj>} when the operator has that structure.
+
+    An operator that commutes with every diag(e^{i phi}) x diag(e^{-i phi})
+    is one d x d block on span{|jj>} plus a diagonal on the |jk> (j != k),
+    as are the design strategies' operators.  When the rest of ``h`` has a
+    Frobenius norm of at most PHASE_BLOCK_ATOL, the block is solved with
+    ``eig_hermitian`` and each |jk> diagonal entry is an eigenvalue with
+    eigenvector |jk>; otherwise ``h`` is solved densely.  Returns ``(w, v)``
+    as ``eig_hermitian`` does; on ties the block's eigenvalues come first.
+    """
+    h = as_matrix(h)
+    n = d * d
+    if h.shape != (n, n):
+        raise OutOfRangeError(f"expected a {n}x{n} matrix, got shape {h.shape}")
+    jj = np.arange(d) * (d + 1)
+    if _off_block_norm(h, jj) > PHASE_BLOCK_ATOL:
+        return eig_hermitian(h)
+    require_hermitian(h)
+    wb, vb = eig_hermitian(h[np.ix_(jj, jj)])
+    off = np.flatnonzero(np.arange(n) % (d + 1))  # the |jk>, j != k
+    w = np.concatenate([wb, h.diagonal().real[off]])
+    order = np.argsort(-w, kind="stable")
+    column = np.empty(n, dtype=int)
+    column[order] = np.arange(n)
+    v = np.zeros((n, n), dtype=complex)
+    v[np.ix_(jj, column[:d])] = vb
+    v[off, column[d:]] = 1.0
+    return w[order], v
+
+
+def _off_block_norm(h: np.ndarray, jj: np.ndarray) -> float:
+    """Frobenius norm of ``h`` outside its (jj, jj) block and its diagonal."""
+    rest = h.copy()
+    rest[np.ix_(jj, jj)] = 0.0
+    rest.flat[:: h.shape[0] + 1] = 0.0
+    return float(np.linalg.norm(rest))
 
 
 def second_eigenvalue(h) -> float:

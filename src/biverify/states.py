@@ -219,7 +219,7 @@ def worst_case_state(state: SchmidtState, strategy, eps: float) -> DensityOperat
     psi = state_vector(state)
     if eps == 0.0:
         return DensityOperator(dim=state.dim, matrix=np.outer(psi, psi.conj()))
-    w, v = linalg.eig_hermitian(strategy.omega)
+    w, v = linalg.eig_phase_invariant(strategy.omega, state.d)
     if abs(w[1] - strategy.beta) > 1e-8:
         raise DegenerateSpectrumError(
             f"second eigenvalue {w[1]:.12g} is not within 1e-8 of beta {strategy.beta:.12g}"

@@ -24,7 +24,7 @@ affine function of fidelity and suits adversarially prepared states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -128,10 +128,13 @@ TestOperator = ConditionalProjectorTest | RandomizedDiagonalTest
 class Strategy:
     """A convex mixture of tests with its spectral data.
 
-    ``omega`` is the exact weighted sum of the test matrices, ``beta`` its
-    second-largest eigenvalue and ``nu = 1 - beta`` the spectral gap.  ``p``
-    records the mixing probability of the standard/diagonal test for the
-    built-in kinds (None for custom mixtures).
+    ``omega`` is the weighted sum of the test operators, formed from their
+    factors (for the design kinds, from one Gram product of the A -> B design
+    tests and its party swap, so equal to the term-by-term sum up to
+    round-off); ``beta`` is its second-largest eigenvalue and
+    ``nu = 1 - beta`` the spectral gap.  ``p`` records the mixing probability
+    of the standard/diagonal test for the built-in kinds (None for custom
+    mixtures).
     """
 
     state: SchmidtState
@@ -295,11 +298,10 @@ def _mix(d: int, tests) -> np.ndarray:
     return omega
 
 
-def _design_residual(state: SchmidtState, weights, tests, direction: Direction) -> float:
-    """max-norm of sum_l w_l P_l - d/(d+1) * Pi for one direction's design tests."""
-    d = state.d
-    avg = _mix(d, list(zip(weights, tests)))
-    target = pi_operator(state, direction=direction) * d / (d + 1)
+def _design_residual(state: SchmidtState, avg: np.ndarray, direction: Direction) -> float:
+    """max-norm of ``avg`` - d/(d+1) * Pi, where ``avg`` = sum_l w_l P_l over
+    one direction's design tests."""
+    target = pi_operator(state, direction=direction) * state.d / (state.d + 1)
     return float(np.abs(avg - target).max())
 
 
@@ -310,7 +312,8 @@ def design_average_residual(
 ) -> float:
     """max-norm of sum_{l>=1} w_l P_l - d/(d+1) * Pi for the given set."""
     tests = [test_projector(state, basis, direction) for basis in basis_set.bases[1:]]
-    return _design_residual(state, basis_set.weights[1:], tests, direction)
+    avg = _mix(state.d, list(zip(basis_set.weights[1:], tests)))
+    return _design_residual(state, avg, direction)
 
 
 def design_for_dimension(d: int, m: int | None = None) -> WeightedBasisSet:
@@ -341,6 +344,13 @@ def assemble_strategy(
     building any test's matrix; its top eigenvalue must be 1 with the target
     as the top eigenvector.
     """
+    tests = _checked_tests(state, tests)
+    return _with_spectrum(state, tests, _mix(state.d, tests), label, p)
+
+
+def _checked_tests(state: SchmidtState, tests) -> tuple:
+    """The ``(probability, test)`` pairs as a tuple, after checking that the
+    probabilities are a distribution and the tests act on the target's space."""
     tests = tuple((float(q), t) for q, t in tests)
     if not tests:
         raise OutOfRangeError("a strategy needs at least one test")
@@ -351,8 +361,13 @@ def assemble_strategy(
         raise OutOfRangeError(f"test probabilities sum to {probs.sum():.15g}, not 1")
     if any(test.d != state.d for _, test in tests):
         raise DimensionMismatchError("test operator dimension mismatch")
-    omega = _mix(state.d, tests)
-    w, v = linalg.eig_hermitian(omega)
+    return tests
+
+
+def _with_spectrum(state, tests, omega, label, p) -> Strategy:
+    """The strategy with operator ``omega``, after checking that its top
+    eigenvalue is 1 with the target as the top eigenvector."""
+    w, v = linalg.eig_phase_invariant(omega, state.d)
     if abs(w[0] - 1.0) > TOP_EIGENVALUE_ATOL:
         raise TopEigenvalueError(f"top eigenvalue is {w[0]:.12g}, expected 1")
     psi = state_vector(state)
@@ -417,26 +432,34 @@ def _normalize_kind(kind) -> str:
 
 
 def _design_tests(state, design, total, two_way):
-    """Tests realizing `total * Pi` (averaged over directions) from a design.
+    """Tests realizing `total * Pi` (averaged over directions) from a design,
+    and the part of Omega they contribute.
 
-    The identity sum_{l>=1} w_l P_l = d/(d+1) Pi is checked on the A -> B
-    tests before they are used.
+    The weighted average avg = sum_{l>=1} w_l P_l of the A -> B tests is one
+    Gram product; the identity avg = d/(d+1) Pi is checked on it before the
+    tests are used.  A B -> A test is its A -> B twin with the parties
+    swapped, SWAP P SWAP, so the two-way part is avg's term plus its party
+    swap and the twins are not rebuilt.
     """
     d = state.d
     forward = [test_projector(state, basis) for basis in design.bases[1:]]
-    residual = _design_residual(state, design.weights[1:], forward, Direction.A_TO_B)
+    avg = _mix(d, list(zip(design.weights[1:], forward)))
+    residual = _design_residual(state, avg, Direction.A_TO_B)
     if residual > 1e-10:
         raise DesignMismatchError(
             f"design average misses the closed form by {residual:.3e}"
         )
     share = (d + 1) / d / (2 if two_way else 1)
-    out = []
-    for basis, weight, test in zip(design.bases[1:], design.weights[1:], forward):
+    tests = []
+    for weight, test in zip(design.weights[1:], forward):
         q = total * share * float(weight)
-        out.append((q, test))
+        tests.append((q, test))
         if two_way:
-            out.append((q, test_projector(state, basis, Direction.B_TO_A)))
-    return out
+            tests.append((q, replace(test, direction=Direction.B_TO_A)))
+    avg *= total * share
+    if two_way:
+        avg += linalg.party_swap(avg, d)
+    return tests, avg
 
 
 def build_strategy(
@@ -498,22 +521,25 @@ def build_strategy(
                 "the second basis of kind I must be unbiased with the standard basis"
             )
         tests = [(p, standard_test(state)), (1.0 - p, test_projector(state, basis_1))]
-    elif kind in ("II", "III", "IV"):
-        if not 0.0 <= p < 1.0:
-            raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
-        design = prime_mub_set(d) if kind == "II" else design_for_dimension(d, m)
-        tests = [] if p == 0.0 else [(p, standard_test(state))]
-        tests += _design_tests(state, design, 1.0 - p, two_way=kind == "IV")
-    elif kind == "V":
-        design = design_for_dimension(d, m)
-        tests = [(p, one_way_diagonal_test(state, p))]
-        tests += _design_tests(state, design, 1.0 - p, two_way=False)
-    else:  # VI
-        design = design_for_dimension(d, m)
-        tests = [(p, two_way_diagonal_test(state, p))]
-        tests += _design_tests(state, design, 1.0 - p, two_way=True)
-
-    strategy = assemble_strategy(state, tests, label=kind, p=p)
+        strategy = assemble_strategy(state, tests, label=kind, p=p)
+    else:
+        if kind in ("II", "III", "IV"):
+            if not 0.0 <= p < 1.0:
+                raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
+            design = prime_mub_set(d) if kind == "II" else design_for_dimension(d, m)
+            head = [] if p == 0.0 else [(p, standard_test(state))]
+        elif kind == "V":
+            design = design_for_dimension(d, m)
+            head = [(p, one_way_diagonal_test(state, p))]
+        else:  # VI
+            design = design_for_dimension(d, m)
+            head = [(p, two_way_diagonal_test(state, p))]
+        design_tests, omega = _design_tests(
+            state, design, 1.0 - p, two_way=kind in ("IV", "VI")
+        )
+        tests = _checked_tests(state, head + design_tests)
+        omega += _mix(d, head)
+        strategy = _with_spectrum(state, tests, omega, kind, p)
     _check_closed_form_beta(strategy, strategy.beta)
     return strategy
 
@@ -525,7 +551,7 @@ def beta_nu(strategy: Strategy) -> tuple[float, float]:
     than 1e-8, and DesignMismatchError if a built-in label's closed-form beta
     disagrees with the eigensolver beyond 1e-10.
     """
-    w, _ = linalg.eig_hermitian(strategy.omega)
+    w, _ = linalg.eig_phase_invariant(strategy.omega, strategy.state.d)
     if abs(w[0] - 1.0) > TOP_EIGENVALUE_ATOL:
         raise TopEigenvalueError(f"top eigenvalue is {w[0]:.12g}, expected 1")
     beta = float(w[1])

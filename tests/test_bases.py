@@ -15,8 +15,10 @@ from biverify import (
     standard_basis,
     verify_2design,
 )
+from biverify import bases
 from biverify.bases import Basis, WeightedBasisSet
 from biverify.errors import (
+    DesignMismatchError,
     DimensionMismatchError,
     DimensionTooSmallError,
     NotPrimeError,
@@ -143,6 +145,25 @@ class TestRoyScottSet:
         design = roy_scott_set(4)
         for l in range(1, design.m):
             assert is_unbiased(design.bases[0], design.bases[l], tol=1e-10)
+
+    @pytest.mark.parametrize("d, m", [(3, 4), (4, 8), (6, 20), (6, 23), (9, 49)])
+    def test_phases_match_the_loop_construction(self, d, m):
+        """Each ket built one phase at a time, as the formula reads."""
+        design = roy_scott_set(d, m)
+        k = np.arange(d)
+        comb2 = (k * (k - 1)) // 2
+        for l in range(1, m):
+            phase_l = np.exp(2j * np.pi * ((l * comb2) % (m - 1)) / (m - 1))
+            for j in range(d):
+                phase_j = np.exp(2j * np.pi * ((j * k) % d) / d)
+                ket = phase_j * phase_l / np.sqrt(d)
+                assert np.array_equal(design.bases[l].ket(j), ket)
+
+    def test_unbiasedness_check_fires(self, monkeypatch):
+        """With the tolerance below any |entry|^2 - 1/d, basis 1 is flagged."""
+        monkeypatch.setattr(bases, "UNBIASED_ATOL", -1.0)
+        with pytest.raises(DesignMismatchError, match="phase basis 1 is not unbiased"):
+            roy_scott_set(4)
 
 
 class TestVerify2Design:

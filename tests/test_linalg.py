@@ -1,10 +1,15 @@
 """Tests for the dense complex-matrix helpers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from biverify import eig_hermitian, kron, second_eigenvalue
+from biverify import eig_hermitian, kron, linalg, make_schmidt_state, second_eigenvalue
 from biverify.errors import NonHermitianError, OutOfRangeError
+from biverify.states import state_vector
 
 
 def random_hermitian(dim, rng):
@@ -116,3 +121,88 @@ class TestSecondEigenvalue:
             h = random_hermitian(8, rng)
             w, _ = eig_hermitian(h)
             assert second_eigenvalue(h) <= w[0] + 1e-12
+
+
+unit = st.floats(0.01, 1.0)
+
+
+@st.composite
+def schmidt_coefficients(draw):
+    """Raw Schmidt amplitudes: random, zero-tailed, near-product (c_1 ~ 1e-7)
+    or with repeated values."""
+    d = draw(st.integers(2, 7))
+    family = draw(st.sampled_from(["random", "zero-tail", "near-product", "degenerate"]))
+    if family == "random":
+        return draw(st.lists(unit, min_size=d, max_size=d))
+    if family == "zero-tail":
+        rank = draw(st.integers(1, d - 1))
+        return draw(st.lists(unit, min_size=rank, max_size=rank)) + [0.0] * (d - rank)
+    if family == "near-product":
+        tail = draw(st.lists(st.floats(0.0, 1.0), min_size=d - 2, max_size=d - 2))
+        c1 = 1e-7 * draw(st.floats(0.5, 2.0))
+        return [1.0, c1] + [c1 * t for t in tail]
+    return draw(st.lists(st.sampled_from([1.0, 0.5, 0.25]), min_size=d, max_size=d))
+
+
+@st.composite
+def phase_invariant_operators(draw):
+    """(d, |Psi><Psi| + D) with D a random real diagonal; with ``tie`` one
+    |jk> (j != k) entry equals the top eigenvalue of the {|jj>} block."""
+    state = make_schmidt_state(draw(schmidt_coefficients()))
+    d, n = state.d, state.dim
+    psi = state_vector(state)
+    diag = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    omega = np.outer(psi, psi.conj()) + np.diag(diag)
+    if draw(st.booleans()):
+        jj = np.arange(d) * (d + 1)
+        top = np.linalg.eigvalsh(omega[np.ix_(jj, jj)])[-1]
+        k = draw(st.sampled_from(np.setdiff1d(np.arange(n), jj).tolist()))
+        omega[k, k] = top
+    return d, omega
+
+
+def eig_dims_of(d, omega):
+    """Run eig_phase_invariant, returning its result and the sizes of the
+    matrices it handed to eig_hermitian."""
+    with mock.patch.object(linalg, "eig_hermitian", wraps=linalg.eig_hermitian) as spy:
+        w, v = linalg.eig_phase_invariant(omega, d)
+    return w, v, [call.args[0].shape[0] for call in spy.call_args_list]
+
+
+class TestEigPhaseInvariant:
+    @settings(max_examples=150, deadline=None)
+    @given(phase_invariant_operators())
+    def test_block_spectrum_matches_dense(self, case):
+        d, omega = case
+        w, v, dims = eig_dims_of(d, omega)
+        assert dims == [d]
+        assert np.abs(w - np.linalg.eigvalsh(omega)[::-1]).max() <= 1e-12
+        assert np.abs(omega @ v - v * w).max() <= 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(d * d)).max() <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(phase_invariant_operators(), st.data())
+    def test_off_structure_entry_takes_the_dense_path(self, case, data):
+        d, omega = case
+        n = d * d
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        assume(a != b and not (a % (d + 1) == 0 and b % (d + 1) == 0))
+        omega[a, b] += 1e-8
+        omega[b, a] += 1e-8
+        w, v, dims = eig_dims_of(d, omega)
+        assert dims == [n]
+        dense_w, dense_v = eig_hermitian(omega)
+        assert np.array_equal(w, dense_w) and np.array_equal(v, dense_v)
+
+    @pytest.mark.parametrize(
+        "index, value", [((1, 1), 1 + 1e-6j), ((0, 1), 0.5)], ids=["block-path", "dense-path"]
+    )
+    def test_rejects_non_hermitian(self, index, value):
+        h = np.eye(4, dtype=complex)
+        h[index] = value
+        with pytest.raises(NonHermitianError):
+            linalg.eig_phase_invariant(h, 2)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(OutOfRangeError):
+            linalg.eig_phase_invariant(np.eye(6), 2)

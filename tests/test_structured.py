@@ -14,18 +14,22 @@ from biverify import (
     Direction,
     RandomizedDiagonalTest,
     WeightedBasisSet,
+    beta_nu,
     build_strategy,
+    closed_form_beta,
     design_average_residual,
+    exact_pass_rate,
     fourier_basis,
     make_schmidt_state,
     roy_scott_set,
     standard_basis,
     two_qubit_state,
     verify_2design,
+    worst_case_state,
 )
-from biverify import strategies
+from biverify import linalg, strategies
 from biverify.bases import is_prime, min_design_size, next_prime
-from biverify.errors import DesignMismatchError
+from biverify.errors import DesignMismatchError, OutOfRangeError
 
 ATOL = 1e-12
 KINDS = ("I", "II", "III", "IV", "V", "VI")
@@ -161,3 +165,85 @@ def test_2design_residual_matches_dense_oracle(basis_set):
     rhs = (np.eye(d * d) + d * np.outer(phi, phi)) / (d + 1)
     _, residual = verify_2design(basis_set)
     assert abs(residual - np.abs(lhs - rhs).max()) <= ATOL
+
+
+def swap_operator(d):
+    """SWAP on C^d x C^d as a permutation matrix: |jk> -> |kj>."""
+    idx = np.arange(d * d).reshape(d, d).T.ravel()
+    return np.eye(d * d)[idx]
+
+
+@pytest.mark.parametrize("kind", ["IV", "VI"])
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(TARGETS) if TARGETS[n].d <= 8]
+)
+def test_two_way_tests_are_swapped_twins(name, kind):
+    """Each B -> A design test follows its A -> B twin and is that test with
+    the parties swapped: the same factors, and SWAP P SWAP as an operator."""
+    state = TARGETS[name]
+    strat = build_strategy(state, kind)
+    design = strat.tests[1:]
+    assert len(design) % 2 == 0
+    swap = swap_operator(strat.state.d)
+    for (q_ab, ab), (q_ba, ba) in zip(design[::2], design[1::2]):
+        assert (ab.direction, ba.direction) == (Direction.A_TO_B, Direction.B_TO_A)
+        assert q_ab == q_ba
+        assert ba.measured_basis is ab.measured_basis
+        assert np.array_equal(ba.supported, ab.supported)
+        assert np.array_equal(ba.conditional_kets, ab.conditional_kets)
+        assert np.abs(ba.matrix - swap @ ab.matrix @ swap).max() <= ATOL
+
+
+@pytest.mark.parametrize("kind", ["II", "III", "IV", "V", "VI"])
+def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatch):
+    """The A -> B design tests enter one Gram product, once each; the B -> A
+    twins never enter one; the spectrum comes from the d x d block."""
+    state = TARGETS["d5-random"]
+    grams, uses, eig_dims = [], [], []
+    gram, eig = linalg.weighted_gram, linalg.eig_hermitian
+    pair_vectors = strategies.ConditionalProjectorTest.pair_vectors
+
+    def counting_gram(blocks, dim):
+        grams.append(dim)
+        return gram(blocks, dim)
+
+    def recording_pair_vectors(test):
+        uses.append((id(test), len(grams)))
+        return pair_vectors(test)
+
+    def recording_eig(h):
+        eig_dims.append(np.shape(h)[0])
+        return eig(h)
+
+    monkeypatch.setattr(linalg, "weighted_gram", counting_gram)
+    monkeypatch.setattr(linalg, "eig_hermitian", recording_eig)
+    monkeypatch.setattr(
+        strategies.ConditionalProjectorTest, "pair_vectors", recording_pair_vectors
+    )
+    strat = build_strategy(state, kind)
+    design = [t for _, t in strat.tests[1:]]
+    forward = [id(t) for t in design if t.direction is Direction.A_TO_B]
+    backward = {id(t) for t in design if t.direction is Direction.B_TO_A}
+    assert len(backward) == (len(forward) if kind in ("IV", "VI") else 0)
+    design_uses = [(i, g) for i, g in uses if i in set(forward) | backward]
+    assert sorted(i for i, _ in design_uses) == sorted(forward)
+    assert len({g for _, g in design_uses}) == 1
+    assert eig_dims == [state.d]
+
+
+def test_max_eig_dim_limits_only_the_dense_path(monkeypatch):
+    """With the dense eigensolver capped below d^2, the design kinds still
+    build from the d x d block, and kind I, which has no such block, raises."""
+    monkeypatch.setattr(linalg, "MAX_EIG_DIM", 64)
+    state = make_schmidt_state([9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
+    for kind in ("III", "IV", "VI"):
+        strat = build_strategy(state, kind)
+        expected = closed_form_beta(strat.state, kind, strat.p)
+        assert abs(strat.beta - expected) <= 1e-10
+        beta, nu = beta_nu(strat)
+        assert abs(beta - expected) <= 1e-10
+        for eps in (0.3, 0.01):
+            sigma = worst_case_state(state, strat, eps)
+            assert abs(exact_pass_rate(strat, sigma) - (1.0 - nu * eps)) <= 1e-10
+    with pytest.raises(OutOfRangeError, match="exceeds supported maximum"):
+        build_strategy(state, "I")
