@@ -8,26 +8,20 @@ joint standard-basis outcome and accept from the tabulated probabilities.
 
 The mixture and the outcome distributions are folded into one categorical
 distribution over (test, outcome) cells: cell (l, j) has weight q_l P_l(j)
-and acceptance a_l(j), and cells of zero weight are left out, so they are
-never drawn.  The cells are sampled through a Walker/Vose alias table of K
-columns, and one uniform u per trial decides both the cell and the
-acceptance.  With x = u K, the trial falls in column k = floor(x), whose
-unit interval [k, k + 1) is laid out as
+and acceptance a_l(j).  Trials are i.i.d., so the cell counts of n trials
+are Multinomial(n, q_l P_l(j)), and the passes of a cell are
+Binomial(count, a_l(j)) given its count.  That is the joint law of n
+trial-by-trial draws, drawn at O(K) cost per run for K cells whatever n is.
+The draws go through each test's Born-rule table, never through
+tr(Omega sigma), so the sampled pass rate stays an independent check of the
+exact rate.  Cells of zero weight get no trials.  The per-cell counts and
+passes hold the run's per-test tallies; ``RunRecord`` does not carry them yet.
 
-    [column cell passes | alias cell passes | column cell fails | alias cell fails]
-
-with lengths p a_c, (1 - p) a_a, p (1 - a_c) and (1 - p)(1 - a_a), where p
-is the column's alias-table probability and a_c, a_a are the acceptances of
-its own and its alias cell.  So the trial passes iff x < threshold[k] =
-k + p a_c + (1 - p) a_a: one lookup and one compare per trial, whatever the
-number of tests.  The drawn cell is still a function of x, so per-cell (and
-per-test) tallies can be read off the same draws.
-
-Reproducibility contract: trials are partitioned into fixed blocks of
-``TRIALS_PER_STREAM``; block k makes one call ``random(block)`` on the
-counter-based Philox stream ``SeedSequence(seed, spawn_key=(k,))``, one
-uniform per trial, and tallies merge by summation, so a run is bit-for-bit
-reproducible from its seed and independent of how blocks are scheduled.
+Reproducibility contract: a run opens one counter-based Philox stream,
+``trial_rng(seed)``, and makes one multinomial draw of the cell counts and
+then one binomial draw of the per-cell passes on it, so a run is
+bit-for-bit reproducible from its seed.  ``n_trials`` is at most
+``MAX_TRIALS`` = 2**63 - 1, because numpy draws the counts as int64.
 """
 from __future__ import annotations
 
@@ -50,8 +44,9 @@ from .strategies import (
     is_homogeneous,
 )
 
-TRIALS_PER_STREAM = 4096
 PROB_FLOOR = 1e-300
+# numpy draws the counts as int64
+MAX_TRIALS = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -80,12 +75,15 @@ class FidelityEstimate:
     record: RunRecord
 
 
-def _integer_arg(name: str, value, minimum: int) -> int:
-    """``value`` as a Python int >= ``minimum``; bools and non-integers raise."""
+def _integer_arg(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as a Python int in [``minimum``, ``maximum``]; bools and
+    non-integers raise."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise OutOfRangeError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise OutOfRangeError(f"{name} must be <= {maximum}, got {value}")
     return int(value)
 
 
@@ -163,60 +161,35 @@ def compile_tables(strategy: Strategy, sigma: DensityOperator):
     return pvec / pvec.sum(), tables
 
 
-def alias_table(weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walker/Vose alias table for the categorical distribution ``weights``.
-
-    Returns ``(column, prob, alias)`` over the K cells of positive weight:
-    picking k uniformly from range(K), then cell ``column[k]`` with
-    probability ``prob[k]`` and cell ``alias[k]`` otherwise, draws cell i with
-    probability ``weights[i] / sum(weights)``.  Cells of zero weight are
-    neither a column nor an alias, so they are never drawn.
-    """
-    weights = np.asarray(weights, dtype=float)
-    column = np.flatnonzero(weights > 0.0)
-    if column.size == 0:
-        raise OutOfRangeError("no cell has positive weight")
-    scaled = (weights[column] * (column.size / weights[column].sum())).tolist()
-    cells = column.tolist()
-    prob = [1.0] * len(cells)
-    alias = list(cells)
-    small = [k for k, s in enumerate(scaled) if s < 1.0]
-    large = [k for k, s in enumerate(scaled) if s >= 1.0]
-    while small and large:
-        s, big = small.pop(), large[-1]
-        prob[s] = scaled[s]
-        alias[s] = cells[big]
-        scaled[big] = (scaled[big] + scaled[s]) - 1.0
-        if scaled[big] < 1.0:
-            small.append(large.pop())
-    # whatever is left holds weight 1 up to rounding and keeps its own cell
-    return column, np.array(prob), np.array(alias, dtype=np.intp)
-
-
-def _cells(strategy: Strategy, sigma: DensityOperator) -> np.ndarray:
-    """Pass thresholds of the alias columns over the (test, outcome) cells.
-
-    A trial whose uniform u gives x = u * K passes iff x < threshold[k] for
-    k = floor(x); see the module docstring for the column layout.
-    """
+def _cells(strategy: Strategy, sigma: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Weights q_l P_l(j) and acceptances a_l(j) of the (test, outcome) cells,
+    test by test, from ``compile_tables``."""
     pvec, tables = compile_tables(strategy, sigma)
     weights = np.concatenate([q * probs for q, (probs, _) in zip(pvec, tables)])
     accept = np.concatenate([acc for _, acc in tables])
     # The target's conditional states are exact, so its acceptances are 1, but
     # the trace ratio can land a few ulps below; within d ulps they are taken
     # as 1, so the target passes every trial.  A pass rate moves by at most
-    # d ulps, far below the O(K ulps) resolution of the thresholds.
+    # d ulps.
     accept[accept >= 1.0 - strategy.state.d * np.finfo(float).eps] = 1.0
-    column, prob, alias = alias_table(weights)
-    a_column, a_alias = accept[column], accept[alias]
-    # a_alias + p (a_column - a_alias) is exactly 1 when both acceptances are
-    return np.arange(column.size) + (a_alias + prob * (a_column - a_alias))
+    return weights, accept
 
 
-def _count_passes(threshold: np.ndarray, u: np.ndarray) -> int:
-    """Passes among ``u.size`` trials, one uniform of ``u`` per trial."""
-    x = u * threshold.size
-    return int(np.count_nonzero(x < threshold.take(x.astype(np.intp))))
+def _draw(
+    weights: np.ndarray, accept: np.ndarray, n_trials: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell trial and pass counts of ``n_trials`` i.i.d. trials.
+
+    The counts are Multinomial(n_trials, weights / weights.sum()) and the
+    passes of a cell are Binomial(count, accept) given its count.  Cells of
+    zero weight are left out of the multinomial, which hands the rounding
+    remainder of its probabilities to its last category, so they get no
+    trials.
+    """
+    live = weights > 0.0
+    counts = np.zeros(weights.size, dtype=np.int64)
+    counts[live] = rng.multinomial(n_trials, weights[live] / weights[live].sum())
+    return counts, rng.binomial(counts, accept)
 
 
 def exact_pass_rate(strategy: Strategy, sigma: DensityOperator) -> float:
@@ -230,16 +203,14 @@ def run_verification(
 ) -> RunRecord:
     """Run ``n_trials`` independent tests of ``sigma`` and tally the passes.
 
-    Trials are vectorized per RNG block; see the module docstring for the
-    sampler and the reproducibility contract.
+    The trials are drawn as per-cell counts; see the module docstring for
+    the sampler and the reproducibility contract.
     """
-    n_trials = _integer_arg("n_trials", n_trials, 1)
+    n_trials = _integer_arg("n_trials", n_trials, 1, MAX_TRIALS)
     seed = _integer_arg("seed", seed, 0)
-    threshold = _cells(strategy, sigma)
-    n_pass = 0
-    for stream, done in enumerate(range(0, n_trials, TRIALS_PER_STREAM)):
-        block = min(TRIALS_PER_STREAM, n_trials - done)
-        n_pass += _count_passes(threshold, trial_rng(seed, stream).random(block))
+    weights, accept = _cells(strategy, sigma)
+    _, passes = _draw(weights, accept, n_trials, trial_rng(seed))
+    n_pass = int(passes.sum())
     rate = n_pass / n_trials
     std_err = math.sqrt(max(rate * (1.0 - rate), 0.0) / n_trials)
     return RunRecord(

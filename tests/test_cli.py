@@ -313,6 +313,15 @@ class TestMalformedInput:
         self.assert_validation_error(code, err)
         assert "'trials'" in err
 
+    def test_trials_above_int64(self, capsys):
+        code, _, err = run_cli(
+            ["simulate", "--theta", "0.5", "--strategy", "VI",
+             "--trials", "9223372036854775808"],
+            capsys,
+        )
+        self.assert_validation_error(code, err)
+        assert "n_trials" in err
+
     def test_unparsable_depolarizing_weight(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--theta", "0.5", "--strategy", "V", "--noise", "depolarize:abc"],

@@ -8,6 +8,7 @@ import pytest
 from biverify import (
     Direction,
     RandomizedDiagonalTest,
+    assemble_strategy,
     build_strategy,
     density_operator,
     depolarize,
@@ -17,23 +18,19 @@ from biverify import (
     make_schmidt_state,
     random_state_at_fidelity,
     run_verification,
+    standard_test,
     target_projector,
     trial_rng,
     two_qubit_state,
     worst_case_state,
 )
+from biverify import simulate
 from biverify.errors import (
     DimensionMismatchError,
     NotHomogeneousError,
     OutOfRangeError,
 )
-from biverify.simulate import (
-    TRIALS_PER_STREAM,
-    _cells,
-    _count_passes,
-    alias_table,
-    compile_tables,
-)
+from biverify.simulate import MAX_TRIALS, _cells, _draw, compile_tables
 
 KINDS = ("I", "II", "III", "IV", "V", "VI")
 
@@ -223,75 +220,39 @@ class TestRunVerification:
         assert record == run_verification(strat, sigma, 5000, seed=4)
         assert type(record.n_trials) is int and type(record.seed) is int
 
-    def test_partial_last_block(self):
-        """A run of k full blocks plus a remainder tallies the full blocks
-        exactly as the k-block run does."""
-        s = make_schmidt_state([3.0, 2.0, 1.0])
+    def test_trials_above_int64_rejected(self):
+        s = two_qubit_state(np.pi / 6)
         strat = build_strategy(s, "VI")
-        sigma = _random_density(9, np.random.default_rng(5))
-        full = run_verification(strat, sigma, 2 * TRIALS_PER_STREAM, seed=8)
-        longer = run_verification(strat, sigma, 2 * TRIALS_PER_STREAM + 7, seed=8)
-        assert 0 <= longer.n_pass - full.n_pass <= 7
-
-
-class TestAliasTable:
-    """The distribution rebuilt from (column, prob, alias) must be w / w.sum()."""
-
-    @staticmethod
-    def _rebuild(weights):
-        column, prob, alias = alias_table(weights)
-        assert column.size == prob.size == alias.size
-        assert np.all((prob >= 0.0) & (prob <= 1.0))
-        dist = np.zeros(len(weights))
-        np.add.at(dist, column, prob / column.size)
-        np.add.at(dist, alias, (1.0 - prob) / column.size)
-        return dist, column, alias
-
-    def test_random_weights(self):
-        rng = np.random.default_rng(31)
-        for n in (2, 3, 17, 500):
-            w = rng.random(n)
-            dist, _, _ = self._rebuild(w)
-            assert np.abs(dist - w / w.sum()).max() <= 1e-12
-
-    def test_single_cell(self):
-        dist, column, alias = self._rebuild([0.3])
-        assert dist.tolist() == [1.0]
-        assert column.tolist() == [0] and alias.tolist() == [0]
-
-    def test_weights_spanning_twelve_decades(self):
-        w = np.logspace(-12, 0, 49)
-        np.random.default_rng(2).shuffle(w)
-        dist, _, _ = self._rebuild(w)
-        assert np.abs(dist - w / w.sum()).max() <= 1e-12
-        assert np.all(dist > 0.0)
-
-    def test_zero_weight_cells_never_column_or_alias(self):
-        rng = np.random.default_rng(9)
-        w = rng.random(40)
-        w[rng.permutation(40)[:15]] = 0.0
-        dist, column, alias = self._rebuild(w)
-        assert np.abs(dist - w / w.sum()).max() <= 1e-12
-        assert np.all(w[column] > 0.0)
-        assert np.all(w[alias] > 0.0)
-        assert column.size == 25
-
-    def test_all_zero_rejected(self):
+        sigma = depolarize(s, 0.1)
+        assert MAX_TRIALS == 2**63 - 1
         with pytest.raises(OutOfRangeError):
-            alias_table(np.zeros(4))
+            run_verification(strat, sigma, MAX_TRIALS + 1, seed=0)
+        with pytest.raises(OutOfRangeError):
+            estimate_fidelity(strat, sigma, MAX_TRIALS + 1, seed=0)
+        assert run_verification(strat, sigma, MAX_TRIALS, seed=0).n_trials == MAX_TRIALS
+
+    def test_quadrillion_trials_calibrated(self):
+        """10**15 trials cost no more than a few; the rate lands within 5
+        standard errors (about 1e-8) of the exact rate."""
+        s = two_qubit_state(np.pi / 5)
+        strat = build_strategy(s, "VI")
+        record = run_verification(strat, depolarize(s, 0.1), 10**15, seed=12)
+        assert record.n_trials == 10**15
+        assert 0.0 < record.std_err < 2e-8
+        assert abs(record.pass_rate - record.exact_rate) <= 5 * record.std_err
 
 
 class TestBinomialOracle:
     """Each trial is an independent Bernoulli(tr(Omega sigma)) draw, so the
-    pass count of a 4096-trial block is Binomial(4096, exact_rate).
+    pass count of a 4096-trial run is Binomial(4096, exact_rate).
 
     For every kind on a d = 3 and a two-qubit target, with a random source
-    that is not swap-symmetric, 200 seeds of one block each are checked two
+    that is not swap-symmetric, 200 seeds of one run each are checked two
     ways, both at a 5-sigma bound: the pooled count's z-score, and the
     dispersion sum_i (n_i - n r)^2 / (n r (1 - r)), which is chi-square with
     200 degrees of freedom (r is exact, not fitted): mean 200, sd sqrt(400).
-    The two-qubit strategies have the fewest cells, where a slip in the
-    layout of an alias column moves the pass rate most.
+    The two-qubit strategies have the fewest cells, where a slip in one
+    cell's weight or acceptance moves the pass rate most.
     """
 
     SEEDS = 200
@@ -299,7 +260,7 @@ class TestBinomialOracle:
     def _check(self, state, kind):
         strat = build_strategy(state, kind)
         sigma = _random_density(strat.state.dim, np.random.default_rng(2024))
-        n = TRIALS_PER_STREAM
+        n = 4096
         records = [run_verification(strat, sigma, n, seed=seed) for seed in range(self.SEEDS)]
         r = exact_pass_rate(strat, sigma)
         assert all(rec.exact_rate == r for rec in records)
@@ -320,6 +281,122 @@ class TestBinomialOracle:
         self._check(two_qubit_state(np.pi / 5), kind)
 
 
+class TestCountSampler:
+    """One run draws the cell counts as Multinomial(n, w) and the passes of a
+    cell as Binomial(count, a); the draw goes through the per-test tables."""
+
+    @staticmethod
+    def _tally(strat, sigma, n, seed):
+        weights, accept = _cells(strat, sigma)
+        counts, passes = _draw(weights, accept, n, trial_rng(seed))
+        return weights, accept, counts, passes
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_counts_sum_to_n_and_passes_are_the_run(self, kind):
+        strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0]), kind)
+        sigma = _random_density(9, np.random.default_rng(3))
+        for n, seed in ((1, 0), (4097, 1), (10**9, 2)):
+            _, _, counts, passes = self._tally(strat, sigma, n, seed)
+            assert counts.sum() == n
+            assert passes.sum() == run_verification(strat, sigma, n, seed).n_pass
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_passes_never_exceed_counts(self, kind):
+        strat = build_strategy(two_qubit_state(np.pi / 5), kind)
+        sigma = _random_density(4, np.random.default_rng(4))
+        for seed in range(20):
+            _, _, counts, passes = self._tally(strat, sigma, 10**4, seed)
+            assert np.all((passes >= 0) & (passes <= counts))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_weight_and_unsupported_cells(self, kind):
+        """On a zero-tail target, outcomes the source never shows get no
+        trials, and outcomes the target does not support never pass."""
+        strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0, 0.0]), kind)
+        target = density_operator(target_projector(strat.state))
+        noisy = _random_density(strat.state.dim, np.random.default_rng(6))
+        for sigma in (target, noisy):
+            weights, accept, counts, passes = self._tally(strat, sigma, 10**6, 7)
+            assert np.all(counts[weights == 0.0] == 0)
+            assert np.all(passes[accept == 0.0] == 0)
+        # the noisy source, drawn last, reaches the unsupported cells (VI has none)
+        unsupported = (weights > 0.0) & (accept == 0.0)
+        assert unsupported.any() == (kind != "VI")
+        assert np.all(counts[unsupported] > 0)
+
+    def test_zero_weight_last_cell_gets_no_trials(self):
+        """numpy's multinomial hands the rounding remainder of the weights to
+        its last category.  Here that is the standard test's zero-tail
+        outcome, which the target never shows and which never passes, so
+        the target would fail some of 2**63 - 1 trials if the zero-weight
+        cell were drawn from."""
+        s = make_schmidt_state([3.0, 2.0, 1.0, 0.0])
+        design = build_strategy(s, "III")
+        strat = assemble_strategy(
+            s, [(0.9 * q, t) for q, t in design.tests] + [(0.1, standard_test(s))]
+        )
+        sigma = density_operator(target_projector(s))
+        weights, accept = _cells(strat, sigma)
+        assert weights[-1] == 0.0 and accept[-1] == 0.0
+        for seed in range(3):
+            assert run_verification(strat, sigma, MAX_TRIALS, seed).n_pass == MAX_TRIALS
+
+    def test_cell_counts_match_weights_chi_square(self):
+        """Pearson chi-square of the counts of a d = 3 kind VI run against n w,
+        over the cells of its A -> B and B -> A tests, within 5 sigma of its
+        mean on either side; and the passes of each cell against count * a."""
+        strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0]), "VI")
+        assert {t.direction for _, t in strat.tests} == set(Direction)
+        sigma = _random_density(9, np.random.default_rng(8))
+        n = 10**7
+        weights, accept, counts, passes = self._tally(strat, sigma, n, 9)
+        live = weights > 0.0
+        dof = int(live.sum()) - 1
+        chi2 = float(np.sum((counts[live] - n * weights[live]) ** 2 / (n * weights[live])))
+        assert abs(chi2 - dof) <= 5.0 * math.sqrt(2 * dof)
+        mixed = (counts > 0) & (accept > 0.0) & (accept < 1.0)
+        c, a = counts[mixed], accept[mixed]
+        dispersion = float(np.sum((passes[mixed] - c * a) ** 2 / (c * a * (1.0 - a))))
+        assert abs(dispersion - mixed.sum()) <= 5.0 * math.sqrt(2 * mixed.sum())
+
+    def test_draws_go_through_the_tables(self, monkeypatch):
+        """With every acceptance zeroed in the tables, no trial passes, while
+        exact_rate, read from Omega, is unchanged: the pass count is not a
+        single Binomial(n, exact_rate) draw."""
+        s = two_qubit_state(np.pi / 5)
+        sigma = depolarize(s, 0.2)
+        strats = {kind: build_strategy(s, kind) for kind in KINDS}
+        exact = {kind: run_verification(strats[kind], sigma, 10**4, 1).exact_rate for kind in KINDS}
+        real = simulate.compile_tables
+
+        def zero_acceptance(strategy, state):
+            pvec, tables = real(strategy, state)
+            return pvec, [(probs, np.zeros_like(accept)) for probs, accept in tables]
+
+        monkeypatch.setattr(simulate, "compile_tables", zero_acceptance)
+        for kind in KINDS:
+            record = run_verification(strats[kind], sigma, 10**4, 1)
+            assert record.n_pass == 0, kind
+            assert record.exact_rate == exact[kind] > 0.5
+
+    def test_cell_weights_normalized_by_the_sampler(self, monkeypatch):
+        """Scaling the tables' mixture by a power of two leaves every run as it
+        was, bit for bit: the sampler normalizes the cell weights itself."""
+        strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0]), "VI")
+        sigma = _random_density(9, np.random.default_rng(10))
+        before = [run_verification(strat, sigma, 10**5, seed) for seed in range(5)]
+        real = simulate.compile_tables
+        for scale in (0.25, 4.0):
+
+            def scaled(strategy, state, scale=scale):
+                pvec, tables = real(strategy, state)
+                return scale * pvec, tables
+
+            monkeypatch.setattr(simulate, "compile_tables", scaled)
+            after = [run_verification(strat, sigma, 10**5, seed) for seed in range(5)]
+            assert after == before, scale
+
+
 def _threshold_cases():
     targets = {
         "d2": two_qubit_state(np.pi / 5),
@@ -330,34 +407,28 @@ def _threshold_cases():
 
 
 class TestPassThresholds:
-    """Column k of the alias table passes the uniforms with u K in
-    [k, threshold[k]), so threshold[k] - k is that column's pass probability
-    and their mean is the strategy's pass rate."""
+    """Each trial of cell k passes with probability accept[k], the success
+    probability of that cell's binomial draw, so the cell weights average
+    these pass thresholds to the strategy's pass rate.  A "column" in the
+    test names is one (test, outcome) cell."""
 
     @pytest.mark.parametrize("state,kind", _threshold_cases())
     def test_column_pass_fractions_average_to_exact_rate(self, state, kind):
         strat = build_strategy(state, kind)
         sigma = _random_density(strat.state.dim, np.random.default_rng(17))
-        threshold = _cells(strat, sigma)
-        fraction = threshold - np.arange(threshold.size)
-        assert np.all((fraction >= 0.0) & (fraction <= 1.0))
-        assert abs(fraction.mean() - exact_pass_rate(strat, sigma)) <= 1e-12
+        weights, accept = _cells(strat, sigma)
+        assert weights.shape == accept.shape
+        assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+        assert np.all((accept >= 0.0) & (accept <= 1.0))
+        assert abs(weights @ accept - exact_pass_rate(strat, sigma)) <= 1e-12
 
     @pytest.mark.parametrize("state,kind", _threshold_cases())
     def test_target_thresholds_are_column_ends(self, state, kind):
+        """On the target every cell that can be drawn passes for sure."""
         strat = build_strategy(state, kind)
         sigma = density_operator(target_projector(strat.state))
-        threshold = _cells(strat, sigma)
-        assert np.array_equal(threshold, np.arange(1, threshold.size + 1))
-
-    def test_largest_uniform_lands_in_last_column(self):
-        u = np.nextafter(1.0, 0.0)
-        k = np.arange(1, 10**5 + 1)
-        assert np.array_equal((u * k).astype(np.intp), k - 1)
-        for size in (1, 2, 3, 7, 2400, 10**5):
-            ends = np.arange(1.0, size + 1.0)
-            assert _count_passes(ends, np.array([u, 0.0])) == 2
-            assert _count_passes(ends - 1.0, np.array([u, 0.0])) == 0
+        weights, accept = _cells(strat, sigma)
+        assert np.all(accept[weights > 0.0] == 1.0)
 
 
 def _oracle_tables(test, rho, d):
