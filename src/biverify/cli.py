@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check-design", parents=[common], help="verify a 2-design")
     p_chk.add_argument("--d", type=int, required=True)
     p_chk.add_argument("--m", type=int, default=None)
-    p_chk.add_argument("--tol", type=float, default=1e-10)
+    p_chk.add_argument("--tol", type=float, default=bases.DESIGN_ATOL)
     p_chk.set_defaults(func=cmd_check_design)
 
     p_sim = sub.add_parser("simulate", parents=[common, job], help="Monte Carlo run")

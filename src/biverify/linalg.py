@@ -1,4 +1,4 @@
-"""Dense complex-matrix helpers: tensor products, Gram sums and Hermitian spectra.
+"""Dense complex-matrix helpers: Gram sums and Hermitian spectra.
 
 Every operator in this package is a small dense ``complex128`` matrix, so
 numpy's eigensolver is used directly; what this module adds are the explicit
@@ -34,15 +34,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def dagger(a) -> np.ndarray:
-    return np.conj(np.asarray(a)).T
-
-
 def weighted_gram(blocks, dim: int) -> np.ndarray:
     """sum_k q_k X_k X_k^dagger over ``(X_k, q_k)`` pairs as one dim x dim matrix.
 
@@ -66,17 +57,10 @@ def party_swap(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
-def hermiticity_defect(h) -> float:
-    """max-norm of H - H^dagger."""
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        return float("inf")
-    return float(np.abs(h - dagger(h)).max())
-
-
 def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     h = as_matrix(h)
-    defect = hermiticity_defect(h)
+    square = h.shape[0] == h.shape[1]
+    defect = float(np.abs(h - h.conj().T).max()) if square else float("inf")
     if defect > atol:
         raise NonHermitianError(
             f"max |H - H^dagger| = {defect:.3e} exceeds tolerance {atol:.1e}"
@@ -140,10 +124,3 @@ def _off_block_norm(h: np.ndarray, jj: np.ndarray) -> float:
     rest.flat[:: h.shape[0] + 1] = 0.0
     return float(np.linalg.norm(rest))
 
-
-def second_eigenvalue(h) -> float:
-    """Second-largest eigenvalue, counted with multiplicity."""
-    w, _ = eig_hermitian(h)
-    if w.size < 2:
-        raise OutOfRangeError("need at least a 2x2 matrix for a second eigenvalue")
-    return float(w[1])

@@ -40,6 +40,8 @@ class SchmidtState:
             raise DimensionMismatchError(
                 f"expected {self.d} coefficients, got shape {c.shape}"
             )
+        if not np.isfinite(c).all():
+            raise OutOfRangeError("Schmidt coefficients must be finite")
         if np.any(c < 0):
             raise NegativeCoefficientError("Schmidt coefficients must be >= 0")
         if np.any(np.diff(c) > 0):
@@ -67,7 +69,10 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.require_hermitian(self.matrix)
+        m = linalg.as_matrix(self.matrix)
+        if not np.isfinite(m).all():
+            raise OutOfRangeError("density matrix entries must be finite")
+        m = linalg.require_hermitian(m)
         if m.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"expected a {self.dim}x{self.dim} matrix, got {m.shape}"
@@ -102,6 +107,8 @@ def make_schmidt_state(raw, d: int | None = None) -> SchmidtState:
         d = c.size
     if c.size != d:
         raise DimensionMismatchError(f"expected {d} amplitudes, got {c.size}")
+    if not np.isfinite(c).all():
+        raise OutOfRangeError("amplitudes must be finite")
     if np.any(c < 0):
         raise NegativeCoefficientError("amplitudes must be >= 0")
     norm = float(np.linalg.norm(c))

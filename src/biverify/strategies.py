@@ -32,6 +32,7 @@ import numpy as np
 
 from . import linalg
 from .bases import (
+    DESIGN_ATOL,
     Basis,
     WeightedBasisSet,
     fourier_basis,
@@ -241,41 +242,18 @@ def two_way_diagonal_test(state: SchmidtState, p: float) -> RandomizedDiagonalTe
     return _diagonal_test(state, acceptance)
 
 
-def pi_operator(
-    state: SchmidtState,
-    basis_set: WeightedBasisSet | None = None,
-    direction: Direction = Direction.A_TO_B,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def pi_operator(state: SchmidtState, direction: Direction = Direction.A_TO_B) -> np.ndarray:
     """Average of the non-standard design tests, in closed form.
 
     Equals |Psi><Psi| + I x rho_B - sum_k c_k^2 |kk><kk| for the one-way
-    direction (the mirrored form for the other).  When ``basis_set`` is given
-    the closed form is verified against the actual weighted test average and
-    a DesignMismatchError is raised beyond ``tol``.
+    direction (the mirrored form for the other).
     """
     d = state.d
     c2 = state.coeffs**2
     # I x rho_B (rho_A x I for B -> A) is diagonal in the |jk> basis
     diagonal = np.tile(c2, d) if direction is Direction.A_TO_B else np.repeat(c2, d)
     diagonal[np.arange(d) * (d + 1)] -= c2
-    pi = target_projector(state) + np.diag(diagonal)
-    if basis_set is not None:
-        residual = design_average_residual(state, basis_set, direction)
-        if residual > tol:
-            raise DesignMismatchError(
-                f"weighted test average misses d/(d+1) * Pi by {residual:.3e}"
-            )
-    return pi
-
-
-def pi_two_way(state: SchmidtState) -> np.ndarray:
-    """Direction-averaged design operator:
-    |Psi><Psi| + sum_{j != k} (c_j^2 + c_k^2)/2 |jk><jk|."""
-    c2 = state.coeffs**2
-    pair_mean = 0.5 * np.add.outer(c2, c2)
-    np.fill_diagonal(pair_mean, 0.0)
-    return target_projector(state) + np.diag(pair_mean.ravel()).astype(complex)
+    return target_projector(state) + np.diag(diagonal)
 
 
 def _mix(d: int, tests) -> np.ndarray:
@@ -303,17 +281,6 @@ def _design_residual(state: SchmidtState, avg: np.ndarray, direction: Direction)
     one direction's design tests."""
     target = pi_operator(state, direction=direction) * state.d / (state.d + 1)
     return float(np.abs(avg - target).max())
-
-
-def design_average_residual(
-    state: SchmidtState,
-    basis_set: WeightedBasisSet,
-    direction: Direction = Direction.A_TO_B,
-) -> float:
-    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) * Pi for the given set."""
-    tests = [test_projector(state, basis, direction) for basis in basis_set.bases[1:]]
-    avg = _mix(state.d, list(zip(basis_set.weights[1:], tests)))
-    return _design_residual(state, avg, direction)
 
 
 def design_for_dimension(d: int, m: int | None = None) -> WeightedBasisSet:
@@ -445,7 +412,7 @@ def _design_tests(state, design, total, two_way):
     forward = [test_projector(state, basis) for basis in design.bases[1:]]
     avg = _mix(d, list(zip(design.weights[1:], forward)))
     residual = _design_residual(state, avg, Direction.A_TO_B)
-    if residual > 1e-10:
+    if residual > DESIGN_ATOL:
         raise DesignMismatchError(
             f"design average misses the closed form by {residual:.3e}"
         )
@@ -493,7 +460,10 @@ def build_strategy(
     first zero-padded into the smallest prime dimension >= d; the returned
     strategy acts on the enlarged space (see ``Strategy.state``) and keeps
     the same spectral gap.  Whenever a design is used, the identity
-    sum_{l>=1} w_l P_l = d/(d+1) Pi is re-verified numerically at build time.
+    sum_{l>=1} w_l P_l = d/(d+1) Pi is checked once, on the A -> B tests the
+    build uses; it is the build's one certificate of the design, and the
+    basis set itself is not re-checked (``bases.verify_2design`` certifies
+    it separately).
     """
     kind = _normalize_kind(kind)
     if not state.is_entangled:

@@ -15,10 +15,8 @@ from biverify import (
     standard_basis,
     verify_2design,
 )
-from biverify import bases
 from biverify.bases import Basis, WeightedBasisSet
 from biverify.errors import (
-    DesignMismatchError,
     DimensionMismatchError,
     DimensionTooSmallError,
     NotPrimeError,
@@ -159,18 +157,25 @@ class TestRoyScottSet:
                 ket = phase_j * phase_l / np.sqrt(d)
                 assert np.array_equal(design.bases[l].ket(j), ket)
 
-    def test_unbiasedness_check_fires(self, monkeypatch):
-        """With the tolerance below any |entry|^2 - 1/d, basis 1 is flagged."""
-        monkeypatch.setattr(bases, "UNBIASED_ATOL", -1.0)
-        with pytest.raises(DesignMismatchError, match="phase basis 1 is not unbiased"):
-            roy_scott_set(4)
-
 
 class TestVerify2Design:
-    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    """The 2-design certificate of the built-in basis sets: the constructors
+    do not check their own output."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19, 23])
     def test_complete_mub_sets(self, d):
         ok, residual = verify_2design(prime_mub_set(d), tol=1e-10)
         assert ok and residual <= 1e-10
+
+    @pytest.mark.parametrize("d", [3, 4, 6, 8, 9, 10, 12])
+    def test_phase_designs(self, d):
+        ok, residual = verify_2design(roy_scott_set(d), tol=1e-10)
+        assert ok and residual <= 1e-10
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_invalid_tolerance_rejected(self, tol):
+        with pytest.raises(OutOfRangeError, match="tolerance"):
+            verify_2design(prime_mub_set(5), tol=tol)
 
     def test_standard_basis_alone_fails(self):
         """sum_j |jj><jj| vs (I + 2|Phi><Phi|)/3 at d=2: the (00,00) entry is

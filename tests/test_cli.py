@@ -128,6 +128,14 @@ class TestCheckDesign:
         assert code == 2
         assert "TooFewBases" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_invalid_tolerance_exits_2(self, tol, capsys):
+        """An invalid tolerance is a usage error, not a failed check."""
+        code, out, err = run_cli(["check-design", "--d", "5", "--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: OutOfRangeError: tolerance must be finite")
+
 
 class TestSimulate:
     ARGS = [
@@ -328,6 +336,29 @@ class TestMalformedInput:
             capsys,
         )
         self.assert_validation_error(code, err)
+
+    @pytest.mark.parametrize("schmidt", ["nan,1", "inf,1"])
+    def test_non_finite_schmidt_amplitude(self, schmidt, capsys):
+        code, _, err = run_cli(
+            ["analyze", "--schmidt", schmidt, "--strategy", "II"], capsys
+        )
+        self.assert_validation_error(code, err)
+        assert "amplitudes must be finite" in err
+        assert "product state" not in err and "RuntimeWarning" not in err
+
+    def test_noise_file_with_nan_entry(self, tmp_path, capsys):
+        """json reads NaN; the density operator must reject it."""
+        noise = tmp_path / "rho.json"
+        real = np.diag([1.0, 0.0, 0.0, 0.0]).tolist()
+        real[1][1] = float("nan")
+        noise.write_text(json.dumps({"real": real}))
+        assert "NaN" in noise.read_text()
+        code, _, err = run_cli(
+            ["simulate", "--theta", "0.5", "--strategy", "V", "--noise", f"file:{noise}"],
+            capsys,
+        )
+        self.assert_validation_error(code, err)
+        assert "must be finite" in err
 
     def test_noise_file_without_real_part(self, tmp_path, capsys):
         noise = tmp_path / "rho.json"

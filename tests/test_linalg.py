@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biverify import eig_hermitian, kron, linalg, make_schmidt_state, second_eigenvalue
+from biverify import eig_hermitian, linalg, make_schmidt_state
 from biverify.errors import NonHermitianError, OutOfRangeError
 from biverify.states import state_vector
 
@@ -15,36 +15,6 @@ from biverify.states import state_vector
 def random_hermitian(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_projectors(self):
-        out = kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert np.array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_projector_times_state(self):
-        """Direct hand expansion of |0><0| x diag(3/4, 1/4)."""
-        out = kron(np.diag([1.0, 0.0]), np.diag([0.75, 0.25]))
-        assert np.allclose(out, np.diag([0.75, 0.25, 0.0, 0.0]), atol=1e-15)
-
-    def test_associative_and_bilinear(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            a = random_hermitian(2, rng)
-            b = random_hermitian(3, rng)
-            c = random_hermitian(2, rng)
-            assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-            assert np.allclose(
-                kron(a + c, b), kron(a, b) + kron(c, b), atol=1e-12
-            )
-            assert np.allclose(kron(2.5 * a, b), 2.5 * kron(a, b), atol=1e-12)
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(OutOfRangeError):
-            kron(np.ones(3), np.eye(2))
 
 
 class TestEigHermitian:
@@ -97,30 +67,6 @@ class TestEigHermitian:
         h[0, 1] = 1e-8
         with pytest.raises(NonHermitianError):
             eig_hermitian(h)
-
-
-class TestSecondEigenvalue:
-    def test_diagonal(self):
-        assert second_eigenvalue(np.diag([1.0, 0.7, 0.3])) == pytest.approx(0.7, abs=1e-14)
-
-    def test_design_average_operator_two_qubits(self):
-        """Closed form of the averaged design operator at theta = pi/6:
-        |Psi><Psi| + diag(0, sin^2, cos^2, 0), whose second eigenvalue is
-        cos^2(pi/6) = 3/4."""
-        c = np.array([np.cos(np.pi / 6), np.sin(np.pi / 6)])
-        psi = np.array([c[0], 0, 0, c[1]], dtype=complex)
-        pi_op = np.outer(psi, psi.conj()) + np.diag([0, c[1] ** 2, c[0] ** 2, 0])
-        assert second_eigenvalue(pi_op) == pytest.approx(0.75, abs=1e-12)
-
-    def test_degenerate_top(self):
-        assert second_eigenvalue(np.eye(5)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_bounded_by_top_eigenvalue(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            h = random_hermitian(8, rng)
-            w, _ = eig_hermitian(h)
-            assert second_eigenvalue(h) <= w[0] + 1e-12
 
 
 unit = st.floats(0.01, 1.0)

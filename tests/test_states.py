@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biverify import (
+    SchmidtState,
     build_strategy,
     density_operator,
     depolarize,
@@ -59,6 +60,20 @@ class TestMakeSchmidtState:
     def test_entanglement_flag(self):
         assert make_schmidt_state([1.0, 1.0], 2).is_entangled
         assert not make_schmidt_state([1.0, 0.0], 2).is_entangled
+
+
+    @pytest.mark.parametrize(
+        "raw", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_rejected(self, raw):
+        with pytest.raises(OutOfRangeError, match="finite"):
+            make_schmidt_state(raw)
+
+    def test_non_finite_coefficients_rejected(self):
+        """Every comparison with NaN is false, so NaN would pass the sign,
+        order and norm checks."""
+        with pytest.raises(OutOfRangeError, match="finite"):
+            SchmidtState(d=2, coeffs=np.array([np.nan, np.nan]))
 
 
 class TestStateVector:
@@ -169,6 +184,13 @@ class TestEmbedding:
 
 
 class TestDensityOperatorValidation:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, value):
+        m = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        m[1, 1] = value
+        with pytest.raises(OutOfRangeError, match="finite"):
+            density_operator(m)
+
     def test_rejects_nonunit_trace(self):
         with pytest.raises(OutOfRangeError):
             density_operator(np.eye(4))

@@ -9,14 +9,12 @@ from biverify import (
     beta_nu,
     build_strategy,
     closed_form_beta,
-    design_average_residual,
     fourier_basis,
     is_homogeneous,
     make_schmidt_state,
     one_way_diagonal_test,
     optimal_p,
     pi_operator,
-    pi_two_way,
     prime_mub_set,
     random_unbiased_basis,
     roy_scott_set,
@@ -28,12 +26,23 @@ from biverify import (
     two_qubit_state,
     two_way_diagonal_test,
 )
-from biverify.bases import Basis
+from biverify import strategies
+from biverify.bases import WeightedBasisSet
 from biverify.errors import (
     DesignMismatchError,
     OutOfRangeError,
     SeparableStateError,
 )
+
+
+def design_residual(state, basis_set, direction=Direction.A_TO_B):
+    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi, with every design test
+    built from its basis."""
+    tests = [
+        (w, test_projector(state, b, direction))
+        for b, w in zip(basis_set.bases[1:], basis_set.weights[1:])
+    ]
+    return strategies._design_residual(state, strategies._mix(state.d, tests), direction)
 
 
 class TestTestProjector:
@@ -114,54 +123,40 @@ class TestPiOperator:
         expect = target_projector(s) + np.diag([0.0, 0.5, 0.5, 0.0])
         assert np.abs(pi_operator(s) - expect).max() <= 1e-14
 
+    def test_direction_average(self):
+        """Averaged over directions, the off-diagonal |jk> entries are
+        (c_j^2 + c_k^2)/2, e.g. 5/12 at |01> for amplitudes (2, 1, 1)."""
+        s = make_schmidt_state([2.0, 1.0, 1.0])
+        c2 = s.coeffs**2
+        pair_mean = 0.5 * np.add.outer(c2, c2)
+        np.fill_diagonal(pair_mean, 0.0)
+        expect = target_projector(s) + np.diag(pair_mean.ravel())
+        avg = 0.5 * pi_operator(s) + 0.5 * pi_operator(s, direction=Direction.B_TO_A)
+        assert np.abs(avg - expect).max() <= 1e-14
+        assert avg[1, 1].real == pytest.approx(5 / 12, abs=1e-14)
+
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_matches_mub_average(self, d):
         raw = np.arange(d, 0, -1).astype(float)
         s = make_schmidt_state(raw)
-        residual = design_average_residual(s, prime_mub_set(d))
-        assert residual <= 1e-10
-        # same check through the verifying entry point
-        pi_operator(s, basis_set=prime_mub_set(d))
+        assert design_residual(s, prime_mub_set(d)) <= 1e-10
 
     @pytest.mark.parametrize("d", [3, 6])
     def test_matches_phase_design_average(self, d):
         raw = np.linspace(2.0, 1.0, d)
         s = make_schmidt_state(raw)
-        assert design_average_residual(s, roy_scott_set(d)) <= 1e-10
+        assert design_residual(s, roy_scott_set(d)) <= 1e-10
 
-    def test_mismatching_set_raises(self):
-        s = two_qubit_state(np.pi / 6)
-        from biverify.bases import WeightedBasisSet
-
+    def test_mismatching_set_raises(self, monkeypatch):
+        """The build's design identity is kind II's only certificate: a
+        lop-sided set in place of the complete MUB set fails it."""
         lop_sided = WeightedBasisSet(
             bases=(standard_basis(2), fourier_basis(2)),
             weights=np.array([1 / 3, 2 / 3]),
         )
-        with pytest.raises(DesignMismatchError):
-            pi_operator(s, basis_set=lop_sided)
-
-
-class TestPiTwoWay:
-    def test_two_qubit_closed_form(self):
-        s = two_qubit_state(np.pi / 7)
-        expect = target_projector(s) + np.diag([0.0, 0.5, 0.5, 0.0])
-        assert np.abs(pi_two_way(s) - expect).max() <= 1e-14
-
-    def test_second_eigenvalue_is_mean_of_two_largest(self):
-        s = make_schmidt_state([3.0, 2.0, 1.0])
-        c2 = s.coeffs**2
-        w = np.linalg.eigvalsh(pi_two_way(s))[::-1]
-        assert w[1] == pytest.approx((c2[0] + c2[1]) / 2, abs=1e-12)
-
-    def test_d3_entry(self):
-        s = make_schmidt_state([2.0, 1.0, 1.0])
-        m = pi_two_way(s)
-        assert m[1, 1].real == pytest.approx(5 / 12, abs=1e-14)
-
-    def test_equals_direction_average(self):
-        s = make_schmidt_state([2.0, 1.0, 1.0])
-        avg = 0.5 * pi_operator(s) + 0.5 * pi_operator(s, direction=Direction.B_TO_A)
-        assert np.abs(pi_two_way(s) - avg).max() <= 1e-12
+        monkeypatch.setattr(strategies, "prime_mub_set", lambda d: lop_sided)
+        with pytest.raises(DesignMismatchError, match="design average"):
+            build_strategy(two_qubit_state(np.pi / 6), "II")
 
 
 class TestBuildStrategy:

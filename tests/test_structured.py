@@ -17,7 +17,6 @@ from biverify import (
     beta_nu,
     build_strategy,
     closed_form_beta,
-    design_average_residual,
     exact_pass_rate,
     fourier_basis,
     make_schmidt_state,
@@ -27,7 +26,7 @@ from biverify import (
     verify_2design,
     worst_case_state,
 )
-from biverify import linalg, strategies
+from biverify import bases, linalg, strategies
 from biverify.bases import is_prime, min_design_size, next_prime
 from biverify.errors import DesignMismatchError, OutOfRangeError
 
@@ -112,7 +111,13 @@ def test_design_residual_matches_dense_oracle(name, direction):
     )
     pi = strategies.pi_operator(state, direction=direction)
     expected = np.abs(avg - pi * state.d / (state.d + 1)).max()
-    residual = design_average_residual(state, design, direction)
+    tests = [
+        (w, strategies.test_projector(state, b, direction))
+        for b, w in zip(design.bases[1:], design.weights[1:])
+    ]
+    residual = strategies._design_residual(
+        state, strategies._mix(state.d, tests), direction
+    )
     assert residual <= 1e-10
     assert abs(residual - expected) <= ATOL
 
@@ -143,6 +148,26 @@ def test_lopsided_design_is_rejected(monkeypatch):
     for kind in ("III", "IV", "V", "VI"):
         with pytest.raises(DesignMismatchError, match="design average"):
             build_strategy(state, kind)
+
+
+def test_build_runs_one_design_check(monkeypatch):
+    """A kind-II build certifies its design once, through the test average,
+    and never runs the basis set's 2-design check."""
+    calls = {"verify_2design": 0, "_design_residual": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(bases, "verify_2design")
+    spy(strategies, "_design_residual")
+    build_strategy(make_schmidt_state([3.0, 2.0, 1.0, 1.0, 0.5]), "II")
+    assert calls == {"verify_2design": 0, "_design_residual": 1}
 
 
 @pytest.mark.parametrize(
