@@ -123,18 +123,6 @@ class TestPiOperator:
         expect = target_projector(s) + np.diag([0.0, 0.5, 0.5, 0.0])
         assert np.abs(pi_operator(s) - expect).max() <= 1e-14
 
-    def test_direction_average(self):
-        """Averaged over directions, the off-diagonal |jk> entries are
-        (c_j^2 + c_k^2)/2, e.g. 5/12 at |01> for amplitudes (2, 1, 1)."""
-        s = make_schmidt_state([2.0, 1.0, 1.0])
-        c2 = s.coeffs**2
-        pair_mean = 0.5 * np.add.outer(c2, c2)
-        np.fill_diagonal(pair_mean, 0.0)
-        expect = target_projector(s) + np.diag(pair_mean.ravel())
-        avg = 0.5 * pi_operator(s) + 0.5 * pi_operator(s, direction=Direction.B_TO_A)
-        assert np.abs(avg - expect).max() <= 1e-14
-        assert avg[1, 1].real == pytest.approx(5 / 12, abs=1e-14)
-
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_matches_mub_average(self, d):
         raw = np.arange(d, 0, -1).astype(float)
@@ -157,6 +145,27 @@ class TestPiOperator:
         monkeypatch.setattr(strategies, "prime_mub_set", lambda d: lop_sided)
         with pytest.raises(DesignMismatchError, match="design average"):
             build_strategy(two_qubit_state(np.pi / 6), "II")
+
+
+class TestPiTwoWay:
+    """The direction average of pi_operator: off-diagonal |jk> entries are
+    (c_j^2 + c_k^2)/2."""
+
+    @staticmethod
+    def _two_way(s):
+        return 0.5 * pi_operator(s) + 0.5 * pi_operator(s, direction=Direction.B_TO_A)
+
+    def test_d3_entry(self):
+        s = make_schmidt_state([2.0, 1.0, 1.0])
+        assert self._two_way(s)[1, 1].real == pytest.approx(5 / 12, abs=1e-14)
+
+    def test_equals_direction_average(self):
+        s = make_schmidt_state([2.0, 1.0, 1.0])
+        c2 = s.coeffs**2
+        pair_mean = 0.5 * np.add.outer(c2, c2)
+        np.fill_diagonal(pair_mean, 0.0)
+        expect = target_projector(s) + np.diag(pair_mean.ravel())
+        assert np.abs(self._two_way(s) - expect).max() <= 1e-14
 
 
 class TestBuildStrategy:
