@@ -11,8 +11,8 @@ certified by ``verify_2design``, which the ``check-design`` command and the
 tests run; for d+1 bases with uniform weights it holds exactly when the
 bases are mutually unbiased (Klappenecker and Roetteler, 2005), so the MUB
 sets need no separate pairwise check.  A strategy build certifies the
-identity it relies on, the design test average d/(d+1) Pi, on the tests it
-builds (see ``strategies.build_strategy``).
+identity it relies on, the design test average d/(d+1) Pi, on the shift
+blocks of that average (see ``strategies.build_strategy``).
 """
 from __future__ import annotations
 
@@ -145,11 +145,18 @@ def next_prime(n: int) -> int:
 
 
 def is_unbiased(b1: Basis, b2: Basis, tol: float = UNBIASED_ATOL) -> bool:
-    """True iff every cross overlap satisfies | |<u|v>|^2 - 1/d | <= tol."""
+    """True iff every cross overlap satisfies | |<u|v>|^2 - 1/d | <= tol;
+    ``tol`` must be finite and >= 0."""
+    _check_tolerance(tol)
     if b1.d != b2.d:
         raise DimensionMismatchError(f"dimensions differ: {b1.d} vs {b2.d}")
     overlap = np.abs(b1.vectors.conj().T @ b2.vectors) ** 2
     return bool(np.abs(overlap - 1.0 / b1.d).max() <= tol)
+
+
+def _check_tolerance(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise OutOfRangeError(f"tolerance must be finite and >= 0, got {tol}")
 
 
 def maximally_entangled_ket(d: int) -> np.ndarray:
@@ -169,8 +176,7 @@ def verify_2design(
     formed as one Gram product of the stacked pair vectors.  Returns
     (passed, max-norm residual); ``tol`` must be finite and >= 0.
     """
-    if not 0.0 <= tol < math.inf:
-        raise OutOfRangeError(f"tolerance must be finite and >= 0, got {tol}")
+    _check_tolerance(tol)
     d = basis_set.d
     pairs = (
         (np.einsum("aj,bj->abj", b.vectors, b.vectors.conj()).reshape(d * d, d), w)

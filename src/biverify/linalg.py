@@ -4,7 +4,10 @@ Every operator in this package is a small dense ``complex128`` matrix, so
 numpy's eigensolver is used directly; what this module adds are the explicit
 tolerance checks, the descending eigenvalue convention the verification
 analysis relies on, and the block spectrum of operators on C^d x C^d that
-commute with the local phases diag(e^{i phi}) x diag(e^{-i phi}).
+commute with the local phases diag(e^{i phi}) x diag(e^{-i phi}).  The Gram
+sum ``weighted_gram`` serves kind I, custom mixtures and ``verify_2design``;
+the design strategies build their operators from shift blocks instead (see
+``strategies._design_average``).
 """
 from __future__ import annotations
 
@@ -51,14 +54,12 @@ def weighted_gram(blocks, dim: int) -> np.ndarray:
     return out
 
 
-def party_swap(m: np.ndarray, d: int) -> np.ndarray:
-    """SWAP M SWAP for a d^2 x d^2 operator on C^d x C^d: a permutation of
-    its entries, so exact."""
-    return m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-
-
 def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+    """``h`` as a complex matrix, after checking that it is square, finite and
+    Hermitian within ``atol`` in max-norm."""
     h = as_matrix(h)
+    if not np.isfinite(h).all():
+        raise OutOfRangeError("matrix entries must be finite")
     square = h.shape[0] == h.shape[1]
     defect = float(np.abs(h - h.conj().T).max()) if square else float("inf")
     if defect > atol:

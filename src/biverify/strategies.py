@@ -33,6 +33,7 @@ import numpy as np
 from . import linalg
 from .bases import (
     DESIGN_ATOL,
+    _check_tolerance,
     Basis,
     WeightedBasisSet,
     fourier_basis,
@@ -130,9 +131,9 @@ class Strategy:
     """A convex mixture of tests with its spectral data.
 
     ``omega`` is the weighted sum of the test operators, formed from their
-    factors (for the design kinds, from one Gram product of the A -> B design
-    tests and its party swap, so equal to the term-by-term sum up to
-    round-off); ``beta`` is its second-largest eigenvalue and
+    factors (for the design kinds, from the d shift blocks of the A -> B
+    design average and their party swap, so equal to the term-by-term sum up
+    to round-off); ``beta`` is its second-largest eigenvalue and
     ``nu = 1 - beta`` the spectral gap.  ``p`` records the mixing probability
     of the standard/diagonal test for the built-in kinds (None for custom
     mixtures).
@@ -160,38 +161,52 @@ def test_projector(
     For each outcome j with nonzero target support, the non-measuring party's
     conditional ket is the normalized partial inner product of the basis ket
     with the target.  The test is an orthogonal projector that the target
-    passes with certainty; both facts are checked on the pair vectors
-    x_j = u_j x v_j, without forming the d^2 x d^2 matrix: P = sum_j
-    |x_j><x_j| is a projector iff the x_j are orthonormal, i.e. their Gram
-    matrix (U^dagger U) o (V^dagger V) is the identity, and the target passes
-    with probability sum_j |<x_j|Psi>|^2.
+    passes with certainty; ``_projector_tests``, which builds it as a batch of
+    one, checks both facts.
     """
     if basis.d != state.d:
         raise DimensionMismatchError(f"basis dim {basis.d} != state dim {state.d}")
-    d = state.d
-    v_tilde = state.coeffs[:, None] * basis.vectors.conj()
-    weights = np.einsum("kj,kj->j", v_tilde.conj(), v_tilde).real
+    return _projector_tests(state, (basis,), direction)[0]
+
+
+def _projector_tests(state: SchmidtState, bases, direction=Direction.A_TO_B) -> list:
+    """The conditional-projector tests of ``bases``, built in one batch.
+
+    Both facts a test relies on are checked for every test on its pair vectors
+    x_j = u_j x v_j, without forming the d^2 x d^2 matrix: P = sum_j
+    |x_j><x_j| is a projector iff the x_j are orthonormal, i.e. their Gram
+    matrix (U^dagger U) o (V^dagger V) is the identity on the supported
+    outcomes, and the target passes with probability sum_j |<x_j|Psi>|^2.
+    """
+    u = np.stack([basis.vectors for basis in bases])  # u[l, k, j]: ket j of basis l
+    v_tilde = state.coeffs[:, None] * u.conj()
+    weights = np.einsum("lkj,lkj->lj", v_tilde.conj(), v_tilde).real
     supported = weights > SUPPORT_CUTOFF
-    kets = np.zeros((d, d), dtype=complex)
-    kets[:, supported] = v_tilde[:, supported] / np.sqrt(weights[supported])
-    u = basis.vectors[:, supported]
-    v = kets[:, supported]
-    gram = (u.conj().T @ u) * (v.conj().T @ v)
-    if np.abs(gram - np.eye(gram.shape[0])).max() > PROJECTOR_ATOL:
+    kets = np.zeros_like(v_tilde)
+    norms = np.sqrt(np.where(supported, weights, 1.0))
+    np.divide(v_tilde, norms[:, None, :], out=kets, where=supported[:, None, :])
+    u *= supported[:, None, :]
+    gram = (u.conj().transpose(0, 2, 1) @ u) * (kets.conj().transpose(0, 2, 1) @ kets)
+    gram[:, np.arange(state.d), np.arange(state.d)] -= supported
+    if np.abs(gram).max() > PROJECTOR_ATOL:
         raise DesignMismatchError("conditional test failed the projector check")
     # <u_j v_j|Psi> = sum_k c_k conj(u_kj) conj(v_kj); the same for B -> A
-    amplitudes = np.einsum("k,kj,kj->j", state.coeffs, u.conj(), v.conj())
-    pass_target = float(np.sum(np.abs(amplitudes) ** 2))
-    if abs(pass_target - 1.0) > TARGET_PASS_ATOL:
+    amplitudes = np.einsum("k,lkj,lkj->lj", state.coeffs, u.conj(), kets.conj())
+    pass_target = np.sum(np.abs(amplitudes) ** 2, axis=1)
+    worst = int(np.argmax(np.abs(pass_target - 1.0)))
+    if abs(pass_target[worst] - 1.0) > TARGET_PASS_ATOL:
         raise DesignMismatchError(
-            f"target pass probability {pass_target:.12g} is not 1"
+            f"target pass probability {pass_target[worst]:.12g} is not 1"
         )
-    return ConditionalProjectorTest(
-        direction=direction,
-        measured_basis=basis,
-        supported=_freeze(supported),
-        conditional_kets=_freeze(kets),
-    )
+    return [
+        ConditionalProjectorTest(
+            direction=direction,
+            measured_basis=basis,
+            supported=_freeze(supported[l]),
+            conditional_kets=_freeze(kets[l]),
+        )
+        for l, basis in enumerate(bases)
+    ]
 
 
 test_projector.__test__ = False  # keep pytest from collecting the imported name
@@ -274,13 +289,6 @@ def _mix(d: int, tests) -> np.ndarray:
         if isinstance(test, RandomizedDiagonalTest):
             omega.flat[:: d * d + 1] += q * test.acceptance.ravel()
     return omega
-
-
-def _design_residual(state: SchmidtState, avg: np.ndarray, direction: Direction) -> float:
-    """max-norm of ``avg`` - d/(d+1) * Pi, where ``avg`` = sum_l w_l P_l over
-    one direction's design tests."""
-    target = pi_operator(state, direction=direction) * state.d / (state.d + 1)
-    return float(np.abs(avg - target).max())
 
 
 def design_for_dimension(d: int, m: int | None = None) -> WeightedBasisSet:
@@ -398,24 +406,97 @@ def _normalize_kind(kind) -> str:
     return label
 
 
+def _phase_table(bases) -> np.ndarray:
+    """Row phases of bases that are phase-dressed Fourier bases.
+
+    Every built-in design basis is B = diag(e^{i phi}) F diag(e^{i theta}),
+    with F the Fourier basis: the quadratic-phase MUBs and each Roy-Scott
+    phase basis.  For such a basis, sqrt(d) B[k, j] times the conjugates of
+    sqrt(d) B[0, j] and sqrt(d) B[k, 0], times sqrt(d) B[0, 0], is omega^{jk};
+    that identity is checked on every entry in one pass, and it also forces
+    |B[k, j]| = 1/sqrt(d).  Returns the ``(n, d)`` table whose row l holds
+    e^{i(phi_k + theta_0)}, the column sqrt(d) B[:, 0] of basis l; the
+    ket phase theta_0 cancels from every phase difference.
+    """
+    scaled = np.stack([basis.vectors for basis in bases]) * math.sqrt(bases[0].d)
+    d = scaled.shape[1]
+    k = np.arange(d)
+    fourier = np.exp(2j * np.pi * (np.outer(k, k) % d) / d)
+    product = scaled * scaled[:, :1, :].conj()
+    product *= scaled[:, :, :1].conj()
+    product *= scaled[:, :1, :1]
+    product -= fourier
+    defect = np.abs(product).max(axis=(1, 2))
+    worst = int(np.argmax(defect))
+    if not defect[worst] <= DESIGN_ATOL:
+        raise DesignMismatchError(
+            f"design basis {worst + 1} is not a phase-dressed Fourier basis "
+            f"(defect {defect[worst]:.3e})"
+        )
+    return scaled[:, :, 0]
+
+
+def _design_average(state: SchmidtState, design: WeightedBasisSet) -> np.ndarray:
+    """The weighted average sum_{l>=1} w_l P_l of a design's A -> B tests, as
+    its ``d`` shift blocks.
+
+    The conditional test of a phase-dressed Fourier basis maps |ab> only to
+    kets of the same shift class delta = a - b mod d, and on class delta it
+    is |w_delta><w_delta| with w_delta[a] = c_{a-delta}
+    e^{i(phi_a - phi_{a-delta})} in the basis |a, a-delta>.  So the average
+    is zero outside the classes, and ``blocks[delta]`` = W diag(w) W^dagger
+    with W[a, l] the entry a of basis l's w_delta: d products of size
+    d x (m-1), O(m d^3) in all.
+    """
+    d = state.d
+    table = _phase_table(design.bases[1:])
+    weights = design.weights[1:]
+    a = np.arange(d)
+    blocks = np.empty((d, d, d), dtype=complex)
+    for delta in range(d):
+        b = (a - delta) % d
+        w = state.coeffs[b][:, None] * (table * table[:, b].conj()).T
+        blocks[delta] = (w * weights) @ w.conj().T
+    return blocks
+
+
+def _design_residual(state: SchmidtState, blocks: np.ndarray) -> float:
+    """max-norm of the shift blocks of a design average minus those of
+    d/(d+1) Pi.
+
+    Pi is |Psi><Psi| + I x rho_B - sum_k c_k^2 |kk><kk|: on class 0 that is
+    c c^T, on class delta != 0 the diagonal c_{a-delta}^2.  Entries outside
+    the classes vanish by the algebra, so every nonzero entry is compared,
+    with no d^2 x d^2 temporary.
+    """
+    d = state.d
+    c = state.coeffs
+    a = np.arange(d)
+    target = np.zeros_like(blocks)
+    target[:, a, a] = c[(a[None, :] - a[:, None]) % d] ** 2
+    target[0] = np.outer(c, c)
+    return float(np.abs(blocks - target * (d / (d + 1))).max())
+
+
 def _design_tests(state, design, total, two_way):
     """Tests realizing `total * Pi` (averaged over directions) from a design,
     and the part of Omega they contribute.
 
-    The weighted average avg = sum_{l>=1} w_l P_l of the A -> B tests is one
-    Gram product; the identity avg = d/(d+1) Pi is checked on it before the
-    tests are used.  A B -> A test is its A -> B twin with the parties
-    swapped, SWAP P SWAP, so the two-way part is avg's term plus its party
-    swap and the twins are not rebuilt.
+    The design average is formed from its shift blocks (``_design_average``)
+    and checked against d/(d+1) Pi before the tests are used; the A -> B
+    tests are built in one batch.  A B -> A test is its A -> B twin with the
+    parties swapped, SWAP P SWAP, which maps class delta to class -delta, so
+    the two-way part scatters each block a second time at the swapped
+    positions |a-delta, a> and the twins are not rebuilt.
     """
     d = state.d
-    forward = [test_projector(state, basis) for basis in design.bases[1:]]
-    avg = _mix(d, list(zip(design.weights[1:], forward)))
-    residual = _design_residual(state, avg, Direction.A_TO_B)
+    blocks = _design_average(state, design)
+    residual = _design_residual(state, blocks)
     if residual > DESIGN_ATOL:
         raise DesignMismatchError(
             f"design average misses the closed form by {residual:.3e}"
         )
+    forward = _projector_tests(state, design.bases[1:])
     share = (d + 1) / d / (2 if two_way else 1)
     tests = []
     for weight, test in zip(design.weights[1:], forward):
@@ -423,10 +504,24 @@ def _design_tests(state, design, total, two_way):
         tests.append((q, test))
         if two_way:
             tests.append((q, replace(test, direction=Direction.B_TO_A)))
-    avg *= total * share
+    blocks *= total * share
+    a = np.arange(d)
+    b = (a[None, :] - a[:, None]) % d  # b[delta, a] = a - delta
+    omega = np.zeros((d * d, d * d), dtype=complex)
+    index = a * d + b  # index[delta] lists the kets |a, a-delta>
+    omega[index[:, :, None], index[:, None, :]] = blocks
     if two_way:
-        avg += linalg.party_swap(avg, d)
-    return tests, avg
+        index = b * d + a  # the swapped kets |a-delta, a>
+        omega[index[:, :, None], index[:, None, :]] += blocks
+    return tests, omega
+
+
+def _diagonal(test) -> np.ndarray:
+    """Diagonal of the standard or a randomized diagonal test, both of which
+    are diagonal in the |jk> basis."""
+    if isinstance(test, RandomizedDiagonalTest):
+        return test.acceptance.ravel()
+    return np.sum(np.abs(test.pair_vectors()) ** 2, axis=1)
 
 
 def build_strategy(
@@ -459,11 +554,13 @@ def build_strategy(
     Kind II requires a complete MUB set, so for non-prime d the target is
     first zero-padded into the smallest prime dimension >= d; the returned
     strategy acts on the enlarged space (see ``Strategy.state``) and keeps
-    the same spectral gap.  Whenever a design is used, the identity
-    sum_{l>=1} w_l P_l = d/(d+1) Pi is checked once, on the A -> B tests the
-    build uses; it is the build's one certificate of the design, and the
+    the same spectral gap.  Whenever a design is used, each design basis must
+    be a phase-dressed Fourier basis, and the identity sum_{l>=1} w_l P_l =
+    d/(d+1) Pi is checked once, on the shift blocks of the average that
+    Omega reuses; it is the build's one certificate of the design, and the
     basis set itself is not re-checked (``bases.verify_2design`` certifies
-    it separately).
+    it separately).  The design part costs O(m d^3) time for m bases, and
+    the build holds Omega as one dense d^2 x d^2 matrix.
     """
     kind = _normalize_kind(kind)
     if not state.is_entangled:
@@ -508,7 +605,8 @@ def build_strategy(
             state, design, 1.0 - p, two_way=kind in ("IV", "VI")
         )
         tests = _checked_tests(state, head + design_tests)
-        omega += _mix(d, head)
+        for q, test in head:
+            omega.flat[:: d * d + 1] += q * _diagonal(test)
         strategy = _with_spectrum(state, tests, omega, kind, p)
     _check_closed_form_beta(strategy, strategy.beta)
     return strategy
@@ -542,8 +640,20 @@ def _check_closed_form_beta(strategy: Strategy, beta: float) -> None:
 
 
 def is_homogeneous(strategy: Strategy, tol: float = 1e-10) -> bool:
-    """True iff Omega = |Psi><Psi| + beta (I - |Psi><Psi|) within tol."""
-    proj = target_projector(strategy.state)
-    dd = strategy.state.dim
-    model = proj + strategy.beta * (np.eye(dd, dtype=complex) - proj)
-    return bool(np.abs(strategy.omega - model).max() <= tol)
+    """True iff Omega = |Psi><Psi| + beta (I - |Psi><Psi|) within tol in
+    max-norm; ``tol`` must be finite and >= 0.
+
+    The model is beta I plus (1 - beta) c c^T on the span{|jj>} block, so the
+    deviation is |Omega| with its diagonal and that block replaced by their
+    own deviations: one d^2 x d^2 temporary.
+    """
+    _check_tolerance(tol)
+    omega, beta = strategy.omega, strategy.beta
+    c = strategy.state.coeffs
+    idx = np.arange(c.size) * (c.size + 1)
+    jj = np.ix_(idx, idx)
+    deviation = np.abs(omega)
+    deviation.flat[:: omega.shape[0] + 1] = np.abs(omega.diagonal() - beta)
+    model = (1.0 - beta) * np.outer(c, c) + beta * np.eye(c.size)
+    deviation[jj] = np.abs(omega[jj] - model)
+    return bool(deviation.max() <= tol)

@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from biverify import (
-    Direction,
     build_strategy,
     depolarize,
     estimate_fidelity,
@@ -36,12 +35,10 @@ D3_STATE = make_schmidt_state([2.0, 1.0, 1.0])
 
 
 def _design_residual(state, basis_set):
-    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi over the built design tests."""
-    tests = [
-        (w, test_projector(state, b))
-        for b, w in zip(basis_set.bases[1:], basis_set.weights[1:])
-    ]
-    return strategies._design_residual(state, strategies._mix(state.d, tests), Direction.A_TO_B)
+    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi, as a strategy build
+    certifies it from the design's shift blocks."""
+    blocks = strategies._design_average(state, basis_set)
+    return strategies._design_residual(state, blocks)
 
 
 def _report(name: str, ok: bool, detail: str = ""):

@@ -72,6 +72,11 @@ class TestIsUnbiased:
         with pytest.raises(DimensionMismatchError):
             is_unbiased(standard_basis(2), standard_basis(3))
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_invalid_tolerance_rejected(self, tol):
+        with pytest.raises(OutOfRangeError, match="tolerance"):
+            is_unbiased(standard_basis(3), fourier_basis(3), tol=tol)
+
     def test_random_unbiased_basis(self):
         rng = np.random.default_rng(5)
         for d in (2, 3, 6):

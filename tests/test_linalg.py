@@ -152,3 +152,21 @@ class TestEigPhaseInvariant:
     def test_rejects_wrong_shape(self):
         with pytest.raises(OutOfRangeError):
             linalg.eig_phase_invariant(np.eye(6), 2)
+
+    def test_rejects_all_nan(self):
+        """A NaN off-structure norm must not pass for a phase-invariant
+        operator: non-finite input raises before either path runs."""
+        with pytest.raises(OutOfRangeError, match="finite"):
+            linalg.eig_phase_invariant(np.full((4, 4), np.nan), 2)
+
+
+class TestRequireHermitian:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        """A NaN defect compares false against any tolerance, so finiteness
+        is checked on its own."""
+        h = np.diag([bad, 1.0]).astype(complex)
+        with pytest.raises(OutOfRangeError, match="finite"):
+            linalg.require_hermitian(h)
+        with pytest.raises(OutOfRangeError, match="finite"):
+            eig_hermitian(h)

@@ -35,14 +35,10 @@ from biverify.errors import (
 )
 
 
-def design_residual(state, basis_set, direction=Direction.A_TO_B):
-    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi, with every design test
-    built from its basis."""
-    tests = [
-        (w, test_projector(state, b, direction))
-        for b, w in zip(basis_set.bases[1:], basis_set.weights[1:])
-    ]
-    return strategies._design_residual(state, strategies._mix(state.d, tests), direction)
+def design_residual(state, basis_set):
+    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi, as a strategy build
+    certifies it from the design's shift blocks."""
+    return strategies._design_residual(state, strategies._design_average(state, basis_set))
 
 
 class TestTestProjector:
@@ -297,6 +293,26 @@ class TestHomogeneousStrategies:
         s = two_qubit_state(np.pi / 6)
         assert not is_homogeneous(build_strategy(s, "II"))
         assert not is_homogeneous(build_strategy(s, "I"))
+
+    @pytest.mark.parametrize("kind", ["I", "II", "III", "IV", "V", "VI"])
+    def test_homogeneity_matches_dense_model(self, kind):
+        """is_homogeneous decides at the max-norm distance from the dense
+        model |Psi><Psi| + beta (I - |Psi><Psi|)."""
+        strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0, 0.0]), kind)
+        proj = target_projector(strat.state)
+        model = proj + strat.beta * (np.eye(strat.state.dim) - proj)
+        distance = np.abs(strat.omega - model).max()
+        if kind in ("V", "VI"):
+            assert distance <= 1e-14 and is_homogeneous(strat)
+        else:
+            assert is_homogeneous(strat, tol=distance * (1 + 1e-9))
+            assert not is_homogeneous(strat, tol=distance * (1 - 1e-9))
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_invalid_tolerance_rejected(self, tol):
+        strat = build_strategy(two_qubit_state(np.pi / 6), "VI")
+        with pytest.raises(OutOfRangeError, match="tolerance"):
+            is_homogeneous(strat, tol=tol)
 
 
 class TestBetaNu:

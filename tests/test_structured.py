@@ -3,23 +3,28 @@
 The oracle rebuilds every test the direct way, as the dense sum over
 supported outcomes of |u_j><u_j| x |v_j><v_j| (factors swapped for B -> A)
 with the conditional kets recomputed from the target, and mixes the tests
-with their probabilities.  The package forms the same operators as Gram
-products of stacked pair vectors and must agree to round-off.
+with their probabilities.  The package forms the same operators from their
+factors (custom mixtures as Gram products of stacked pair vectors, the
+design part of kinds II-VI from d shift blocks) and must agree to
+round-off.
 """
 
 import numpy as np
 import pytest
 
 from biverify import (
+    Basis,
     Direction,
     RandomizedDiagonalTest,
     WeightedBasisSet,
     beta_nu,
     build_strategy,
     closed_form_beta,
+    embed_state,
     exact_pass_rate,
     fourier_basis,
     make_schmidt_state,
+    prime_mub_set,
     roy_scott_set,
     standard_basis,
     two_qubit_state,
@@ -100,26 +105,81 @@ def test_strategy_matches_dense_oracle(name, kind):
     assert abs(strat.nu - (1.0 - w[1])) <= ATOL
 
 
-@pytest.mark.parametrize("direction", list(Direction))
-@pytest.mark.parametrize("name", ["d4-zero-tail", "d5-random", "d6-random"])
-def test_design_residual_matches_dense_oracle(name, direction):
-    state = TARGETS[name]
-    design = strategies.design_for_dimension(state.d)
-    avg = sum(
+def dense_design_average(state, design, direction):
+    """sum_{l>=1} w_l P_l over a design's tests in one direction, each test
+    built densely with np.kron."""
+    return sum(
         w * dense_test(state, strategies.test_projector(state, b, direction))
         for b, w in zip(design.bases[1:], design.weights[1:])
     )
+
+
+def scattered(blocks, direction):
+    """The d^2 x d^2 operator whose shift class delta is blocks[delta], on the
+    kets |a, a-delta> (A -> B) or their swaps |a-delta, a> (B -> A)."""
+    d = blocks.shape[0]
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for delta in range(d):
+        for a in range(d):
+            for a2 in range(d):
+                if direction is Direction.A_TO_B:
+                    row, col = a * d + (a - delta) % d, a2 * d + (a2 - delta) % d
+                else:
+                    row, col = (a - delta) % d * d + a, (a2 - delta) % d * d + a2
+                out[row, col] = blocks[delta, a, a2]
+    return out
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("name", ["d4-zero-tail", "d5-random", "d6-random"])
+def test_design_residual_matches_dense_oracle(name, direction):
+    """The build's block residual equals the dense residual of the design
+    average in either direction (the B -> A average is a permutation of the
+    A -> B one, so both directions share one residual)."""
+    state = TARGETS[name]
+    design = strategies.design_for_dimension(state.d)
+    avg = dense_design_average(state, design, direction)
     pi = strategies.pi_operator(state, direction=direction)
     expected = np.abs(avg - pi * state.d / (state.d + 1)).max()
-    tests = [
-        (w, strategies.test_projector(state, b, direction))
-        for b, w in zip(design.bases[1:], design.weights[1:])
-    ]
     residual = strategies._design_residual(
-        state, strategies._mix(state.d, tests), direction
+        state, strategies._design_average(state, design)
     )
     assert residual <= 1e-10
     assert abs(residual - expected) <= ATOL
+
+
+def _block_oracle_cases():
+    rng = np.random.default_rng(8)
+    return {
+        "d3-random": (make_schmidt_state(rng.random(3) + 0.05), None),
+        "d4-zero-tail": (TARGETS["d4-zero-tail"], None),
+        "d6-zero-tail": (TARGETS["d6-zero-tail"], None),
+        "d9-zero-tail": (make_schmidt_state([5.0, 4.0, 3.0, 2.0, 2.0, 1.0, 0, 0, 0]), None),
+        "d11-mub": (make_schmidt_state(rng.random(11) + 0.05), None),
+        "d12-random": (make_schmidt_state(rng.random(12) + 0.05), None),
+        # kind II's embedding: a d=10 target padded into the d=11 MUB set
+        "d10-embedded": (make_schmidt_state(rng.random(10) + 0.05), 11),
+    }
+
+
+BLOCK_ORACLE_CASES = _block_oracle_cases()
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("name", sorted(BLOCK_ORACLE_CASES))
+def test_shift_blocks_match_dense_kron_oracle(name, direction):
+    """The shift blocks of the design average, scattered onto their classes,
+    are the dense np.kron average of the design tests: nothing lies outside
+    the classes, and the B -> A average sits on the swapped classes."""
+    state, embed_in = BLOCK_ORACLE_CASES[name]
+    if embed_in is not None:
+        state = embed_state(state, embed_in)
+        design = prime_mub_set(embed_in)
+    else:
+        design = strategies.design_for_dimension(state.d)
+    blocks = strategies._design_average(state, design)
+    dense = dense_design_average(state, design, direction)
+    assert np.abs(scattered(blocks, direction) - dense).max() <= ATOL
 
 
 def test_custom_mixture_matches_dense_oracle():
@@ -221,39 +281,55 @@ def test_two_way_tests_are_swapped_twins(name, kind):
 
 @pytest.mark.parametrize("kind", ["II", "III", "IV", "V", "VI"])
 def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatch):
-    """The A -> B design tests enter one Gram product, once each; the B -> A
-    twins never enter one; the spectrum comes from the d x d block."""
+    """The A -> B design tests are built in one batch, once each, and the
+    B -> A twins are never built; no II-VI build calls weighted_gram (the
+    design part comes from shift blocks, the head test from its diagonal);
+    the spectrum comes from one d x d eigensolve."""
     state = TARGETS["d5-random"]
-    grams, uses, eig_dims = [], [], []
+    batches, grams, eig_dims = [], [], []
+    projector_tests = strategies._projector_tests
     gram, eig = linalg.weighted_gram, linalg.eig_hermitian
-    pair_vectors = strategies.ConditionalProjectorTest.pair_vectors
+
+    def recording_projector_tests(*args, **kwargs):
+        tests = projector_tests(*args, **kwargs)
+        batches.append([id(t) for t in tests])
+        return tests
 
     def counting_gram(blocks, dim):
         grams.append(dim)
         return gram(blocks, dim)
 
-    def recording_pair_vectors(test):
-        uses.append((id(test), len(grams)))
-        return pair_vectors(test)
-
     def recording_eig(h):
         eig_dims.append(np.shape(h)[0])
         return eig(h)
 
+    monkeypatch.setattr(strategies, "_projector_tests", recording_projector_tests)
     monkeypatch.setattr(linalg, "weighted_gram", counting_gram)
     monkeypatch.setattr(linalg, "eig_hermitian", recording_eig)
-    monkeypatch.setattr(
-        strategies.ConditionalProjectorTest, "pair_vectors", recording_pair_vectors
-    )
     strat = build_strategy(state, kind)
     design = [t for _, t in strat.tests[1:]]
     forward = [id(t) for t in design if t.direction is Direction.A_TO_B]
-    backward = {id(t) for t in design if t.direction is Direction.B_TO_A}
+    backward = [id(t) for t in design if t.direction is Direction.B_TO_A]
     assert len(backward) == (len(forward) if kind in ("IV", "VI") else 0)
-    design_uses = [(i, g) for i, g in uses if i in set(forward) | backward]
-    assert sorted(i for i, _ in design_uses) == sorted(forward)
-    assert len({g for _, g in design_uses}) == 1
+    head = [[id(strat.tests[0][1])]] if kind in ("II", "III", "IV") else []
+    assert batches == head + [forward]
+    assert grams == []
     assert eig_dims == [state.d]
+
+
+@pytest.mark.parametrize("kind", ["III", "IV", "V", "VI"])
+def test_design_basis_without_fourier_structure_is_rejected(kind, monkeypatch):
+    """A design basis that is not a phase-dressed Fourier basis has no shift
+    blocks, and the build refuses it rather than averaging it wrongly."""
+    honest = roy_scott_set(4)
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    bases_ = list(honest.bases)
+    bases_[3] = Basis(d=4, vectors=q)
+    mixed = WeightedBasisSet(bases=tuple(bases_), weights=honest.weights)
+    monkeypatch.setattr(strategies, "design_for_dimension", lambda d, m=None: mixed)
+    with pytest.raises(DesignMismatchError, match="basis 3 is not a phase-dressed Fourier"):
+        build_strategy(TARGETS["d4-random"], kind)
 
 
 def test_max_eig_dim_limits_only_the_dense_path(monkeypatch):
