@@ -181,7 +181,7 @@ def _parse_schmidt(text: str) -> list[float]:
 
 def _config_from_args(args) -> JobConfig:
     data = JobConfig().to_dict()
-    if getattr(args, "config", None):
+    if args.config:
         file_data = _load_json(args.config, "config file")
         data.update(JobConfig.from_dict(file_data).to_dict())
     overrides = {
@@ -320,13 +320,13 @@ def cmd_estimate_fidelity(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit)")
-    common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--config", default=None, help="JSON config file")
+    # each subcommand gets only the flags it reads, so a flag that would
+    # change nothing is a usage error (exit 2)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write output to this path")
 
     job = argparse.ArgumentParser(add_help=False)
+    job.add_argument("--config", default=None, help="JSON config file")
     job.add_argument("--strategy", default=None, help="strategy kind I..VI")
     job.add_argument("--d", type=int, default=None, help="local dimension")
     job.add_argument("--schmidt", default=None, help="comma-separated amplitudes")
@@ -337,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     job.add_argument("--delta", type=float, default=None, help="significance level")
     job.add_argument("--noise", default=None, help="none | depolarize:L | file:PATH")
     job.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
+    job.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit)")
 
     parser = argparse.ArgumentParser(
         prog="biverify",
@@ -345,26 +346,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", parents=[common, job], help="spectral report")
+    p_an = sub.add_parser("analyze", parents=[output, job], help="spectral report")
+    p_an.add_argument("--json", action="store_true", help="emit JSON")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_fig = sub.add_parser("figure1", parents=[common], help="test counts vs theta (CSV)")
+    p_fig = sub.add_parser("figure1", parents=[output], help="test counts vs theta (CSV)")
     p_fig.add_argument("--grid-size", type=int, default=100)
     p_fig.add_argument("--epsilon", type=float, default=0.01)
     p_fig.add_argument("--delta", type=float, default=0.01)
     p_fig.set_defaults(func=cmd_figure1)
 
-    p_chk = sub.add_parser("check-design", parents=[common], help="verify a 2-design")
+    p_chk = sub.add_parser("check-design", parents=[output], help="verify a 2-design")
     p_chk.add_argument("--d", type=int, required=True)
     p_chk.add_argument("--m", type=int, default=None)
     p_chk.add_argument("--tol", type=float, default=bases.DESIGN_ATOL)
     p_chk.set_defaults(func=cmd_check_design)
 
-    p_sim = sub.add_parser("simulate", parents=[common, job], help="Monte Carlo run")
+    p_sim = sub.add_parser("simulate", parents=[output, job], help="Monte Carlo run")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser(
-        "estimate-fidelity", parents=[common, job], help="fidelity from pass rate"
+        "estimate-fidelity", parents=[output, job], help="fidelity from pass rate"
     )
     p_est.set_defaults(func=cmd_estimate_fidelity)
     return parser

@@ -43,7 +43,7 @@ class TooFewBasesError(BiverifyError):
 
 
 class SeparableStateError(BiverifyError):
-    """The target state is a product state; strategy builders need s0 < 1."""
+    """The target state is a product state; strategy builders need Schmidt rank >= 2."""
 
 
 class DesignMismatchError(BiverifyError):

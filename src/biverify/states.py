@@ -58,7 +58,9 @@ class SchmidtState:
 
     @property
     def is_entangled(self) -> bool:
-        return bool(self.coeffs[0] < 1.0)
+        """Schmidt rank >= 2.  Tested on c_1, not as c_0 < 1: c_0 rounds to 1
+        for c_1 below about 1e-8."""
+        return bool(self.coeffs[1] > 0.0)
 
 
 @dataclass(frozen=True)

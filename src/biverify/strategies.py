@@ -53,8 +53,8 @@ from .errors import (
 )
 from .states import SchmidtState, embed_state, state_vector, target_projector
 
-SUPPORT_CUTOFF = 1e-12
-PROJECTOR_ATOL = 1e-9
+# support weights below the smallest normal double lose the unit conditional ket
+SUPPORT_CUTOFF = np.finfo(float).tiny
 TARGET_PASS_ATOL = 1e-10
 BETA_CROSSCHECK_ATOL = 1e-10
 TOP_EIGENVALUE_ATOL = 1e-8
@@ -160,39 +160,33 @@ def test_projector(
 
     For each outcome j with nonzero target support, the non-measuring party's
     conditional ket is the normalized partial inner product of the basis ket
-    with the target.  The test is an orthogonal projector that the target
-    passes with certainty; ``_projector_tests``, which builds it as a batch of
-    one, checks both facts.
+    with the target.  The test is a projector because ``Basis`` certifies the
+    basis orthonormal; ``_projector_tests``, which builds it as a batch of
+    one, checks that the target passes it with certainty.
     """
     if basis.d != state.d:
         raise DimensionMismatchError(f"basis dim {basis.d} != state dim {state.d}")
-    return _projector_tests(state, (basis,), direction)[0]
+    return _projector_tests(state, (basis,), basis.vectors[None], direction)[0]
 
 
-def _projector_tests(state: SchmidtState, bases, direction=Direction.A_TO_B) -> list:
-    """The conditional-projector tests of ``bases``, built in one batch.
+def _projector_tests(state: SchmidtState, bases, stack, direction) -> list:
+    """The conditional-projector tests of ``bases`` in one batch; ``stack[l]``
+    holds the kets u_j of basis l as columns.
 
-    Both facts a test relies on are checked for every test on its pair vectors
-    x_j = u_j x v_j, without forming the d^2 x d^2 matrix: P = sum_j
-    |x_j><x_j| is a projector iff the x_j are orthonormal, i.e. their Gram
-    matrix (U^dagger U) o (V^dagger V) is the identity on the supported
-    outcomes, and the target passes with probability sum_j |<x_j|Psi>|^2.
+    Outcome j has the support weight w_j = sum_k c_k^2 |u_kj|^2 and the ket
+    v_j = c o conj(u_j) / sqrt(w_j).  The pair vectors u_j x v_j are as
+    orthonormal as the u_j, which ``Basis`` holds within ORTHO_ATOL, so P is
+    a projector unchecked.  The target passes with probability sum_j
+    |<u_j v_j|Psi>|^2 = sum_j w_j over the supported outcomes, which a basis
+    at the edge of ORTHO_ATOL can push off 1, so that is checked.
     """
-    u = np.stack([basis.vectors for basis in bases])  # u[l, k, j]: ket j of basis l
-    v_tilde = state.coeffs[:, None] * u.conj()
-    weights = np.einsum("lkj,lkj->lj", v_tilde.conj(), v_tilde).real
+    kets = stack.conj()
+    kets *= state.coeffs[:, None]
+    weights = np.einsum("lkj,lkj->lj", kets.conj(), kets).real
     supported = weights > SUPPORT_CUTOFF
-    kets = np.zeros_like(v_tilde)
-    norms = np.sqrt(np.where(supported, weights, 1.0))
-    np.divide(v_tilde, norms[:, None, :], out=kets, where=supported[:, None, :])
-    u *= supported[:, None, :]
-    gram = (u.conj().transpose(0, 2, 1) @ u) * (kets.conj().transpose(0, 2, 1) @ kets)
-    gram[:, np.arange(state.d), np.arange(state.d)] -= supported
-    if np.abs(gram).max() > PROJECTOR_ATOL:
-        raise DesignMismatchError("conditional test failed the projector check")
-    # <u_j v_j|Psi> = sum_k c_k conj(u_kj) conj(v_kj); the same for B -> A
-    amplitudes = np.einsum("k,lkj,lkj->lj", state.coeffs, u.conj(), kets.conj())
-    pass_target = np.sum(np.abs(amplitudes) ** 2, axis=1)
+    np.divide(kets, np.sqrt(weights)[:, None, :], out=kets, where=supported[:, None, :])
+    np.copyto(kets, 0.0, where=~supported[:, None, :])
+    pass_target = np.where(supported, weights, 0.0).sum(axis=1)
     worst = int(np.argmax(np.abs(pass_target - 1.0)))
     if abs(pass_target[worst] - 1.0) > TARGET_PASS_ATOL:
         raise DesignMismatchError(
@@ -406,25 +400,22 @@ def _normalize_kind(kind) -> str:
     return label
 
 
-def _phase_table(bases) -> np.ndarray:
-    """Row phases of bases that are phase-dressed Fourier bases.
+def _phase_table(stack) -> np.ndarray:
+    """Row phases of a stack of phase-dressed Fourier bases.
 
-    Every built-in design basis is B = diag(e^{i phi}) F diag(e^{i theta}),
-    with F the Fourier basis: the quadratic-phase MUBs and each Roy-Scott
-    phase basis.  For such a basis, sqrt(d) B[k, j] times the conjugates of
-    sqrt(d) B[0, j] and sqrt(d) B[k, 0], times sqrt(d) B[0, 0], is omega^{jk};
-    that identity is checked on every entry in one pass, and it also forces
-    |B[k, j]| = 1/sqrt(d).  Returns the ``(n, d)`` table whose row l holds
-    e^{i(phi_k + theta_0)}, the column sqrt(d) B[:, 0] of basis l; the
-    ket phase theta_0 cancels from every phase difference.
+    Every built-in design basis B = ``stack[l]`` is diag(e^{i phi}) F
+    diag(e^{i theta}), with F the Fourier basis.  Then d^2 B[k, j]
+    conj(B[0, j]) conj(B[k, 0]) B[0, 0] is omega^{jk}; that identity is
+    checked on every entry in one pass, and it forces |B[k, j]| = 1/sqrt(d).
+    Returns the ``(n, d)`` table whose row l holds e^{i(phi_k + theta_0)},
+    the column sqrt(d) B[:, 0]; theta_0 cancels from every phase difference.
     """
-    scaled = np.stack([basis.vectors for basis in bases]) * math.sqrt(bases[0].d)
-    d = scaled.shape[1]
+    d = stack.shape[1]
     k = np.arange(d)
     fourier = np.exp(2j * np.pi * (np.outer(k, k) % d) / d)
-    product = scaled * scaled[:, :1, :].conj()
-    product *= scaled[:, :, :1].conj()
-    product *= scaled[:, :1, :1]
+    product = stack * stack[:, :1, :].conj()
+    product *= stack[:, :, :1].conj()
+    product *= stack[:, :1, :1] * (d * d)
     product -= fourier
     defect = np.abs(product).max(axis=(1, 2))
     worst = int(np.argmax(defect))
@@ -433,12 +424,12 @@ def _phase_table(bases) -> np.ndarray:
             f"design basis {worst + 1} is not a phase-dressed Fourier basis "
             f"(defect {defect[worst]:.3e})"
         )
-    return scaled[:, :, 0]
+    return stack[:, :, 0] * math.sqrt(d)
 
 
-def _design_average(state: SchmidtState, design: WeightedBasisSet) -> np.ndarray:
-    """The weighted average sum_{l>=1} w_l P_l of a design's A -> B tests, as
-    its ``d`` shift blocks.
+def _design_average(state: SchmidtState, stack, weights) -> np.ndarray:
+    """The weighted average sum_l w_l P_l of the A -> B tests of the bases in
+    ``stack`` (see ``_phase_table``), as its ``d`` shift blocks.
 
     The conditional test of a phase-dressed Fourier basis maps |ab> only to
     kets of the same shift class delta = a - b mod d, and on class delta it
@@ -446,11 +437,10 @@ def _design_average(state: SchmidtState, design: WeightedBasisSet) -> np.ndarray
     e^{i(phi_a - phi_{a-delta})} in the basis |a, a-delta>.  So the average
     is zero outside the classes, and ``blocks[delta]`` = W diag(w) W^dagger
     with W[a, l] the entry a of basis l's w_delta: d products of size
-    d x (m-1), O(m d^3) in all.
+    d x n for n bases, O(n d^3) in all.
     """
     d = state.d
-    table = _phase_table(design.bases[1:])
-    weights = design.weights[1:]
+    table = _phase_table(stack)
     a = np.arange(d)
     blocks = np.empty((d, d, d), dtype=complex)
     for delta in range(d):
@@ -482,24 +472,28 @@ def _design_tests(state, design, total, two_way):
     """Tests realizing `total * Pi` (averaged over directions) from a design,
     and the part of Omega they contribute.
 
-    The design average is formed from its shift blocks (``_design_average``)
-    and checked against d/(d+1) Pi before the tests are used; the A -> B
-    tests are built in one batch.  A B -> A test is its A -> B twin with the
-    parties swapped, SWAP P SWAP, which maps class delta to class -delta, so
-    the two-way part scatters each block a second time at the swapped
-    positions |a-delta, a> and the twins are not rebuilt.
+    The design bases are stacked once; that array gives the shift blocks of
+    the design average (``_design_average``), checked against d/(d+1) Pi
+    before the tests are used, and then the A -> B tests, built in one batch.
+    A B -> A test is its A -> B twin with the parties swapped, SWAP P SWAP,
+    which maps class delta to class -delta, so the two-way part scatters each
+    block a second time at the swapped positions |a-delta, a> and the twins
+    are not rebuilt.
     """
     d = state.d
-    blocks = _design_average(state, design)
+    bases, weights = design.bases[1:], design.weights[1:]
+    stack = np.stack([basis.vectors for basis in bases])
+    blocks = _design_average(state, stack, weights)
     residual = _design_residual(state, blocks)
     if residual > DESIGN_ATOL:
         raise DesignMismatchError(
             f"design average misses the closed form by {residual:.3e}"
         )
-    forward = _projector_tests(state, design.bases[1:])
+    forward = _projector_tests(state, bases, stack, Direction.A_TO_B)
+    del stack  # before Omega is allocated
     share = (d + 1) / d / (2 if two_way else 1)
     tests = []
-    for weight, test in zip(design.weights[1:], forward):
+    for weight, test in zip(weights, forward):
         q = total * share * float(weight)
         tests.append((q, test))
         if two_way:
@@ -536,7 +530,7 @@ def build_strategy(
     Parameters
     ----------
     state : SchmidtState
-        Entangled target (c_0 < 1 required).
+        Entangled target (Schmidt rank >= 2 required).
     kind : str
         One of "I" .. "VI"; see the module docstring.
     p : float, optional
@@ -565,7 +559,8 @@ def build_strategy(
     kind = _normalize_kind(kind)
     if not state.is_entangled:
         raise SeparableStateError(
-            "target has c_0 = 1 (product state); the standard test alone verifies it"
+            "target has Schmidt rank 1 (product state); the standard test alone "
+            "verifies it"
         )
     if basis_1 is not None and kind != "I":
         raise OutOfRangeError("basis_1 applies only to strategy kind I")
@@ -593,14 +588,13 @@ def build_strategy(
         if kind in ("II", "III", "IV"):
             if not 0.0 <= p < 1.0:
                 raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
-            design = prime_mub_set(d) if kind == "II" else design_for_dimension(d, m)
             head = [] if p == 0.0 else [(p, standard_test(state))]
         elif kind == "V":
-            design = design_for_dimension(d, m)
             head = [(p, one_way_diagonal_test(state, p))]
         else:  # VI
-            design = design_for_dimension(d, m)
             head = [(p, two_way_diagonal_test(state, p))]
+        # kind II refuses m and has a prime d here: the complete MUB set
+        design = design_for_dimension(d, m)
         design_tests, omega = _design_tests(
             state, design, 1.0 - p, two_way=kind in ("IV", "VI")
         )

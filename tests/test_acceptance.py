@@ -37,7 +37,8 @@ D3_STATE = make_schmidt_state([2.0, 1.0, 1.0])
 def _design_residual(state, basis_set):
     """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi, as a strategy build
     certifies it from the design's shift blocks."""
-    blocks = strategies._design_average(state, basis_set)
+    stack = np.stack([b.vectors for b in basis_set.bases[1:]])
+    blocks = strategies._design_average(state, stack, basis_set.weights[1:])
     return strategies._design_residual(state, blocks)
 
 

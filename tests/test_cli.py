@@ -63,6 +63,14 @@ class TestAnalyze:
         assert code == 2
         assert "SeparableState" in err
 
+    def test_near_product_target_is_not_separable(self, capsys):
+        """c_0 rounds to 1 at c_1 = 1e-8, but the target has Schmidt rank 2."""
+        code, out, _ = run_cli(
+            ["analyze", "--schmidt", "1,1e-8", "--strategy", "II", "--json"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["analysis"]["nu"] == pytest.approx(0.5, abs=1e-10)
+
     def test_invalid_strategy_exits_2(self, capsys):
         code, _, err = run_cli(
             ["analyze", "--theta", "0.5", "--strategy", "IX"], capsys
@@ -304,6 +312,52 @@ class TestJobConfig:
             JobConfig(strategy="I").target_state()
         with pytest.raises(OutOfRangeError):
             JobConfig(strategy="I", theta=0.5, schmidt=[1.0, 1.0]).target_state()
+
+
+class TestUnreadFlags:
+    """A flag a subcommand would ignore is a usage error (exit 2)."""
+
+    BASE = {
+        "figure1": ["--grid-size", "2"],
+        "check-design": ["--d", "5"],
+        "simulate": ["--theta", "0.5", "--strategy", "II"],
+        "estimate-fidelity": ["--theta", "0.5", "--strategy", "V"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("figure1", ["--seed", "1"]),
+            ("figure1", ["--json"]),
+            ("figure1", ["--config", "/nonexistent"]),
+            ("check-design", ["--seed", "1"]),
+            ("check-design", ["--json"]),
+            ("check-design", ["--config", "/nonexistent"]),
+            ("simulate", ["--json"]),
+            ("estimate-fidelity", ["--json"]),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    def test_exits_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.BASE[command], *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag[0]}" in captured.err
+
+    def test_analyze_keeps_its_flags(self, tmp_path, capsys):
+        """analyze echoes the Monte Carlo flags in its JSON config."""
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"strategy": "VI", "theta": 0.5}))
+        code, out, _ = run_cli(
+            ["analyze", "--config", str(cfg), "--seed", "9", "--trials", "7",
+             "--noise", "depolarize:0.1", "--json"],
+            capsys,
+        )
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["seed"], config["trials"], config["noise"]) == (9, 7, "depolarize:0.1")
 
 
 class TestMalformedInput:

@@ -1,10 +1,14 @@
-"""Property tests of the design strategies at large d (20 <= d <= 32).
+"""Property tests of conditional tests over random bases (2 <= d <= 8) and
+of the design strategies at large d (20 <= d <= 32).
 
-Builds take a fraction of a second there, but the dense worst-case state
-costs an O(d^6) eigensolve, so the "large-d" hypothesis profile runs few
-examples.  The spectrum is read independently of the package: Omega must
-vanish outside the shift classes delta = a - b mod d, and then its
-eigenvalues are those of its d blocks of size d x d.
+A conditional test is a projector only because its measured basis is
+orthonormal, which ``Basis`` certifies and the build does not re-check; the
+first property checks that fact on the dense matrix.  At large d, builds take
+a fraction of a second, but the dense worst-case state costs an O(d^6)
+eigensolve, so the "large-d" hypothesis profile runs few examples.  The
+spectrum is read independently of the package: Omega must vanish outside the
+shift classes delta = a - b mod d, and then its eigenvalues are those of its
+d blocks of size d x d.
 """
 
 import numpy as np
@@ -12,11 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biverify import (
+    Basis,
+    Direction,
     build_strategy,
     closed_form_beta,
     exact_pass_rate,
     make_schmidt_state,
+    random_unbiased_basis,
     state_vector,
+    test_projector,
     worst_case_state,
 )
 
@@ -26,17 +34,58 @@ ATOL = 1e-10
 
 
 @st.composite
-def large_targets(draw):
-    """Random Schmidt vectors at 20 <= d <= 32, some with a zero tail (kind
-    II then embeds a composite d into the next prime) or a degenerate top
-    pair."""
-    d = draw(st.integers(20, 32))
+def schmidt_vectors(draw, d):
+    """Raw Schmidt amplitudes of length d: random, with a zero tail, or near
+    product (1, c_1, ...) with 1e-12 <= c_1 <= 1e-7 (c_0 rounds to 1 for the
+    smaller c_1)."""
+    family = draw(st.sampled_from(["random", "zero-tail", "near-product"]))
     raw = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d)), reverse=True)
-    zeros = draw(st.integers(0, d - 2))
-    raw = raw[: d - zeros] + [0.0] * zeros
+    if family == "near-product":
+        c1 = 10.0 ** -draw(st.floats(7.0, 12.0))
+        raw = [1.0] + [c1 * r / raw[1] for r in raw[1:]]
+    if family != "random":
+        zeros = draw(st.integers(0, d - 2))
+        raw = raw[: d - zeros] + [0.0] * zeros
+    return raw
+
+
+@st.composite
+def large_targets(draw):
+    """Schmidt vectors at 20 <= d <= 32 (kind II embeds a zero-tailed
+    composite d into the next prime), some with a degenerate top pair."""
+    raw = draw(st.integers(20, 32).flatmap(schmidt_vectors))
     if draw(st.booleans()):
         raw[1] = raw[0]
     return make_schmidt_state(raw)
+
+
+@st.composite
+def measurement_bases(draw, d):
+    """A random unitary basis (QR of a complex Gaussian matrix) or a random
+    basis unbiased with the standard one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_unbiased_basis(d, rng)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Basis(d=d, vectors=q)
+
+
+@st.composite
+def targets_and_bases(draw):
+    d = draw(st.integers(2, 8))
+    return make_schmidt_state(draw(schmidt_vectors(d))), draw(measurement_bases(d))
+
+
+@given(targets_and_bases(), st.sampled_from(list(Direction)))
+def test_conditional_test_is_a_projector_the_target_passes(target_basis, direction):
+    """P^2 = P with eigenvalues in [0, 1], and <Psi|P|Psi> = 1."""
+    state, basis = target_basis
+    p = test_projector(state, basis, direction).matrix
+    assert np.abs(p @ p - p).max() <= 1e-9
+    w = np.linalg.eigvalsh(p)
+    assert w.min() >= -1e-9 and w.max() <= 1.0 + 1e-9
+    psi = state_vector(state)
+    assert abs((psi.conj() @ p @ psi).real - 1.0) <= 1e-10
 
 
 def shift_class_spectrum(omega, d):

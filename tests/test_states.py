@@ -61,6 +61,13 @@ class TestMakeSchmidtState:
         assert make_schmidt_state([1.0, 1.0], 2).is_entangled
         assert not make_schmidt_state([1.0, 0.0], 2).is_entangled
 
+    @pytest.mark.parametrize("c1", [1e-8, 1e-12, 1e-150])
+    def test_near_product_is_entangled(self, c1):
+        """Schmidt rank 2 even where c_0 rounds to 1."""
+        state = make_schmidt_state([1.0, c1, 0.0])
+        assert state.coeffs[0] == 1.0
+        assert state.is_entangled
+
 
     @pytest.mark.parametrize(
         "raw", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]], ids=["nan", "inf", "-inf"]

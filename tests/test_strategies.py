@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biverify import (
+    Basis,
     Direction,
     assemble_strategy,
     beta_nu,
@@ -38,7 +39,9 @@ from biverify.errors import (
 def design_residual(state, basis_set):
     """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi, as a strategy build
     certifies it from the design's shift blocks."""
-    return strategies._design_residual(state, strategies._design_average(state, basis_set))
+    stack = np.stack([b.vectors for b in basis_set.bases[1:]])
+    blocks = strategies._design_average(state, stack, basis_set.weights[1:])
+    return strategies._design_residual(state, blocks)
 
 
 class TestTestProjector:
@@ -56,6 +59,11 @@ class TestTestProjector:
         t = standard_test(s)
         assert list(t.supported) == [True, True, False]
         assert t.matrix[8, 8] == 0.0
+
+    def test_standard_test_supports_tiny_coefficients(self):
+        """Support is c_j > 0 down to weights at the edge of normal doubles."""
+        s = make_schmidt_state([1.0, 1e-7, 1e-150, 1e-160, 0.0])
+        assert list(standard_test(s).supported) == [True, True, True, False, False]
 
     def test_conditional_ket_for_fourier_outcome(self):
         """For u_0 = (|0> + |1>)/sqrt(2) the conditional ket is
@@ -77,6 +85,16 @@ class TestTestProjector:
                 t = test_projector(s, b, direction)
                 assert np.abs(t.matrix @ t.matrix - t.matrix).max() <= 1e-9
                 assert abs((psi.conj() @ t.matrix @ psi).real - 1.0) <= 1e-10
+
+    def test_target_pass_is_checked_at_the_basis_tolerance(self):
+        """A basis at the edge of ORTHO_ATOL is a valid Basis, but the target
+        passes its test with probability 1 + 6.9e-10, which is refused."""
+        d = 8
+        skew = np.eye(d) + 4.9e-11 * (np.ones((d, d)) - np.eye(d))
+        edge = Basis(d=d, vectors=fourier_basis(d).vectors @ skew)
+        s = make_schmidt_state([1.0, 1e-3] + [0.0] * (d - 2))
+        with pytest.raises(DesignMismatchError, match="target pass probability"):
+            test_projector(s, edge)
 
     def test_mirrored_test_is_the_swap(self):
         s = make_schmidt_state([3.0, 2.0, 1.0])
@@ -201,6 +219,22 @@ class TestBuildStrategy:
         for kind in ("I", "II", "III", "IV", "V", "VI"):
             with pytest.raises(SeparableStateError):
                 build_strategy(s, kind)
+
+    @pytest.mark.parametrize("c1", [1e-7, 1e-8, 1e-12, 1e-150])
+    @pytest.mark.parametrize("d", [2, 5, 12])
+    def test_near_product_target_builds(self, d, c1):
+        """A Schmidt-rank-2 target is entangled even where c_0 rounds to 1:
+        every kind builds, with beta at its closed form, and every test keeps
+        the tiny coefficients supported, so Omega fixes the target."""
+        tail = [c1 / 2] * (d - 3) + [0.0] if d > 2 else []  # with a zero tail
+        s = make_schmidt_state([1.0, c1] + tail)
+        assert s.d == d
+        for kind in ("I", "II", "III", "IV", "V", "VI"):
+            strat = build_strategy(s, kind)
+            expected = closed_form_beta(strat.state, kind, strat.p)
+            assert abs(strat.beta - expected) <= 1e-10
+            psi = state_vector(strat.state)
+            assert np.abs(strat.omega @ psi - psi).max() <= 1e-12
 
     def test_two_way_test_probabilities(self):
         s = two_qubit_state(np.pi / 6)

@@ -9,6 +9,8 @@ design part of kinds II-VI from d shift blocks) and must agree to
 round-off.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,12 @@ def test_strategy_matches_dense_oracle(name, kind):
     assert abs(strat.nu - (1.0 - w[1])) <= ATOL
 
 
+def design_blocks(state, design):
+    """The build's shift blocks of a design's A -> B average."""
+    stack = np.stack([b.vectors for b in design.bases[1:]])
+    return strategies._design_average(state, stack, design.weights[1:])
+
+
 def dense_design_average(state, design, direction):
     """sum_{l>=1} w_l P_l over a design's tests in one direction, each test
     built densely with np.kron."""
@@ -141,9 +149,7 @@ def test_design_residual_matches_dense_oracle(name, direction):
     avg = dense_design_average(state, design, direction)
     pi = strategies.pi_operator(state, direction=direction)
     expected = np.abs(avg - pi * state.d / (state.d + 1)).max()
-    residual = strategies._design_residual(
-        state, strategies._design_average(state, design)
-    )
+    residual = strategies._design_residual(state, design_blocks(state, design))
     assert residual <= 1e-10
     assert abs(residual - expected) <= ATOL
 
@@ -177,7 +183,7 @@ def test_shift_blocks_match_dense_kron_oracle(name, direction):
         design = prime_mub_set(embed_in)
     else:
         design = strategies.design_for_dimension(state.d)
-    blocks = strategies._design_average(state, design)
+    blocks = design_blocks(state, design)
     dense = dense_design_average(state, design, direction)
     assert np.abs(scattered(blocks, direction) - dense).max() <= ATOL
 
@@ -281,19 +287,25 @@ def test_two_way_tests_are_swapped_twins(name, kind):
 
 @pytest.mark.parametrize("kind", ["II", "III", "IV", "V", "VI"])
 def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatch):
-    """The A -> B design tests are built in one batch, once each, and the
-    B -> A twins are never built; no II-VI build calls weighted_gram (the
-    design part comes from shift blocks, the head test from its diagonal);
-    the spectrum comes from one d x d eigensolve."""
+    """The A -> B design tests are built in one batch, once each, from the
+    same stack of basis kets that the phase certificate reads, and the B -> A
+    twins are never built; no II-VI build calls weighted_gram (the design
+    part comes from shift blocks, the head test from its diagonal); the
+    spectrum comes from one d x d eigensolve."""
     state = TARGETS["d5-random"]
-    batches, grams, eig_dims = [], [], []
-    projector_tests = strategies._projector_tests
+    batches, stacks, grams, eig_dims = [], [], [], []
+    projector_tests, phase_table = strategies._projector_tests, strategies._phase_table
     gram, eig = linalg.weighted_gram, linalg.eig_hermitian
 
-    def recording_projector_tests(*args, **kwargs):
-        tests = projector_tests(*args, **kwargs)
+    def recording_projector_tests(state, bases, stack, direction):
+        tests = projector_tests(state, bases, stack, direction)
         batches.append([id(t) for t in tests])
+        stacks.append(stack)
         return tests
+
+    def recording_phase_table(stack):
+        stacks.append(stack)
+        return phase_table(stack)
 
     def counting_gram(blocks, dim):
         grams.append(dim)
@@ -304,6 +316,7 @@ def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatc
         return eig(h)
 
     monkeypatch.setattr(strategies, "_projector_tests", recording_projector_tests)
+    monkeypatch.setattr(strategies, "_phase_table", recording_phase_table)
     monkeypatch.setattr(linalg, "weighted_gram", counting_gram)
     monkeypatch.setattr(linalg, "eig_hermitian", recording_eig)
     strat = build_strategy(state, kind)
@@ -313,6 +326,7 @@ def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatc
     assert len(backward) == (len(forward) if kind in ("IV", "VI") else 0)
     head = [[id(strat.tests[0][1])]] if kind in ("II", "III", "IV") else []
     assert batches == head + [forward]
+    assert stacks[-1] is stacks[-2]  # the certificate's stack, then the batch's
     assert grams == []
     assert eig_dims == [state.d]
 
@@ -330,6 +344,25 @@ def test_design_basis_without_fourier_structure_is_rejected(kind, monkeypatch):
     monkeypatch.setattr(strategies, "design_for_dimension", lambda d, m=None: mixed)
     with pytest.raises(DesignMismatchError, match="basis 3 is not a phase-dressed Fourier"):
         build_strategy(TARGETS["d4-random"], kind)
+
+
+def test_design_tests_hold_few_basis_stacks():
+    """The design bases are stacked once and shared by the phase certificate,
+    the shift blocks and the test batch: at d=24 kind VI the traced peak of
+    _design_tests stays within 3.5 stacks of size (m-1) d^2 complex entries
+    (the stack, the conditional kets and one temporary), with Omega and the
+    returned tests included."""
+    d = 24
+    state = make_schmidt_state(np.arange(d, 0, -1.0))
+    design = strategies.design_for_dimension(d)
+    stack_bytes = (design.m - 1) * d * d * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        strategies._design_tests(state, design, 0.5, two_way=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * stack_bytes
 
 
 def test_max_eig_dim_limits_only_the_dense_path(monkeypatch):
