@@ -184,20 +184,11 @@ def _config_from_args(args) -> JobConfig:
     if args.config:
         file_data = _load_json(args.config, "config file")
         data.update(JobConfig.from_dict(file_data).to_dict())
-    overrides = {
-        "strategy": args.strategy,
-        "d": args.d,
-        "schmidt": _parse_schmidt(args.schmidt) if args.schmidt else None,
-        "theta": args.theta,
-        "p": args.p,
-        "m": args.m,
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-        "noise": args.noise,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    # each JobConfig field is the dest of the job flag of the same name
+    for field in fields(JobConfig):
+        value = getattr(args, field.name)
+        if value is not None:
+            data[field.name] = _parse_schmidt(value) if field.name == "schmidt" else value
     return JobConfig.from_dict(data)
 
 
@@ -321,7 +312,8 @@ def cmd_estimate_fidelity(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # each subcommand gets only the flags it reads, so a flag that would
-    # change nothing is a usage error (exit 2)
+    # change nothing is a usage error (exit 2); abbreviations are refused,
+    # so that --d is never taken for --delta
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None, help="write output to this path")
 
@@ -346,27 +338,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", parents=[output, job], help="spectral report")
+    p_an = sub.add_parser(
+        "analyze", parents=[output, job], allow_abbrev=False, help="spectral report"
+    )
     p_an.add_argument("--json", action="store_true", help="emit JSON")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_fig = sub.add_parser("figure1", parents=[output], help="test counts vs theta (CSV)")
+    p_fig = sub.add_parser(
+        "figure1", parents=[output], allow_abbrev=False, help="test counts vs theta (CSV)"
+    )
     p_fig.add_argument("--grid-size", type=int, default=100)
     p_fig.add_argument("--epsilon", type=float, default=0.01)
     p_fig.add_argument("--delta", type=float, default=0.01)
     p_fig.set_defaults(func=cmd_figure1)
 
-    p_chk = sub.add_parser("check-design", parents=[output], help="verify a 2-design")
+    p_chk = sub.add_parser(
+        "check-design", parents=[output], allow_abbrev=False, help="verify a 2-design"
+    )
     p_chk.add_argument("--d", type=int, required=True)
     p_chk.add_argument("--m", type=int, default=None)
     p_chk.add_argument("--tol", type=float, default=bases.DESIGN_ATOL)
     p_chk.set_defaults(func=cmd_check_design)
 
-    p_sim = sub.add_parser("simulate", parents=[output, job], help="Monte Carlo run")
+    p_sim = sub.add_parser(
+        "simulate", parents=[output, job], allow_abbrev=False, help="Monte Carlo run"
+    )
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser(
-        "estimate-fidelity", parents=[output, job], help="fidelity from pass rate"
+        "estimate-fidelity",
+        parents=[output, job],
+        allow_abbrev=False,
+        help="fidelity from pass rate",
     )
     p_est.set_defaults(func=cmd_estimate_fidelity)
     return parser

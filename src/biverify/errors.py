@@ -50,10 +50,6 @@ class DesignMismatchError(BiverifyError):
     """A numerically verified basis-set identity failed its tolerance."""
 
 
-class DegenerateSpectrumError(BiverifyError):
-    """No eigenvector at the second eigenvalue is orthogonal to the target."""
-
-
 class TopEigenvalueError(BiverifyError):
     """The top eigenvalue of a verification operator is not 1 on the target."""
 

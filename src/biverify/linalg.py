@@ -87,16 +87,20 @@ def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eig_phase_invariant(h, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian d^2 x d^2 operator, read from its
-    d x d block on span{|jj>} when the operator has that structure.
+    """Spectrum and top two eigenvectors of a Hermitian d^2 x d^2 operator,
+    read from its d x d block on span{|jj>} when the operator has that
+    structure.
 
     An operator that commutes with every diag(e^{i phi}) x diag(e^{-i phi})
     is one d x d block on span{|jj>} plus a diagonal on the |jk> (j != k),
     as are the design strategies' operators.  When the rest of ``h`` has a
     Frobenius norm of at most PHASE_BLOCK_ATOL, the block is solved with
     ``eig_hermitian`` and each |jk> diagonal entry is an eigenvalue with
-    eigenvector |jk>; otherwise ``h`` is solved densely.  Returns ``(w, v)``
-    as ``eig_hermitian`` does; on ties the block's eigenvalues come first.
+    eigenvector |jk>; otherwise ``h`` is solved densely.  Returns ``(w, v)``:
+    all d^2 eigenvalues ``w`` in descending order (multiplicities repeated;
+    on ties the block's come first) and the d^2 x 2 matrix ``v`` whose
+    columns are orthonormal eigenvectors for ``w[0]`` and ``w[1]``, the only
+    ones a strategy reads.
     """
     h = as_matrix(h)
     n = d * d
@@ -104,17 +108,19 @@ def eig_phase_invariant(h, d: int) -> tuple[np.ndarray, np.ndarray]:
         raise OutOfRangeError(f"expected a {n}x{n} matrix, got shape {h.shape}")
     jj = np.arange(d) * (d + 1)
     if _off_block_norm(h, jj) > PHASE_BLOCK_ATOL:
-        return eig_hermitian(h)
+        w, v = eig_hermitian(h)
+        return w, v[:, :2].copy()
     require_hermitian(h)
     wb, vb = eig_hermitian(h[np.ix_(jj, jj)])
     off = np.flatnonzero(np.arange(n) % (d + 1))  # the |jk>, j != k
     w = np.concatenate([wb, h.diagonal().real[off]])
     order = np.argsort(-w, kind="stable")
-    column = np.empty(n, dtype=int)
-    column[order] = np.arange(n)
-    v = np.zeros((n, n), dtype=complex)
-    v[np.ix_(jj, column[:d])] = vb
-    v[off, column[d:]] = 1.0
+    v = np.zeros((n, 2), dtype=complex)
+    for col, i in enumerate(order[:2]):
+        if i < d:
+            v[jj, col] = vb[:, i]
+        else:
+            v[off[i - d], col] = 1.0
     return w[order], v
 
 

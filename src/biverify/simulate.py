@@ -193,9 +193,13 @@ def _draw(
 
 
 def exact_pass_rate(strategy: Strategy, sigma: DensityOperator) -> float:
-    """tr(Omega sigma), the exact average pass probability."""
+    """tr(Omega sigma), the exact average pass probability, clamped to
+    [0, 1].  Round-off puts the trace a few ulps above 1 on the target; the
+    build certifies Omega's top eigenvalue 1 to 1e-8, so the clamp hides no
+    larger error than that."""
     _check_dimension(strategy, sigma)
-    return float(np.einsum("ij,ji->", strategy.omega, sigma.matrix).real)
+    rate = float(np.einsum("ij,ji->", strategy.omega, sigma.matrix).real)
+    return min(max(rate, 0.0), 1.0)
 
 
 def run_verification(

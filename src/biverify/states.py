@@ -8,7 +8,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DegenerateSpectrumError,
     DimensionMismatchError,
     NegativeCoefficientError,
     OutOfRangeError,
@@ -212,33 +211,17 @@ def random_state_at_fidelity(
     return DensityOperator(dim=dd, matrix=m)
 
 
-def worst_case_state(state: SchmidtState, strategy, eps: float) -> DensityOperator:
+def worst_case_state(strategy, eps: float) -> DensityOperator:
     """The fidelity-(1-eps) state with the largest average pass probability.
 
-    Mixes the target with a second-eigenvalue eigenvector of the strategy's
-    verification operator, so that tr(Omega sigma) = 1 - nu*eps is attained
-    exactly.  ``strategy`` must have been built for ``state``.
+    Mixes the strategy's target (embedded, for kind II at non-prime d) with
+    its ``beta_vector``, a second-eigenvalue eigenvector of the verification
+    operator orthogonal to the target, so that tr(Omega sigma) = 1 - nu*eps
+    is attained exactly.  Solves no eigenproblem: the build kept the vector.
     """
     if not 0.0 <= eps <= 1.0:
         raise OutOfRangeError(f"infidelity must be in [0, 1], got {eps}")
-    if strategy.state.d != state.d or not np.allclose(
-        strategy.state.coeffs, state.coeffs, atol=NORM_ATOL
-    ):
-        raise DimensionMismatchError("strategy was built for a different target state")
-    psi = state_vector(state)
-    if eps == 0.0:
-        return DensityOperator(dim=state.dim, matrix=np.outer(psi, psi.conj()))
-    w, v = linalg.eig_phase_invariant(strategy.omega, state.d)
-    if abs(w[1] - strategy.beta) > 1e-8:
-        raise DegenerateSpectrumError(
-            f"second eigenvalue {w[1]:.12g} is not within 1e-8 of beta {strategy.beta:.12g}"
-        )
-    chi = v[:, 1] - psi * (psi.conj() @ v[:, 1])
-    norm = float(np.linalg.norm(chi))
-    if norm < 1e-6:
-        raise DegenerateSpectrumError(
-            "no second-eigenvalue eigenvector orthogonal to the target"
-        )
-    chi = chi / norm
+    psi = state_vector(strategy.state)
+    chi = strategy.beta_vector
     m = (1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(chi, chi.conj())
-    return DensityOperator(dim=state.dim, matrix=m)
+    return DensityOperator(dim=strategy.state.dim, matrix=m)

@@ -134,9 +134,11 @@ class Strategy:
     factors (for the design kinds, from the d shift blocks of the A -> B
     design average and their party swap, so equal to the term-by-term sum up
     to round-off); ``beta`` is its second-largest eigenvalue and
-    ``nu = 1 - beta`` the spectral gap.  ``p`` records the mixing probability
-    of the standard/diagonal test for the built-in kinds (None for custom
-    mixtures).
+    ``nu = 1 - beta`` the spectral gap.  ``beta_vector`` is a unit
+    eigenvector of ``omega`` for ``beta`` orthogonal to the target, the
+    direction of the worst-case state (see ``states.worst_case_state``).
+    ``p`` records the mixing probability of the standard/diagonal test for
+    the built-in kinds (None for custom mixtures).
     """
 
     state: SchmidtState
@@ -144,6 +146,7 @@ class Strategy:
     omega: np.ndarray
     beta: float
     nu: float
+    beta_vector: np.ndarray
     label: str
     p: float | None = None
 
@@ -335,7 +338,12 @@ def _checked_tests(state: SchmidtState, tests) -> tuple:
 
 def _with_spectrum(state, tests, omega, label, p) -> Strategy:
     """The strategy with operator ``omega``, after checking that its top
-    eigenvalue is 1 with the target as the top eigenvector."""
+    eigenvalue is 1 with the target as the top eigenvector.
+
+    The second eigenvector is kept as ``beta_vector`` once projected off the
+    target; it is orthogonal to the top one, which overlaps the target to
+    1e-8, so the projection leaves it nearly unit.
+    """
     w, v = linalg.eig_phase_invariant(omega, state.d)
     if abs(w[0] - 1.0) > TOP_EIGENVALUE_ATOL:
         raise TopEigenvalueError(f"top eigenvalue is {w[0]:.12g}, expected 1")
@@ -346,12 +354,15 @@ def _with_spectrum(state, tests, omega, label, p) -> Strategy:
             f"top eigenvector overlaps the target with only {overlap:.12g}"
         )
     beta = float(w[1])
+    chi = v[:, 1] - psi * (psi.conj() @ v[:, 1])
+    chi = chi / float(np.linalg.norm(chi))
     return Strategy(
         state=state,
         tests=tests,
         omega=_freeze(omega),
         beta=beta,
         nu=1.0 - beta,
+        beta_vector=_freeze(chi),
         label=label,
         p=p,
     )
@@ -602,35 +613,13 @@ def build_strategy(
         for q, test in head:
             omega.flat[:: d * d + 1] += q * _diagonal(test)
         strategy = _with_spectrum(state, tests, omega, kind, p)
-    _check_closed_form_beta(strategy, strategy.beta)
+    expected = closed_form_beta(state, kind, p)
+    if abs(strategy.beta - expected) > BETA_CROSSCHECK_ATOL:
+        raise DesignMismatchError(
+            f"eigensolver beta {strategy.beta:.15g} deviates from the closed form "
+            f"{expected:.15g} for kind {kind}"
+        )
     return strategy
-
-
-def beta_nu(strategy: Strategy) -> tuple[float, float]:
-    """Second eigenvalue and spectral gap, recomputed from the operator.
-
-    Raises TopEigenvalueError if the maximal eigenvalue strays from 1 by more
-    than 1e-8, and DesignMismatchError if a built-in label's closed-form beta
-    disagrees with the eigensolver beyond 1e-10.
-    """
-    w, _ = linalg.eig_phase_invariant(strategy.omega, strategy.state.d)
-    if abs(w[0] - 1.0) > TOP_EIGENVALUE_ATOL:
-        raise TopEigenvalueError(f"top eigenvalue is {w[0]:.12g}, expected 1")
-    beta = float(w[1])
-    _check_closed_form_beta(strategy, beta)
-    return beta, 1.0 - beta
-
-
-def _check_closed_form_beta(strategy: Strategy, beta: float) -> None:
-    """Raise DesignMismatchError if a built-in label's closed-form beta
-    disagrees with the eigensolver's ``beta`` beyond BETA_CROSSCHECK_ATOL."""
-    if strategy.label in STRATEGY_KINDS and strategy.p is not None:
-        expected = closed_form_beta(strategy.state, strategy.label, strategy.p)
-        if expected is not None and abs(beta - expected) > BETA_CROSSCHECK_ATOL:
-            raise DesignMismatchError(
-                f"eigensolver beta {beta:.15g} deviates from the closed form "
-                f"{expected:.15g} for kind {strategy.label}"
-            )
 
 
 def is_homogeneous(strategy: Strategy, tol: float = 1e-10) -> bool:

@@ -209,7 +209,7 @@ def test_worst_case_saturation():
     ]
     for strat in strategies:
         for eps in (0.3, 0.1, 0.01):
-            sigma = worst_case_state(strat.state, strat, eps)
+            sigma = worst_case_state(strat, eps)
             worst = max(
                 worst, abs(exact_pass_rate(strat, sigma) - (1 - strat.nu * eps))
             )

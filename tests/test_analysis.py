@@ -129,7 +129,7 @@ class TestWorstCasePassProb:
         s = two_qubit_state(np.pi / 6)
         strat = build_strategy(s, kind)
         for eps in (0.3, 0.1, 0.01):
-            sigma = worst_case_state(s, strat, eps)
+            sigma = worst_case_state(strat, eps)
             assert abs(
                 exact_pass_rate(strat, sigma) - worst_case_pass_prob(strat.nu, eps)
             ) <= 1e-10

@@ -2,11 +2,12 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from biverify.cli import CSV_HEADER, JobConfig, main
+from biverify.cli import CSV_HEADER, JobConfig, _config_from_args, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -360,6 +361,56 @@ class TestUnreadFlags:
         assert (config["seed"], config["trials"], config["noise"]) == (9, 7, "depolarize:0.1")
 
 
+class TestAbbreviatedFlags:
+    """A prefix of a flag is refused, not taken for the flag it prefixes."""
+
+    @pytest.mark.parametrize(
+        "argv, abbreviation",
+        [
+            (["figure1", "--grid-size", "2", "--d", "0.5"], "--d"),
+            (["analyze", "--str", "II", "--theta", "0.5"], "--str"),
+            (["analyze", "--strategy", "II", "--theta", "0.5", "--eps", "0.5"], "--eps"),
+        ],
+        ids=["figure1-d", "analyze-str", "analyze-eps"],
+    )
+    def test_exits_2(self, argv, abbreviation, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {abbreviation}" in captured.err
+
+
+# JobConfig field -> (config file value, flag value, parsed flag value)
+OVERRIDES = {
+    "strategy": ("III", "IV", "IV"),
+    "d": (3, "5", 5),
+    "schmidt": ([2.0, 1.0], "3,1", [3.0, 1.0]),
+    "theta": (0.5, "0.25", 0.25),
+    "p": (0.5, "0.25", 0.25),
+    "m": (4, "6", 6),
+    "epsilon": (0.1, "0.05", 0.05),
+    "delta": (0.1, "0.05", 0.05),
+    "noise": ("depolarize:0.1", "none", "none"),
+    "trials": (10, "20", 20),
+    "seed": (1, "2", 2),
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(JobConfig)])
+def test_flag_overrides_config_file(field, tmp_path):
+    """Every JobConfig field is read from --config and overridden by the job
+    flag of the same name (the job subcommands share one set of flags)."""
+    file_value, flag, parsed = OVERRIDES[field]
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({field: file_value}))
+    argv = ["simulate", "--config", str(cfg)]
+    assert getattr(_config_from_args(build_parser().parse_args(argv)), field) == file_value
+    config = _config_from_args(build_parser().parse_args([*argv, f"--{field}", flag]))
+    assert getattr(config, field) == parsed
+
+
 class TestMalformedInput:
     """Bad input files and flags are validation errors (exit 2), not crashes."""
 
@@ -399,6 +450,15 @@ class TestMalformedInput:
         self.assert_validation_error(code, err)
         assert "amplitudes must be finite" in err
         assert "product state" not in err and "RuntimeWarning" not in err
+
+    def test_empty_schmidt_flag_is_not_ignored(self, capsys):
+        """--schmidt "" is read like any other value, not dropped in favour of
+        --theta."""
+        code, _, err = run_cli(
+            ["analyze", "--theta", "0.5", "--schmidt", "", "--strategy", "II"], capsys
+        )
+        self.assert_validation_error(code, err)
+        assert "exactly one of schmidt or theta" in err
 
     def test_noise_file_with_nan_entry(self, tmp_path, capsys):
         """json reads NaN; the density operator must reject it."""

@@ -1,11 +1,13 @@
-"""Property tests of conditional tests over random bases (2 <= d <= 8) and
-of the design strategies at large d (20 <= d <= 32).
+"""Property tests of conditional tests over random bases (2 <= d <= 8), of
+the built strategies at small d, and of the design strategies at large d
+(20 <= d <= 32).
 
 A conditional test is a projector only because its measured basis is
 orthonormal, which ``Basis`` certifies and the build does not re-check; the
 first property checks that fact on the dense matrix.  At large d, builds take
-a fraction of a second, but the dense worst-case state costs an O(d^6)
-eigensolve, so the "large-d" hypothesis profile runs few examples.  The
+a fraction of a second, but the dense worst-case state's positivity check
+costs an O(d^6) eigensolve, so the "large-d" hypothesis profile runs few
+examples.  The
 spectrum is read independently of the package: Omega must vanish outside the
 shift classes delta = a - b mod d, and then its eigenvalues are those of its
 d blocks of size d x d.
@@ -20,13 +22,19 @@ from biverify import (
     Direction,
     build_strategy,
     closed_form_beta,
+    embed_state,
     exact_pass_rate,
+    fidelity,
+    fidelity_from_pass_rate,
     make_schmidt_state,
+    random_state_at_fidelity,
     random_unbiased_basis,
     state_vector,
     test_projector,
     worst_case_state,
 )
+
+KINDS = ("I", "II", "III", "IV", "V", "VI")
 
 settings.register_profile("large-d", max_examples=3, deadline=None)
 LARGE_D = settings.get_profile("large-d")
@@ -88,6 +96,33 @@ def test_conditional_test_is_a_projector_the_target_passes(target_basis, directi
     assert abs((psi.conj() @ p @ psi).real - 1.0) <= 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8).flatmap(schmidt_vectors), st.integers(1, 3))
+def test_embedding_preserves_the_gap(raw, extra):
+    """Zero-padding the target into a larger local dimension leaves every
+    kind's nu unchanged."""
+    state = make_schmidt_state(raw)
+    embedded = embed_state(state, state.d + extra)
+    for kind in KINDS:
+        nu = build_strategy(state, kind).nu
+        assert abs(build_strategy(embedded, kind).nu - nu) <= 1e-12, kind
+
+
+@given(
+    st.integers(2, 8).flatmap(schmidt_vectors),
+    st.sampled_from(["V", "VI"]),
+    st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_fidelity_round_trip(raw, kind, fid, seed):
+    """A homogeneous strategy's exact pass rate inverts to the fidelity."""
+    state = make_schmidt_state(raw)
+    strat = build_strategy(state, kind)
+    sigma = random_state_at_fidelity(state, fid, np.random.default_rng(seed))
+    estimate = fidelity_from_pass_rate(exact_pass_rate(strat, sigma), strat.beta)
+    assert abs(estimate.fidelity - fidelity(sigma, state)) <= 1e-12
+
+
 def shift_class_spectrum(omega, d):
     """Eigenvalues of Omega, descending, from its d shift-class blocks; Omega
     must vanish outside them."""
@@ -116,5 +151,5 @@ def test_large_d_design_strategy_invariants(target, kind, eps):
     assert abs(w[0] - 1.0) <= ATOL
     assert abs(w[1] - strat.beta) <= ATOL
     assert abs(strat.beta - closed_form_beta(state, kind, strat.p)) <= ATOL
-    sigma = worst_case_state(state, strat, eps)
+    sigma = worst_case_state(strat, eps)
     assert abs(exact_pass_rate(strat, sigma) - (1.0 - strat.nu * eps)) <= ATOL

@@ -109,6 +109,15 @@ class TestRunVerification:
                 assert record.pass_rate == 1.0
                 assert record.std_err == 0.0
 
+    def test_target_exact_rate_is_at_most_one(self):
+        """tr(Omega |Psi><Psi|) rounds above 1 on these targets (kind II at
+        theta = 0.3 gave 1 + 2.2e-16); the rate is a probability."""
+        for s in (two_qubit_state(0.3), make_schmidt_state([3.0, 2.0, 1.0, 0.0])):
+            for kind in KINDS:
+                strat = build_strategy(s, kind)
+                rate = exact_pass_rate(strat, density_operator(target_projector(strat.state)))
+                assert 1.0 - 1e-12 <= rate <= 1.0, (s.d, kind)
+
     def test_exact_rate_for_maximally_mixed(self):
         """tr(Omega)/4 = (1 + 3p)/4 for the one-way homogeneous strategy."""
         s = two_qubit_state(np.pi / 4)
@@ -119,7 +128,7 @@ class TestRunVerification:
     def test_worst_case_calibration(self):
         s = two_qubit_state(np.pi / 4)
         strat = build_strategy(s, "I")
-        sigma = worst_case_state(s, strat, 0.1)
+        sigma = worst_case_state(strat, 0.1)
         record = run_verification(strat, sigma, 10**5, seed=11)
         assert record.exact_rate == pytest.approx(0.95, abs=1e-12)
         assert abs(record.pass_rate - record.exact_rate) <= 3 * record.std_err

@@ -219,14 +219,14 @@ class TestWorstCaseState:
     def test_saturates_pass_probability(self, kind, theta, eps, expect):
         s = two_qubit_state(theta)
         strategy = build_strategy(s, kind)
-        sigma = worst_case_state(s, strategy, eps)
+        sigma = worst_case_state(strategy, eps)
         assert abs(exact_pass_rate(strategy, sigma) - expect) <= 1e-10
         assert abs(fidelity(sigma, s) - (1 - eps)) <= 1e-12
 
     def test_zero_infidelity_returns_target(self):
         s = two_qubit_state(np.pi / 6)
         strategy = build_strategy(s, "IV")
-        sigma = worst_case_state(s, strategy, 0.0)
+        sigma = worst_case_state(strategy, 0.0)
         assert np.allclose(sigma.matrix, target_projector(s), atol=1e-14)
         assert exact_pass_rate(strategy, sigma) == pytest.approx(1.0, abs=1e-12)
 
@@ -235,7 +235,7 @@ class TestWorstCaseState:
     def test_bound_attained_for_all_builtins(self, kind, eps):
         s = make_schmidt_state([2.0, 1.0, 1.0])
         strategy = build_strategy(s, kind)
-        sigma = worst_case_state(strategy.state, strategy, eps)
+        sigma = worst_case_state(strategy, eps)
         expect = 1.0 - strategy.nu * eps
         assert abs(exact_pass_rate(strategy, sigma) - expect) <= 1e-10
 
@@ -250,10 +250,3 @@ class TestWorstCaseState:
             for _ in range(1000):
                 sigma = random_state_at_fidelity(s, 1.0 - eps, rng)
                 assert exact_pass_rate(strategy, sigma) <= bound + 1e-10
-
-    def test_state_strategy_mismatch(self):
-        s = two_qubit_state(np.pi / 6)
-        other = two_qubit_state(np.pi / 5)
-        strategy = build_strategy(s, "I")
-        with pytest.raises(DimensionMismatchError):
-            worst_case_state(other, strategy, 0.1)

@@ -7,7 +7,6 @@ from biverify import (
     Basis,
     Direction,
     assemble_strategy,
-    beta_nu,
     build_strategy,
     closed_form_beta,
     fourier_basis,
@@ -353,20 +352,17 @@ class TestBetaNu:
     def test_kind_i_off_optimum(self):
         s = two_qubit_state(np.pi / 6)
         strat = build_strategy(s, "I", p=0.7)
-        beta, nu = beta_nu(strat)
-        assert beta == pytest.approx(0.7, abs=1e-10)
-        assert nu == pytest.approx(0.3, abs=1e-10)
+        assert strat.beta == pytest.approx(0.7, abs=1e-10)
+        assert strat.nu == pytest.approx(0.3, abs=1e-10)
 
     def test_kind_ii_optimum(self):
         strat = build_strategy(two_qubit_state(np.pi / 6), "II")
-        beta, _ = beta_nu(strat)
-        assert beta == pytest.approx(3 / 7, abs=1e-10)
+        assert strat.beta == pytest.approx(3 / 7, abs=1e-10)
 
     def test_kind_v_homogeneous_beta(self):
         strat = build_strategy(two_qubit_state(np.pi / 4), "V", p=1 / np.e)
-        beta, nu = beta_nu(strat)
-        assert beta == pytest.approx(1 / np.e, abs=1e-12)
-        assert nu == pytest.approx(1 - 1 / np.e, abs=1e-12)
+        assert strat.beta == pytest.approx(1 / np.e, abs=1e-12)
+        assert strat.nu == pytest.approx(1 - 1 / np.e, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["I", "II", "III", "IV"])
     def test_default_p_is_optimal_on_a_grid(self, kind):

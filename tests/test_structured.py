@@ -19,7 +19,6 @@ from biverify import (
     Direction,
     RandomizedDiagonalTest,
     WeightedBasisSet,
-    beta_nu,
     build_strategy,
     closed_form_beta,
     embed_state,
@@ -29,6 +28,7 @@ from biverify import (
     prime_mub_set,
     roy_scott_set,
     standard_basis,
+    state_vector,
     two_qubit_state,
     verify_2design,
     worst_case_state,
@@ -365,6 +365,28 @@ def test_design_tests_hold_few_basis_stacks():
     assert peak <= 3.5 * stack_bytes
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_worst_case_state_solves_no_eigenproblem(kind, monkeypatch):
+    """The build keeps a unit beta eigenvector orthogonal to the target
+    (kind II on the embedded target), and worst_case_state mixes it in
+    without calling an eigensolver."""
+    strat = build_strategy(TARGETS["d4-zero-tail"], kind)
+    chi, psi = strat.beta_vector, state_vector(strat.state)
+    assert not chi.flags.writeable
+    assert abs(np.linalg.norm(chi) - 1.0) <= ATOL and abs(psi.conj() @ chi) <= ATOL
+    assert np.abs(strat.omega @ chi - strat.beta * chi).max() <= 1e-10
+    calls = []
+    eig = linalg.eig_hermitian
+
+    def counting_eig(h):
+        calls.append(np.shape(h))
+        return eig(h)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", counting_eig)
+    worst_case_state(strat, 0.1)
+    assert calls == []
+
+
 def test_max_eig_dim_limits_only_the_dense_path(monkeypatch):
     """With the dense eigensolver capped below d^2, the design kinds still
     build from the d x d block, and kind I, which has no such block, raises."""
@@ -374,10 +396,8 @@ def test_max_eig_dim_limits_only_the_dense_path(monkeypatch):
         strat = build_strategy(state, kind)
         expected = closed_form_beta(strat.state, kind, strat.p)
         assert abs(strat.beta - expected) <= 1e-10
-        beta, nu = beta_nu(strat)
-        assert abs(beta - expected) <= 1e-10
         for eps in (0.3, 0.01):
-            sigma = worst_case_state(state, strat, eps)
-            assert abs(exact_pass_rate(strat, sigma) - (1.0 - nu * eps)) <= 1e-10
+            sigma = worst_case_state(strat, eps)
+            assert abs(exact_pass_rate(strat, sigma) - (1.0 - strat.nu * eps)) <= 1e-10
     with pytest.raises(OutOfRangeError, match="exceeds supported maximum"):
         build_strategy(state, "I")
