@@ -3,11 +3,11 @@
 Every operator in this package is a small dense ``complex128`` matrix, so
 numpy's eigensolver is used directly; what this module adds are the explicit
 tolerance checks, the descending eigenvalue convention the verification
-analysis relies on, and the block spectrum of operators on C^d x C^d that
-commute with the local phases diag(e^{i phi}) x diag(e^{-i phi}).  The Gram
-sum ``weighted_gram`` serves kind I, custom mixtures and ``verify_2design``;
-the design strategies build their operators from shift blocks instead (see
-``strategies._design_average``).
+analysis relies on, and the spectrum of an operator on C^d x C^d given as a
+d x d block on span{|jj>} plus a diagonal, the form in which the design
+strategies build their operators (see ``strategies.build_strategy``).  The
+Gram sum ``weighted_gram`` serves kind I, custom mixtures and
+``verify_2design``.
 """
 from __future__ import annotations
 
@@ -19,11 +19,6 @@ from .errors import NonHermitianError, OutOfRangeError
 
 HERMITIAN_ATOL = 1e-10
 MAX_EIG_DIM = 4096
-# Frobenius norm up to which the part of a d^2 x d^2 operator outside the
-# {|jj>} block and the diagonal is treated as round-off.  By Weyl's
-# inequality no eigenvalue moves by more than this norm; the design
-# strategies' operators measure below 1e-15 there up to d = 20.
-PHASE_BLOCK_ATOL = 1e-12
 # Blocks stacked into one matrix product by weighted_gram: large enough for
 # BLAS to run at full speed, small enough that the stack stays a few MiB.
 GRAM_CHUNK = 16
@@ -77,43 +72,41 @@ def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     ``w[i]``.  No eigenvector convention is promised inside a degenerate
     eigenspace.
     """
-    h = require_hermitian(h)
+    h = as_matrix(h)
     if h.shape[0] > MAX_EIG_DIM:
         raise OutOfRangeError(
             f"matrix dimension {h.shape[0]} exceeds supported maximum {MAX_EIG_DIM}"
         )
+    h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def eig_phase_invariant(h, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum and top two eigenvectors of a Hermitian d^2 x d^2 operator,
-    read from its d x d block on span{|jj>} when the operator has that
-    structure.
+def eig_phase_invariant(block, diagonal) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum and top two eigenvectors of the d^2 x d^2 operator
+    diag(``diagonal``) plus ``block`` on span{|jj>}.
 
-    An operator that commutes with every diag(e^{i phi}) x diag(e^{-i phi})
-    is one d x d block on span{|jj>} plus a diagonal on the |jk> (j != k),
-    as are the design strategies' operators.  When the rest of ``h`` has a
-    Frobenius norm of at most PHASE_BLOCK_ATOL, the block is solved with
-    ``eig_hermitian`` and each |jk> diagonal entry is an eigenvalue with
-    eigenvector |jk>; otherwise ``h`` is solved densely.  Returns ``(w, v)``:
-    all d^2 eigenvalues ``w`` in descending order (multiplicities repeated;
-    on ties the block's come first) and the d^2 x 2 matrix ``v`` whose
-    columns are orthonormal eigenvectors for ``w[0]`` and ``w[1]``, the only
-    ones a strategy reads.
+    Such an operator, which commutes with every diag(e^{i phi}) x
+    diag(e^{-i phi}), is the d x d matrix ``block`` + diag(diagonal at the
+    |jj>) on span{|jj>}, solved with ``eig_hermitian``, plus the eigenvalue
+    ``diagonal[jk]`` with eigenvector |jk> for each j != k.  Returns
+    ``(w, v)``: all d^2 eigenvalues ``w`` in descending order (multiplicities
+    repeated; on ties the block's come first) and the d^2 x 2 matrix ``v``
+    whose columns are orthonormal eigenvectors for ``w[0]`` and ``w[1]``, the
+    only ones a strategy reads.
     """
-    h = as_matrix(h)
+    block = as_matrix(block)
+    d = block.shape[0]
     n = d * d
-    if h.shape != (n, n):
-        raise OutOfRangeError(f"expected a {n}x{n} matrix, got shape {h.shape}")
+    diagonal = np.asarray(diagonal, dtype=float)
+    if block.shape != (d, d) or diagonal.shape != (n,):
+        raise OutOfRangeError(f"expected a {d}x{d} block and {n} diagonal entries")
+    if not np.isfinite(diagonal).all():
+        raise OutOfRangeError("diagonal entries must be finite")
     jj = np.arange(d) * (d + 1)
-    if _off_block_norm(h, jj) > PHASE_BLOCK_ATOL:
-        w, v = eig_hermitian(h)
-        return w, v[:, :2].copy()
-    require_hermitian(h)
-    wb, vb = eig_hermitian(h[np.ix_(jj, jj)])
+    wb, vb = eig_hermitian(block + np.diag(diagonal[jj]))
     off = np.flatnonzero(np.arange(n) % (d + 1))  # the |jk>, j != k
-    w = np.concatenate([wb, h.diagonal().real[off]])
+    w = np.concatenate([wb, diagonal[off]])
     order = np.argsort(-w, kind="stable")
     v = np.zeros((n, 2), dtype=complex)
     for col, i in enumerate(order[:2]):
@@ -122,12 +115,3 @@ def eig_phase_invariant(h, d: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             v[off[i - d], col] = 1.0
     return w[order], v
-
-
-def _off_block_norm(h: np.ndarray, jj: np.ndarray) -> float:
-    """Frobenius norm of ``h`` outside its (jj, jj) block and its diagonal."""
-    rest = h.copy()
-    rest[np.ix_(jj, jj)] = 0.0
-    rest.flat[:: h.shape[0] + 1] = 0.0
-    return float(np.linalg.norm(rest))
-

@@ -71,13 +71,11 @@ class DensityOperator:
 
     def __post_init__(self):
         m = linalg.as_matrix(self.matrix)
-        if not np.isfinite(m).all():
-            raise OutOfRangeError("density matrix entries must be finite")
-        m = linalg.require_hermitian(m)
         if m.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"expected a {self.dim}x{self.dim} matrix, got {m.shape}"
             )
+        m = linalg.require_hermitian(m)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise OutOfRangeError(f"trace must be 1, got {tr:.12g}")

@@ -51,7 +51,7 @@ from .errors import (
     SeparableStateError,
     TopEigenvalueError,
 )
-from .states import SchmidtState, embed_state, state_vector, target_projector
+from .states import SchmidtState, embed_state, state_vector
 
 # support weights below the smallest normal double lose the unit conditional ket
 SUPPORT_CUTOFF = np.finfo(float).tiny
@@ -131,10 +131,10 @@ class Strategy:
     """A convex mixture of tests with its spectral data.
 
     ``omega`` is the weighted sum of the test operators, formed from their
-    factors (for the design kinds, from the d shift blocks of the A -> B
-    design average and their party swap, so equal to the term-by-term sum up
-    to round-off); ``beta`` is its second-largest eigenvalue and
-    ``nu = 1 - beta`` the spectral gap.  ``beta_vector`` is a unit
+    factors for kind I and custom mixtures; for kinds II-VI it is the closed
+    form that the design certificate proves equal to that sum up to
+    round-off (see ``build_strategy``).  ``beta`` is its second-largest
+    eigenvalue and ``nu = 1 - beta`` the spectral gap.  ``beta_vector`` is a unit
     eigenvector of ``omega`` for ``beta`` orthogonal to the target, the
     direction of the worst-case state (see ``states.worst_case_state``).
     ``p`` records the mixing probability of the standard/diagonal test for
@@ -260,12 +260,30 @@ def pi_operator(state: SchmidtState, direction: Direction = Direction.A_TO_B) ->
     Equals |Psi><Psi| + I x rho_B - sum_k c_k^2 |kk><kk| for the one-way
     direction (the mirrored form for the other).
     """
+    return _dense(*_pi_parts(state, (direction,)))
+
+
+def _pi_parts(state: SchmidtState, directions) -> tuple[np.ndarray, np.ndarray]:
+    """Pi averaged over ``directions`` as (block, diagonal) (see ``_dense``):
+    |Psi><Psi| is c c^T on span{|jj>}, and I x rho_B (rho_A x I for B -> A)
+    is diagonal, with its |jj> entries cancelled by sum_k c_k^2 |kk><kk|."""
     d = state.d
     c2 = state.coeffs**2
-    # I x rho_B (rho_A x I for B -> A) is diagonal in the |jk> basis
-    diagonal = np.tile(c2, d) if direction is Direction.A_TO_B else np.repeat(c2, d)
-    diagonal[np.arange(d) * (d + 1)] -= c2
-    return target_projector(state) + np.diag(diagonal)
+    one_way = {Direction.A_TO_B: np.tile(c2, d), Direction.B_TO_A: np.repeat(c2, d)}
+    diagonal = np.mean([one_way[x] for x in directions], axis=0)
+    diagonal[np.arange(d) * (d + 1)] = 0.0
+    return np.outer(state.coeffs, state.coeffs), diagonal
+
+
+def _dense(block: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """The d^2 x d^2 matrix diag(``diagonal``) plus ``block`` on span{|jj>}."""
+    d = block.shape[0]
+    n = d * d
+    out = np.zeros((n, n), dtype=complex)
+    out.flat[:: n + 1] = diagonal
+    jj = np.arange(d) * (d + 1)
+    out[np.ix_(jj, jj)] += block
+    return out
 
 
 def _mix(d: int, tests) -> np.ndarray:
@@ -317,7 +335,8 @@ def assemble_strategy(
     as the top eigenvector.
     """
     tests = _checked_tests(state, tests)
-    return _with_spectrum(state, tests, _mix(state.d, tests), label, p)
+    omega = _mix(state.d, tests)
+    return _with_spectrum(state, tests, omega, linalg.eig_hermitian(omega), label, p)
 
 
 def _checked_tests(state: SchmidtState, tests) -> tuple:
@@ -336,15 +355,16 @@ def _checked_tests(state: SchmidtState, tests) -> tuple:
     return tests
 
 
-def _with_spectrum(state, tests, omega, label, p) -> Strategy:
-    """The strategy with operator ``omega``, after checking that its top
-    eigenvalue is 1 with the target as the top eigenvector.
+def _with_spectrum(state, tests, omega, spectrum, label, p) -> Strategy:
+    """The strategy with operator ``omega`` and its ``spectrum`` ``(w, v)``,
+    after checking that its top eigenvalue is 1 with the target as the top
+    eigenvector.
 
     The second eigenvector is kept as ``beta_vector`` once projected off the
     target; it is orthogonal to the top one, which overlaps the target to
     1e-8, so the projection leaves it nearly unit.
     """
-    w, v = linalg.eig_phase_invariant(omega, state.d)
+    w, v = spectrum
     if abs(w[0] - 1.0) > TOP_EIGENVALUE_ATOL:
         raise TopEigenvalueError(f"top eigenvalue is {w[0]:.12g}, expected 1")
     psi = state_vector(state)
@@ -480,45 +500,33 @@ def _design_residual(state: SchmidtState, blocks: np.ndarray) -> float:
 
 
 def _design_tests(state, design, total, two_way):
-    """Tests realizing `total * Pi` (averaged over directions) from a design,
-    and the part of Omega they contribute.
+    """The weighted tests realizing `total * Pi` (averaged over directions)
+    from a design.
 
     The design bases are stacked once; that array gives the shift blocks of
     the design average (``_design_average``), checked against d/(d+1) Pi
     before the tests are used, and then the A -> B tests, built in one batch.
-    A B -> A test is its A -> B twin with the parties swapped, SWAP P SWAP,
-    which maps class delta to class -delta, so the two-way part scatters each
-    block a second time at the swapped positions |a-delta, a> and the twins
-    are not rebuilt.
+    A B -> A test is its A -> B twin with the parties swapped, which shares
+    the twin's factors, so the twins are not rebuilt.  The tests contribute
+    nothing to Omega here: the certificate proves their sum equal to the
+    closed form that ``build_strategy`` uses.
     """
-    d = state.d
     bases, weights = design.bases[1:], design.weights[1:]
     stack = np.stack([basis.vectors for basis in bases])
-    blocks = _design_average(state, stack, weights)
-    residual = _design_residual(state, blocks)
+    residual = _design_residual(state, _design_average(state, stack, weights))
     if residual > DESIGN_ATOL:
         raise DesignMismatchError(
             f"design average misses the closed form by {residual:.3e}"
         )
     forward = _projector_tests(state, bases, stack, Direction.A_TO_B)
-    del stack  # before Omega is allocated
-    share = (d + 1) / d / (2 if two_way else 1)
+    share = (state.d + 1) / state.d / (2 if two_way else 1)
     tests = []
     for weight, test in zip(weights, forward):
         q = total * share * float(weight)
         tests.append((q, test))
         if two_way:
             tests.append((q, replace(test, direction=Direction.B_TO_A)))
-    blocks *= total * share
-    a = np.arange(d)
-    b = (a[None, :] - a[:, None]) % d  # b[delta, a] = a - delta
-    omega = np.zeros((d * d, d * d), dtype=complex)
-    index = a * d + b  # index[delta] lists the kets |a, a-delta>
-    omega[index[:, :, None], index[:, None, :]] = blocks
-    if two_way:
-        index = b * d + a  # the swapped kets |a-delta, a>
-        omega[index[:, :, None], index[:, None, :]] += blocks
-    return tests, omega
+    return tests
 
 
 def _diagonal(test) -> np.ndarray:
@@ -561,11 +569,14 @@ def build_strategy(
     strategy acts on the enlarged space (see ``Strategy.state``) and keeps
     the same spectral gap.  Whenever a design is used, each design basis must
     be a phase-dressed Fourier basis, and the identity sum_{l>=1} w_l P_l =
-    d/(d+1) Pi is checked once, on the shift blocks of the average that
-    Omega reuses; it is the build's one certificate of the design, and the
-    basis set itself is not re-checked (``bases.verify_2design`` certifies
-    it separately).  The design part costs O(m d^3) time for m bases, and
-    the build holds Omega as one dense d^2 x d^2 matrix.
+    d/(d+1) Pi is checked once, on the shift blocks of that average; it is
+    the build's one certificate of the design, and the basis set itself is
+    not re-checked (``bases.verify_2design`` certifies it separately).  Once
+    it holds, Omega is p times the head test's diagonal plus (1 - p) Pi
+    (averaged over the two directions for IV and VI): a d x d block on
+    span{|jj>} plus a d^2 diagonal, whose spectrum is one d x d eigensolve
+    (``linalg.eig_phase_invariant``).  The design part costs O(m d^3) time
+    for m bases, and the strategy holds Omega as one dense d^2 x d^2 matrix.
     """
     kind = _normalize_kind(kind)
     if not state.is_entangled:
@@ -606,13 +617,13 @@ def build_strategy(
             head = [(p, two_way_diagonal_test(state, p))]
         # kind II refuses m and has a prime d here: the complete MUB set
         design = design_for_dimension(d, m)
-        design_tests, omega = _design_tests(
-            state, design, 1.0 - p, two_way=kind in ("IV", "VI")
-        )
-        tests = _checked_tests(state, head + design_tests)
-        for q, test in head:
-            omega.flat[:: d * d + 1] += q * _diagonal(test)
-        strategy = _with_spectrum(state, tests, omega, kind, p)
+        two_way = kind in ("IV", "VI")
+        tests = _checked_tests(state, head + _design_tests(state, design, 1.0 - p, two_way))
+        directions = tuple(Direction) if two_way else (Direction.A_TO_B,)
+        block, diagonal = (x * (1.0 - p) for x in _pi_parts(state, directions))
+        diagonal += sum(q * _diagonal(test) for q, test in head)
+        spectrum = linalg.eig_phase_invariant(block, diagonal)
+        strategy = _with_spectrum(state, tests, _dense(block, diagonal), spectrum, kind, p)
     expected = closed_form_beta(state, kind, p)
     if abs(strategy.beta - expected) > BETA_CROSSCHECK_ATOL:
         raise DesignMismatchError(

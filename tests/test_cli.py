@@ -474,6 +474,17 @@ class TestMalformedInput:
         self.assert_validation_error(code, err)
         assert "must be finite" in err
 
+    def test_noise_file_with_non_square_matrix(self, tmp_path, capsys):
+        """A 3x4 matrix is refused by its shape, not as non-Hermitian."""
+        noise = tmp_path / "rho.json"
+        noise.write_text(json.dumps({"real": (np.ones((3, 4)) / 3).tolist()}))
+        code, _, err = run_cli(
+            ["simulate", "--theta", "0.5", "--strategy", "V", "--noise", f"file:{noise}"],
+            capsys,
+        )
+        self.assert_validation_error(code, err)
+        assert "DimensionMismatchError" in err and "(3, 4)" in err
+
     def test_noise_file_without_real_part(self, tmp_path, capsys):
         noise = tmp_path / "rho.json"
         noise.write_text(json.dumps({"imag": np.zeros((4, 4)).tolist()}))

@@ -7,10 +7,15 @@ orthonormal, which ``Basis`` certifies and the build does not re-check; the
 first property checks that fact on the dense matrix.  At large d, builds take
 a fraction of a second, but the dense worst-case state's positivity check
 costs an O(d^6) eigensolve, so the "large-d" hypothesis profile runs few
-examples.  The
-spectrum is read independently of the package: Omega must vanish outside the
-shift classes delta = a - b mod d, and then its eigenvalues are those of its
-d blocks of size d x d.
+examples.
+
+For the design kinds the build forms Omega from the closed form of the design
+average, not from the tests, so the large-d property checks both sides: Omega
+is exactly zero outside the span{|jj>} block and the diagonal, and the tests
+realize it, on a random vector, through their own factors.  The spectrum is
+read independently of the package: Omega must vanish outside the shift
+classes delta = a - b mod d, and then its eigenvalues are those of its d
+blocks of size d x d.
 """
 
 import numpy as np
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 
 from biverify import (
     Basis,
+    ConditionalProjectorTest,
     Direction,
     build_strategy,
     closed_form_beta,
@@ -139,12 +145,33 @@ def shift_class_spectrum(omega, d):
     large_targets(),
     st.sampled_from(["II", "III", "IV", "V", "VI"]),
     st.floats(0.01, 0.5),
+    st.integers(0, 2**32 - 1),
 )
-def test_large_d_design_strategy_invariants(target, kind, eps):
-    """Top eigenvalue 1 on the target, beta at its closed form, and the
-    worst-case state passing with probability exactly 1 - nu * eps."""
+def test_large_d_design_strategy_invariants(target, kind, eps, seed):
+    """Omega is exactly zero outside the span{|jj>} block and the diagonal,
+    the tests realize it (x^dagger Omega x is the q-weighted sum of each
+    test's pass probability on a random unit x, read from the test's
+    factors in O(m d^3)), top eigenvalue 1 on the target, beta at its closed
+    form, and the worst-case state passing with probability exactly
+    1 - nu * eps."""
     strat = build_strategy(target, kind)
     state = strat.state
+    d = state.d
+    jj = np.arange(d) * (d + 1)
+    rest = strat.omega.copy()
+    rest[np.ix_(jj, jj)] = 0.0
+    rest.flat[:: d * d + 1] = 0.0
+    assert not rest.any()
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    x /= np.linalg.norm(x)
+    realized = sum(
+        q * float(np.sum(np.abs(test.pair_vectors().conj().T @ x) ** 2))
+        if isinstance(test, ConditionalProjectorTest)
+        else q * float(test.acceptance.ravel() @ np.abs(x) ** 2)
+        for q, test in strat.tests
+    )
+    assert abs((x.conj() @ strat.omega @ x).real - realized) <= ATOL
     psi = state_vector(state)
     assert np.abs(strat.omega @ psi - psi).max() <= ATOL
     w = shift_class_spectrum(strat.omega, state.d)

@@ -198,6 +198,11 @@ class TestDensityOperatorValidation:
         with pytest.raises(OutOfRangeError, match="finite"):
             density_operator(m)
 
+    def test_rejects_non_square_matrix_by_shape(self):
+        """A 3x4 matrix is named by its shape, not reported as non-Hermitian."""
+        with pytest.raises(DimensionMismatchError, match=r"\(3, 4\)"):
+            density_operator(np.ones((3, 4)) / 3)
+
     def test_rejects_nonunit_trace(self):
         with pytest.raises(OutOfRangeError):
             density_operator(np.eye(4))

@@ -350,8 +350,9 @@ def test_design_tests_hold_few_basis_stacks():
     """The design bases are stacked once and shared by the phase certificate,
     the shift blocks and the test batch: at d=24 kind VI the traced peak of
     _design_tests stays within 3.5 stacks of size (m-1) d^2 complex entries
-    (the stack, the conditional kets and one temporary), with Omega and the
-    returned tests included."""
+    (the stack, the conditional kets and one temporary), with the returned
+    tests included.  _design_tests allocates no Omega: the build forms it
+    from the closed form."""
     d = 24
     state = make_schmidt_state(np.arange(d, 0, -1.0))
     design = strategies.design_for_dimension(d)
