@@ -5,6 +5,11 @@ bases (MUBs) for prime dimensions, and the weighted phase-basis designs of
 Roy and Scott, together with numerical checks of unbiasedness and of the
 2-design second-moment identity.
 
+Both design families are phase-dressed Fourier bases diag(row) F by their
+formulas (Wootters and Fields, 1989; Roy and Scott, 2007).  ``_design``
+picks the design for (d, m) and holds its row-phase table and weights; the
+two constructors, the ``check-design`` command and a strategy build read it.
+
 Each fact about a construction is certified in one place.  ``Basis`` checks
 that its kets are orthonormal.  The 2-design identity of a basis set is
 certified by ``verify_2design``, which the ``check-design`` command and the
@@ -12,12 +17,15 @@ tests run; for d+1 bases with uniform weights it holds exactly when the
 bases are mutually unbiased (Klappenecker and Roetteler, 2005), so the MUB
 sets need no separate pairwise check.  A strategy build certifies the
 identity it relies on, the design test average d/(d+1) Pi, on the shift
-blocks of that average (see ``strategies.build_strategy``).
+blocks of that average, formed from the row-phase table (see
+``strategies.build_strategy``).
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,19 +107,21 @@ class WeightedBasisSet:
 
 def standard_basis(d: int) -> Basis:
     """Coordinate basis {|j>}."""
-    if d < 2:
-        raise OutOfRangeError(f"dimension must be >= 2, got {d}")
+    d = _integer_arg("dimension", d, 2)
     return Basis(d=d, vectors=np.eye(d, dtype=complex))
+
+
+def _fourier_phases(d: int) -> np.ndarray:
+    """The d x d matrix of omega^{jk}, omega = exp(2 pi i/d)."""
+    j = np.arange(d)
+    # reduce exponents mod d before exponentiating to keep phases exact
+    return np.exp(2j * np.pi * (np.outer(j, j) % d) / d)
 
 
 def fourier_basis(d: int) -> Basis:
     """Basis with ket j having components omega^{jk}/sqrt(d), omega = exp(2 pi i/d)."""
-    if d < 2:
-        raise OutOfRangeError(f"dimension must be >= 2, got {d}")
-    j = np.arange(d)
-    # reduce exponents mod d before exponentiating to keep phases exact
-    expo = np.outer(j, j) % d
-    return Basis(d=d, vectors=np.exp(2j * np.pi * expo / d) / math.sqrt(d))
+    d = _integer_arg("dimension", d, 2)
+    return Basis(d=d, vectors=_fourier_phases(d) / math.sqrt(d))
 
 
 def random_unbiased_basis(d: int, rng: np.random.Generator) -> Basis:
@@ -159,6 +169,18 @@ def _check_tolerance(tol: float) -> None:
         raise OutOfRangeError(f"tolerance must be finite and >= 0, got {tol}")
 
 
+def _integer_arg(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as a Python int in [``minimum``, ``maximum``]; bools and
+    non-integers raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise OutOfRangeError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise OutOfRangeError(f"{name} must be <= {maximum}, got {value}")
+    return int(value)
+
+
 def maximally_entangled_ket(d: int) -> np.ndarray:
     """|Phi> = sum_j |jj> / sqrt(d) on C^{d^2}."""
     phi = np.zeros(d * d, dtype=complex)
@@ -198,22 +220,10 @@ def prime_mub_set(d: int) -> WeightedBasisSet:
     certifies the set, which is a 2-design exactly when its bases are
     mutually unbiased.
     """
+    d = _integer_arg("dimension", d, 2)
     if not is_prime(d):
         raise NotPrimeError(f"{d} is not prime; embed into a larger space instead")
-    bases = [standard_basis(d)]
-    if d == 2:
-        s = 1.0 / math.sqrt(2.0)
-        bases.append(Basis(d=2, vectors=np.array([[s, s], [s, -s]], dtype=complex)))
-        bases.append(Basis(d=2, vectors=np.array([[s, s], [1j * s, -1j * s]])))
-    else:
-        k = np.arange(d)
-        for r in range(1, d + 1):
-            cols = np.empty((d, d), dtype=complex)
-            for j in range(d):
-                expo = (r * k * k + j * k) % d
-                cols[:, j] = np.exp(2j * np.pi * expo / d)
-            bases.append(Basis(d=d, vectors=cols / math.sqrt(d)))
-    return WeightedBasisSet(bases=tuple(bases), weights=np.full(d + 1, 1.0 / (d + 1)))
+    return _design(d).basis_set
 
 
 def min_design_size(d: int) -> int:
@@ -231,25 +241,62 @@ def roy_scott_set(d: int, m: int | None = None) -> WeightedBasisSet:
     vanishes for every k, all phase bases collapse onto the Fourier basis,
     and no 2-design can result, so that case is rejected.
     """
+    d = _integer_arg("dimension", d, 2)
     if d == 2:
         raise DimensionTooSmallError(
             "phase-basis design degenerates at d = 2; use the complete MUB set"
         )
-    if d < 2:
-        raise OutOfRangeError(f"dimension must be >= 2, got {d}")
+    return _design(d, min_design_size(d) if m is None else m).basis_set
+
+
+@dataclass(frozen=True)
+class _Design:
+    """A built-in design: basis 0 is the standard basis, basis l >= 1 is
+    diag(``rows[l-1]``) F with F the Fourier basis, and basis l carries
+    ``weights[l]``.  ``name`` describes the family for ``check-design``."""
+
+    name: str
+    rows: np.ndarray
+    weights: np.ndarray
+
+    @cached_property
+    def basis_set(self) -> WeightedBasisSet:
+        """The design's bases, every phase basis from one vectorized product."""
+        d = self.rows.shape[1]
+        kets = _fourier_phases(d)[None, :, :] * self.rows[:, :, None]
+        kets /= math.sqrt(d)
+        return WeightedBasisSet(
+            bases=(standard_basis(d), *(Basis(d=d, vectors=v) for v in kets)),
+            weights=self.weights,
+        )
+
+
+def _design(d: int, m: int | None = None) -> _Design:
+    """The built-in design for (d, m): the complete MUB set when d is prime
+    and m is None (``prime_mub_set``; at d = 2 the rows (1, 1) and (1, i)),
+    the Roy-Scott design of m bases otherwise (``roy_scott_set``, m defaults
+    to ``min_design_size(d)``).  At d = 2 only the MUB set exists, so m is
+    refused there."""
+    d = _integer_arg("dimension", d, 2)
+    k = np.arange(d)
+    if m is None and is_prime(d):
+        if d == 2:
+            rows = np.array([[1.0, 1.0], [1.0, 1j]])
+        else:
+            r = np.arange(1, d + 1)
+            rows = np.exp(2j * np.pi * (np.outer(r, k * k) % d) / d)
+        return _Design(f"complete MUB set d={d}", rows, np.full(d + 1, 1.0 / (d + 1)))
+    if d == 2:
+        raise OutOfRangeError(
+            "the design size m does not apply at d = 2, which always uses the "
+            "complete MUB set"
+        )
     bound = min_design_size(d)
-    if m is None:
-        m = bound
+    m = bound if m is None else _integer_arg("design size m", m, 1)
     if m < bound:
         raise TooFewBasesError(f"need at least {bound} bases for d={d}, got {m}")
-    k = np.arange(d)
-    comb2 = (k * (k - 1)) // 2
     l = np.arange(1, m)
-    # phases[l-1, k, j] = exp(2 pi i jk/d) * exp(2 pi i l binom(k,2)/(m-1))
-    phase_l = np.exp(2j * np.pi * (np.outer(l, comb2) % (m - 1)) / (m - 1))
-    phase_j = np.exp(2j * np.pi * (np.outer(k, k) % d) / d)
-    phases = phase_j[None, :, :] * phase_l[:, :, None] / math.sqrt(d)
-    bases = [standard_basis(d)] + [Basis(d=d, vectors=cols) for cols in phases]
+    rows = np.exp(2j * np.pi * (np.outer(l, (k * (k - 1)) // 2) % (m - 1)) / (m - 1))
     weights = np.full(m, d / ((m - 1) * (d + 1)))
     weights[0] = 1.0 / (d + 1)
-    return WeightedBasisSet(bases=tuple(bases), weights=weights)
+    return _Design(f"phase-basis design d={d} m={m}", rows, weights)

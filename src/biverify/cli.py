@@ -265,16 +265,11 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_check_design(args) -> int:
-    if args.m is None and bases.is_prime(args.d):
-        basis_set = bases.prime_mub_set(args.d)
-        label = f"complete MUB set d={args.d}"
-    else:
-        basis_set = bases.roy_scott_set(args.d, args.m)
-        label = f"phase-basis design d={args.d} m={basis_set.m}"
-    ok, residual = bases.verify_2design(basis_set, tol=args.tol)
+    design = bases._design(args.d, args.m)
+    ok, residual = bases.verify_2design(design.basis_set, tol=args.tol)
     status = "PASS" if ok else "FAIL"
     _emit(
-        f"2-design check [{label}]: {status} residual={residual:.3e} "
+        f"2-design check [{design.name}]: {status} residual={residual:.3e} "
         f"(tolerance {args.tol:.1e})\n",
         args.out,
     )

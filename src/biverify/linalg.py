@@ -64,6 +64,12 @@ def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return h
 
 
+def check_eig_dim(n: int) -> None:
+    """Refuse an n x n eigenproblem above ``MAX_EIG_DIM``."""
+    if n > MAX_EIG_DIM:
+        raise OutOfRangeError(f"matrix dimension {n} exceeds supported maximum {MAX_EIG_DIM}")
+
+
 def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a Hermitian matrix.
 
@@ -73,10 +79,7 @@ def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     eigenspace.
     """
     h = as_matrix(h)
-    if h.shape[0] > MAX_EIG_DIM:
-        raise OutOfRangeError(
-            f"matrix dimension {h.shape[0]} exceeds supported maximum {MAX_EIG_DIM}"
-        )
+    check_eig_dim(h.shape[0])
     h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
     return w[::-1].copy(), v[:, ::-1].copy()

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .analysis import fidelity_from_pass_rate
+from .bases import _integer_arg
 from .errors import DimensionMismatchError, NotHomogeneousError, OutOfRangeError
 from .states import DensityOperator
 from .strategies import (
@@ -73,18 +73,6 @@ class FidelityEstimate:
     f_hat: float
     std_err: float
     record: RunRecord
-
-
-def _integer_arg(name: str, value, minimum: int, maximum: int | None = None) -> int:
-    """``value`` as a Python int in [``minimum``, ``maximum``]; bools and
-    non-integers raise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise OutOfRangeError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise OutOfRangeError(f"{name} must be <= {maximum}, got {value}")
-    return int(value)
 
 
 def trial_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -34,14 +34,12 @@ from . import linalg
 from .bases import (
     DESIGN_ATOL,
     _check_tolerance,
+    _design,
     Basis,
-    WeightedBasisSet,
     fourier_basis,
     is_prime,
     is_unbiased,
     next_prime,
-    prime_mub_set,
-    roy_scott_set,
     standard_basis,
 )
 from .errors import (
@@ -306,20 +304,6 @@ def _mix(d: int, tests) -> np.ndarray:
     return omega
 
 
-def design_for_dimension(d: int, m: int | None = None) -> WeightedBasisSet:
-    """Weighted basis set suitable for the design strategies: the complete
-    MUB set when d is prime, the phase-basis design otherwise.  At d = 2 only
-    the complete MUB set exists, so a design size ``m`` is rejected there."""
-    if d == 2 and m is not None:
-        raise OutOfRangeError(
-            "the design size m does not apply at d = 2, which always uses the "
-            "complete MUB set"
-        )
-    if is_prime(d) and m is None:
-        return prime_mub_set(d)
-    return roy_scott_set(d, m)
-
-
 def assemble_strategy(
     state: SchmidtState,
     tests,
@@ -335,6 +319,7 @@ def assemble_strategy(
     as the top eigenvector.
     """
     tests = _checked_tests(state, tests)
+    linalg.check_eig_dim(state.d * state.d)  # before the d^2 x d^2 Gram product
     omega = _mix(state.d, tests)
     return _with_spectrum(state, tests, omega, linalg.eig_hermitian(omega), label, p)
 
@@ -431,52 +416,25 @@ def _normalize_kind(kind) -> str:
     return label
 
 
-def _phase_table(stack) -> np.ndarray:
-    """Row phases of a stack of phase-dressed Fourier bases.
+def _design_average(state: SchmidtState, rows, weights) -> np.ndarray:
+    """The weighted average sum_l w_l P_l of the A -> B tests of the phase
+    bases diag(``rows[l]``) F (see ``bases._design``), as its ``d`` shift
+    blocks.
 
-    Every built-in design basis B = ``stack[l]`` is diag(e^{i phi}) F
-    diag(e^{i theta}), with F the Fourier basis.  Then d^2 B[k, j]
-    conj(B[0, j]) conj(B[k, 0]) B[0, 0] is omega^{jk}; that identity is
-    checked on every entry in one pass, and it forces |B[k, j]| = 1/sqrt(d).
-    Returns the ``(n, d)`` table whose row l holds e^{i(phi_k + theta_0)},
-    the column sqrt(d) B[:, 0]; theta_0 cancels from every phase difference.
-    """
-    d = stack.shape[1]
-    k = np.arange(d)
-    fourier = np.exp(2j * np.pi * (np.outer(k, k) % d) / d)
-    product = stack * stack[:, :1, :].conj()
-    product *= stack[:, :, :1].conj()
-    product *= stack[:, :1, :1] * (d * d)
-    product -= fourier
-    defect = np.abs(product).max(axis=(1, 2))
-    worst = int(np.argmax(defect))
-    if not defect[worst] <= DESIGN_ATOL:
-        raise DesignMismatchError(
-            f"design basis {worst + 1} is not a phase-dressed Fourier basis "
-            f"(defect {defect[worst]:.3e})"
-        )
-    return stack[:, :, 0] * math.sqrt(d)
-
-
-def _design_average(state: SchmidtState, stack, weights) -> np.ndarray:
-    """The weighted average sum_l w_l P_l of the A -> B tests of the bases in
-    ``stack`` (see ``_phase_table``), as its ``d`` shift blocks.
-
-    The conditional test of a phase-dressed Fourier basis maps |ab> only to
-    kets of the same shift class delta = a - b mod d, and on class delta it
-    is |w_delta><w_delta| with w_delta[a] = c_{a-delta}
-    e^{i(phi_a - phi_{a-delta})} in the basis |a, a-delta>.  So the average
-    is zero outside the classes, and ``blocks[delta]`` = W diag(w) W^dagger
-    with W[a, l] the entry a of basis l's w_delta: d products of size
-    d x n for n bases, O(n d^3) in all.
+    The conditional test of such a basis maps |ab> only to kets of the same
+    shift class delta = a - b mod d, and on class delta it is
+    |w_delta><w_delta| with w_delta[a] = c_{a-delta} row[a] conj(row[a-delta])
+    in the basis |a, a-delta>.  So the average is zero outside the classes,
+    and ``blocks[delta]`` = W diag(w) W^dagger with W[a, l] the entry a of
+    basis l's w_delta: d products of size d x n for n bases, O(n d^3) in
+    all, read from the (n, d) table alone.
     """
     d = state.d
-    table = _phase_table(stack)
     a = np.arange(d)
     blocks = np.empty((d, d, d), dtype=complex)
     for delta in range(d):
         b = (a - delta) % d
-        w = state.coeffs[b][:, None] * (table * table[:, b].conj()).T
+        w = state.coeffs[b][:, None] * (rows * rows[:, b].conj()).T
         blocks[delta] = (w * weights) @ w.conj().T
     return blocks
 
@@ -485,39 +443,41 @@ def _design_residual(state: SchmidtState, blocks: np.ndarray) -> float:
     """max-norm of the shift blocks of a design average minus those of
     d/(d+1) Pi.
 
-    Pi is |Psi><Psi| + I x rho_B - sum_k c_k^2 |kk><kk|: on class 0 that is
-    c c^T, on class delta != 0 the diagonal c_{a-delta}^2.  Entries outside
-    the classes vanish by the algebra, so every nonzero entry is compared,
-    with no d^2 x d^2 temporary.
+    Pi comes from ``_pi_parts``: its block is class 0, and its diagonal
+    entry on |a, a-delta> is the one entry of class delta != 0 on that ket.
+    Entries outside the classes vanish by the algebra, so every nonzero
+    entry is compared, with no d^2 x d^2 temporary.
     """
     d = state.d
-    c = state.coeffs
+    block, diagonal = _pi_parts(state, (Direction.A_TO_B,))
     a = np.arange(d)
     target = np.zeros_like(blocks)
-    target[:, a, a] = c[(a[None, :] - a[:, None]) % d] ** 2
-    target[0] = np.outer(c, c)
+    target[:, a, a] = diagonal.reshape(d, d)[a, (a - a[:, None]) % d]
+    target[0] = block
     return float(np.abs(blocks - target * (d / (d + 1))).max())
 
 
 def _design_tests(state, design, total, two_way):
     """The weighted tests realizing `total * Pi` (averaged over directions)
-    from a design.
+    from a built-in design (``bases._design``).
 
-    The design bases are stacked once; that array gives the shift blocks of
-    the design average (``_design_average``), checked against d/(d+1) Pi
-    before the tests are used, and then the A -> B tests, built in one batch.
-    A B -> A test is its A -> B twin with the parties swapped, which shares
-    the twin's factors, so the twins are not rebuilt.  The tests contribute
-    nothing to Omega here: the certificate proves their sum equal to the
-    closed form that ``build_strategy`` uses.
+    The shift blocks of the design average come from the design's
+    row-phase table (``_design_average``) and are checked against
+    d/(d+1) Pi before any test is built.  Then the design bases are stacked
+    once and the A -> B tests built in one batch.  A B -> A test is its
+    A -> B twin with the parties swapped, which shares the twin's factors,
+    so the twins are not rebuilt.  The tests contribute nothing to Omega
+    here: the certificate proves their sum equal to the closed form that
+    ``build_strategy`` uses.
     """
-    bases, weights = design.bases[1:], design.weights[1:]
-    stack = np.stack([basis.vectors for basis in bases])
-    residual = _design_residual(state, _design_average(state, stack, weights))
+    weights = design.weights[1:]
+    residual = _design_residual(state, _design_average(state, design.rows, weights))
     if residual > DESIGN_ATOL:
         raise DesignMismatchError(
             f"design average misses the closed form by {residual:.3e}"
         )
+    bases = design.basis_set.bases[1:]
+    stack = np.stack([basis.vectors for basis in bases])
     forward = _projector_tests(state, bases, stack, Direction.A_TO_B)
     share = (state.d + 1) / state.d / (2 if two_way else 1)
     tests = []
@@ -567,11 +527,12 @@ def build_strategy(
     Kind II requires a complete MUB set, so for non-prime d the target is
     first zero-padded into the smallest prime dimension >= d; the returned
     strategy acts on the enlarged space (see ``Strategy.state``) and keeps
-    the same spectral gap.  Whenever a design is used, each design basis must
-    be a phase-dressed Fourier basis, and the identity sum_{l>=1} w_l P_l =
-    d/(d+1) Pi is checked once, on the shift blocks of that average; it is
-    the build's one certificate of the design, and the basis set itself is
-    not re-checked (``bases.verify_2design`` certifies it separately).  Once
+    the same spectral gap.  Whenever a design is used, it comes from
+    ``bases._design(d, m)`` as a table of row phases, one per phase-dressed
+    Fourier basis, and the identity sum_{l>=1} w_l P_l = d/(d+1) Pi is
+    checked once, on the shift blocks of that average formed from the table;
+    it is the build's one certificate of the design, and the basis set itself
+    is not re-checked (``bases.verify_2design`` certifies it separately).  Once
     it holds, Omega is p times the head test's diagonal plus (1 - p) Pi
     (averaged over the two directions for IV and VI): a d x d block on
     span{|jj>} plus a d^2 diagonal, whose spectrum is one d x d eigensolve
@@ -616,7 +577,7 @@ def build_strategy(
         else:  # VI
             head = [(p, two_way_diagonal_test(state, p))]
         # kind II refuses m and has a prime d here: the complete MUB set
-        design = design_for_dimension(d, m)
+        design = _design(d, m)
         two_way = kind in ("IV", "VI")
         tests = _checked_tests(state, head + _design_tests(state, design, 1.0 - p, two_way))
         directions = tuple(Direction) if two_way else (Direction.A_TO_B,)

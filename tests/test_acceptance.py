@@ -14,6 +14,7 @@ from biverify import (
     estimate_fidelity,
     exact_pass_rate,
     make_schmidt_state,
+    min_design_size,
     prime_mub_set,
     random_state_at_fidelity,
     random_unbiased_basis,
@@ -27,18 +28,18 @@ from biverify import (
     verify_2design,
     worst_case_state,
 )
-from biverify import strategies
+from biverify import bases, strategies
 from biverify.cli import main
 
 D2_STATE = two_qubit_state(np.pi / 6)
 D3_STATE = make_schmidt_state([2.0, 1.0, 1.0])
 
 
-def _design_residual(state, basis_set):
-    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi, as a strategy build
-    certifies it from the design's shift blocks."""
-    stack = np.stack([b.vectors for b in basis_set.bases[1:]])
-    blocks = strategies._design_average(state, stack, basis_set.weights[1:])
+def _design_residual(state, design):
+    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi for a built-in design
+    (``bases._design``), as a strategy build certifies it from the design's
+    row-phase table."""
+    blocks = strategies._design_average(state, design.rows, design.weights[1:])
     return strategies._design_residual(state, blocks)
 
 
@@ -112,10 +113,11 @@ def test_orthogonality_and_design_average_identities():
     worst_avg = 0.0
     for d in (2, 3, 5):
         s = make_schmidt_state(np.arange(d, 0, -1.0))
-        worst_avg = max(worst_avg, _design_residual(s, prime_mub_set(d)))
+        worst_avg = max(worst_avg, _design_residual(s, bases._design(d)))
     for d in (3, 6):
         s = make_schmidt_state(np.linspace(2.0, 1.0, d))
-        worst_avg = max(worst_avg, _design_residual(s, roy_scott_set(d)))
+        design = bases._design(d, min_design_size(d))  # Roy-Scott also at d = 3
+        worst_avg = max(worst_avg, _design_residual(s, design))
     elapsed = time.perf_counter() - start
     _report(
         "orthogonal supports and design-average identity",

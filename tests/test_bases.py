@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from biverify import (
+    build_strategy,
     fourier_basis,
     is_prime,
     is_unbiased,
+    make_schmidt_state,
     min_design_size,
     next_prime,
     prime_mub_set,
@@ -110,6 +112,17 @@ class TestPrimeMubSet:
         with pytest.raises(NotPrimeError):
             prime_mub_set(4)
 
+    @pytest.mark.parametrize("d", [3, 5, 7, 11])
+    def test_kets_match_the_quadratic_phase_formula(self, d):
+        """Each ket built one phase at a time as the formula reads,
+        omega^{r k^2 + j k}/sqrt(d) with the exponent reduced mod d."""
+        mubs = prime_mub_set(d)
+        k = np.arange(d)
+        for r in range(1, d + 1):
+            for j in range(d):
+                ket = np.exp(2j * np.pi * ((r * k * k + j * k) % d) / d) / np.sqrt(d)
+                assert np.abs(mubs.bases[r].ket(j) - ket).max() <= 1e-15
+
     def test_uniform_weights(self):
         mubs = prime_mub_set(5)
         assert np.allclose(mubs.weights, 1 / 6, atol=1e-15)
@@ -193,6 +206,37 @@ class TestVerify2Design:
     def test_phase_design_d6(self):
         ok, residual = verify_2design(roy_scott_set(6, 20), tol=1e-10)
         assert ok and residual <= 1e-10
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: roy_scott_set(4, 8.0),
+            lambda: roy_scott_set(4, 8.5),
+            lambda: build_strategy(make_schmidt_state([3.0, 2.0, 1.0, 1.0]), "III", m=8.5),
+            lambda: prime_mub_set(5.0),
+            lambda: standard_basis(2.5),
+            lambda: fourier_basis(3.0),
+        ],
+        ids=[
+            "roy-scott-float-m",
+            "roy-scott-fractional-m",
+            "build-fractional-m",
+            "mub-float-d",
+            "standard-fractional-d",
+            "fourier-float-d",
+        ],
+    )
+    def test_non_integer_dimension_or_size_rejected(self, call):
+        with pytest.raises(OutOfRangeError, match="must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert roy_scott_set(np.int64(4), np.int64(8)).m == 8
+        assert prime_mub_set(np.int64(5)).m == 6
+        assert standard_basis(np.int64(3)).vectors.shape == (3, 3)
+        assert fourier_basis(np.int64(3)).vectors.shape == (3, 3)
 
 
 class TestPrimes:

@@ -12,12 +12,11 @@ from biverify import (
     fourier_basis,
     is_homogeneous,
     make_schmidt_state,
+    min_design_size,
     one_way_diagonal_test,
     optimal_p,
     pi_operator,
-    prime_mub_set,
     random_unbiased_basis,
-    roy_scott_set,
     standard_basis,
     standard_test,
     state_vector,
@@ -26,8 +25,7 @@ from biverify import (
     two_qubit_state,
     two_way_diagonal_test,
 )
-from biverify import strategies
-from biverify.bases import WeightedBasisSet
+from biverify import bases, strategies
 from biverify.errors import (
     DesignMismatchError,
     OutOfRangeError,
@@ -35,11 +33,11 @@ from biverify.errors import (
 )
 
 
-def design_residual(state, basis_set):
-    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi, as a strategy build
-    certifies it from the design's shift blocks."""
-    stack = np.stack([b.vectors for b in basis_set.bases[1:]])
-    blocks = strategies._design_average(state, stack, basis_set.weights[1:])
+def design_residual(state, design):
+    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi for a built-in design
+    (``bases._design``), as a strategy build certifies it from the design's
+    row-phase table."""
+    blocks = strategies._design_average(state, design.rows, design.weights[1:])
     return strategies._design_residual(state, blocks)
 
 
@@ -140,22 +138,21 @@ class TestPiOperator:
     def test_matches_mub_average(self, d):
         raw = np.arange(d, 0, -1).astype(float)
         s = make_schmidt_state(raw)
-        assert design_residual(s, prime_mub_set(d)) <= 1e-10
+        assert design_residual(s, bases._design(d)) <= 1e-10
 
     @pytest.mark.parametrize("d", [3, 6])
     def test_matches_phase_design_average(self, d):
         raw = np.linspace(2.0, 1.0, d)
         s = make_schmidt_state(raw)
-        assert design_residual(s, roy_scott_set(d)) <= 1e-10
+        assert design_residual(s, bases._design(d, min_design_size(d))) <= 1e-10
 
     def test_mismatching_set_raises(self, monkeypatch):
         """The build's design identity is kind II's only certificate: a
         lop-sided set in place of the complete MUB set fails it."""
-        lop_sided = WeightedBasisSet(
-            bases=(standard_basis(2), fourier_basis(2)),
-            weights=np.array([1 / 3, 2 / 3]),
+        lop_sided = bases._Design(
+            "standard and Fourier, lop-sided", np.ones((1, 2)), np.array([1 / 3, 2 / 3])
         )
-        monkeypatch.setattr(strategies, "prime_mub_set", lambda d: lop_sided)
+        monkeypatch.setattr(strategies, "_design", lambda d, m=None: lop_sided)
         with pytest.raises(DesignMismatchError, match="design average"):
             build_strategy(two_qubit_state(np.pi / 6), "II")
 

@@ -10,12 +10,12 @@ round-off.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from biverify import (
-    Basis,
     Direction,
     RandomizedDiagonalTest,
     WeightedBasisSet,
@@ -25,7 +25,6 @@ from biverify import (
     exact_pass_rate,
     fourier_basis,
     make_schmidt_state,
-    prime_mub_set,
     roy_scott_set,
     standard_basis,
     state_vector,
@@ -108,17 +107,18 @@ def test_strategy_matches_dense_oracle(name, kind):
 
 
 def design_blocks(state, design):
-    """The build's shift blocks of a design's A -> B average."""
-    stack = np.stack([b.vectors for b in design.bases[1:]])
-    return strategies._design_average(state, stack, design.weights[1:])
+    """The build's shift blocks of a built-in design's A -> B average, read
+    from its row-phase table."""
+    return strategies._design_average(state, design.rows, design.weights[1:])
 
 
 def dense_design_average(state, design, direction):
     """sum_{l>=1} w_l P_l over a design's tests in one direction, each test
-    built densely with np.kron."""
+    built densely with np.kron from the design's bases."""
+    basis_set = design.basis_set
     return sum(
         w * dense_test(state, strategies.test_projector(state, b, direction))
-        for b, w in zip(design.bases[1:], design.weights[1:])
+        for b, w in zip(basis_set.bases[1:], basis_set.weights[1:])
     )
 
 
@@ -145,7 +145,7 @@ def test_design_residual_matches_dense_oracle(name, direction):
     average in either direction (the B -> A average is a permutation of the
     A -> B one, so both directions share one residual)."""
     state = TARGETS[name]
-    design = strategies.design_for_dimension(state.d)
+    design = bases._design(state.d)
     avg = dense_design_average(state, design, direction)
     pi = strategies.pi_operator(state, direction=direction)
     expected = np.abs(avg - pi * state.d / (state.d + 1)).max()
@@ -180,9 +180,9 @@ def test_shift_blocks_match_dense_kron_oracle(name, direction):
     state, embed_in = BLOCK_ORACLE_CASES[name]
     if embed_in is not None:
         state = embed_state(state, embed_in)
-        design = prime_mub_set(embed_in)
+        design = bases._design(embed_in)
     else:
-        design = strategies.design_for_dimension(state.d)
+        design = bases._design(state.d)
     blocks = design_blocks(state, design)
     dense = dense_design_average(state, design, direction)
     assert np.abs(scattered(blocks, direction) - dense).max() <= ATOL
@@ -202,14 +202,14 @@ def test_custom_mixture_matches_dense_oracle():
 
 
 def test_lopsided_design_is_rejected(monkeypatch):
-    """The design identity is still checked at build time: a basis set whose
-    weights are not a 2-design fails it."""
+    """The design identity is still checked at build time: a design source
+    whose weights are not a 2-design fails it."""
     d = 4
-    honest = roy_scott_set(d)
-    tilt = np.arange(1.0, honest.m)
+    honest = bases._design(d)
+    tilt = np.arange(1.0, honest.weights.size)
     weights = np.concatenate([[honest.weights[0]], tilt / tilt.sum() * (1 - honest.weights[0])])
-    lopsided = WeightedBasisSet(bases=honest.bases, weights=weights)
-    monkeypatch.setattr(strategies, "design_for_dimension", lambda d, m=None: lopsided)
+    lopsided = replace(honest, weights=weights)
+    monkeypatch.setattr(strategies, "_design", lambda d, m=None: lopsided)
     state = TARGETS["d4-random"]
     for kind in ("III", "IV", "V", "VI"):
         with pytest.raises(DesignMismatchError, match="design average"):
@@ -287,25 +287,19 @@ def test_two_way_tests_are_swapped_twins(name, kind):
 
 @pytest.mark.parametrize("kind", ["II", "III", "IV", "V", "VI"])
 def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatch):
-    """The A -> B design tests are built in one batch, once each, from the
-    same stack of basis kets that the phase certificate reads, and the B -> A
-    twins are never built; no II-VI build calls weighted_gram (the design
-    part comes from shift blocks, the head test from its diagonal); the
-    spectrum comes from one d x d eigensolve."""
+    """The A -> B design tests are built in one batch, once each, and the
+    B -> A twins are never built; no II-VI build calls weighted_gram (the
+    design part comes from shift blocks, the head test from its diagonal);
+    the spectrum comes from one d x d eigensolve."""
     state = TARGETS["d5-random"]
-    batches, stacks, grams, eig_dims = [], [], [], []
-    projector_tests, phase_table = strategies._projector_tests, strategies._phase_table
+    batches, grams, eig_dims = [], [], []
+    projector_tests = strategies._projector_tests
     gram, eig = linalg.weighted_gram, linalg.eig_hermitian
 
     def recording_projector_tests(state, bases, stack, direction):
         tests = projector_tests(state, bases, stack, direction)
         batches.append([id(t) for t in tests])
-        stacks.append(stack)
         return tests
-
-    def recording_phase_table(stack):
-        stacks.append(stack)
-        return phase_table(stack)
 
     def counting_gram(blocks, dim):
         grams.append(dim)
@@ -316,7 +310,6 @@ def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatc
         return eig(h)
 
     monkeypatch.setattr(strategies, "_projector_tests", recording_projector_tests)
-    monkeypatch.setattr(strategies, "_phase_table", recording_phase_table)
     monkeypatch.setattr(linalg, "weighted_gram", counting_gram)
     monkeypatch.setattr(linalg, "eig_hermitian", recording_eig)
     strat = build_strategy(state, kind)
@@ -326,37 +319,56 @@ def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatc
     assert len(backward) == (len(forward) if kind in ("IV", "VI") else 0)
     head = [[id(strat.tests[0][1])]] if kind in ("II", "III", "IV") else []
     assert batches == head + [forward]
-    assert stacks[-1] is stacks[-2]  # the certificate's stack, then the batch's
     assert grams == []
     assert eig_dims == [state.d]
 
 
-@pytest.mark.parametrize("kind", ["III", "IV", "V", "VI"])
-def test_design_basis_without_fourier_structure_is_rejected(kind, monkeypatch):
-    """A design basis that is not a phase-dressed Fourier basis has no shift
-    blocks, and the build refuses it rather than averaging it wrongly."""
-    honest = roy_scott_set(4)
-    rng = np.random.default_rng(4)
-    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    bases_ = list(honest.bases)
-    bases_[3] = Basis(d=4, vectors=q)
-    mixed = WeightedBasisSet(bases=tuple(bases_), weights=honest.weights)
-    monkeypatch.setattr(strategies, "design_for_dimension", lambda d, m=None: mixed)
-    with pytest.raises(DesignMismatchError, match="basis 3 is not a phase-dressed Fourier"):
-        build_strategy(TARGETS["d4-random"], kind)
+def _phase_row_cases():
+    cases = [(d, None) for d in (2, 3, 5, 7, 11, 13)]  # complete MUB sets
+    for d in (3, 4, 6, 9, 12):  # Roy-Scott: the bound and one size above it
+        cases += [(d, min_design_size(d)), (d, min_design_size(d) + 5)]
+    return cases
+
+
+@pytest.mark.parametrize("d, m", _phase_row_cases())
+def test_design_bases_are_the_averaged_phase_rows(d, m, monkeypatch):
+    """Every design basis a build tests is diag(row) F / sqrt(d) bit for bit,
+    for the row of the table the build averages, and satisfies
+    d^2 B[k,j] conj(B[0,j]) conj(B[k,0]) B[0,0] = omega^{jk}: the structure
+    that the shift blocks of the design average rest on."""
+    tables = []
+    average = strategies._design_average
+
+    def recording_average(state, rows, weights):
+        tables.append(rows)
+        return average(state, rows, weights)
+
+    monkeypatch.setattr(strategies, "_design_average", recording_average)
+    strat = build_strategy(make_schmidt_state(np.arange(d, 0, -1.0)), "III", m=m)
+    (rows,) = tables
+    design = [test.measured_basis.vectors for _, test in strat.tests[1:]]
+    assert len(design) == len(rows)
+    k = np.arange(d)
+    fourier = np.exp(2j * np.pi * (np.outer(k, k) % d) / d)
+    for row, b in zip(rows, design):
+        assert np.array_equal(b, fourier * row[:, None] / np.sqrt(d))
+        product = d * d * b * b[:1, :].conj() * b[:, :1].conj() * b[0, 0]
+        assert np.abs(product - fourier).max() <= 1e-15
 
 
 def test_design_tests_hold_few_basis_stacks():
-    """The design bases are stacked once and shared by the phase certificate,
-    the shift blocks and the test batch: at d=24 kind VI the traced peak of
-    _design_tests stays within 3.5 stacks of size (m-1) d^2 complex entries
-    (the stack, the conditional kets and one temporary), with the returned
-    tests included.  _design_tests allocates no Omega: the build forms it
-    from the closed form."""
+    """The design bases are stacked once for the test batch, and the shift
+    blocks read only the row-phase table: at d=24 kind VI, with the design's
+    bases built beforehand, the traced peak of _design_tests stays within
+    3.5 stacks of size (m-1) d^2 complex entries (the stack, the conditional
+    kets and one temporary), with the returned tests included.
+    _design_tests allocates no Omega: the build forms it from the closed
+    form."""
     d = 24
     state = make_schmidt_state(np.arange(d, 0, -1.0))
-    design = strategies.design_for_dimension(d)
-    stack_bytes = (design.m - 1) * d * d * np.dtype(complex).itemsize
+    design = bases._design(d)
+    n_bases = design.basis_set.m  # the bases are built here, before tracing
+    stack_bytes = (n_bases - 1) * d * d * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         strategies._design_tests(state, design, 0.5, two_way=True)
@@ -390,8 +402,17 @@ def test_worst_case_state_solves_no_eigenproblem(kind, monkeypatch):
 
 def test_max_eig_dim_limits_only_the_dense_path(monkeypatch):
     """With the dense eigensolver capped below d^2, the design kinds still
-    build from the d x d block, and kind I, which has no such block, raises."""
+    build from the d x d block, and kind I, which has no such block, raises
+    before its d^2 x d^2 Gram product is formed."""
     monkeypatch.setattr(linalg, "MAX_EIG_DIM", 64)
+    grams = []
+    gram = linalg.weighted_gram
+
+    def counting_gram(blocks, dim):
+        grams.append(dim)
+        return gram(blocks, dim)
+
+    monkeypatch.setattr(linalg, "weighted_gram", counting_gram)
     state = make_schmidt_state([9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
     for kind in ("III", "IV", "VI"):
         strat = build_strategy(state, kind)
@@ -402,3 +423,4 @@ def test_max_eig_dim_limits_only_the_dense_path(monkeypatch):
             assert abs(exact_pass_rate(strat, sigma) - (1.0 - strat.nu * eps)) <= 1e-10
     with pytest.raises(OutOfRangeError, match="exceeds supported maximum"):
         build_strategy(state, "I")
+    assert grams == []
