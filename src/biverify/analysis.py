@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .bases import _integer_arg
 from .errors import OutOfRangeError
 
 
@@ -38,8 +39,7 @@ class VerificationBudget:
     def __post_init__(self):
         _check_unit_interval("epsilon", self.epsilon)
         _check_unit_interval("delta", self.delta)
-        if self.n_tests < 1:
-            raise OutOfRangeError(f"n_tests must be >= 1, got {self.n_tests}")
+        object.__setattr__(self, "n_tests", _integer_arg("n_tests", self.n_tests, 1))
 
     @classmethod
     def plan(cls, nu: float, epsilon: float, delta: float) -> "VerificationBudget":
@@ -54,6 +54,8 @@ def tests_needed(nu: float, epsilon: float, delta: float) -> int:
     delta = _check_unit_interval("delta", delta)
     if nu * epsilon >= 1.0:
         raise OutOfRangeError("nu * epsilon must be below 1")
+    if 1.0 - nu * epsilon == 1.0:
+        raise OutOfRangeError(f"1 - nu*epsilon rounds to 1 at nu*epsilon = {nu * epsilon:.3g}")
     return math.ceil(math.log(delta) / math.log(1.0 - nu * epsilon))
 
 
@@ -67,7 +69,10 @@ def tests_needed_adversarial(beta: float, epsilon: float, delta: float) -> float
     beta = _check_unit_interval("beta", beta)
     epsilon = _check_unit_interval("epsilon", epsilon)
     delta = _check_unit_interval("delta", delta)
-    return math.log(1.0 / delta) / (beta * epsilon * math.log(1.0 / beta))
+    count = math.log(1.0 / delta) / (beta * epsilon * math.log(1.0 / beta))
+    if not 0.0 < count < math.inf:
+        raise OutOfRangeError(f"adversarial test count {count} is not finite and positive")
+    return count
 
 
 def plm_nu(theta: float) -> float:
@@ -151,6 +156,5 @@ def figure1_table(theta_grid, epsilon: float, delta: float) -> list[Figure1Row]:
 
 def figure1_grid(grid_size: int) -> list[float]:
     """Uniform grid over (0, pi/4] with the endpoint included."""
-    if grid_size < 1:
-        raise OutOfRangeError(f"grid size must be >= 1, got {grid_size}")
+    grid_size = _integer_arg("grid size", grid_size, 1)
     return [(i + 1) * math.pi / 4 / grid_size for i in range(grid_size)]

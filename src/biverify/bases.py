@@ -55,6 +55,7 @@ class Basis:
     vectors: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer_arg("dimension", self.d, 1))
         v = np.asarray(self.vectors, dtype=complex)
         if v.shape != (self.d, self.d):
             raise DimensionMismatchError(
@@ -126,6 +127,7 @@ def fourier_basis(d: int) -> Basis:
 
 def random_unbiased_basis(d: int, rng: np.random.Generator) -> Basis:
     """A random basis unbiased with the standard basis (phase-dressed Fourier)."""
+    d = _integer_arg("dimension", d, 2)
     row = np.exp(2j * np.pi * rng.random(d))
     col = np.exp(2j * np.pi * rng.random(d))
     return Basis(d=d, vectors=row[:, None] * fourier_basis(d).vectors * col[None, :])

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .bases import _integer_arg
 from .errors import (
     DimensionMismatchError,
     NegativeCoefficientError,
@@ -33,8 +34,7 @@ class SchmidtState:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if self.d < 2:
-            raise OutOfRangeError(f"local dimension must be >= 2, got {self.d}")
+        object.__setattr__(self, "d", _integer_arg("local dimension", self.d, 2))
         if c.shape != (self.d,):
             raise DimensionMismatchError(
                 f"expected {self.d} coefficients, got shape {c.shape}"
@@ -166,13 +166,10 @@ def depolarize(state: SchmidtState, lam: float) -> DensityOperator:
 
 def embed_state(state: SchmidtState, d_prime: int) -> SchmidtState:
     """Pad the Schmidt coefficients with zeros up to local dimension d_prime."""
-    if d_prime < state.d:
-        raise OutOfRangeError(
-            f"cannot shrink: target dimension {d_prime} is below d = {state.d}"
-        )
+    d_prime = _integer_arg("target dimension", d_prime, state.d)
     c = np.zeros(d_prime)
     c[: state.d] = state.coeffs
-    return SchmidtState(d=int(d_prime), coeffs=c)
+    return SchmidtState(d=d_prime, coeffs=c)
 
 
 def embed_density(rho: DensityOperator, d_prime: int) -> DensityOperator:
@@ -180,10 +177,7 @@ def embed_density(rho: DensityOperator, d_prime: int) -> DensityOperator:
     d = math.isqrt(rho.dim)
     if d * d != rho.dim:
         raise DimensionMismatchError(f"dimension {rho.dim} is not a perfect square")
-    if d_prime < d:
-        raise OutOfRangeError(
-            f"cannot shrink: target dimension {d_prime} is below d = {d}"
-        )
+    d_prime = _integer_arg("target dimension", d_prime, d)
     idx = (np.arange(d)[:, None] * d_prime + np.arange(d)[None, :]).ravel()
     out = np.zeros((d_prime * d_prime, d_prime * d_prime), dtype=complex)
     out[np.ix_(idx, idx)] = rho.matrix

@@ -69,24 +69,57 @@ class Direction(str, Enum):
 
 @dataclass(frozen=True)
 class ConditionalProjectorTest:
-    """One conditional-projector test.
+    """One conditional-projector test, stored as its measured basis and its
+    target ``state``.
 
     The measuring party projects onto ``measured_basis``; on outcome j the
-    other party checks the unit ket ``conditional_kets[:, j]`` (outcomes
-    without target support reject outright).  The test is stored as these
-    factors only: the projector it realizes on C^{d^2} is
-    sum_j |u_j><u_j| x |v_j><v_j| over the supported outcomes (factors
-    swapped for B -> A), and ``matrix`` builds it on first access.
+    other party checks the unit ket v_j = c o conj(u_j) / sqrt(w_j), the
+    normalized partial inner product <u_j|Psi>, with the support weight
+    w_j = sum_k c_k^2 |u_kj|^2; outcomes outside ``supported`` reject
+    outright.  The kets are derived on access, never stored.  The test
+    realizes sum_j |u_j><u_j| x |v_j><v_j| over the supported outcomes
+    (factors swapped for B -> A), a projector because ``Basis`` holds the
+    u_j orthonormal; ``matrix`` builds it on first access.  The target
+    passes with probability sum_j w_j over the supported outcomes, which a
+    basis at the edge of ORTHO_ATOL can push off 1, so construction checks it.
     """
 
     direction: Direction
     measured_basis: Basis
-    supported: np.ndarray
-    conditional_kets: np.ndarray
+    state: SchmidtState
+
+    def __post_init__(self):
+        if self.measured_basis.d != self.state.d:
+            raise DimensionMismatchError(
+                f"basis dim {self.measured_basis.d} != state dim {self.state.d}"
+            )
+        weights = self._scaled_kets()[1]
+        pass_target = float(weights[weights > SUPPORT_CUTOFF].sum())
+        if abs(pass_target - 1.0) > TARGET_PASS_ATOL:
+            raise DesignMismatchError(f"target pass probability {pass_target:.12g} is not 1")
 
     @property
     def d(self) -> int:
-        return self.measured_basis.d
+        return self.state.d
+
+    def _scaled_kets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The columns c o conj(u_j) and their squared norms w_j."""
+        kets = self.measured_basis.vectors.conj()
+        kets *= self.state.coeffs[:, None]
+        return kets, np.einsum("kj,kj->j", kets.conj(), kets).real
+
+    @cached_property
+    def supported(self) -> np.ndarray:
+        """The outcomes whose support weight w_j is a normal double."""
+        return _freeze(self._scaled_kets()[1] > SUPPORT_CUTOFF)
+
+    @property
+    def conditional_kets(self) -> np.ndarray:
+        """Column j is the unit ket v_j, zero for unsupported outcomes."""
+        kets, weights = self._scaled_kets()
+        np.divide(kets, np.sqrt(weights), out=kets, where=self.supported)
+        np.copyto(kets, 0.0, where=~self.supported)
+        return kets
 
     def pair_vectors(self) -> np.ndarray:
         """Columns u_j x v_j (v_j x u_j for B -> A), one per supported outcome."""
@@ -161,47 +194,10 @@ def test_projector(
 
     For each outcome j with nonzero target support, the non-measuring party's
     conditional ket is the normalized partial inner product of the basis ket
-    with the target.  The test is a projector because ``Basis`` certifies the
-    basis orthonormal; ``_projector_tests``, which builds it as a batch of
-    one, checks that the target passes it with certainty.
+    with the target; construction checks that the target passes with
+    certainty (see ``ConditionalProjectorTest``).
     """
-    if basis.d != state.d:
-        raise DimensionMismatchError(f"basis dim {basis.d} != state dim {state.d}")
-    return _projector_tests(state, (basis,), basis.vectors[None], direction)[0]
-
-
-def _projector_tests(state: SchmidtState, bases, stack, direction) -> list:
-    """The conditional-projector tests of ``bases`` in one batch; ``stack[l]``
-    holds the kets u_j of basis l as columns.
-
-    Outcome j has the support weight w_j = sum_k c_k^2 |u_kj|^2 and the ket
-    v_j = c o conj(u_j) / sqrt(w_j).  The pair vectors u_j x v_j are as
-    orthonormal as the u_j, which ``Basis`` holds within ORTHO_ATOL, so P is
-    a projector unchecked.  The target passes with probability sum_j
-    |<u_j v_j|Psi>|^2 = sum_j w_j over the supported outcomes, which a basis
-    at the edge of ORTHO_ATOL can push off 1, so that is checked.
-    """
-    kets = stack.conj()
-    kets *= state.coeffs[:, None]
-    weights = np.einsum("lkj,lkj->lj", kets.conj(), kets).real
-    supported = weights > SUPPORT_CUTOFF
-    np.divide(kets, np.sqrt(weights)[:, None, :], out=kets, where=supported[:, None, :])
-    np.copyto(kets, 0.0, where=~supported[:, None, :])
-    pass_target = np.where(supported, weights, 0.0).sum(axis=1)
-    worst = int(np.argmax(np.abs(pass_target - 1.0)))
-    if abs(pass_target[worst] - 1.0) > TARGET_PASS_ATOL:
-        raise DesignMismatchError(
-            f"target pass probability {pass_target[worst]:.12g} is not 1"
-        )
-    return [
-        ConditionalProjectorTest(
-            direction=direction,
-            measured_basis=basis,
-            supported=_freeze(supported[l]),
-            conditional_kets=_freeze(kets[l]),
-        )
-        for l, basis in enumerate(bases)
-    ]
+    return ConditionalProjectorTest(direction, basis, state)
 
 
 test_projector.__test__ = False  # keep pytest from collecting the imported name
@@ -331,9 +327,9 @@ def _checked_tests(state: SchmidtState, tests) -> tuple:
     if not tests:
         raise OutOfRangeError("a strategy needs at least one test")
     probs = np.array([q for q, _ in tests])
-    if np.any(probs <= 0):
+    if not np.all(probs > 0):
         raise OutOfRangeError("test probabilities must be positive")
-    if abs(float(probs.sum()) - 1.0) > 1e-12:
+    if not abs(float(probs.sum()) - 1.0) <= 1e-12:
         raise OutOfRangeError(f"test probabilities sum to {probs.sum():.15g}, not 1")
     if any(test.d != state.d for _, test in tests):
         raise DimensionMismatchError("test operator dimension mismatch")
@@ -463,12 +459,12 @@ def _design_tests(state, design, total, two_way):
 
     The shift blocks of the design average come from the design's
     row-phase table (``_design_average``) and are checked against
-    d/(d+1) Pi before any test is built.  Then the design bases are stacked
-    once and the A -> B tests built in one batch.  A B -> A test is its
-    A -> B twin with the parties swapped, which shares the twin's factors,
-    so the twins are not rebuilt.  The tests contribute nothing to Omega
-    here: the certificate proves their sum equal to the closed form that
-    ``build_strategy`` uses.
+    d/(d+1) Pi before any test is built.  Each test is then its design
+    basis and the target, and derives its conditional kets on demand, so no
+    basis stack is formed.  A B -> A test is its A -> B twin with the parties
+    swapped, which shares the twin's basis and target.  The tests contribute
+    nothing to Omega here: the certificate proves their sum equal to the
+    closed form that ``build_strategy`` uses.
     """
     weights = design.weights[1:]
     residual = _design_residual(state, _design_average(state, design.rows, weights))
@@ -476,12 +472,10 @@ def _design_tests(state, design, total, two_way):
         raise DesignMismatchError(
             f"design average misses the closed form by {residual:.3e}"
         )
-    bases = design.basis_set.bases[1:]
-    stack = np.stack([basis.vectors for basis in bases])
-    forward = _projector_tests(state, bases, stack, Direction.A_TO_B)
     share = (state.d + 1) / state.d / (2 if two_way else 1)
     tests = []
-    for weight, test in zip(weights, forward):
+    for weight, basis in zip(weights, design.basis_set.bases[1:]):
+        test = ConditionalProjectorTest(Direction.A_TO_B, basis, state)
         q = total * share * float(weight)
         tests.append((q, test))
         if two_way:

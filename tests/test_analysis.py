@@ -55,6 +55,30 @@ class TestTestsNeeded:
             tests_needed(*bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tests_needed(0.5, 1e-16, 0.01),
+        lambda: tests_needed(1e-300, 1e-30, 0.01),
+        lambda: tests_needed_adversarial(0.3679, 1e-320, 0.1),
+        lambda: tests_needed_adversarial(0.5, 0.01, 1e-320),
+        lambda: tests_needed_adversarial(1e-320, 0.1, 0.1),
+    ],
+    ids=[
+        "iid-one-minus-nu-eps-rounds-to-1",
+        "iid-nu-eps-underflows",
+        "adversarial-overflows",
+        "adversarial-delta-overflows",
+        "adversarial-underflows-to-0",
+    ],
+)
+def test_count_without_finite_positive_value_rejected(call):
+    """Inputs inside the open intervals whose count rounds to no finite
+    positive number raise instead of dividing by zero or returning inf or 0."""
+    with pytest.raises(OutOfRangeError, match="rounds to 1|not finite and positive"):
+        call()
+
+
 class TestVerificationBudget:
     def test_plan_from_gap(self):
         budget = VerificationBudget.plan(2 / 3, 0.01, 0.01)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from biverify import (
+    SchmidtState,
+    VerificationBudget,
     build_strategy,
+    density_operator,
+    embed_density,
+    embed_state,
+    figure1_grid,
     fourier_basis,
     is_prime,
     is_unbiased,
@@ -218,6 +224,13 @@ class TestIntegerArguments:
             lambda: prime_mub_set(5.0),
             lambda: standard_basis(2.5),
             lambda: fourier_basis(3.0),
+            lambda: embed_state(make_schmidt_state([2.0, 1.0]), 4.5),
+            lambda: embed_density(density_operator(np.eye(4) / 4), 4.5),
+            lambda: random_unbiased_basis(3.0, np.random.default_rng(0)),
+            lambda: Basis(2.0, np.eye(2)),
+            lambda: figure1_grid(2.5),
+            lambda: SchmidtState(3.0, np.ones(3) / np.sqrt(3)),
+            lambda: VerificationBudget(0.1, 0.1, 2.5),
         ],
         ids=[
             "roy-scott-float-m",
@@ -226,6 +239,13 @@ class TestIntegerArguments:
             "mub-float-d",
             "standard-fractional-d",
             "fourier-float-d",
+            "embed-state-fractional-d",
+            "embed-density-fractional-d",
+            "random-unbiased-float-d",
+            "basis-float-d",
+            "figure1-fractional-grid-size",
+            "schmidt-state-float-d",
+            "budget-fractional-n-tests",
         ],
     )
     def test_non_integer_dimension_or_size_rejected(self, call):
@@ -237,6 +257,16 @@ class TestIntegerArguments:
         assert prime_mub_set(np.int64(5)).m == 6
         assert standard_basis(np.int64(3)).vectors.shape == (3, 3)
         assert fourier_basis(np.int64(3)).vectors.shape == (3, 3)
+        state = SchmidtState(np.int64(2), np.array([0.8, 0.6]))
+        assert type(state.d) is int
+        assert type(embed_state(state, np.int64(3)).d) is int
+        rho = embed_density(density_operator(np.eye(4) / 4), np.int64(3))
+        assert rho.dim == 9
+        rng = np.random.default_rng(0)
+        assert type(random_unbiased_basis(np.int64(3), rng).d) is int
+        assert type(Basis(np.int64(2), np.eye(2)).d) is int
+        assert len(figure1_grid(np.int64(3))) == 3
+        assert type(VerificationBudget(0.1, 0.1, np.int64(5)).n_tests) is int
 
 
 class TestPrimes:

@@ -64,6 +64,16 @@ class TestAnalyze:
         assert code == 2
         assert "SeparableState" in err
 
+    def test_epsilon_below_resolution_exits_2(self, capsys):
+        """At epsilon = 1e-17, 1 - nu*epsilon rounds to 1 and no test count
+        exists: a usage error, not a failed check with a traceback."""
+        code, out, err = run_cli(
+            ["analyze", "--theta", "0.5", "--strategy", "II", "--epsilon", "1e-17"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "OutOfRangeError" in err and "rounds to 1" in err
+
     def test_near_product_target_is_not_separable(self, capsys):
         """c_0 rounds to 1 at c_1 = 1e-8, but the target has Schmidt rank 2."""
         code, out, _ = run_cli(

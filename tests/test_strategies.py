@@ -5,6 +5,7 @@ import pytest
 
 from biverify import (
     Basis,
+    ConditionalProjectorTest,
     Direction,
     assemble_strategy,
     build_strategy,
@@ -85,13 +86,16 @@ class TestTestProjector:
 
     def test_target_pass_is_checked_at_the_basis_tolerance(self):
         """A basis at the edge of ORTHO_ATOL is a valid Basis, but the target
-        passes its test with probability 1 + 6.9e-10, which is refused."""
+        passes its test with probability 1 + 6.9e-10, which is refused, also
+        when the test is constructed directly."""
         d = 8
         skew = np.eye(d) + 4.9e-11 * (np.ones((d, d)) - np.eye(d))
         edge = Basis(d=d, vectors=fourier_basis(d).vectors @ skew)
         s = make_schmidt_state([1.0, 1e-3] + [0.0] * (d - 2))
         with pytest.raises(DesignMismatchError, match="target pass probability"):
             test_projector(s, edge)
+        with pytest.raises(DesignMismatchError, match="target pass probability"):
+            ConditionalProjectorTest(Direction.B_TO_A, edge, s)
 
     def test_mirrored_test_is_the_swap(self):
         s = make_schmidt_state([3.0, 2.0, 1.0])
@@ -412,3 +416,10 @@ class TestCustomStrategies:
         s = two_qubit_state(np.pi / 6)
         with pytest.raises(OutOfRangeError):
             assemble_strategy(s, [(0.6, standard_test(s))])
+
+    @pytest.mark.parametrize("probs", [(np.nan,), (1.0, np.nan)], ids=["alone", "with-one"])
+    def test_nan_probability_rejected(self, probs):
+        """NaN compares False both ways, so the checks are written to fail it."""
+        s = two_qubit_state(np.pi / 6)
+        with pytest.raises(OutOfRangeError, match="test probabilities must be positive"):
+            assemble_strategy(s, [(q, standard_test(s)) for q in probs])

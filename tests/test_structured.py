@@ -287,19 +287,13 @@ def test_two_way_tests_are_swapped_twins(name, kind):
 
 @pytest.mark.parametrize("kind", ["II", "III", "IV", "V", "VI"])
 def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatch):
-    """The A -> B design tests are built in one batch, once each, and the
-    B -> A twins are never built; no II-VI build calls weighted_gram (the
-    design part comes from shift blocks, the head test from its diagonal);
-    the spectrum comes from one d x d eigensolve."""
+    """Each B -> A design test shares its A -> B twin's basis and target; no
+    II-VI build calls weighted_gram (the design part comes from shift
+    blocks, the head test from its diagonal); the spectrum comes from one
+    d x d eigensolve."""
     state = TARGETS["d5-random"]
-    batches, grams, eig_dims = [], [], []
-    projector_tests = strategies._projector_tests
+    grams, eig_dims = [], []
     gram, eig = linalg.weighted_gram, linalg.eig_hermitian
-
-    def recording_projector_tests(state, bases, stack, direction):
-        tests = projector_tests(state, bases, stack, direction)
-        batches.append([id(t) for t in tests])
-        return tests
 
     def counting_gram(blocks, dim):
         grams.append(dim)
@@ -309,16 +303,18 @@ def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatc
         eig_dims.append(np.shape(h)[0])
         return eig(h)
 
-    monkeypatch.setattr(strategies, "_projector_tests", recording_projector_tests)
     monkeypatch.setattr(linalg, "weighted_gram", counting_gram)
     monkeypatch.setattr(linalg, "eig_hermitian", recording_eig)
     strat = build_strategy(state, kind)
     design = [t for _, t in strat.tests[1:]]
-    forward = [id(t) for t in design if t.direction is Direction.A_TO_B]
-    backward = [id(t) for t in design if t.direction is Direction.B_TO_A]
-    assert len(backward) == (len(forward) if kind in ("IV", "VI") else 0)
-    head = [[id(strat.tests[0][1])]] if kind in ("II", "III", "IV") else []
-    assert batches == head + [forward]
+    assert all(t.state is strat.state for t in design)
+    if kind in ("IV", "VI"):
+        assert len(design) % 2 == 0
+        for ab, ba in zip(design[::2], design[1::2]):
+            assert (ab.direction, ba.direction) == (Direction.A_TO_B, Direction.B_TO_A)
+            assert ba.measured_basis is ab.measured_basis and ba.state is ab.state
+    else:
+        assert all(t.direction is Direction.A_TO_B for t in design)
     assert grams == []
     assert eig_dims == [state.d]
 
@@ -357,11 +353,11 @@ def test_design_bases_are_the_averaged_phase_rows(d, m, monkeypatch):
 
 
 def test_design_tests_hold_few_basis_stacks():
-    """The design bases are stacked once for the test batch, and the shift
-    blocks read only the row-phase table: at d=24 kind VI, with the design's
-    bases built beforehand, the traced peak of _design_tests stays within
-    3.5 stacks of size (m-1) d^2 complex entries (the stack, the conditional
-    kets and one temporary), with the returned tests included.
+    """Each design test is its basis and the target, and the shift blocks
+    read only the row-phase table: at d=24 kind VI, with the design's bases
+    built beforehand, the traced peak of _design_tests stays within half a
+    stack of size (m-1) d^2 complex entries, with the returned tests
+    included.  No basis stack or stored conditional ket is formed, and
     _design_tests allocates no Omega: the build forms it from the closed
     form."""
     d = 24
@@ -375,7 +371,7 @@ def test_design_tests_hold_few_basis_stacks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * stack_bytes
+    assert peak <= 0.5 * stack_bytes
 
 
 @pytest.mark.parametrize("kind", KINDS)
