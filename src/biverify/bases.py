@@ -47,7 +47,7 @@ UNBIASED_ATOL = 1e-10
 DESIGN_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Basis:
     """An orthonormal basis of C^d; column j of ``vectors`` is ket j."""
 
@@ -74,7 +74,7 @@ class Basis:
         return self.vectors[:, j]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedBasisSet:
     """Bases B_0, ..., B_{m-1} with weights summing to one."""
 
@@ -251,7 +251,7 @@ def roy_scott_set(d: int, m: int | None = None) -> WeightedBasisSet:
     return _design(d, min_design_size(d) if m is None else m).basis_set
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Design:
     """A built-in design: basis 0 is the standard basis, basis l >= 1 is
     diag(``rows[l-1]``) F with F the Fourier basis, and basis l carries

@@ -2,12 +2,11 @@
 
 Every operator in this package is a small dense ``complex128`` matrix, so
 numpy's eigensolver is used directly; what this module adds are the explicit
-tolerance checks, the descending eigenvalue convention the verification
-analysis relies on, and the spectrum of an operator on C^d x C^d given as a
-d x d block on span{|jj>} plus a diagonal, the form in which the design
-strategies build their operators (see ``strategies.build_strategy``).  The
-Gram sum ``weighted_gram`` serves kind I, custom mixtures and
-``verify_2design``.
+tolerance checks and the descending eigenvalue convention the verification
+analysis relies on.  Only kind I and custom mixtures solve an eigenproblem:
+the design strategies II-VI read their spectrum off the paper's closed form
+(see ``strategies.build_strategy``).  The Gram sum ``weighted_gram`` serves
+kind I, custom mixtures and ``verify_2design``.
 """
 from __future__ import annotations
 
@@ -83,38 +82,3 @@ def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
     return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def eig_phase_invariant(block, diagonal) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum and top two eigenvectors of the d^2 x d^2 operator
-    diag(``diagonal``) plus ``block`` on span{|jj>}.
-
-    Such an operator, which commutes with every diag(e^{i phi}) x
-    diag(e^{-i phi}), is the d x d matrix ``block`` + diag(diagonal at the
-    |jj>) on span{|jj>}, solved with ``eig_hermitian``, plus the eigenvalue
-    ``diagonal[jk]`` with eigenvector |jk> for each j != k.  Returns
-    ``(w, v)``: all d^2 eigenvalues ``w`` in descending order (multiplicities
-    repeated; on ties the block's come first) and the d^2 x 2 matrix ``v``
-    whose columns are orthonormal eigenvectors for ``w[0]`` and ``w[1]``, the
-    only ones a strategy reads.
-    """
-    block = as_matrix(block)
-    d = block.shape[0]
-    n = d * d
-    diagonal = np.asarray(diagonal, dtype=float)
-    if block.shape != (d, d) or diagonal.shape != (n,):
-        raise OutOfRangeError(f"expected a {d}x{d} block and {n} diagonal entries")
-    if not np.isfinite(diagonal).all():
-        raise OutOfRangeError("diagonal entries must be finite")
-    jj = np.arange(d) * (d + 1)
-    wb, vb = eig_hermitian(block + np.diag(diagonal[jj]))
-    off = np.flatnonzero(np.arange(n) % (d + 1))  # the |jk>, j != k
-    w = np.concatenate([wb, diagonal[off]])
-    order = np.argsort(-w, kind="stable")
-    v = np.zeros((n, 2), dtype=complex)
-    for col, i in enumerate(order[:2]):
-        if i < d:
-            v[jj, col] = vb[:, i]
-        else:
-            v[off[i - d], col] = 1.0
-    return w[order], v

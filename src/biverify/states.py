@@ -18,9 +18,11 @@ from .errors import (
 NORM_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
+# support weights below the smallest normal double lose the unit conditional ket
+SUPPORT_CUTOFF = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtState:
     """Bipartite pure state sum_j c_j |jj> on C^d x C^d.
 
@@ -57,12 +59,13 @@ class SchmidtState:
 
     @property
     def is_entangled(self) -> bool:
-        """Schmidt rank >= 2.  Tested on c_1, not as c_0 < 1: c_0 rounds to 1
-        for c_1 below about 1e-8."""
-        return bool(self.coeffs[1] > 0.0)
+        """Schmidt rank >= 2 with outcome 1 supported: c_1^2 above
+        ``SUPPORT_CUTOFF``, so a standard-basis test sees outcome 1.  Tested on
+        c_1, not as c_0 < 1: c_0 rounds to 1 for c_1 below about 1e-8."""
+        return bool(self.coeffs[1] ** 2 > SUPPORT_CUTOFF)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A dim x dim density matrix (Hermitian, unit trace, PSD within tolerance)."""
 

@@ -49,10 +49,8 @@ from .errors import (
     SeparableStateError,
     TopEigenvalueError,
 )
-from .states import SchmidtState, embed_state, state_vector
+from .states import SUPPORT_CUTOFF, SchmidtState, embed_state, state_vector
 
-# support weights below the smallest normal double lose the unit conditional ket
-SUPPORT_CUTOFF = np.finfo(float).tiny
 TARGET_PASS_ATOL = 1e-10
 BETA_CROSSCHECK_ATOL = 1e-10
 TOP_EIGENVALUE_ATOL = 1e-8
@@ -67,7 +65,7 @@ class Direction(str, Enum):
     B_TO_A = "BtoA"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalProjectorTest:
     """One conditional-projector test, stored as its measured basis and its
     target ``state``.
@@ -135,7 +133,7 @@ class ConditionalProjectorTest:
         return _freeze(x @ x.conj().T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomizedDiagonalTest:
     """Both parties measure the standard basis; outcome (j, k) is accepted
     with probability ``acceptance[j, k]``.  ``matrix`` builds the diagonal
@@ -157,7 +155,7 @@ class RandomizedDiagonalTest:
 TestOperator = ConditionalProjectorTest | RandomizedDiagonalTest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Strategy:
     """A convex mixture of tests with its spectral data.
 
@@ -165,9 +163,11 @@ class Strategy:
     factors for kind I and custom mixtures; for kinds II-VI it is the closed
     form that the design certificate proves equal to that sum up to
     round-off (see ``build_strategy``).  ``beta`` is its second-largest
-    eigenvalue and ``nu = 1 - beta`` the spectral gap.  ``beta_vector`` is a unit
-    eigenvector of ``omega`` for ``beta`` orthogonal to the target, the
-    direction of the worst-case state (see ``states.worst_case_state``).
+    eigenvalue, solved for kind I and custom mixtures and read off the
+    closed form for II-VI, and ``nu = 1 - beta`` the spectral gap.
+    ``beta_vector`` is a unit eigenvector of ``omega`` for ``beta``
+    orthogonal to the target, the direction of the worst-case state (see
+    ``states.worst_case_state``).
     ``p`` records the mixing probability of the standard/diagonal test for
     the built-in kinds (None for custom mixtures).
     """
@@ -309,43 +309,19 @@ def assemble_strategy(
     """Mix tests into a strategy and extract its spectral data.
 
     ``tests`` is an iterable of (probability, TestOperator) with positive
-    probabilities summing to one.  The verification operator is the exact
-    weighted sum of the test operators, formed from their factors without
-    building any test's matrix; its top eigenvalue must be 1 with the target
-    as the top eigenvector.
+    probabilities summing to one, every conditional test made for ``state``.
+    The verification operator is the exact weighted sum of the test
+    operators, formed from their factors without building any test's matrix,
+    and its spectrum comes from one dense eigensolve.  Its top eigenvalue
+    must be 1 with the target as the top eigenvector.  The second
+    eigenvector is kept as ``beta_vector`` once projected off the target; it
+    is orthogonal to the top one, which overlaps the target to 1e-8, so the
+    projection leaves it nearly unit.
     """
     tests = _checked_tests(state, tests)
     linalg.check_eig_dim(state.d * state.d)  # before the d^2 x d^2 Gram product
     omega = _mix(state.d, tests)
-    return _with_spectrum(state, tests, omega, linalg.eig_hermitian(omega), label, p)
-
-
-def _checked_tests(state: SchmidtState, tests) -> tuple:
-    """The ``(probability, test)`` pairs as a tuple, after checking that the
-    probabilities are a distribution and the tests act on the target's space."""
-    tests = tuple((float(q), t) for q, t in tests)
-    if not tests:
-        raise OutOfRangeError("a strategy needs at least one test")
-    probs = np.array([q for q, _ in tests])
-    if not np.all(probs > 0):
-        raise OutOfRangeError("test probabilities must be positive")
-    if not abs(float(probs.sum()) - 1.0) <= 1e-12:
-        raise OutOfRangeError(f"test probabilities sum to {probs.sum():.15g}, not 1")
-    if any(test.d != state.d for _, test in tests):
-        raise DimensionMismatchError("test operator dimension mismatch")
-    return tests
-
-
-def _with_spectrum(state, tests, omega, spectrum, label, p) -> Strategy:
-    """The strategy with operator ``omega`` and its ``spectrum`` ``(w, v)``,
-    after checking that its top eigenvalue is 1 with the target as the top
-    eigenvector.
-
-    The second eigenvector is kept as ``beta_vector`` once projected off the
-    target; it is orthogonal to the top one, which overlaps the target to
-    1e-8, so the projection leaves it nearly unit.
-    """
-    w, v = spectrum
+    w, v = linalg.eig_hermitian(omega)
     if abs(w[0] - 1.0) > TOP_EIGENVALUE_ATOL:
         raise TopEigenvalueError(f"top eigenvalue is {w[0]:.12g}, expected 1")
     psi = state_vector(state)
@@ -357,16 +333,31 @@ def _with_spectrum(state, tests, omega, spectrum, label, p) -> Strategy:
     beta = float(w[1])
     chi = v[:, 1] - psi * (psi.conj() @ v[:, 1])
     chi = chi / float(np.linalg.norm(chi))
-    return Strategy(
-        state=state,
-        tests=tests,
-        omega=_freeze(omega),
-        beta=beta,
-        nu=1.0 - beta,
-        beta_vector=_freeze(chi),
-        label=label,
-        p=p,
-    )
+    return Strategy(state, tests, _freeze(omega), beta, 1.0 - beta, _freeze(chi), label, p)
+
+
+def _checked_tests(state: SchmidtState, tests) -> tuple:
+    """The ``(probability, test)`` pairs as a tuple, after checking that the
+    probabilities are a distribution and the tests act on the target's space,
+    the conditional ones made for the target itself."""
+    tests = tuple((float(q), t) for q, t in tests)
+    if not tests:
+        raise OutOfRangeError("a strategy needs at least one test")
+    probs = np.array([q for q, _ in tests])
+    if not np.all(probs > 0):
+        raise OutOfRangeError("test probabilities must be positive")
+    if not abs(float(probs.sum()) - 1.0) <= 1e-12:
+        raise OutOfRangeError(f"test probabilities sum to {probs.sum():.15g}, not 1")
+    if any(test.d != state.d for _, test in tests):
+        raise DimensionMismatchError("test operator dimension mismatch")
+    if any(
+        isinstance(test, ConditionalProjectorTest)
+        and test.state is not state
+        and not np.array_equal(test.state.coeffs, state.coeffs)
+        for _, test in tests
+    ):
+        raise DesignMismatchError("a conditional test was made for another target")
+    return tests
 
 
 def optimal_p(state: SchmidtState, kind: str) -> float:
@@ -390,7 +381,12 @@ def optimal_p(state: SchmidtState, kind: str) -> float:
 
 
 def closed_form_beta(state: SchmidtState, label: str, p: float) -> float | None:
-    """Analytic second eigenvalue for the built-in kinds, None otherwise."""
+    """Analytic second eigenvalue for the built-in kinds, None otherwise.
+
+    For kinds II-VI it is the built strategy's ``beta``; for kind I it is
+    the value the dense eigensolve is checked against (see
+    ``build_strategy``).
+    """
     c2 = state.coeffs**2
     if label == "I":
         return max(p, 1.0 - p)
@@ -529,15 +525,18 @@ def build_strategy(
     is not re-checked (``bases.verify_2design`` certifies it separately).  Once
     it holds, Omega is p times the head test's diagonal plus (1 - p) Pi
     (averaged over the two directions for IV and VI): a d x d block on
-    span{|jj>} plus a d^2 diagonal, whose spectrum is one d x d eigensolve
-    (``linalg.eig_phase_invariant``).  The design part costs O(m d^3) time
-    for m bases, and the strategy holds Omega as one dense d^2 x d^2 matrix.
+    span{|jj>} plus a d^2 diagonal, whose spectrum the paper gives in closed
+    form, so no eigenproblem is solved (see ``_beta_vector``).  The design
+    part costs O(m d^3) time for m bases, and the strategy holds Omega as one
+    dense d^2 x d^2 matrix.  Kind I takes the dense eigensolve of
+    ``assemble_strategy``, whose beta is checked against
+    ``closed_form_beta``.
     """
     kind = _normalize_kind(kind)
     if not state.is_entangled:
         raise SeparableStateError(
-            "target has Schmidt rank 1 (product state); the standard test alone "
-            "verifies it"
+            f"target has Schmidt rank 1 to double precision (c_1 = {state.coeffs[1]:.3g}); "
+            "the standard test alone verifies it"
         )
     if basis_1 is not None and kind != "I":
         raise OutOfRangeError("basis_1 applies only to strategy kind I")
@@ -561,6 +560,12 @@ def build_strategy(
             )
         tests = [(p, standard_test(state)), (1.0 - p, test_projector(state, basis_1))]
         strategy = assemble_strategy(state, tests, label=kind, p=p)
+        expected = closed_form_beta(state, kind, p)
+        if abs(strategy.beta - expected) > BETA_CROSSCHECK_ATOL:
+            raise DesignMismatchError(
+                f"eigensolver beta {strategy.beta:.15g} deviates from the closed form "
+                f"{expected:.15g} for kind {kind}"
+            )
     else:
         if kind in ("II", "III", "IV"):
             if not 0.0 <= p < 1.0:
@@ -577,15 +582,32 @@ def build_strategy(
         directions = tuple(Direction) if two_way else (Direction.A_TO_B,)
         block, diagonal = (x * (1.0 - p) for x in _pi_parts(state, directions))
         diagonal += sum(q * _diagonal(test) for q, test in head)
-        spectrum = linalg.eig_phase_invariant(block, diagonal)
-        strategy = _with_spectrum(state, tests, _dense(block, diagonal), spectrum, kind, p)
-    expected = closed_form_beta(state, kind, p)
-    if abs(strategy.beta - expected) > BETA_CROSSCHECK_ATOL:
-        raise DesignMismatchError(
-            f"eigensolver beta {strategy.beta:.15g} deviates from the closed form "
-            f"{expected:.15g} for kind {kind}"
-        )
+        beta = closed_form_beta(state, kind, p)
+        omega, chi = _freeze(_dense(block, diagonal)), _beta_vector(state, beta == p)
+        strategy = Strategy(state, tests, omega, beta, 1.0 - beta, chi, kind, p)
     return strategy
+
+
+def _beta_vector(state: SchmidtState, on_jj: bool) -> np.ndarray:
+    """A unit eigenvector for beta of a design strategy's Omega, orthogonal
+    to the target.
+
+    On span{|jj>} Omega is (1 - p) c c^T plus p on every supported outcome,
+    and outcomes 0 and 1 are supported (``SchmidtState.is_entangled``), so
+    (c_1|00> - c_0|11>)/sqrt(c_0^2 + c_1^2) has eigenvalue p.  Off that span
+    Omega is diagonal, and its largest entry, (1 - p) c_0^2 for II and III
+    and (1 - p)(c_0^2 + c_1^2)/2 for IV, sits at |10>; for V and VI every
+    entry there is p.  ``on_jj`` picks the first vector, for beta = p.
+    """
+    d = state.d
+    chi = np.zeros(d * d, dtype=complex)
+    if on_jj:
+        c0, c1 = state.coeffs[:2]
+        norm = math.hypot(c0, c1)
+        chi[0], chi[d + 1] = c1 / norm, -c0 / norm
+    else:
+        chi[d] = 1.0
+    return _freeze(chi)
 
 
 def is_homogeneous(strategy: Strategy, tol: float = 1e-10) -> bool:

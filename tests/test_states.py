@@ -60,6 +60,8 @@ class TestMakeSchmidtState:
     def test_entanglement_flag(self):
         assert make_schmidt_state([1.0, 1.0], 2).is_entangled
         assert not make_schmidt_state([1.0, 0.0], 2).is_entangled
+        # c_1^2 below the smallest normal double: no test supports outcome 1
+        assert not make_schmidt_state([1.0, 1e-160]).is_entangled
 
     @pytest.mark.parametrize("c1", [1e-8, 1e-12, 1e-150])
     def test_near_product_is_entangled(self, c1):

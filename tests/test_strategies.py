@@ -10,6 +10,7 @@ from biverify import (
     assemble_strategy,
     build_strategy,
     closed_form_beta,
+    depolarize,
     fourier_basis,
     is_homogeneous,
     make_schmidt_state,
@@ -18,6 +19,7 @@ from biverify import (
     optimal_p,
     pi_operator,
     random_unbiased_basis,
+    roy_scott_set,
     standard_basis,
     standard_test,
     state_vector,
@@ -215,10 +217,13 @@ class TestBuildStrategy:
             assert strat.state.d == 4
 
     def test_separable_rejected(self):
-        s = make_schmidt_state([1.0, 0.0])
-        for kind in ("I", "II", "III", "IV", "V", "VI"):
-            with pytest.raises(SeparableStateError):
-                build_strategy(s, kind)
+        """A target whose c_1^2 is not a normal double is a product state to
+        the tests, which support no outcome 1: every kind refuses it."""
+        for raw in ([1.0, 0.0], [1.0, 1e-160]):
+            s = make_schmidt_state(raw)
+            for kind in ("I", "II", "III", "IV", "V", "VI"):
+                with pytest.raises(SeparableStateError):
+                    build_strategy(s, kind)
 
     @pytest.mark.parametrize("c1", [1e-7, 1e-8, 1e-12, 1e-150])
     @pytest.mark.parametrize("d", [2, 5, 12])
@@ -412,6 +417,21 @@ class TestCustomStrategies:
             beta_two = assemble_strategy(s, both).beta
             assert beta_two <= 0.5 * beta_fwd + 0.5 * beta_bwd + 1e-10
 
+    def test_test_for_another_target_rejected(self, monkeypatch):
+        """A conditional test made for another target of the same dimension
+        is refused before Omega is formed; one made for an equal target is
+        accepted."""
+        s1 = make_schmidt_state([3.0, 2.0, 1.0])
+        s2 = make_schmidt_state([1.0, 1.0, 1.0])
+        tests = [(0.5, standard_test(s1)), (0.5, test_projector(s2, fourier_basis(3)))]
+        with monkeypatch.context() as patch:
+            patch.setattr(strategies, "_mix", None)  # never reached
+            with pytest.raises(DesignMismatchError, match="another target"):
+                assemble_strategy(s1, tests)
+        twin = make_schmidt_state([3.0, 2.0, 1.0])
+        tests[1] = (0.5, test_projector(twin, fourier_basis(3)))
+        assert assemble_strategy(s1, tests).beta == pytest.approx(0.5, abs=1e-10)
+
     def test_probabilities_must_sum_to_one(self):
         s = two_qubit_state(np.pi / 6)
         with pytest.raises(OutOfRangeError):
@@ -423,3 +443,34 @@ class TestCustomStrategies:
         s = two_qubit_state(np.pi / 6)
         with pytest.raises(OutOfRangeError, match="test probabilities must be positive"):
             assemble_strategy(s, [(q, standard_test(s)) for q in probs])
+
+
+def test_array_records_compare_and_hash_by_identity():
+    """Records that hold arrays are equal only to themselves and hash by
+    identity, so == never asks numpy for an array's truth value and each can
+    sit in a set."""
+    s = make_schmidt_state([3.0, 2.0, 1.0])
+    strat = build_strategy(s, "VI")
+    records = [
+        s,
+        fourier_basis(3),
+        roy_scott_set(3),
+        depolarize(s, 0.1),
+        strat,
+        test_projector(s, fourier_basis(3)),
+        strat.tests[0][1],
+    ]
+    twins = [
+        make_schmidt_state([3.0, 2.0, 1.0]),
+        fourier_basis(3),
+        roy_scott_set(3),
+        depolarize(s, 0.1),
+        build_strategy(s, "VI"),
+        test_projector(s, fourier_basis(3)),
+        two_way_diagonal_test(s, strat.p),
+    ]
+    for record, twin in zip(records, twins):
+        assert record == record and record != twin
+        assert hash(record) == hash(record)
+        assert record in {record} and twin not in {record}
+        assert len({record, twin, record}) == 2

@@ -104,6 +104,10 @@ def test_strategy_matches_dense_oracle(name, kind):
     w = np.linalg.eigvalsh(omega)[::-1]
     assert abs(strat.beta - w[1]) <= ATOL
     assert abs(strat.nu - (1.0 - w[1])) <= ATOL
+    chi = strat.beta_vector
+    assert np.abs(omega @ chi - strat.beta * chi).max() <= ATOL
+    if kind != "I":  # II-VI read beta off the closed form
+        assert strat.beta == closed_form_beta(state, kind, strat.p)
 
 
 def design_blocks(state, design):
@@ -286,11 +290,11 @@ def test_two_way_tests_are_swapped_twins(name, kind):
 
 
 @pytest.mark.parametrize("kind", ["II", "III", "IV", "V", "VI"])
-def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatch):
+def test_design_strategy_calls_no_gram_and_no_eigensolver(kind, monkeypatch):
     """Each B -> A design test shares its A -> B twin's basis and target; no
     II-VI build calls weighted_gram (the design part comes from shift
-    blocks, the head test from its diagonal); the spectrum comes from one
-    d x d eigensolve."""
+    blocks, the head test from its diagonal) or an eigensolver (the spectrum
+    is the closed form)."""
     state = TARGETS["d5-random"]
     grams, eig_dims = [], []
     gram, eig = linalg.weighted_gram, linalg.eig_hermitian
@@ -316,7 +320,7 @@ def test_design_strategy_forms_one_gram_and_no_dense_eigensolve(kind, monkeypatc
     else:
         assert all(t.direction is Direction.A_TO_B for t in design)
     assert grams == []
-    assert eig_dims == [state.d]
+    assert eig_dims == []
 
 
 def _phase_row_cases():
@@ -374,16 +378,37 @@ def test_design_tests_hold_few_basis_stacks():
     assert peak <= 0.5 * stack_bytes
 
 
+def p_cases(state, kind):
+    """The default p, 0.9, p = 0 for II-IV and the lower bound for V and VI,
+    which between them reach both branches of the closed-form beta."""
+    c2 = state.coeffs**2
+    cases = [None, 0.9]
+    if kind in ("II", "III", "IV"):
+        cases.append(0.0)
+    elif kind == "V":
+        cases.append(float(c2[0] / (1.0 + c2[0])))
+    elif kind == "VI":
+        cases.append(float((c2[0] + c2[1]) / (2.0 + c2[0] + c2[1])))
+    return cases
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_worst_case_state_solves_no_eigenproblem(kind, monkeypatch):
-    """The build keeps a unit beta eigenvector orthogonal to the target
-    (kind II on the embedded target), and worst_case_state mixes it in
+    """Over every target and p case, the build keeps a unit beta eigenvector
+    orthogonal to the target (kind II on the embedded target), with beta the
+    second eigenvalue of the dense Omega, and worst_case_state mixes it in
     without calling an eigensolver."""
-    strat = build_strategy(TARGETS["d4-zero-tail"], kind)
-    chi, psi = strat.beta_vector, state_vector(strat.state)
-    assert not chi.flags.writeable
-    assert abs(np.linalg.norm(chi) - 1.0) <= ATOL and abs(psi.conj() @ chi) <= ATOL
-    assert np.abs(strat.omega @ chi - strat.beta * chi).max() <= 1e-10
+    strats = [
+        build_strategy(state, kind, p=p)
+        for state in TARGETS.values()
+        for p in p_cases(state, kind)
+    ]
+    for strat in strats:
+        chi, psi = strat.beta_vector, state_vector(strat.state)
+        assert not chi.flags.writeable
+        assert abs(np.linalg.norm(chi) - 1.0) <= ATOL and abs(psi.conj() @ chi) <= ATOL
+        assert abs(strat.beta - np.linalg.eigvalsh(strat.omega)[-2]) <= ATOL
+        assert np.abs(strat.omega @ chi - strat.beta * chi).max() <= ATOL
     calls = []
     eig = linalg.eig_hermitian
 
@@ -392,7 +417,8 @@ def test_worst_case_state_solves_no_eigenproblem(kind, monkeypatch):
         return eig(h)
 
     monkeypatch.setattr(linalg, "eig_hermitian", counting_eig)
-    worst_case_state(strat, 0.1)
+    for strat in strats:
+        worst_case_state(strat, 0.1)
     assert calls == []
 
 
