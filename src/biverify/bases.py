@@ -11,14 +11,14 @@ picks the design for (d, m) and holds its row-phase table and weights; the
 two constructors, the ``check-design`` command and a strategy build read it.
 
 Each fact about a construction is certified in one place.  ``Basis`` checks
-that its kets are orthonormal.  The 2-design identity of a basis set is
-certified by ``verify_2design``, which the ``check-design`` command and the
-tests run; for d+1 bases with uniform weights it holds exactly when the
-bases are mutually unbiased (Klappenecker and Roetteler, 2005), so the MUB
-sets need no separate pairwise check.  A strategy build certifies the
-identity it relies on, the design test average d/(d+1) Pi, on the shift
-blocks of that average, formed from the row-phase table (see
-``strategies.build_strategy``).
+that its kets are orthonormal.  A built-in design's 2-design identity is
+certified from its row-phase table (``_Design.residual``), once by a
+strategy build and once by the ``check-design`` command; the design test
+average d/(d+1) Pi a build relies on follows for every target.  The dense
+``verify_2design`` serves any weighted basis set and the tests.  For d+1
+bases with uniform weights the identity holds exactly when the bases are
+mutually unbiased (Klappenecker and Roetteler, 2005), so the MUB sets need
+no separate pairwise check.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ ORTHO_ATOL = 1e-10
 UNIT_ATOL = 1e-12
 WEIGHT_ATOL = 1e-12
 UNBIASED_ATOL = 1e-10
-# max-norm residual up to which a design identity (the 2-design second
-# moment, or a strategy's design test average) counts as holding
+# max-norm residual up to which the 2-design second-moment identity counts
+# as holding
 DESIGN_ATOL = 1e-10
 
 
@@ -271,6 +271,33 @@ class _Design:
             bases=(standard_basis(d), *(Basis(d=d, vectors=v) for v in kets)),
             weights=self.weights,
         )
+
+    def residual(self) -> float:
+        """Max-norm residual of the 2-design identity, from the row table and
+        the weights alone.
+
+        The second moment of a phase basis diag(row) F, like that of the
+        standard basis, maps |ab> only into the shift class delta = a - b
+        mod d.  On class delta, in the kets |a, a-delta>, the weighted second
+        moment is S = (1/d) W diag(w_1..w_{m-1}) W^dagger, plus w_0 I on class
+        0, with W[a, l] = row_l[a] conj(row_l[a-delta]), and the target
+        (I + d|Phi><Phi|)/(d+1) is I/(d+1), plus J/(d+1) on class 0.  Both
+        vanish outside the classes, so this is ``verify_2design``'s residual
+        on ``basis_set`` up to round-off, in O(m d^3) time and O(m d) memory.
+        """
+        d = self.rows.shape[1]
+        a = np.arange(d)
+        weights = self.weights[1:] / d
+        worst = []
+        for delta in range(d):
+            w = self.rows * self.rows[:, (a - delta) % d].conj()
+            deviation = (w.T * weights) @ w.conj()
+            deviation.flat[:: d + 1] -= 1.0 / (d + 1)
+            if delta == 0:
+                deviation.flat[:: d + 1] += self.weights[0]
+                deviation -= 1.0 / (d + 1)
+            worst.append(np.abs(deviation).max())
+        return float(np.max(worst))  # NaN propagates, and fails the check
 
 
 def _design(d: int, m: int | None = None) -> _Design:

@@ -4,13 +4,14 @@ Subcommands
 -----------
 analyze            spectral data and test budgets for a configured strategy
 figure1            CSV of required test counts versus theta for two qubits
-check-design       build a weighted basis set and verify the 2-design identity
+check-design       certify a built-in design's 2-design identity from its table
 simulate           Monte Carlo run against a noisy state, JSON output
 estimate-fidelity  fidelity estimate from a homogeneous strategy, JSON output
 
 Configuration comes from flags or a JSON file (--config); flags win.  For
 d = 2, ``--theta T`` is sugar for ``--schmidt cos(T),sin(T)``.  Exit codes:
-0 success, 1 failed check, 2 validation error, 3 I/O error.
+0 success, 1 failed check, 2 validation error or refused allocation
+(MemoryError), 3 I/O error.
 """
 from __future__ import annotations
 
@@ -266,7 +267,9 @@ def cmd_figure1(args) -> int:
 
 def cmd_check_design(args) -> int:
     design = bases._design(args.d, args.m)
-    ok, residual = bases.verify_2design(design.basis_set, tol=args.tol)
+    bases._check_tolerance(args.tol)
+    residual = design.residual()
+    ok = residual <= args.tol
     status = "PASS" if ok else "FAIL"
     _emit(
         f"2-design check [{design.name}]: {status} residual={residual:.3e} "
@@ -376,6 +379,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BiverifyError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -408,69 +408,29 @@ def _normalize_kind(kind) -> str:
     return label
 
 
-def _design_average(state: SchmidtState, rows, weights) -> np.ndarray:
-    """The weighted average sum_l w_l P_l of the A -> B tests of the phase
-    bases diag(``rows[l]``) F (see ``bases._design``), as its ``d`` shift
-    blocks.
-
-    The conditional test of such a basis maps |ab> only to kets of the same
-    shift class delta = a - b mod d, and on class delta it is
-    |w_delta><w_delta| with w_delta[a] = c_{a-delta} row[a] conj(row[a-delta])
-    in the basis |a, a-delta>.  So the average is zero outside the classes,
-    and ``blocks[delta]`` = W diag(w) W^dagger with W[a, l] the entry a of
-    basis l's w_delta: d products of size d x n for n bases, O(n d^3) in
-    all, read from the (n, d) table alone.
-    """
-    d = state.d
-    a = np.arange(d)
-    blocks = np.empty((d, d, d), dtype=complex)
-    for delta in range(d):
-        b = (a - delta) % d
-        w = state.coeffs[b][:, None] * (rows * rows[:, b].conj()).T
-        blocks[delta] = (w * weights) @ w.conj().T
-    return blocks
-
-
-def _design_residual(state: SchmidtState, blocks: np.ndarray) -> float:
-    """max-norm of the shift blocks of a design average minus those of
-    d/(d+1) Pi.
-
-    Pi comes from ``_pi_parts``: its block is class 0, and its diagonal
-    entry on |a, a-delta> is the one entry of class delta != 0 on that ket.
-    Entries outside the classes vanish by the algebra, so every nonzero
-    entry is compared, with no d^2 x d^2 temporary.
-    """
-    d = state.d
-    block, diagonal = _pi_parts(state, (Direction.A_TO_B,))
-    a = np.arange(d)
-    target = np.zeros_like(blocks)
-    target[:, a, a] = diagonal.reshape(d, d)[a, (a - a[:, None]) % d]
-    target[0] = block
-    return float(np.abs(blocks - target * (d / (d + 1))).max())
-
-
 def _design_tests(state, design, total, two_way):
     """The weighted tests realizing `total * Pi` (averaged over directions)
     from a built-in design (``bases._design``).
 
-    The shift blocks of the design average come from the design's
-    row-phase table (``_design_average``) and are checked against
-    d/(d+1) Pi before any test is built.  Each test is then its design
+    The design's 2-design residual (``bases._Design.residual``) is checked
+    before any test is built.  On shift class delta the A -> B design
+    average misses d/(d+1) Pi by d diag(c_{.-delta}) R diag(c_{.-delta}),
+    with R that residual's class block, so a pass bounds the miss by
+    d c_0^2 DESIGN_ATOL for every target.  Each test is then its design
     basis and the target, and derives its conditional kets on demand, so no
     basis stack is formed.  A B -> A test is its A -> B twin with the parties
     swapped, which shares the twin's basis and target.  The tests contribute
     nothing to Omega here: the certificate proves their sum equal to the
     closed form that ``build_strategy`` uses.
     """
-    weights = design.weights[1:]
-    residual = _design_residual(state, _design_average(state, design.rows, weights))
-    if residual > DESIGN_ATOL:
+    residual = design.residual()
+    if not residual <= DESIGN_ATOL:
         raise DesignMismatchError(
-            f"design average misses the closed form by {residual:.3e}"
+            f"design misses the 2-design identity by {residual:.3e}"
         )
     share = (state.d + 1) / state.d / (2 if two_way else 1)
     tests = []
-    for weight, basis in zip(weights, design.basis_set.bases[1:]):
+    for weight, basis in zip(design.weights[1:], design.basis_set.bases[1:]):
         test = ConditionalProjectorTest(Direction.A_TO_B, basis, state)
         q = total * share * float(weight)
         tests.append((q, test))
@@ -519,11 +479,11 @@ def build_strategy(
     strategy acts on the enlarged space (see ``Strategy.state``) and keeps
     the same spectral gap.  Whenever a design is used, it comes from
     ``bases._design(d, m)`` as a table of row phases, one per phase-dressed
-    Fourier basis, and the identity sum_{l>=1} w_l P_l = d/(d+1) Pi is
-    checked once, on the shift blocks of that average formed from the table;
-    it is the build's one certificate of the design, and the basis set itself
-    is not re-checked (``bases.verify_2design`` certifies it separately).  Once
-    it holds, Omega is p times the head test's diagonal plus (1 - p) Pi
+    Fourier basis, and is certified once by the 2-design residual of that
+    table (``bases._Design.residual``), which bounds the miss of
+    sum_{l>=1} w_l P_l = d/(d+1) Pi by d c_0^2 DESIGN_ATOL for every target
+    (see ``_design_tests``).  Once it holds, Omega is p times the head
+    test's diagonal plus (1 - p) Pi
     (averaged over the two directions for IV and VI): a d x d block on
     span{|jj>} plus a d^2 diagonal, whose spectrum the paper gives in closed
     form, so no eigenproblem is solved (see ``_beta_vector``).  The design
@@ -567,6 +527,9 @@ def build_strategy(
                 f"{expected:.15g} for kind {kind}"
             )
     else:
+        # the O(m d) row table comes before the O(d^2) head test; kind II
+        # refuses m and has a prime d here: the complete MUB set
+        design = _design(d, m)
         if kind in ("II", "III", "IV"):
             if not 0.0 <= p < 1.0:
                 raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
@@ -575,8 +538,6 @@ def build_strategy(
             head = [(p, one_way_diagonal_test(state, p))]
         else:  # VI
             head = [(p, two_way_diagonal_test(state, p))]
-        # kind II refuses m and has a prime d here: the complete MUB set
-        design = _design(d, m)
         two_way = kind in ("IV", "VI")
         tests = _checked_tests(state, head + _design_tests(state, design, 1.0 - p, two_way))
         directions = tuple(Direction) if two_way else (Direction.A_TO_B,)

@@ -15,6 +15,7 @@ from biverify import (
     exact_pass_rate,
     make_schmidt_state,
     min_design_size,
+    pi_operator,
     prime_mub_set,
     random_state_at_fidelity,
     random_unbiased_basis,
@@ -28,7 +29,7 @@ from biverify import (
     verify_2design,
     worst_case_state,
 )
-from biverify import bases, strategies
+from biverify import bases
 from biverify.cli import main
 
 D2_STATE = two_qubit_state(np.pi / 6)
@@ -37,10 +38,13 @@ D3_STATE = make_schmidt_state([2.0, 1.0, 1.0])
 
 def _design_residual(state, design):
     """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi for a built-in design
-    (``bases._design``), as a strategy build certifies it from the design's
-    row-phase table."""
-    blocks = strategies._design_average(state, design.rows, design.weights[1:])
-    return strategies._design_residual(state, blocks)
+    (``bases._design``), with every test matrix built densely."""
+    basis_set = design.basis_set
+    average = sum(
+        w * test_projector(state, b).matrix
+        for b, w in zip(basis_set.bases[1:], basis_set.weights[1:])
+    )
+    return float(np.abs(average - pi_operator(state) * state.d / (state.d + 1)).max())
 
 
 def _report(name: str, ok: bool, detail: str = ""):

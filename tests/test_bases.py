@@ -1,5 +1,7 @@
 """Tests for basis constructions, unbiasedness, and the 2-design check."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from biverify import (
     standard_basis,
     verify_2design,
 )
-from biverify.bases import Basis, WeightedBasisSet
+from biverify.bases import DESIGN_ATOL, Basis, WeightedBasisSet, _Design, _design
 from biverify.errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
@@ -212,6 +214,58 @@ class TestVerify2Design:
     def test_phase_design_d6(self):
         ok, residual = verify_2design(roy_scott_set(6, 20), tol=1e-10)
         assert ok and residual <= 1e-10
+
+
+def _built_in_designs():
+    """(d, m) of every built-in design for d = 2..12: the complete MUB set
+    at prime d, the Roy-Scott design at its bound and one size above."""
+    cases = [(d, None) for d in range(2, 13) if is_prime(d)]
+    for d in range(3, 13):
+        cases += [(d, min_design_size(d)), (d, min_design_size(d) + 3)]
+    return cases
+
+
+def _corrupted_designs():
+    honest = _design(6, 20)
+    n = honest.rows.shape[0] - 3
+    rows = honest.rows.copy()
+    rows[4, 2] *= np.exp(0.1j)
+    weights = honest.weights.copy()
+    weights[1:3] += [0.01, -0.01]
+    return {
+        "rows-dropped": _Design(
+            "three rows dropped", honest.rows[:n], np.full(n + 1, 1 / (n + 1))
+        ),
+        "phase-perturbed": replace(honest, rows=rows),
+        "weights-shifted": replace(honest, weights=weights),
+    }
+
+
+CORRUPTED = _corrupted_designs()
+
+
+class TestTableCertificate:
+    """A built-in design's 2-design residual read from its row table is the
+    dense ``verify_2design`` residual of its basis set, with the same
+    verdict."""
+
+    @staticmethod
+    def _compare(design):
+        residual = design.residual()
+        ok, dense = verify_2design(design.basis_set)
+        assert abs(residual - dense) <= 1e-12
+        assert (residual <= DESIGN_ATOL) is ok
+        return residual
+
+    @pytest.mark.parametrize("d, m", _built_in_designs())
+    def test_built_in_designs(self, d, m):
+        assert self._compare(_design(d, m)) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTED))
+    def test_corrupted_tables(self, name):
+        """Corruptions of the d=6, m=20 table (``_design(6, 20)`` is among
+        the built-in cases) fail both checks."""
+        assert self._compare(CORRUPTED[name]) > 1e-4
 
 
 class TestIntegerArguments:

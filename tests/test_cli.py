@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from biverify import bases
 from biverify.cli import CSV_HEADER, JobConfig, _config_from_args, build_parser, main
 
 
@@ -154,6 +155,48 @@ class TestCheckDesign:
         assert code == 2
         assert out == ""
         assert err.startswith("error: OutOfRangeError: tolerance must be finite")
+
+
+    def test_reads_the_table_certificate_once(self, capsys, monkeypatch):
+        """check-design runs the table certificate once, and neither builds
+        the design's bases nor runs the dense 2-design check."""
+        calls = []
+        residual = bases._Design.residual
+
+        def counted(design):
+            calls.append(design.name)
+            return residual(design)
+
+        def refused(*args, **kwargs):
+            pytest.fail("check-design built the bases or ran the dense check")
+
+        monkeypatch.setattr(bases._Design, "residual", counted)
+        monkeypatch.setattr(bases._Design, "basis_set", property(refused))
+        monkeypatch.setattr(bases, "verify_2design", refused)
+        code, out, _ = run_cli(["check-design", "--d", "6", "--m", "20"], capsys)
+        assert code == 0 and "PASS" in out
+        assert calls == ["phase-basis design d=6 m=20"]
+
+
+class TestRefusedAllocation:
+    """A dimension whose design table cannot be allocated exits 2 with one
+    error line: numpy refuses the 698 GiB phase table."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check-design", "--d", "5000"],
+            ["analyze", "--d", "5000", "--strategy", "VI",
+             "--schmidt", ",".join(str(5000 - k) for k in range(5000))],
+        ],
+        ids=["check-design", "analyze-VI"],
+    )
+    def test_memory_error_exits_2(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: MemoryError: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestSimulate:

@@ -38,10 +38,13 @@ from biverify.errors import (
 
 def design_residual(state, design):
     """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi for a built-in design
-    (``bases._design``), as a strategy build certifies it from the design's
-    row-phase table."""
-    blocks = strategies._design_average(state, design.rows, design.weights[1:])
-    return strategies._design_residual(state, blocks)
+    (``bases._design``), with every test matrix built densely."""
+    basis_set = design.basis_set
+    average = sum(
+        w * test_projector(state, b).matrix
+        for b, w in zip(basis_set.bases[1:], basis_set.weights[1:])
+    )
+    return float(np.abs(average - pi_operator(state) * state.d / (state.d + 1)).max())
 
 
 class TestTestProjector:
@@ -153,13 +156,13 @@ class TestPiOperator:
         assert design_residual(s, bases._design(d, min_design_size(d))) <= 1e-10
 
     def test_mismatching_set_raises(self, monkeypatch):
-        """The build's design identity is kind II's only certificate: a
+        """The design's 2-design residual is kind II's only certificate: a
         lop-sided set in place of the complete MUB set fails it."""
         lop_sided = bases._Design(
             "standard and Fourier, lop-sided", np.ones((1, 2)), np.array([1 / 3, 2 / 3])
         )
         monkeypatch.setattr(strategies, "_design", lambda d, m=None: lop_sided)
-        with pytest.raises(DesignMismatchError, match="design average"):
+        with pytest.raises(DesignMismatchError, match="2-design identity"):
             build_strategy(two_qubit_state(np.pi / 6), "II")
 
 

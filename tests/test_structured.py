@@ -5,8 +5,8 @@ supported outcomes of |u_j><u_j| x |v_j><v_j| (factors swapped for B -> A)
 with the conditional kets recomputed from the target, and mixes the tests
 with their probabilities.  The package forms the same operators from their
 factors (custom mixtures as Gram products of stacked pair vectors, the
-design part of kinds II-VI from d shift blocks) and must agree to
-round-off.
+design part of kinds II-VI from the closed form that the design's table
+certificate licenses) and must agree to round-off.
 """
 
 import tracemalloc
@@ -111,9 +111,17 @@ def test_strategy_matches_dense_oracle(name, kind):
 
 
 def design_blocks(state, design):
-    """The build's shift blocks of a built-in design's A -> B average, read
-    from its row-phase table."""
-    return strategies._design_average(state, design.rows, design.weights[1:])
+    """The shift blocks of a built-in design's A -> B average, read from its
+    row-phase table: on class delta, in the kets |a, a-delta>, a test is
+    |w><w| with w[a] = c_{a-delta} row[a] conj(row[a-delta])."""
+    d = state.d
+    a = np.arange(d)
+    blocks = np.empty((d, d, d), dtype=complex)
+    for delta in range(d):
+        b = (a - delta) % d
+        w = state.coeffs[b][:, None] * (design.rows * design.rows[:, b].conj()).T
+        blocks[delta] = (w * design.weights[1:]) @ w.conj().T
+    return blocks
 
 
 def dense_design_average(state, design, direction):
@@ -142,20 +150,31 @@ def scattered(blocks, direction):
     return out
 
 
+def perturbed(design):
+    """The design with one phase of its row table off by 0.1 rad: still
+    orthonormal bases, no longer a 2-design."""
+    rows = design.rows.copy()
+    rows[1, 2] *= np.exp(0.1j)
+    return replace(design, rows=rows)
+
+
 @pytest.mark.parametrize("direction", list(Direction))
 @pytest.mark.parametrize("name", ["d4-zero-tail", "d5-random", "d6-random"])
 def test_design_residual_matches_dense_oracle(name, direction):
-    """The build's block residual equals the dense residual of the design
-    average in either direction (the B -> A average is a permutation of the
-    A -> B one, so both directions share one residual)."""
+    """The table certificate is the dense 2-design residual, and d c_0^2
+    times it bounds the dense miss of the design average from d/(d+1) Pi in
+    either direction (the B -> A average is a permutation of the A -> B
+    one): the design passes both, a perturbed copy fails both."""
     state = TARGETS[name]
-    design = bases._design(state.d)
-    avg = dense_design_average(state, design, direction)
-    pi = strategies.pi_operator(state, direction=direction)
-    expected = np.abs(avg - pi * state.d / (state.d + 1)).max()
-    residual = strategies._design_residual(state, design_blocks(state, design))
-    assert residual <= 1e-10
-    assert abs(residual - expected) <= ATOL
+    d = state.d
+    for design, holds in ((bases._design(d), True), (perturbed(bases._design(d)), False)):
+        residual = design.residual()
+        assert abs(residual - verify_2design(design.basis_set)[1]) <= ATOL
+        avg = dense_design_average(state, design, direction)
+        pi = strategies.pi_operator(state, direction=direction)
+        miss = np.abs(avg - pi * d / (d + 1)).max()
+        assert miss <= d * state.coeffs[0] ** 2 * residual + ATOL
+        assert (residual <= 1e-10) is holds and bool(miss <= 1e-10) is holds
 
 
 def _block_oracle_cases():
@@ -216,28 +235,28 @@ def test_lopsided_design_is_rejected(monkeypatch):
     monkeypatch.setattr(strategies, "_design", lambda d, m=None: lopsided)
     state = TARGETS["d4-random"]
     for kind in ("III", "IV", "V", "VI"):
-        with pytest.raises(DesignMismatchError, match="design average"):
+        with pytest.raises(DesignMismatchError, match="2-design identity"):
             build_strategy(state, kind)
 
 
 def test_build_runs_one_design_check(monkeypatch):
-    """A kind-II build certifies its design once, through the test average,
-    and never runs the basis set's 2-design check."""
-    calls = {"verify_2design": 0, "_design_residual": 0}
+    """A kind-II build certifies its design once, from the row table, and
+    never runs the dense 2-design check of the basis set."""
+    calls = {"verify_2design": 0, "residual": 0}
 
-    def spy(module, name):
-        real = getattr(module, name)
+    def spy(owner, name):
+        real = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     spy(bases, "verify_2design")
-    spy(strategies, "_design_residual")
+    spy(bases._Design, "residual")
     build_strategy(make_schmidt_state([3.0, 2.0, 1.0, 1.0, 0.5]), "II")
-    assert calls == {"verify_2design": 0, "_design_residual": 1}
+    assert calls == {"verify_2design": 0, "residual": 1}
 
 
 @pytest.mark.parametrize(
@@ -333,17 +352,17 @@ def _phase_row_cases():
 @pytest.mark.parametrize("d, m", _phase_row_cases())
 def test_design_bases_are_the_averaged_phase_rows(d, m, monkeypatch):
     """Every design basis a build tests is diag(row) F / sqrt(d) bit for bit,
-    for the row of the table the build averages, and satisfies
+    for the row of the table the build certifies, and satisfies
     d^2 B[k,j] conj(B[0,j]) conj(B[k,0]) B[0,0] = omega^{jk}: the structure
-    that the shift blocks of the design average rest on."""
+    that the table certificate rests on."""
     tables = []
-    average = strategies._design_average
+    residual = bases._Design.residual
 
-    def recording_average(state, rows, weights):
-        tables.append(rows)
-        return average(state, rows, weights)
+    def recording_residual(design):
+        tables.append(design.rows)
+        return residual(design)
 
-    monkeypatch.setattr(strategies, "_design_average", recording_average)
+    monkeypatch.setattr(bases._Design, "residual", recording_residual)
     strat = build_strategy(make_schmidt_state(np.arange(d, 0, -1.0)), "III", m=m)
     (rows,) = tables
     design = [test.measured_basis.vectors for _, test in strat.tests[1:]]
@@ -357,8 +376,8 @@ def test_design_bases_are_the_averaged_phase_rows(d, m, monkeypatch):
 
 
 def test_design_tests_hold_few_basis_stacks():
-    """Each design test is its basis and the target, and the shift blocks
-    read only the row-phase table: at d=24 kind VI, with the design's bases
+    """Each design test is its basis and the target, and the certificate
+    reads only the row-phase table: at d=24 kind VI, with the design's bases
     built beforehand, the traced peak of _design_tests stays within half a
     stack of size (m-1) d^2 complex entries, with the returned tests
     included.  No basis stack or stored conditional ket is formed, and
