@@ -1,12 +1,9 @@
 """Dense complex-matrix helpers: Gram sums and Hermitian spectra.
 
-Every operator in this package is a small dense ``complex128`` matrix, so
-numpy's eigensolver is used directly; what this module adds are the explicit
-tolerance checks and the descending eigenvalue convention the verification
-analysis relies on.  Only kind I and custom mixtures solve an eigenproblem:
-the design strategies II-VI read their spectrum off the paper's closed form
-(see ``strategies.build_strategy``).  The Gram sum ``weighted_gram`` serves
-kind I, custom mixtures and ``verify_2design``.
+Only custom mixtures (``strategies.assemble_strategy``) solve an eigenproblem,
+and only they and ``verify_2design`` form a Gram sum: the built-in strategies
+read their spectrum off the paper's closed form.  This module adds explicit
+tolerance checks and the descending eigenvalue convention to numpy.
 """
 from __future__ import annotations
 

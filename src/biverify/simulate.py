@@ -181,12 +181,13 @@ def _draw(
 
 
 def exact_pass_rate(strategy: Strategy, sigma: DensityOperator) -> float:
-    """tr(Omega sigma), the exact average pass probability, clamped to
-    [0, 1].  Round-off puts the trace a few ulps above 1 on the target; the
-    build certifies Omega's top eigenvalue 1 to 1e-8, so the clamp hides no
-    larger error than that."""
+    """tr(Omega sigma), the exact average pass probability, as the sum of
+    tr(B_i sigma_i) over Omega's blocks, clamped to [0, 1].  Round-off puts
+    the trace a few ulps above 1 on the target, and Omega's top eigenvalue is
+    1 to 1e-8, so the clamp hides no larger error than that."""
     _check_dimension(strategy, sigma)
-    rate = float(np.einsum("ij,ji->", strategy.omega, sigma.matrix).real)
+    rows, cols = strategy.index[:, :, None], strategy.index[:, None, :]
+    rate = float(np.einsum("kij,kji->", strategy.blocks, sigma.matrix[rows, cols]).real)
     return min(max(rate, 0.0), 1.0)
 
 

@@ -10,7 +10,7 @@ from the target are rejected, through the spectral gap nu = 1 - beta.
 Six built-in strategies are provided:
 
 ==== =========================================================================
-I    standard test mixed with one basis unbiased to it (two tests)
+I    standard test mixed with the Fourier test, unbiased to it (two tests)
 II   standard test plus a complete MUB set (prime d; auto-embedded otherwise)
 III  standard test plus a weighted phase-basis 2-design (any d >= 3)
 IV   two-way variant of II/III, averaging over which party measures first
@@ -38,7 +38,6 @@ from .bases import (
     Basis,
     fourier_basis,
     is_prime,
-    is_unbiased,
     next_prime,
     standard_basis,
 )
@@ -52,7 +51,6 @@ from .errors import (
 from .states import SUPPORT_CUTOFF, SchmidtState, embed_state, state_vector
 
 TARGET_PASS_ATOL = 1e-10
-BETA_CROSSCHECK_ATOL = 1e-10
 TOP_EIGENVALUE_ATOL = 1e-8
 
 STRATEGY_KINDS = ("I", "II", "III", "IV", "V", "VI")
@@ -159,27 +157,32 @@ TestOperator = ConditionalProjectorTest | RandomizedDiagonalTest
 class Strategy:
     """A convex mixture of tests with its spectral data.
 
-    ``omega`` is the weighted sum of the test operators, formed from their
-    factors for kind I and custom mixtures; for kinds II-VI it is the closed
-    form that the design certificate proves equal to that sum up to
-    round-off (see ``build_strategy``).  ``beta`` is its second-largest
-    eigenvalue, solved for kind I and custom mixtures and read off the
-    closed form for II-VI, and ``nu = 1 - beta`` the spectral gap.
-    ``beta_vector`` is a unit eigenvector of ``omega`` for ``beta``
-    orthogonal to the target, the direction of the worst-case state (see
-    ``states.worst_case_state``).
-    ``p`` records the mixing probability of the standard/diagonal test for
-    the built-in kinds (None for custom mixtures).
+    Omega, the weighted sum of the test operators, is ``blocks[i]`` on the
+    |jk> indices ``index[i]``; the index sets partition the d^2 kets, and
+    Omega vanishes between them.  The built-in kinds use the d shift classes
+    (see ``build_strategy``), a custom mixture one block of all d^2 kets.
+    ``omega``, the dense matrix, is scattered on first access, for oracles.
+    ``beta`` is Omega's second-largest eigenvalue, ``nu = 1 - beta`` the
+    spectral gap, and ``beta_vector`` a unit eigenvector for ``beta``
+    orthogonal to the target (see ``states.worst_case_state``).  ``p`` is
+    the mixing probability of the standard/diagonal test for the built-in
+    kinds (None for custom mixtures).
     """
 
     state: SchmidtState
     tests: tuple[tuple[float, TestOperator], ...]
-    omega: np.ndarray
+    index: np.ndarray
+    blocks: np.ndarray
     beta: float
     nu: float
     beta_vector: np.ndarray
     label: str
     p: float | None = None
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """The dense d^2 x d^2 Omega, built on first access."""
+        return _freeze(_scatter(self.index, self.blocks))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -254,29 +257,40 @@ def pi_operator(state: SchmidtState, direction: Direction = Direction.A_TO_B) ->
     Equals |Psi><Psi| + I x rho_B - sum_k c_k^2 |kk><kk| for the one-way
     direction (the mirrored form for the other).
     """
-    return _dense(*_pi_parts(state, (direction,)))
+    return _scatter(*_shift_blocks(*_pi_parts(state, (direction,)), 1.0))
 
 
 def _pi_parts(state: SchmidtState, directions) -> tuple[np.ndarray, np.ndarray]:
-    """Pi averaged over ``directions`` as (block, diagonal) (see ``_dense``):
-    |Psi><Psi| is c c^T on span{|jj>}, and I x rho_B (rho_A x I for B -> A)
-    is diagonal, with its |jj> entries cancelled by sum_k c_k^2 |kk><kk|."""
+    """Pi averaged over ``directions`` as (vectors, diagonal) for
+    ``_shift_blocks``: |Psi><Psi| is c c^T on span{|jj>}, and I x rho_B
+    (rho_A x I for B -> A) is diagonal, with its |jj> entries cancelled."""
     d = state.d
     c2 = state.coeffs**2
     one_way = {Direction.A_TO_B: np.tile(c2, d), Direction.B_TO_A: np.repeat(c2, d)}
     diagonal = np.mean([one_way[x] for x in directions], axis=0)
     diagonal[np.arange(d) * (d + 1)] = 0.0
-    return np.outer(state.coeffs, state.coeffs), diagonal
+    vectors = np.zeros((d, d))
+    vectors[0] = state.coeffs
+    return vectors, diagonal
 
 
-def _dense(block: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """The d^2 x d^2 matrix diag(``diagonal``) plus ``block`` on span{|jj>}."""
-    d = block.shape[0]
-    n = d * d
+def _shift_blocks(vectors: np.ndarray, diagonal: np.ndarray, weight: float):
+    """(index, blocks) of weight |v><v| + diag(``diagonal``) on each shift
+    class delta, whose kets |a, a - delta> are ``index[delta]``, with
+    v = ``vectors[delta]`` on them and ``diagonal`` indexed by |jk>."""
+    a = np.arange(len(vectors))
+    index = a * len(a) + (a - a[:, None]) % len(a)
+    blocks = np.einsum("ka,kb->kab", vectors, vectors)
+    blocks *= weight
+    blocks[:, a, a] += diagonal[index]
+    return _freeze(index), _freeze(blocks)
+
+
+def _scatter(index: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The dense matrix with ``blocks[i]`` on the indices ``index[i]``."""
+    n = index.size
     out = np.zeros((n, n), dtype=complex)
-    out.flat[:: n + 1] = diagonal
-    jj = np.arange(d) * (d + 1)
-    out[np.ix_(jj, jj)] += block
+    out[index[:, :, None], index[:, None, :]] = blocks
     return out
 
 
@@ -304,7 +318,6 @@ def assemble_strategy(
     state: SchmidtState,
     tests,
     label: str = "custom",
-    p: float | None = None,
 ) -> Strategy:
     """Mix tests into a strategy and extract its spectral data.
 
@@ -333,7 +346,8 @@ def assemble_strategy(
     beta = float(w[1])
     chi = v[:, 1] - psi * (psi.conj() @ v[:, 1])
     chi = chi / float(np.linalg.norm(chi))
-    return Strategy(state, tests, _freeze(omega), beta, 1.0 - beta, _freeze(chi), label, p)
+    one_block = _freeze(np.arange(omega.shape[0])[None]), _freeze(omega[None])
+    return Strategy(state, tests, *one_block, beta, 1.0 - beta, _freeze(chi), label)
 
 
 def _checked_tests(state: SchmidtState, tests) -> tuple:
@@ -383,8 +397,7 @@ def optimal_p(state: SchmidtState, kind: str) -> float:
 def closed_form_beta(state: SchmidtState, label: str, p: float) -> float | None:
     """Analytic second eigenvalue for the built-in kinds, None otherwise.
 
-    For kinds II-VI it is the built strategy's ``beta``; for kind I it is
-    the value the dense eigensolve is checked against (see
+    It is the built strategy's ``beta`` for every built-in kind (see
     ``build_strategy``).
     """
     c2 = state.coeffs**2
@@ -452,7 +465,6 @@ def build_strategy(
     kind: str,
     p: float | None = None,
     m: int | None = None,
-    basis_1: Basis | None = None,
 ) -> Strategy:
     """Build one of the six built-in verification strategies.
 
@@ -465,12 +477,10 @@ def build_strategy(
     p : float, optional
         Mixing probability of the standard (I-IV) or diagonal (V, VI) test.
         Defaults to ``optimal_p(state, kind)``.  Kinds V and VI constrain p
-        from below so the acceptance probabilities stay in [0, 1].
+        from below so the acceptance probabilities stay in [0, 1], and kind I
+        refuses a p at which max(p, 1 - p) rounds to 1.
     m : int, optional
         Number of design bases when the phase-basis design is used.
-    basis_1 : Basis, optional
-        For kind I only: the second measurement basis (default Fourier); it
-        must be unbiased with the standard basis.
 
     Notes
     -----
@@ -483,14 +493,12 @@ def build_strategy(
     table (``bases._Design.residual``), which bounds the miss of
     sum_{l>=1} w_l P_l = d/(d+1) Pi by d c_0^2 DESIGN_ATOL for every target
     (see ``_design_tests``).  Once it holds, Omega is p times the head
-    test's diagonal plus (1 - p) Pi
-    (averaged over the two directions for IV and VI): a d x d block on
-    span{|jj>} plus a d^2 diagonal, whose spectrum the paper gives in closed
-    form, so no eigenproblem is solved (see ``_beta_vector``).  The design
-    part costs O(m d^3) time for m bases, and the strategy holds Omega as one
-    dense d^2 x d^2 matrix.  Kind I takes the dense eigensolve of
-    ``assemble_strategy``, whose beta is checked against
-    ``closed_form_beta``.
+    test's diagonal plus (1 - p) Pi (averaged over the two directions for IV
+    and VI): c c^T on span{|jj>} plus a d^2 diagonal.  Kind I's Fourier test
+    is c_delta c_delta^T, c_delta[a] = c_{a - delta}, on each shift class
+    delta (the kets |a, a - delta>).  So every kind is d real d x d blocks
+    with its spectrum in closed form: no eigenproblem is solved and no
+    d^2 x d^2 matrix is formed.  A design costs O(m d^3) time for m bases.
     """
     kind = _normalize_kind(kind)
     if not state.is_entangled:
@@ -498,8 +506,6 @@ def build_strategy(
             f"target has Schmidt rank 1 to double precision (c_1 = {state.coeffs[1]:.3g}); "
             "the standard test alone verifies it"
         )
-    if basis_1 is not None and kind != "I":
-        raise OutOfRangeError("basis_1 applies only to strategy kind I")
     if m is not None and kind in ("I", "II"):
         raise OutOfRangeError("the design size m does not apply to kinds I and II")
 
@@ -511,21 +517,14 @@ def build_strategy(
     p = float(p)
 
     if kind == "I":
-        if not 0.0 < p < 1.0:
-            raise OutOfRangeError(f"p must be in (0, 1) for kind I, got {p}")
-        basis_1 = basis_1 if basis_1 is not None else fourier_basis(d)
-        if not is_unbiased(standard_basis(d), basis_1):
-            raise DesignMismatchError(
-                "the second basis of kind I must be unbiased with the standard basis"
+        if not max(p, 1.0 - p) < 1.0:  # beta = 1 would leave no gap
+            raise OutOfRangeError(
+                f"p must be in (0, 1) for kind I, with max(p, 1 - p) below 1, got {p}"
             )
-        tests = [(p, standard_test(state)), (1.0 - p, test_projector(state, basis_1))]
-        strategy = assemble_strategy(state, tests, label=kind, p=p)
-        expected = closed_form_beta(state, kind, p)
-        if abs(strategy.beta - expected) > BETA_CROSSCHECK_ATOL:
-            raise DesignMismatchError(
-                f"eigensolver beta {strategy.beta:.15g} deviates from the closed form "
-                f"{expected:.15g} for kind {kind}"
-            )
+        head = [(p, standard_test(state))]
+        tail = [(1.0 - p, test_projector(state, fourier_basis(d)))]
+        shift = np.arange(d) - np.arange(d)[:, None]  # a - delta, wrapped by indexing
+        vectors, diagonal = state.coeffs[shift], np.zeros(d * d)
     else:
         # the O(m d) row table comes before the O(d^2) head test; kind II
         # refuses m and has a prime d here: the complete MUB set
@@ -539,26 +538,28 @@ def build_strategy(
         else:  # VI
             head = [(p, two_way_diagonal_test(state, p))]
         two_way = kind in ("IV", "VI")
-        tests = _checked_tests(state, head + _design_tests(state, design, 1.0 - p, two_way))
+        tail = _design_tests(state, design, 1.0 - p, two_way)
         directions = tuple(Direction) if two_way else (Direction.A_TO_B,)
-        block, diagonal = (x * (1.0 - p) for x in _pi_parts(state, directions))
-        diagonal += sum(q * _diagonal(test) for q, test in head)
-        beta = closed_form_beta(state, kind, p)
-        omega, chi = _freeze(_dense(block, diagonal)), _beta_vector(state, beta == p)
-        strategy = Strategy(state, tests, omega, beta, 1.0 - beta, chi, kind, p)
-    return strategy
+        vectors, diagonal = _pi_parts(state, directions)
+    tests = _checked_tests(state, head + tail)
+    diagonal = diagonal * (1.0 - p) + sum(q * _diagonal(test) for q, test in head)
+    index, blocks = _shift_blocks(vectors, diagonal, 1.0 - p)
+    beta = closed_form_beta(state, kind, p)
+    chi = _beta_vector(state, kind, beta == p)
+    return Strategy(state, tests, index, blocks, beta, 1.0 - beta, chi, kind, p)
 
 
-def _beta_vector(state: SchmidtState, on_jj: bool) -> np.ndarray:
-    """A unit eigenvector for beta of a design strategy's Omega, orthogonal
+def _beta_vector(state: SchmidtState, kind: str, on_jj: bool) -> np.ndarray:
+    """A unit eigenvector for beta of a built-in strategy's Omega, orthogonal
     to the target.
 
     On span{|jj>} Omega is (1 - p) c c^T plus p on every supported outcome,
     and outcomes 0 and 1 are supported (``SchmidtState.is_entangled``), so
     (c_1|00> - c_0|11>)/sqrt(c_0^2 + c_1^2) has eigenvalue p.  Off that span
-    Omega is diagonal, and its largest entry, (1 - p) c_0^2 for II and III
-    and (1 - p)(c_0^2 + c_1^2)/2 for IV, sits at |10>; for V and VI every
-    entry there is p.  ``on_jj`` picks the first vector, for beta = p.
+    kind I has 1 - p on sum_a c_{a-1}|a, a-1>, and the design kinds are
+    diagonal, with the largest entry, (1 - p) c_0^2 for II and III and
+    (1 - p)(c_0^2 + c_1^2)/2 for IV, at |10>; for V and VI every entry there
+    is p.  ``on_jj`` picks the first vector, for beta = p.
     """
     d = state.d
     chi = np.zeros(d * d, dtype=complex)
@@ -566,6 +567,9 @@ def _beta_vector(state: SchmidtState, on_jj: bool) -> np.ndarray:
         c0, c1 = state.coeffs[:2]
         norm = math.hypot(c0, c1)
         chi[0], chi[d + 1] = c1 / norm, -c0 / norm
+    elif kind == "I":
+        a = np.arange(d)
+        chi.reshape(d, d)[a, a - 1] = state.coeffs[a - 1]
     else:
         chi[d] = 1.0
     return _freeze(chi)
@@ -575,17 +579,14 @@ def is_homogeneous(strategy: Strategy, tol: float = 1e-10) -> bool:
     """True iff Omega = |Psi><Psi| + beta (I - |Psi><Psi|) within tol in
     max-norm; ``tol`` must be finite and >= 0.
 
-    The model is beta I plus (1 - beta) c c^T on the span{|jj>} block, so the
-    deviation is |Omega| with its diagonal and that block replaced by their
-    own deviations: one d^2 x d^2 temporary.
+    Both vanish between the index sets, so block i is compared with
+    beta I + (1 - beta) psi_i psi_i^T, psi_i the target on ``index[i]``:
+    O(d^3) for the built-in kinds, with no d^2 x d^2 temporary.
     """
     _check_tolerance(tol)
-    omega, beta = strategy.omega, strategy.beta
-    c = strategy.state.coeffs
-    idx = np.arange(c.size) * (c.size + 1)
-    jj = np.ix_(idx, idx)
-    deviation = np.abs(omega)
-    deviation.flat[:: omega.shape[0] + 1] = np.abs(omega.diagonal() - beta)
-    model = (1.0 - beta) * np.outer(c, c) + beta * np.eye(c.size)
-    deviation[jj] = np.abs(omega[jj] - model)
-    return bool(deviation.max() <= tol)
+    beta = strategy.beta
+    psi = state_vector(strategy.state)[strategy.index]
+    deviation = strategy.blocks - (1.0 - beta) * psi[:, :, None] * psi[:, None, :].conj()
+    diag = np.arange(deviation.shape[1])
+    deviation[:, diag, diag] -= beta
+    return bool(np.abs(deviation).max() <= tol)

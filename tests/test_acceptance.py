@@ -53,7 +53,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 
 def test_closed_form_spectral_gaps():
-    """Eigensolver gaps of strategies I-IV match their closed forms at 1e-10."""
+    """Spectral gaps of strategies I-IV match the paper's values at 1e-10."""
     start = time.perf_counter()
     worst = 0.0
     for theta in (np.pi / 12, np.pi / 6, np.pi / 4):

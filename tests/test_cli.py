@@ -75,6 +75,27 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert "OutOfRangeError" in err and "rounds to 1" in err
 
+    def test_kind_i_p_with_unit_beta_exits_2(self, capsys):
+        """At p = 1e-17, 1 - p rounds to 1, so beta = max(p, 1 - p) would
+        leave no gap: the build refuses p itself, in one line."""
+        code, out, err = run_cli(
+            ["analyze", "--theta", "0.5", "--strategy", "I", "--p", "1e-17"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "OutOfRangeError: p must be in (0, 1) for kind I" in err
+
+    def test_kind_i_p_below_one_by_an_ulp_exits_2(self, capsys):
+        """At p = 1 - 2^-53 the build is sound with nu = 2^-53, and the test
+        count fails because 1 - nu*epsilon rounds to 1."""
+        code, out, err = run_cli(
+            ["analyze", "--theta", "0.5", "--strategy", "I", "--p", "0.9999999999999999"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "OutOfRangeError" in err and "1 - nu*epsilon rounds to 1" in err
+
     def test_near_product_target_is_not_separable(self, capsys):
         """c_0 rounds to 1 at c_1 = 1e-8, but the target has Schmidt rank 2."""
         code, out, _ = run_cli(

@@ -9,13 +9,12 @@ a fraction of a second, but the dense worst-case state's positivity check
 costs an O(d^6) eigensolve, so the "large-d" hypothesis profile runs few
 examples.
 
-For the design kinds the build forms Omega from the closed form of the design
-average, not from the tests, so the large-d property checks both sides: Omega
-is exactly zero outside the span{|jj>} block and the diagonal, and the tests
+Every built-in kind forms Omega from its closed form as shift-class blocks,
+not from the tests, so the large-d property checks both sides: Omega is
+exactly zero outside the shift classes delta = a - b mod d, and the tests
 realize it, on a random vector, through their own factors.  The spectrum is
-read independently of the package: Omega must vanish outside the shift
-classes delta = a - b mod d, and then its eigenvalues are those of its d
-blocks of size d x d.
+read independently of the package, from the dense Omega's d blocks of size
+d x d.
 """
 
 import numpy as np
@@ -131,11 +130,11 @@ def test_fidelity_round_trip(raw, kind, fid, seed):
 
 def shift_class_spectrum(omega, d):
     """Eigenvalues of Omega, descending, from its d shift-class blocks; Omega
-    must vanish outside them."""
+    must be exactly zero outside them."""
     a = np.arange(d)
     index = np.arange(d * d)
     shift = (index // d - index % d) % d
-    assert np.abs(omega[shift[:, None] != shift[None, :]]).max(initial=0.0) <= 1e-13
+    assert not omega[shift[:, None] != shift[None, :]].any()
     w = [np.linalg.eigvalsh(omega[np.ix_(k, k)]) for k in (a * d + (a - delta) % d for delta in a)]
     return np.sort(np.concatenate(w))[::-1]
 
@@ -143,25 +142,19 @@ def shift_class_spectrum(omega, d):
 @LARGE_D
 @given(
     large_targets(),
-    st.sampled_from(["II", "III", "IV", "V", "VI"]),
+    st.sampled_from(KINDS),
     st.floats(0.01, 0.5),
     st.integers(0, 2**32 - 1),
 )
 def test_large_d_design_strategy_invariants(target, kind, eps, seed):
-    """Omega is exactly zero outside the span{|jj>} block and the diagonal,
-    the tests realize it (x^dagger Omega x is the q-weighted sum of each
-    test's pass probability on a random unit x, read from the test's
-    factors in O(m d^3)), top eigenvalue 1 on the target, beta at its closed
-    form, and the worst-case state passing with probability exactly
-    1 - nu * eps."""
+    """Omega is exactly zero outside the shift classes, the tests realize it
+    (x^dagger Omega x is the q-weighted sum of each test's pass probability
+    on a random unit x, read from the test's factors in O(m d^3)), top
+    eigenvalue 1 on the target, beta at its closed form, and the worst-case
+    state passing with probability exactly 1 - nu * eps."""
     strat = build_strategy(target, kind)
     state = strat.state
     d = state.d
-    jj = np.arange(d) * (d + 1)
-    rest = strat.omega.copy()
-    rest[np.ix_(jj, jj)] = 0.0
-    rest.flat[:: d * d + 1] = 0.0
-    assert not rest.any()
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     x /= np.linalg.norm(x)
@@ -174,7 +167,7 @@ def test_large_d_design_strategy_invariants(target, kind, eps, seed):
     assert abs((x.conj() @ strat.omega @ x).real - realized) <= ATOL
     psi = state_vector(state)
     assert np.abs(strat.omega @ psi - psi).max() <= ATOL
-    w = shift_class_spectrum(strat.omega, state.d)
+    w = shift_class_spectrum(strat.omega, d)
     assert abs(w[0] - 1.0) <= ATOL
     assert abs(w[1] - strat.beta) <= ATOL
     assert abs(strat.beta - closed_form_beta(state, kind, strat.p)) <= ATOL

@@ -33,6 +33,7 @@ from biverify.errors import (
     DesignMismatchError,
     OutOfRangeError,
     SeparableStateError,
+    TopEigenvalueError,
 )
 
 
@@ -274,15 +275,21 @@ class TestBuildStrategy:
             assert abs((psi.conj() @ t.matrix @ psi).real - 1.0) <= 1e-10
 
     def test_custom_unbiased_basis_for_kind_i(self):
+        """Kind I with another basis unbiased to the standard one is the
+        two-test custom mixture, with the same gap."""
         rng = np.random.default_rng(1)
         s = two_qubit_state(np.pi / 5)
         b = random_unbiased_basis(2, rng)
-        assert build_strategy(s, "I", basis_1=b).nu == pytest.approx(0.5, abs=1e-10)
+        tests = [(0.5, standard_test(s)), (0.5, test_projector(s, b))]
+        assert assemble_strategy(s, tests).nu == pytest.approx(0.5, abs=1e-10)
 
     def test_biased_basis_rejected_for_kind_i(self):
+        """The standard test mixed with itself leaves |00> and |11> both at
+        eigenvalue 1, so the target is no longer the top eigenvector."""
         s = two_qubit_state(np.pi / 5)
-        with pytest.raises(DesignMismatchError):
-            build_strategy(s, "I", basis_1=standard_basis(2))
+        tests = [(0.5, standard_test(s)), (0.5, test_projector(s, standard_basis(2)))]
+        with pytest.raises(TopEigenvalueError):
+            assemble_strategy(s, tests)
 
 
 class TestHomogeneousStrategies:

@@ -4,9 +4,10 @@ The oracle rebuilds every test the direct way, as the dense sum over
 supported outcomes of |u_j><u_j| x |v_j><v_j| (factors swapped for B -> A)
 with the conditional kets recomputed from the target, and mixes the tests
 with their probabilities.  The package forms the same operators from their
-factors (custom mixtures as Gram products of stacked pair vectors, the
-design part of kinds II-VI from the closed form that the design's table
-certificate licenses) and must agree to round-off.
+factors (custom mixtures as Gram products of stacked pair vectors) or from
+their closed form as shift-class blocks (kind I, and the design part of
+kinds II-VI, which the design's table certificate licenses), and must agree
+to round-off.
 """
 
 import tracemalloc
@@ -21,10 +22,12 @@ from biverify import (
     WeightedBasisSet,
     build_strategy,
     closed_form_beta,
+    density_operator,
     embed_state,
     exact_pass_rate,
     fourier_basis,
     make_schmidt_state,
+    random_unbiased_basis,
     roy_scott_set,
     standard_basis,
     state_vector,
@@ -106,8 +109,7 @@ def test_strategy_matches_dense_oracle(name, kind):
     assert abs(strat.nu - (1.0 - w[1])) <= ATOL
     chi = strat.beta_vector
     assert np.abs(omega @ chi - strat.beta * chi).max() <= ATOL
-    if kind != "I":  # II-VI read beta off the closed form
-        assert strat.beta == closed_form_beta(state, kind, strat.p)
+    assert strat.beta == closed_form_beta(state, kind, strat.p)
 
 
 def design_blocks(state, design):
@@ -308,12 +310,12 @@ def test_two_way_tests_are_swapped_twins(name, kind):
         assert np.abs(ba.matrix - swap @ ab.matrix @ swap).max() <= ATOL
 
 
-@pytest.mark.parametrize("kind", ["II", "III", "IV", "V", "VI"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_design_strategy_calls_no_gram_and_no_eigensolver(kind, monkeypatch):
     """Each B -> A design test shares its A -> B twin's basis and target; no
-    II-VI build calls weighted_gram (the design part comes from shift
-    blocks, the head test from its diagonal) or an eigensolver (the spectrum
-    is the closed form)."""
+    built-in build calls weighted_gram (kind I's Fourier test and the design
+    part come from shift blocks, the head test from its diagonal) or an
+    eigensolver (the spectrum is the closed form)."""
     state = TARGETS["d5-random"]
     grams, eig_dims = [], []
     gram, eig = linalg.weighted_gram, linalg.eig_hermitian
@@ -442,9 +444,9 @@ def test_worst_case_state_solves_no_eigenproblem(kind, monkeypatch):
 
 
 def test_max_eig_dim_limits_only_the_dense_path(monkeypatch):
-    """With the dense eigensolver capped below d^2, the design kinds still
-    build from the d x d block, and kind I, which has no such block, raises
-    before its d^2 x d^2 Gram product is formed."""
+    """With the dense eigensolver capped below d^2, every built-in kind still
+    builds from its shift-class blocks, and a custom mixture raises before
+    its d^2 x d^2 Gram product is formed."""
     monkeypatch.setattr(linalg, "MAX_EIG_DIM", 64)
     grams = []
     gram = linalg.weighted_gram
@@ -455,13 +457,71 @@ def test_max_eig_dim_limits_only_the_dense_path(monkeypatch):
 
     monkeypatch.setattr(linalg, "weighted_gram", counting_gram)
     state = make_schmidt_state([9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
-    for kind in ("III", "IV", "VI"):
+    for kind in ("I", "III", "IV", "VI"):
         strat = build_strategy(state, kind)
-        expected = closed_form_beta(strat.state, kind, strat.p)
-        assert abs(strat.beta - expected) <= 1e-10
+        assert strat.beta == closed_form_beta(strat.state, kind, strat.p)
         for eps in (0.3, 0.01):
             sigma = worst_case_state(strat, eps)
             assert abs(exact_pass_rate(strat, sigma) - (1.0 - strat.nu * eps)) <= 1e-10
+    fourier = strategies.test_projector(state, fourier_basis(9))
+    tests = [(0.5, strategies.standard_test(state)), (0.5, fourier)]
     with pytest.raises(OutOfRangeError, match="exceeds supported maximum"):
-        build_strategy(state, "I")
+        strategies.assemble_strategy(state, tests)
     assert grams == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_strategy_holds_shift_blocks_not_omega(kind):
+    """Every built-in kind holds Omega as d real d x d shift-class blocks on
+    the kets |a, a - delta>; building it, checking its homogeneity and
+    reading an exact pass rate never form the dense Omega."""
+    strat = build_strategy(TARGETS["d6-zero-tail"], kind)
+    d = strat.state.d
+    a = np.arange(d)
+    assert strat.blocks.shape == (d, d, d) and strat.blocks.dtype == np.float64
+    assert np.array_equal(strat.index, a * d + (a - a[:, None]) % d)
+    strategies.is_homogeneous(strat)
+    exact_pass_rate(strat, worst_case_state(strat, 0.1))
+    assert "omega" not in vars(strat)
+
+
+def test_kind_i_at_d70_solves_no_eigenproblem(monkeypatch):
+    """Kind I reads beta = max(p, 1 - p) off the closed form, so it builds at
+    d = 70, where d^2 is above MAX_EIG_DIM, without an eigensolve."""
+    calls = []
+    eig = linalg.eig_hermitian
+
+    def counting_eig(h):
+        calls.append(np.shape(h))
+        return eig(h)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", counting_eig)
+    strat = build_strategy(make_schmidt_state(np.arange(70, 0, -1.0)), "I")
+    assert strat.beta == 0.5 and strat.nu == 0.5
+    assert strat.blocks.shape == (70, 70, 70)
+    assert calls == []
+
+
+def _random_sigma(dim, rng):
+    """A random full-rank density operator."""
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = x @ x.conj().T + 0.1 * np.eye(dim)
+    return density_operator(m / np.trace(m).real)
+
+
+@pytest.mark.parametrize("kind", KINDS + ("custom",))
+def test_exact_pass_rate_matches_dense_trace(kind):
+    """The block sum of exact_pass_rate is tr(Omega sigma) on a random
+    full-rank sigma, for every kind and for a one-block custom mixture."""
+    state = TARGETS["d5-random"]
+    if kind == "custom":
+        basis = random_unbiased_basis(5, np.random.default_rng(5))
+        b_to_a = strategies.test_projector(state, basis, Direction.B_TO_A)
+        tests = [(0.3, strategies.standard_test(state)), (0.7, b_to_a)]
+        strat = strategies.assemble_strategy(state, tests)
+        assert strat.blocks.shape == (1, 25, 25)
+    else:
+        strat = build_strategy(state, kind)
+    sigma = _random_sigma(strat.state.dim, np.random.default_rng(7))
+    dense = float(np.einsum("ij,ji->", strat.omega, sigma.matrix).real)
+    assert abs(exact_pass_rate(strat, sigma) - dense) <= 1e-14
