@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bases import _integer_arg
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, _integer_arg
 
 
 def _check_unit_interval(name: str, value: float, lo_open=True, hi_open=True) -> float:

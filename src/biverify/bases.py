@@ -23,7 +23,6 @@ no separate pairwise check.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +35,7 @@ from .errors import (
     NotPrimeError,
     OutOfRangeError,
     TooFewBasesError,
+    _integer_arg,
 )
 
 ORTHO_ATOL = 1e-10
@@ -169,18 +169,6 @@ def is_unbiased(b1: Basis, b2: Basis, tol: float = UNBIASED_ATOL) -> bool:
 def _check_tolerance(tol: float) -> None:
     if not 0.0 <= tol < math.inf:
         raise OutOfRangeError(f"tolerance must be finite and >= 0, got {tol}")
-
-
-def _integer_arg(name: str, value, minimum: int, maximum: int | None = None) -> int:
-    """``value`` as a Python int in [``minimum``, ``maximum``]; bools and
-    non-integers raise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise OutOfRangeError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise OutOfRangeError(f"{name} must be <= {maximum}, got {value}")
-    return int(value)
 
 
 def maximally_entangled_ket(d: int) -> np.ndarray:

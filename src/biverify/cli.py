@@ -12,6 +12,12 @@ Configuration comes from flags or a JSON file (--config); flags win.  For
 d = 2, ``--theta T`` is sugar for ``--schmidt cos(T),sin(T)``.  Exit codes:
 0 success, 1 failed check, 2 validation error or refused allocation
 (MemoryError), 3 I/O error.
+
+Only the closed-form ``analysis`` layer loads with this module, so
+``figure1``, ``--help`` and usage errors run without numpy; a numeric
+command imports the modules it calls inside the command and calls through
+their attributes (``states.depolarize``), so a wrapper installed on a
+module function is the one called.
 """
 from __future__ import annotations
 
@@ -19,20 +25,13 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import analysis, bases, simulate, strategies
+from . import analysis
 from .errors import BiverifyError, OutOfRangeError
-from .states import (
-    DensityOperator,
-    SchmidtState,
-    density_operator,
-    depolarize,
-    embed_density,
-    make_schmidt_state,
-    two_qubit_state,
-)
+
+if TYPE_CHECKING:
+    from . import states, strategies
 
 CSV_HEADER = "theta,N_PLM,N_I,N_II,N_IV,N_V,N_VI"
 
@@ -104,36 +103,41 @@ class JobConfig:
                 )
         return cls(**data)
 
-    def target_state(self) -> SchmidtState:
+    def target_state(self) -> states.SchmidtState:
+        from . import states
+
         if (self.schmidt is None) == (self.theta is None):
             raise OutOfRangeError("exactly one of schmidt or theta must be given")
         if self.theta is not None:
             if self.d not in (None, 2):
                 raise OutOfRangeError("theta shorthand implies d = 2")
-            return two_qubit_state(self.theta)
-        state = make_schmidt_state(self.schmidt, self.d)
-        return state
+            return states.two_qubit_state(self.theta)
+        return states.make_schmidt_state(self.schmidt, self.d)
 
     def build_strategy(self) -> strategies.Strategy:
+        from . import strategies
+
         if not self.strategy:
             raise OutOfRangeError("a strategy kind (I..VI) is required")
         return strategies.build_strategy(
             self.target_state(), self.strategy, p=self.p, m=self.m
         )
 
-    def noise_state(self, strategy: strategies.Strategy) -> DensityOperator:
+    def noise_state(self, strategy: strategies.Strategy) -> states.DensityOperator:
         """Density operator of the source, embedded if the strategy was."""
+        from . import states
+
         target = self.target_state()
         spec = self.noise.strip()
         if spec == "none":
-            sigma = depolarize(target, 0.0)
+            sigma = states.depolarize(target, 0.0)
         elif spec.startswith("depolarize:"):
             text = spec.split(":", 1)[1]
             try:
                 lam = float(text)
             except ValueError as exc:
                 raise OutOfRangeError(f"cannot parse depolarizing weight {text!r}") from exc
-            sigma = depolarize(target, lam)
+            sigma = states.depolarize(target, lam)
         elif spec.startswith("file:"):
             sigma = _load_density(spec.split(":", 1)[1])
         else:
@@ -145,7 +149,7 @@ class JobConfig:
                 f"noise state has dimension {sigma.dim}, target needs {target.dim}"
             )
         if strategy.state.d != target.d:
-            sigma = embed_density(sigma, strategy.state.d)
+            sigma = states.embed_density(sigma, strategy.state.d)
         return sigma
 
 
@@ -157,7 +161,11 @@ def _load_json(path: str, what: str):
             raise OutOfRangeError(f"{what} {path!r} is not valid JSON: {exc}") from exc
 
 
-def _load_density(path: str) -> DensityOperator:
+def _load_density(path: str) -> states.DensityOperator:
+    import numpy as np
+
+    from . import states
+
     data = _load_json(path, "noise file")
     if not isinstance(data, dict) or "real" not in data:
         raise OutOfRangeError(
@@ -170,7 +178,7 @@ def _load_density(path: str) -> DensityOperator:
         matrix = real + 1j * imag
     except (TypeError, ValueError) as exc:
         raise OutOfRangeError(f"noise file {path!r} holds no numeric matrix: {exc}") from exc
-    return density_operator(matrix)
+    return states.density_operator(matrix)
 
 
 def _parse_schmidt(text: str) -> list[float]:
@@ -202,6 +210,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _strategy_summary(strategy: strategies.Strategy) -> dict:
+    from . import strategies
+
     return {
         "label": strategy.label,
         "d": strategy.state.d,
@@ -213,6 +223,8 @@ def _strategy_summary(strategy: strategies.Strategy) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    from . import strategies
+
     config = _config_from_args(args)
     state = config.target_state()
     strategy = config.build_strategy()
@@ -266,20 +278,25 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_check_design(args) -> int:
+    from . import bases
+
+    tol = bases.DESIGN_ATOL if args.tol is None else args.tol
     design = bases._design(args.d, args.m)
-    bases._check_tolerance(args.tol)
+    bases._check_tolerance(tol)
     residual = design.residual()
-    ok = residual <= args.tol
+    ok = residual <= tol
     status = "PASS" if ok else "FAIL"
     _emit(
         f"2-design check [{design.name}]: {status} residual={residual:.3e} "
-        f"(tolerance {args.tol:.1e})\n",
+        f"(tolerance {tol:.1e})\n",
         args.out,
     )
     return 0 if ok else 1
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate
+
     config = _config_from_args(args)
     strategy = config.build_strategy()
     sigma = config.noise_state(strategy)
@@ -294,6 +311,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate_fidelity(args) -> int:
+    from . import simulate
+
     config = _config_from_args(args)
     strategy = config.build_strategy()
     sigma = config.noise_state(strategy)
@@ -355,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chk.add_argument("--d", type=int, required=True)
     p_chk.add_argument("--m", type=int, default=None)
-    p_chk.add_argument("--tol", type=float, default=bases.DESIGN_ATOL)
+    # None stands for bases.DESIGN_ATOL, read in the command so that --help
+    # loads no numpy
+    p_chk.add_argument("--tol", type=float, default=None)
     p_chk.set_defaults(func=cmd_check_design)
 
     p_sim = sub.add_parser(

@@ -2,8 +2,12 @@
 
 All errors derive from :class:`BiverifyError`, itself a ``ValueError``, so
 callers can catch everything from this package with one handler while the
-class name still identifies the violated precondition.
+class name still identifies the violated precondition.  The module loads no
+numpy, so the closed-form ``analysis`` layer can use it without the arrays.
 """
+from __future__ import annotations
+
+import numbers
 
 
 class BiverifyError(ValueError):
@@ -56,3 +60,15 @@ class TopEigenvalueError(BiverifyError):
 
 class NotHomogeneousError(BiverifyError):
     """Fidelity estimation needs a strategy with a two-valued spectrum."""
+
+
+def _integer_arg(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as a Python int in [``minimum``, ``maximum``]; bools and
+    non-integers raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise OutOfRangeError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise OutOfRangeError(f"{name} must be <= {maximum}, got {value}")
+    return int(value)

@@ -7,12 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bases import _integer_arg
 from .errors import (
     DimensionMismatchError,
     NegativeCoefficientError,
     OutOfRangeError,
     ZeroVectorError,
+    _integer_arg,
 )
 
 NORM_ATOL = 1e-12

@@ -477,8 +477,8 @@ def build_strategy(
     p : float, optional
         Mixing probability of the standard (I-IV) or diagonal (V, VI) test.
         Defaults to ``optimal_p(state, kind)``.  Kinds V and VI constrain p
-        from below so the acceptance probabilities stay in [0, 1], and kind I
-        refuses a p at which max(p, 1 - p) rounds to 1.
+        from below so the acceptance probabilities stay in [0, 1], and every
+        kind refuses a p at which its closed-form beta is not below 1.
     m : int, optional
         Number of design bases when the phase-basis design is used.
 
@@ -517,10 +517,6 @@ def build_strategy(
     p = float(p)
 
     if kind == "I":
-        if not max(p, 1.0 - p) < 1.0:  # beta = 1 would leave no gap
-            raise OutOfRangeError(
-                f"p must be in (0, 1) for kind I, with max(p, 1 - p) below 1, got {p}"
-            )
         head = [(p, standard_test(state))]
         tail = [(1.0 - p, test_projector(state, fourier_basis(d)))]
         shift = np.arange(d) - np.arange(d)[:, None]  # a - delta, wrapped by indexing
@@ -541,10 +537,15 @@ def build_strategy(
         tail = _design_tests(state, design, 1.0 - p, two_way)
         directions = tuple(Direction) if two_way else (Direction.A_TO_B,)
         vectors, diagonal = _pi_parts(state, directions)
+    beta = closed_form_beta(state, kind, p)
+    # no gap: kind I where 1 - p rounds to 1, II and III at p = 0 where c_0^2 does
+    if not beta < 1.0:
+        raise OutOfRangeError(
+            f"p = {p} leaves no spectral gap for kind {kind}: beta = {beta:.17g} is not below 1"
+        )
     tests = _checked_tests(state, head + tail)
     diagonal = diagonal * (1.0 - p) + sum(q * _diagonal(test) for q, test in head)
     index, blocks = _shift_blocks(vectors, diagonal, 1.0 - p)
-    beta = closed_form_beta(state, kind, p)
     chi = _beta_vector(state, kind, beta == p)
     return Strategy(state, tests, index, blocks, beta, 1.0 - beta, chi, kind, p)
 

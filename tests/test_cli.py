@@ -83,7 +83,17 @@ class TestAnalyze:
         )
         assert code == 2 and out == ""
         assert err.count("\n") == 1
-        assert "OutOfRangeError: p must be in (0, 1) for kind I" in err
+        assert "OutOfRangeError: p = 1e-17 leaves no spectral gap for kind I" in err
+
+    def test_design_kind_p_with_unit_beta_exits_2(self, capsys):
+        """At p = 0, beta = c_0^2 for kind II, and c_0^2 rounds to 1 at
+        c_1 = 1e-9: the build refuses p, before any test count is taken."""
+        code, out, err = run_cli(
+            ["analyze", "--schmidt", "1,1e-9", "--strategy", "II", "--p", "0"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "OutOfRangeError: p = 0.0 leaves no spectral gap for kind II" in err
 
     def test_kind_i_p_below_one_by_an_ulp_exits_2(self, capsys):
         """At p = 1 - 2^-53 the build is sound with nu = 2^-53, and the test

@@ -375,6 +375,26 @@ class TestBetaNu:
         strat = build_strategy(two_qubit_state(np.pi / 6), "II")
         assert strat.beta == pytest.approx(3 / 7, abs=1e-10)
 
+    @pytest.mark.parametrize("kind", ["I", "II", "III"])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_beta_of_one_refused(self, kind, d):
+        """At p = 0 with c_0^2 rounding to 1, beta = (1 - p) c_0^2 is 1 for II
+        and III, as is kind I's max(p, 1 - p): one check refuses each build,
+        naming p and the kind."""
+        s = make_schmidt_state([1.0, 1e-9] + [1e-10] * (d - 2))
+        assert s.coeffs[0] ** 2 == 1.0
+        match = f"p = 0.0 leaves no spectral gap for kind {kind}: beta = 1 "
+        with pytest.raises(OutOfRangeError, match=match):
+            build_strategy(s, kind, p=0.0)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_kind_iv_keeps_its_gap_where_c0_rounds_to_one(self, d):
+        """Kind IV's beta at p = 0 is (c_0^2 + c_1^2)/2 <= 1/2, so the target
+        that II and III refuse at p = 0 builds."""
+        s = make_schmidt_state([1.0, 1e-9] + [1e-10] * (d - 2))
+        strat = build_strategy(s, "IV", p=0.0)
+        assert strat.beta == 0.5 and strat.nu == 0.5
+
     def test_kind_v_homogeneous_beta(self):
         strat = build_strategy(two_qubit_state(np.pi / 4), "V", p=1 / np.e)
         assert strat.beta == pytest.approx(1 / np.e, abs=1e-12)

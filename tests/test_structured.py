@@ -525,3 +525,26 @@ def test_exact_pass_rate_matches_dense_trace(kind):
     sigma = _random_sigma(strat.state.dim, np.random.default_rng(7))
     dense = float(np.einsum("ij,ji->", strat.omega, sigma.matrix).real)
     assert abs(exact_pass_rate(strat, sigma) - dense) <= 1e-14
+
+
+def test_exact_pass_rate_reads_a_custom_block_without_copying_sigma():
+    """A custom mixture's one block is Omega on every ket in order, so its
+    trace against sigma matches tr(Omega sigma) and copies no d^2 x d^2
+    matrix out of sigma."""
+    d = 16
+    state = make_schmidt_state(np.arange(d, 0, -1.0))
+    tests = [
+        (0.4, strategies.standard_test(state)),
+        (0.6, strategies.test_projector(state, fourier_basis(d))),
+    ]
+    strat = strategies.assemble_strategy(state, tests)
+    sigma = _random_sigma(d * d, np.random.default_rng(16))
+    tracemalloc.start()
+    try:
+        rate = exact_pass_rate(strat, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = float(np.trace(strat.omega @ sigma.matrix).real)
+    assert abs(rate - dense) <= 1e-12
+    assert peak <= 0.1 * sigma.matrix.nbytes
