@@ -7,12 +7,12 @@ Roy and Scott, together with numerical checks of unbiasedness and of the
 
 Both design families are phase-dressed Fourier bases diag(row) F by their
 formulas (Wootters and Fields, 1989; Roy and Scott, 2007).  ``_design``
-picks the design for (d, m) and holds its row-phase table and weights; the
-two constructors, the ``check-design`` command and a strategy build read it.
+picks the design for (d, m) and holds its table of integer root-of-unity
+exponents; the constructors, ``check-design`` and a build read it.
 
 Each fact about a construction is certified in one place.  ``Basis`` checks
 that its kets are orthonormal.  A built-in design's 2-design identity is
-certified from its row-phase table (``_Design.residual``), once by a
+certified exactly from its integer table (``_Design.residual``), once by a
 strategy build and once by the ``check-design`` command; the design test
 average d/(d+1) Pi a build relies on follows for every target.  The dense
 ``verify_2design`` serves any weighted basis set and the tests.  For d+1
@@ -112,17 +112,18 @@ def standard_basis(d: int) -> Basis:
     return Basis(d=d, vectors=np.eye(d, dtype=complex))
 
 
-def _fourier_phases(d: int) -> np.ndarray:
-    """The d x d matrix of omega^{jk}, omega = exp(2 pi i/d)."""
-    j = np.arange(d)
-    # reduce exponents mod d before exponentiating to keep phases exact
-    return np.exp(2j * np.pi * (np.outer(j, j) % d) / d)
+def _phases(l, e, modulus: int) -> np.ndarray:
+    """The table zeta^{l_i e_j}, zeta = exp(2 pi i/modulus), read from the
+    roots of unity; an impossible table is refused before any temporary."""
+    table = np.empty((len(l), len(e)), dtype=complex)
+    roots = np.exp(2j * np.pi * np.arange(modulus) / modulus)
+    return np.take(roots, np.outer(l, e) % modulus, out=table)
 
 
 def fourier_basis(d: int) -> Basis:
     """Basis with ket j having components omega^{jk}/sqrt(d), omega = exp(2 pi i/d)."""
     d = _integer_arg("dimension", d, 2)
-    return Basis(d=d, vectors=_fourier_phases(d) / math.sqrt(d))
+    return Basis(d=d, vectors=_phases(range(d), range(d), d) / math.sqrt(d))
 
 
 def random_unbiased_basis(d: int, rng: np.random.Generator) -> Basis:
@@ -134,6 +135,7 @@ def random_unbiased_basis(d: int, rng: np.random.Generator) -> Basis:
 
 
 def is_prime(n: int) -> bool:
+    n = _integer_arg("n", n, 0)
     if n < 2:
         return False
     if n < 4:
@@ -150,7 +152,7 @@ def is_prime(n: int) -> bool:
 
 def next_prime(n: int) -> int:
     """Smallest prime >= n."""
-    k = max(n, 2)
+    k = max(_integer_arg("n", n, 0), 2)
     while not is_prime(k):
         k += 1
     return k
@@ -206,7 +208,7 @@ def prime_mub_set(d: int) -> WeightedBasisSet:
 
     Basis 0 is the standard basis.  For d = 2 the other two bases are the
     eigenbases of the remaining Pauli directions; for odd prime d basis r has
-    kets (1/sqrt(d)) sum_k omega^{r k^2 + j k} |k>.  ``verify_2design``
+    kets (1/sqrt(d)) sum_k omega^{r k^2 + j k} |k>.  ``_Design.residual``
     certifies the set, which is a 2-design exactly when its bases are
     mutually unbiased.
     """
@@ -218,7 +220,8 @@ def prime_mub_set(d: int) -> WeightedBasisSet:
 
 def min_design_size(d: int) -> int:
     """Smallest number of bases for which the phase-basis design exists."""
-    return math.ceil(3 * (d - 1) ** 2 / 4) + 1
+    d = _integer_arg("dimension", d, 2)
+    return (3 * (d - 1) ** 2 + 3) // 4 + 1
 
 
 def roy_scott_set(d: int, m: int | None = None) -> WeightedBasisSet:
@@ -241,19 +244,31 @@ def roy_scott_set(d: int, m: int | None = None) -> WeightedBasisSet:
 
 @dataclass(frozen=True, eq=False)
 class _Design:
-    """A built-in design: basis 0 is the standard basis, basis l >= 1 is
-    diag(``rows[l-1]``) F with F the Fourier basis, and basis l carries
-    ``weights[l]``.  ``name`` describes the family for ``check-design``."""
+    """A built-in design as its integer table: basis 0 is the standard basis,
+    each l in the contiguous ``multipliers`` gives diag(row_l) F, F the
+    Fourier basis, row_l[a] = zeta^{l e(a)} with zeta = exp(2 pi i/M), e =
+    ``exponents`` and M = ``modulus``.  ``name`` is for ``check-design``."""
 
     name: str
-    rows: np.ndarray
-    weights: np.ndarray
+    exponents: np.ndarray
+    modulus: int
+    multipliers: range
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return _phases(self.multipliers, self.exponents, self.modulus)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """1/(d+1) for the standard basis, d/(n(d+1)) for each phase basis."""
+        d, n = self.exponents.size, len(self.multipliers)
+        return np.concatenate(([1.0 / (d + 1)], np.full(n, d / (n * (d + 1)))))
 
     @cached_property
     def basis_set(self) -> WeightedBasisSet:
         """The design's bases, every phase basis from one vectorized product."""
-        d = self.rows.shape[1]
-        kets = _fourier_phases(d)[None, :, :] * self.rows[:, :, None]
+        d = self.exponents.size
+        kets = _phases(range(d), range(d), d)[None, :, :] * self.rows[:, :, None]
         kets /= math.sqrt(d)
         return WeightedBasisSet(
             bases=(standard_basis(d), *(Basis(d=d, vectors=v) for v in kets)),
@@ -261,48 +276,37 @@ class _Design:
         )
 
     def residual(self) -> float:
-        """Max-norm residual of the 2-design identity, from the row table and
-        the weights alone.
+        """Max-norm residual of the 2-design identity, decided exactly from
+        the integer table in O(d^2 log d) time.
 
-        The second moment of a phase basis diag(row) F, like that of the
-        standard basis, maps |ab> only into the shift class delta = a - b
-        mod d.  On class delta, in the kets |a, a-delta>, the weighted second
-        moment is S = (1/d) W diag(w_1..w_{m-1}) W^dagger, plus w_0 I on class
-        0, with W[a, l] = row_l[a] conj(row_l[a-delta]), and the target
-        (I + d|Phi><Phi|)/(d+1) is I/(d+1), plus J/(d+1) on class 0.  Both
-        vanish outside the classes, so this is ``verify_2design``'s residual
-        on ``basis_set`` up to round-off, in O(m d^3) time and O(m d) memory.
+        The second moment maps |ab> only into the class delta = a - b mod d.
+        Its entry (a, b != a) in class delta != 0, in the kets |a, a-delta>,
+        is (w/d) sum_l zeta^{l x}, x = g(a) - g(b), g(a) = e(a) - e(a-delta),
+        w the phase weight; the rest matches (I + d|Phi><Phi|)/(d+1) for any
+        table.  For n contiguous l the sum vanishes iff x != 0 and n x = 0
+        mod M.  So this is 0.0 if every g is injective mod M and constant mod
+        M/gcd(n, M), else 1/(d+1), the residual of any failing n = M table.
         """
-        d = self.rows.shape[1]
-        a = np.arange(d)
-        weights = self.weights[1:] / d
-        worst = []
-        for delta in range(d):
-            w = self.rows * self.rows[:, (a - delta) % d].conj()
-            deviation = (w.T * weights) @ w.conj()
-            deviation.flat[:: d + 1] -= 1.0 / (d + 1)
-            if delta == 0:
-                deviation.flat[:: d + 1] += self.weights[0]
-                deviation -= 1.0 / (d + 1)
-            worst.append(np.abs(deviation).max())
-        return float(np.max(worst))  # NaN propagates, and fails the check
+        e, modulus = self.exponents, self.modulus
+        period = modulus // math.gcd(len(self.multipliers), modulus)
+        for delta in range(1, e.size):
+            g = np.sort((e - np.roll(e, delta)) % modulus)
+            if np.any(g[1:] == g[:-1]) or np.any(g % period != g[0] % period):
+                return 1.0 / (e.size + 1)
+        return 0.0
 
 
 def _design(d: int, m: int | None = None) -> _Design:
     """The built-in design for (d, m): the complete MUB set when d is prime
-    and m is None (``prime_mub_set``; at d = 2 the rows (1, 1) and (1, i)),
-    the Roy-Scott design of m bases otherwise (``roy_scott_set``, m defaults
-    to ``min_design_size(d)``).  At d = 2 only the MUB set exists, so m is
-    refused there."""
+    and m is None (``prime_mub_set``: e(a) = a^2 mod d, l = 1..d; at d = 2,
+    e = (0, 1) mod 4, l = 0, 1), the Roy-Scott design of m bases otherwise
+    (``roy_scott_set``: e(a) = C(a, 2) mod m-1, l = 1..m-1, m defaulting to
+    ``min_design_size(d)``).  At d = 2 m is refused."""
     d = _integer_arg("dimension", d, 2)
-    k = np.arange(d)
+    a = np.arange(d)
     if m is None and is_prime(d):
-        if d == 2:
-            rows = np.array([[1.0, 1.0], [1.0, 1j]])
-        else:
-            r = np.arange(1, d + 1)
-            rows = np.exp(2j * np.pi * (np.outer(r, k * k) % d) / d)
-        return _Design(f"complete MUB set d={d}", rows, np.full(d + 1, 1.0 / (d + 1)))
+        table = (a, 4, range(2)) if d == 2 else (a * a % d, d, range(1, d + 1))
+        return _Design(f"complete MUB set d={d}", *table)
     if d == 2:
         raise OutOfRangeError(
             "the design size m does not apply at d = 2, which always uses the "
@@ -312,8 +316,6 @@ def _design(d: int, m: int | None = None) -> _Design:
     m = bound if m is None else _integer_arg("design size m", m, 1)
     if m < bound:
         raise TooFewBasesError(f"need at least {bound} bases for d={d}, got {m}")
-    l = np.arange(1, m)
-    rows = np.exp(2j * np.pi * (np.outer(l, (k * (k - 1)) // 2) % (m - 1)) / (m - 1))
-    weights = np.full(m, d / ((m - 1) * (d + 1)))
-    weights[0] = 1.0 / (d + 1)
-    return _Design(f"phase-basis design d={d} m={m}", rows, weights)
+    return _Design(
+        f"phase-basis design d={d} m={m}", a * (a - 1) // 2 % (m - 1), m - 1, range(1, m)
+    )

@@ -281,8 +281,8 @@ def cmd_check_design(args) -> int:
     from . import bases
 
     tol = bases.DESIGN_ATOL if args.tol is None else args.tol
-    design = bases._design(args.d, args.m)
     bases._check_tolerance(tol)
+    design = bases._design(args.d, args.m)
     residual = design.residual()
     ok = residual <= tol
     status = "PASS" if ok else "FAIL"

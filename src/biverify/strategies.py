@@ -32,7 +32,6 @@ import numpy as np
 
 from . import linalg
 from .bases import (
-    DESIGN_ATOL,
     _check_tolerance,
     _design,
     Basis,
@@ -425,11 +424,9 @@ def _design_tests(state, design, total, two_way):
     """The weighted tests realizing `total * Pi` (averaged over directions)
     from a built-in design (``bases._design``).
 
-    The design's 2-design residual (``bases._Design.residual``) is checked
-    before any test is built.  On shift class delta the A -> B design
-    average misses d/(d+1) Pi by d diag(c_{.-delta}) R diag(c_{.-delta}),
-    with R that residual's class block, so a pass bounds the miss by
-    d c_0^2 DESIGN_ATOL for every target.  Each test is then its design
+    The design's exact 2-design certificate (``bases._Design.residual``)
+    is checked before any test is built; a pass proves the design average
+    equal to d/(d+1) Pi for every target.  Each test is then its design
     basis and the target, and derives its conditional kets on demand, so no
     basis stack is formed.  A B -> A test is its A -> B twin with the parties
     swapped, which shares the twin's basis and target.  The tests contribute
@@ -437,7 +434,7 @@ def _design_tests(state, design, total, two_way):
     closed form that ``build_strategy`` uses.
     """
     residual = design.residual()
-    if not residual <= DESIGN_ATOL:
+    if residual:
         raise DesignMismatchError(
             f"design misses the 2-design identity by {residual:.3e}"
         )
@@ -488,17 +485,15 @@ def build_strategy(
     first zero-padded into the smallest prime dimension >= d; the returned
     strategy acts on the enlarged space (see ``Strategy.state``) and keeps
     the same spectral gap.  Whenever a design is used, it comes from
-    ``bases._design(d, m)`` as a table of row phases, one per phase-dressed
-    Fourier basis, and is certified once by the 2-design residual of that
-    table (``bases._Design.residual``), which bounds the miss of
-    sum_{l>=1} w_l P_l = d/(d+1) Pi by d c_0^2 DESIGN_ATOL for every target
-    (see ``_design_tests``).  Once it holds, Omega is p times the head
+    ``bases._design(d, m)`` and is certified exactly once from its integer
+    table (``bases._Design.residual``), which proves sum_{l>=1} w_l P_l =
+    d/(d+1) Pi for every target.  Once it holds, Omega is p times the head
     test's diagonal plus (1 - p) Pi (averaged over the two directions for IV
     and VI): c c^T on span{|jj>} plus a d^2 diagonal.  Kind I's Fourier test
     is c_delta c_delta^T, c_delta[a] = c_{a - delta}, on each shift class
     delta (the kets |a, a - delta>).  So every kind is d real d x d blocks
     with its spectrum in closed form: no eigenproblem is solved and no
-    d^2 x d^2 matrix is formed.  A design costs O(m d^3) time for m bases.
+    d^2 x d^2 matrix is formed.  A design's m bases cost O(m d^2).
     """
     kind = _normalize_kind(kind)
     if not state.is_entangled:
@@ -525,6 +520,7 @@ def build_strategy(
         # the O(m d) row table comes before the O(d^2) head test; kind II
         # refuses m and has a prime d here: the complete MUB set
         design = _design(d, m)
+        design.rows
         if kind in ("II", "III", "IV"):
             if not 0.0 <= p < 1.0:
                 raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")

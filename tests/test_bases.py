@@ -25,7 +25,7 @@ from biverify import (
     standard_basis,
     verify_2design,
 )
-from biverify.bases import DESIGN_ATOL, Basis, WeightedBasisSet, _Design, _design
+from biverify.bases import Basis, WeightedBasisSet, _design
 from biverify.errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
@@ -183,6 +183,16 @@ class TestRoyScottSet:
                 ket = phase_j * phase_l / np.sqrt(d)
                 assert np.array_equal(design.bases[l].ket(j), ket)
 
+    @pytest.mark.parametrize("d, m", [(3, 4), (6, 20), (9, 49), (12, 95)])
+    def test_rows_match_the_quadratic_phase_formula(self, d, m):
+        """Row l of the table is exp(2 pi i l C(a, 2)/(m-1)), read without
+        reducing the exponent."""
+        rows = _design(d, m).rows
+        a = np.arange(d)
+        for l in range(1, m):
+            phase = np.exp(2j * np.pi * l * (a * (a - 1) / 2) / (m - 1))
+            assert np.abs(rows[l - 1] - phase).max() <= 1e-13
+
 
 class TestVerify2Design:
     """The 2-design certificate of the built-in basis sets: the constructors
@@ -226,18 +236,15 @@ def _built_in_designs():
 
 
 def _corrupted_designs():
+    """Corruptions of the d=6, m=20 table: one exponent changed so that
+    g_1(2) = g_1(1) collides, and three multipliers dropped (n = 16 < M = 19),
+    which leaves every g_1 injective but not constant mod M."""
     honest = _design(6, 20)
-    n = honest.rows.shape[0] - 3
-    rows = honest.rows.copy()
-    rows[4, 2] *= np.exp(0.1j)
-    weights = honest.weights.copy()
-    weights[1:3] += [0.01, -0.01]
+    e = honest.exponents.copy()
+    e[2] = (2 * e[1] - e[0]) % honest.modulus
     return {
-        "rows-dropped": _Design(
-            "three rows dropped", honest.rows[:n], np.full(n + 1, 1 / (n + 1))
-        ),
-        "phase-perturbed": replace(honest, rows=rows),
-        "weights-shifted": replace(honest, weights=weights),
+        "rows-dropped": replace(honest, multipliers=range(1, 17)),
+        "phase-perturbed": replace(honest, exponents=e),
     }
 
 
@@ -245,27 +252,31 @@ CORRUPTED = _corrupted_designs()
 
 
 class TestTableCertificate:
-    """A built-in design's 2-design residual read from its row table is the
-    dense ``verify_2design`` residual of its basis set, with the same
-    verdict."""
+    """A built-in design's exact certificate read from its integer table has
+    the verdict of the dense ``verify_2design`` on its basis set, and for a
+    table whose multipliers span the full period M its value as well."""
 
     @staticmethod
-    def _compare(design):
+    def _compare(design, same_value=True):
         residual = design.residual()
         ok, dense = verify_2design(design.basis_set)
-        assert abs(residual - dense) <= 1e-12
-        assert (residual <= DESIGN_ATOL) is ok
+        if same_value:
+            assert abs(residual - dense) <= 1e-12
+        assert (residual == 0.0) is ok
         return residual
 
     @pytest.mark.parametrize("d, m", _built_in_designs())
     def test_built_in_designs(self, d, m):
-        assert self._compare(_design(d, m)) <= 1e-15
+        assert self._compare(_design(d, m)) == 0.0
 
     @pytest.mark.parametrize("name", sorted(CORRUPTED))
     def test_corrupted_tables(self, name):
         """Corruptions of the d=6, m=20 table (``_design(6, 20)`` is among
-        the built-in cases) fail both checks."""
-        assert self._compare(CORRUPTED[name]) > 1e-4
+        the built-in cases) fail both checks; the dense residual of the
+        dropped rows lies below the 1/(d+1) that the certificate reports,
+        so only its verdict is compared."""
+        design = CORRUPTED[name]
+        assert self._compare(design, same_value=name != "rows-dropped") == 1 / 7
 
 
 class TestIntegerArguments:
@@ -285,6 +296,11 @@ class TestIntegerArguments:
             lambda: figure1_grid(2.5),
             lambda: SchmidtState(3.0, np.ones(3) / np.sqrt(3)),
             lambda: VerificationBudget(0.1, 0.1, 2.5),
+            lambda: min_design_size(2.5),
+            lambda: min_design_size(True),
+            lambda: min_design_size("a"),
+            lambda: is_prime(7.5),
+            lambda: next_prime(2.5),
         ],
         ids=[
             "roy-scott-float-m",
@@ -300,11 +316,30 @@ class TestIntegerArguments:
             "figure1-fractional-grid-size",
             "schmidt-state-float-d",
             "budget-fractional-n-tests",
+            "min-design-size-fractional-d",
+            "min-design-size-bool-d",
+            "min-design-size-string-d",
+            "is-prime-fractional-n",
+            "next-prime-fractional-n",
         ],
     )
     def test_non_integer_dimension_or_size_rejected(self, call):
         with pytest.raises(OutOfRangeError, match="must be an integer"):
             call()
+
+    @pytest.mark.parametrize(
+        "call", [lambda: min_design_size(-3), lambda: min_design_size(1), lambda: is_prime(-1)]
+    )
+    def test_out_of_range_rejected(self, call):
+        with pytest.raises(OutOfRangeError, match="must be >="):
+            call()
+
+    def test_design_bound_is_exact_in_integers(self):
+        """ceil(3(d-1)^2/4) + 1 without a float: at d = 10^9 + 7 the float
+        ceil is off by 27."""
+        d = 10**9 + 7
+        assert min_design_size(d) == -(-3 * (d - 1) ** 2 // 4) + 1
+        assert [min_design_size(d) for d in range(2, 8)] == [2, 4, 8, 13, 20, 28]
 
     def test_numpy_integers_accepted(self):
         assert roy_scott_set(np.int64(4), np.int64(8)).m == 8
@@ -321,6 +356,8 @@ class TestIntegerArguments:
         assert type(Basis(np.int64(2), np.eye(2)).d) is int
         assert len(figure1_grid(np.int64(3))) == 3
         assert type(VerificationBudget(0.1, 0.1, np.int64(5)).n_tests) is int
+        assert type(min_design_size(np.int64(6))) is int
+        assert is_prime(np.int64(7)) and next_prime(np.int64(8)) == 11
 
 
 class TestPrimes:

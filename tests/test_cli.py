@@ -187,10 +187,30 @@ class TestCheckDesign:
         assert out == ""
         assert err.startswith("error: OutOfRangeError: tolerance must be finite")
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_invalid_tolerance_forms_no_design(self, tol, capsys, monkeypatch):
+        """The tolerance is refused before the design is formed or
+        certified."""
+
+        def refused(*args, **kwargs):
+            pytest.fail("check-design formed the design before checking --tol")
+
+        monkeypatch.setattr(bases, "_design", refused)
+        code, _, err = run_cli(["check-design", "--d", "200", "--tol", tol], capsys)
+        assert code == 2 and "tolerance must be finite" in err
+
+    @pytest.mark.parametrize("d", range(2, 18))
+    def test_exact_at_zero_tolerance(self, d, capsys):
+        """The certificate is exact: every built-in design passes --tol 0,
+        where the float identity missed by round-off at d = 16 and 17."""
+        code, out, _ = run_cli(["check-design", "--d", str(d), "--tol", "0"], capsys)
+        assert code == 0
+        assert "PASS residual=0.000e+00 (tolerance 0.0e+00)" in out
 
     def test_reads_the_table_certificate_once(self, capsys, monkeypatch):
-        """check-design runs the table certificate once, and neither builds
-        the design's bases nor runs the dense 2-design check."""
+        """check-design runs the table certificate once, and neither forms
+        the row table, builds the design's bases nor runs the dense 2-design
+        check."""
         calls = []
         residual = bases._Design.residual
 
@@ -203,6 +223,7 @@ class TestCheckDesign:
 
         monkeypatch.setattr(bases._Design, "residual", counted)
         monkeypatch.setattr(bases._Design, "basis_set", property(refused))
+        monkeypatch.setattr(bases._Design, "rows", property(refused))
         monkeypatch.setattr(bases, "verify_2design", refused)
         code, out, _ = run_cli(["check-design", "--d", "6", "--m", "20"], capsys)
         assert code == 0 and "PASS" in out
@@ -211,16 +232,16 @@ class TestCheckDesign:
 
 class TestRefusedAllocation:
     """A dimension whose design table cannot be allocated exits 2 with one
-    error line: numpy refuses the 698 GiB phase table."""
+    error line: numpy refuses the 1.4 TB row-phase table.  check-design
+    forms no table, so only a build can reach this."""
 
     @pytest.mark.parametrize(
         "args",
         [
-            ["check-design", "--d", "5000"],
             ["analyze", "--d", "5000", "--strategy", "VI",
              "--schmidt", ",".join(str(5000 - k) for k in range(5000))],
         ],
-        ids=["check-design", "analyze-VI"],
+        ids=["analyze-VI"],
     )
     def test_memory_error_exits_2(self, args, capsys):
         code, out, err = run_cli(args, capsys)

@@ -2,6 +2,9 @@
 the built strategies at small d, and of the design strategies at large d
 (20 <= d <= 32).
 
+A built-in design's exact certificate, read from its integer table, is
+checked against the dense second-moment identity on random small tables.
+
 A conditional test is a projector only because its measured basis is
 orthonormal, which ``Basis`` certifies and the build does not re-check; the
 first property checks that fact on the dense matrix.  At large d, builds take
@@ -38,6 +41,7 @@ from biverify import (
     test_projector,
     worst_case_state,
 )
+from biverify.bases import _Design, _design, is_prime, min_design_size, verify_2design
 
 KINDS = ("I", "II", "III", "IV", "V", "VI")
 
@@ -126,6 +130,35 @@ def test_fidelity_round_trip(raw, kind, fid, seed):
     sigma = random_state_at_fidelity(state, fid, np.random.default_rng(seed))
     estimate = fidelity_from_pass_rate(exact_pass_rate(strat, sigma), strat.beta)
     assert abs(estimate.fidelity - fidelity(sigma, state)) <= 1e-12
+
+
+@st.composite
+def integer_tables(draw):
+    """A design table at 2 <= d <= 7: a built-in one, or random exponents
+    mod M <= 16 with a contiguous run of n <= M multipliers."""
+    d = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        if is_prime(d) and draw(st.booleans()):
+            return _design(d)
+        return _design(max(d, 3), min_design_size(max(d, 3)) + draw(st.integers(0, 3)))
+    modulus = draw(st.integers(1, 16))
+    exponents = draw(st.lists(st.integers(0, modulus - 1), min_size=d, max_size=d))
+    n = draw(st.integers(1, modulus))
+    start = draw(st.integers(0, modulus))
+    return _Design("random", np.array(exponents), modulus, range(start, start + n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_tables())
+def test_table_certificate_matches_the_dense_check(design):
+    """The exact certificate's verdict is the dense second-moment check's on
+    the derived basis set, and for a table whose multipliers span the full
+    period M its value is the dense residual too."""
+    residual = design.residual()
+    ok, dense = verify_2design(design.basis_set)
+    assert (residual == 0.0) is ok
+    if len(design.multipliers) == design.modulus:
+        assert abs(residual - dense) <= 1e-12
 
 
 def shift_class_spectrum(omega, d):

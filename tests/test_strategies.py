@@ -160,7 +160,7 @@ class TestPiOperator:
         """The design's 2-design residual is kind II's only certificate: a
         lop-sided set in place of the complete MUB set fails it."""
         lop_sided = bases._Design(
-            "standard and Fourier, lop-sided", np.ones((1, 2)), np.array([1 / 3, 2 / 3])
+            "standard and Fourier, lop-sided", np.array([0, 1]), 4, range(1)
         )
         monkeypatch.setattr(strategies, "_design", lambda d, m=None: lop_sided)
         with pytest.raises(DesignMismatchError, match="2-design identity"):

@@ -153,20 +153,20 @@ def scattered(blocks, direction):
 
 
 def perturbed(design):
-    """The design with one phase of its row table off by 0.1 rad: still
-    orthonormal bases, no longer a 2-design."""
-    rows = design.rows.copy()
-    rows[1, 2] *= np.exp(0.1j)
-    return replace(design, rows=rows)
+    """The design with one exponent changed so that g_1(2) = e(2) - e(1)
+    equals g_1(1): still orthonormal bases, no longer a 2-design."""
+    e = design.exponents.copy()
+    e[2] = (2 * e[1] - e[0]) % design.modulus
+    return replace(design, exponents=e)
 
 
 @pytest.mark.parametrize("direction", list(Direction))
 @pytest.mark.parametrize("name", ["d4-zero-tail", "d5-random", "d6-random"])
 def test_design_residual_matches_dense_oracle(name, direction):
-    """The table certificate is the dense 2-design residual, and d c_0^2
-    times it bounds the dense miss of the design average from d/(d+1) Pi in
-    either direction (the B -> A average is a permutation of the A -> B
-    one): the design passes both, a perturbed copy fails both."""
+    """The exact table certificate is the dense 2-design residual, and
+    d c_0^2 times it bounds the dense miss of the design average from
+    d/(d+1) Pi in either direction (the B -> A average is a permutation of
+    the A -> B one): the design passes both, a perturbed copy fails both."""
     state = TARGETS[name]
     d = state.d
     for design, holds in ((bases._design(d), True), (perturbed(bases._design(d)), False)):
@@ -228,12 +228,10 @@ def test_custom_mixture_matches_dense_oracle():
 
 def test_lopsided_design_is_rejected(monkeypatch):
     """The design identity is still checked at build time: a design source
-    whose weights are not a 2-design fails it."""
-    d = 4
-    honest = bases._design(d)
-    tilt = np.arange(1.0, honest.weights.size)
-    weights = np.concatenate([[honest.weights[0]], tilt / tilt.sum() * (1 - honest.weights[0])])
-    lopsided = replace(honest, weights=weights)
+    that drops one multiplier, spreading the weight over the rest of its
+    bases, fails it."""
+    honest = bases._design(4)
+    lopsided = replace(honest, multipliers=honest.multipliers[:-1])
     monkeypatch.setattr(strategies, "_design", lambda d, m=None: lopsided)
     state = TARGETS["d4-random"]
     for kind in ("III", "IV", "V", "VI"):
