@@ -70,9 +70,6 @@ class Basis:
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
 
-    def ket(self, j: int) -> np.ndarray:
-        return self.vectors[:, j]
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedBasisSet:

@@ -100,7 +100,9 @@ def make_schmidt_state(raw, d: int | None = None) -> SchmidtState:
     """Build a SchmidtState from raw non-negative amplitudes.
 
     The amplitudes are sorted in decreasing order and L2-normalized; exact
-    zeros are preserved.
+    zeros are preserved.  They are first scaled by the power of two that
+    brings the largest into [1/2, 1), which is exact, so the square sum
+    neither overflows nor underflows and a finite input keeps its bits.
     """
     c = np.asarray(raw, dtype=float)
     if c.ndim != 1:
@@ -113,6 +115,7 @@ def make_schmidt_state(raw, d: int | None = None) -> SchmidtState:
         raise OutOfRangeError("amplitudes must be finite")
     if np.any(c < 0):
         raise NegativeCoefficientError("amplitudes must be >= 0")
+    c = np.ldexp(c, -np.frexp(c.max(initial=0.0))[1])
     norm = float(np.linalg.norm(c))
     if norm == 0.0:
         raise ZeroVectorError("amplitudes are all zero")

@@ -24,9 +24,10 @@ affine function of fidelity and suits adversarially prepared states.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -136,7 +137,6 @@ class RandomizedDiagonalTest:
     with probability ``acceptance[j, k]``.  ``matrix`` builds the diagonal
     operator the test realizes on first access."""
 
-    direction: Direction
     acceptance: np.ndarray
 
     @property
@@ -166,10 +166,14 @@ class Strategy:
     orthogonal to the target (see ``states.worst_case_state``).  ``p`` is
     the mixing probability of the standard/diagonal test for the built-in
     kinds (None for custom mixtures).
+
+    ``tests`` are formed on first read by ``_form_tests``: none of the data
+    above depends on them, and only the sampling tables
+    (``simulate.compile_tables``) read them.
     """
 
     state: SchmidtState
-    tests: tuple[tuple[float, TestOperator], ...]
+    _form_tests: Callable[[], tuple[tuple[float, TestOperator], ...]]
     index: np.ndarray
     blocks: np.ndarray
     beta: float
@@ -177,6 +181,11 @@ class Strategy:
     beta_vector: np.ndarray
     label: str
     p: float | None = None
+
+    @cached_property
+    def tests(self) -> tuple[tuple[float, TestOperator], ...]:
+        """The (probability, test) pairs in mixing order, formed on first read."""
+        return self._form_tests()
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -187,6 +196,11 @@ class Strategy:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _joined(head: tuple, form_tail: Callable[[], tuple | list] = tuple) -> tuple:
+    """The formed pairs ``head`` followed by those ``form_tail`` forms."""
+    return head + tuple(form_tail())
 
 
 def test_projector(
@@ -215,7 +229,7 @@ def _diagonal_test(state: SchmidtState, acceptance: np.ndarray) -> RandomizedDia
     if acceptance.min() < -1e-12 or acceptance.max() > 1.0 + 1e-12:
         raise OutOfRangeError("acceptance probabilities must lie in [0, 1]")
     acceptance = np.clip(acceptance, 0.0, 1.0)
-    return RandomizedDiagonalTest(direction=Direction.A_TO_B, acceptance=_freeze(acceptance))
+    return RandomizedDiagonalTest(_freeze(acceptance))
 
 
 def one_way_diagonal_test(state: SchmidtState, p: float) -> RandomizedDiagonalTest:
@@ -346,7 +360,9 @@ def assemble_strategy(
     chi = v[:, 1] - psi * (psi.conj() @ v[:, 1])
     chi = chi / float(np.linalg.norm(chi))
     one_block = _freeze(np.arange(omega.shape[0])[None]), _freeze(omega[None])
-    return Strategy(state, tests, *one_block, beta, 1.0 - beta, _freeze(chi), label)
+    return Strategy(
+        state, partial(_joined, tests), *one_block, beta, 1.0 - beta, _freeze(chi), label
+    )
 
 
 def _checked_tests(state: SchmidtState, tests) -> tuple:
@@ -422,22 +438,18 @@ def _normalize_kind(kind) -> str:
 
 def _design_tests(state, design, total, two_way):
     """The weighted tests realizing `total * Pi` (averaged over directions)
-    from a built-in design (``bases._design``).
+    from a built-in design (``bases._design``) whose certificate
+    (``bases._Design.residual``) ``build_strategy`` has checked.
 
-    The design's exact 2-design certificate (``bases._Design.residual``)
-    is checked before any test is built; a pass proves the design average
-    equal to d/(d+1) Pi for every target.  Each test is then its design
-    basis and the target, and derives its conditional kets on demand, so no
-    basis stack is formed.  A B -> A test is its A -> B twin with the parties
-    swapped, which shares the twin's basis and target.  The tests contribute
-    nothing to Omega here: the certificate proves their sum equal to the
-    closed form that ``build_strategy`` uses.
+    A build passes this, bound to its arguments, as the tail of a strategy's
+    ``tests``, so the design's bases and tests are formed only when a reader
+    asks for them.  Each test is its design basis and the target, and
+    derives its conditional kets on demand, so no basis stack is formed.  A
+    B -> A test is its A -> B twin with the parties swapped, which shares the
+    twin's basis and target.  The tests contribute nothing to Omega: the
+    certificate proves their sum equal to the closed form that the build
+    uses.
     """
-    residual = design.residual()
-    if residual:
-        raise DesignMismatchError(
-            f"design misses the 2-design identity by {residual:.3e}"
-        )
     share = (state.d + 1) / state.d / (2 if two_way else 1)
     tests = []
     for weight, basis in zip(design.weights[1:], design.basis_set.bases[1:]):
@@ -493,7 +505,12 @@ def build_strategy(
     is c_delta c_delta^T, c_delta[a] = c_{a - delta}, on each shift class
     delta (the kets |a, a - delta>).  So every kind is d real d x d blocks
     with its spectrum in closed form: no eigenproblem is solved and no
-    d^2 x d^2 matrix is formed.  A design's m bases cost O(m d^2).
+    d^2 x d^2 matrix is formed.
+
+    The head test (standard or diagonal), which validates p, is formed here,
+    and so are both of kind I's tests.  The design's m bases and tests, which
+    cost O(m d^2), are formed only when ``Strategy.tests`` is first read
+    (see ``_design_tests``).
     """
     kind = _normalize_kind(kind)
     if not state.is_entangled:
@@ -513,7 +530,7 @@ def build_strategy(
 
     if kind == "I":
         head = [(p, standard_test(state))]
-        tail = [(1.0 - p, test_projector(state, fourier_basis(d)))]
+        tail = partial(tuple, [(1.0 - p, test_projector(state, fourier_basis(d)))])
         shift = np.arange(d) - np.arange(d)[:, None]  # a - delta, wrapped by indexing
         vectors, diagonal = state.coeffs[shift], np.zeros(d * d)
     else:
@@ -529,8 +546,13 @@ def build_strategy(
             head = [(p, one_way_diagonal_test(state, p))]
         else:  # VI
             head = [(p, two_way_diagonal_test(state, p))]
+        residual = design.residual()
+        if residual:
+            raise DesignMismatchError(
+                f"design misses the 2-design identity by {residual:.3e}"
+            )
         two_way = kind in ("IV", "VI")
-        tail = _design_tests(state, design, 1.0 - p, two_way)
+        tail = partial(_design_tests, state, design, 1.0 - p, two_way)
         directions = tuple(Direction) if two_way else (Direction.A_TO_B,)
         vectors, diagonal = _pi_parts(state, directions)
     beta = closed_form_beta(state, kind, p)
@@ -539,11 +561,11 @@ def build_strategy(
         raise OutOfRangeError(
             f"p = {p} leaves no spectral gap for kind {kind}: beta = {beta:.17g} is not below 1"
         )
-    tests = _checked_tests(state, head + tail)
     diagonal = diagonal * (1.0 - p) + sum(q * _diagonal(test) for q, test in head)
     index, blocks = _shift_blocks(vectors, diagonal, 1.0 - p)
     chi = _beta_vector(state, kind, beta == p)
-    return Strategy(state, tests, index, blocks, beta, 1.0 - beta, chi, kind, p)
+    form_tests = partial(_joined, tuple(head), tail)
+    return Strategy(state, form_tests, index, blocks, beta, 1.0 - beta, chi, kind, p)
 
 
 def _beta_vector(state: SchmidtState, kind: str, on_jj: bool) -> np.ndarray:

@@ -49,14 +49,14 @@ class TestElementaryBases:
     def test_fourier_d2(self):
         b = fourier_basis(2)
         s = 1 / np.sqrt(2)
-        assert np.allclose(b.ket(0), [s, s], atol=1e-15)
-        assert np.allclose(b.ket(1), [s, -s], atol=1e-15)
+        assert np.allclose(b.vectors[:, 0], [s, s], atol=1e-15)
+        assert np.allclose(b.vectors[:, 1], [s, -s], atol=1e-15)
 
     def test_fourier_d3_component(self):
         """Ket 1, component k = 2 is omega^2/sqrt(3) = exp(4 pi i/3)/sqrt(3)."""
         b = fourier_basis(3)
         expect = np.exp(4j * np.pi / 3) / np.sqrt(3)
-        assert abs(b.ket(1)[2] - expect) <= 1e-14
+        assert abs(b.vectors[2, 1] - expect) <= 1e-14
 
     def test_fourier_unbiased_with_standard(self):
         assert is_unbiased(standard_basis(5), fourier_basis(5), tol=1e-10)
@@ -129,7 +129,7 @@ class TestPrimeMubSet:
         for r in range(1, d + 1):
             for j in range(d):
                 ket = np.exp(2j * np.pi * ((r * k * k + j * k) % d) / d) / np.sqrt(d)
-                assert np.abs(mubs.bases[r].ket(j) - ket).max() <= 1e-15
+                assert np.abs(mubs.bases[r].vectors[:, j] - ket).max() <= 1e-15
 
     def test_uniform_weights(self):
         mubs = prime_mub_set(5)
@@ -142,7 +142,7 @@ class TestRoyScottSet:
         """For d=3, m=4 the (l=1, j=0, k=2) phase is 2 pi [0 + 1*1/3] = 2 pi/3."""
         design = roy_scott_set(3, 4)
         expect = np.exp(2j * np.pi / 3) / np.sqrt(3)
-        assert abs(design.bases[1].ket(0)[2] - expect) <= 1e-14
+        assert abs(design.bases[1].vectors[2, 0] - expect) <= 1e-14
 
     def test_d6_weights(self):
         design = roy_scott_set(6, 20)
@@ -181,7 +181,7 @@ class TestRoyScottSet:
             for j in range(d):
                 phase_j = np.exp(2j * np.pi * ((j * k) % d) / d)
                 ket = phase_j * phase_l / np.sqrt(d)
-                assert np.array_equal(design.bases[l].ket(j), ket)
+                assert np.array_equal(design.bases[l].vectors[:, j], ket)
 
     @pytest.mark.parametrize("d, m", [(3, 4), (6, 20), (9, 49), (12, 95)])
     def test_rows_match_the_quadratic_phase_formula(self, d, m):

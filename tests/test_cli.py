@@ -114,6 +114,17 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["analysis"]["nu"] == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("scale", ["e200", "e-170"])
+    def test_amplitudes_beyond_double_square_range(self, scale, capsys):
+        """Amplitudes whose square sum over- or underflows a double analyze as
+        their direction, with no warning: the report of 3,2,1 to round-off."""
+        args = ["analyze", "--d", "3", "--strategy", "III", "--json", "--schmidt"]
+        schmidt = ",".join(f"{k}{scale}" for k in (3, 2, 1))
+        code, out, err = run_cli(args + [schmidt], capsys)
+        assert (code, err) == (0, "")
+        expected = json.loads(run_cli(args + ["3,2,1"], capsys)[1])["analysis"]
+        assert json.loads(out)["analysis"] == pytest.approx(expected, rel=1e-14)
+
     def test_invalid_strategy_exits_2(self, capsys):
         code, _, err = run_cli(
             ["analyze", "--theta", "0.5", "--strategy", "IX"], capsys

@@ -355,7 +355,7 @@ class TestCountSampler:
         over the cells of its A -> B and B -> A tests, within 5 sigma of its
         mean on either side; and the passes of each cell against count * a."""
         strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0]), "VI")
-        assert {t.direction for _, t in strat.tests} == set(Direction)
+        assert {t.direction for _, t in strat.tests[1:]} == set(Direction)
         sigma = _random_density(9, np.random.default_rng(8))
         n = 10**7
         weights, accept, counts, passes = self._tally(strat, sigma, n, 9)

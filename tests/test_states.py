@@ -71,6 +71,36 @@ class TestMakeSchmidtState:
         assert state.is_entangled
 
 
+    @pytest.mark.parametrize("k", [-1070, -1000, -600, 600, 1000, 1021])
+    def test_power_of_two_scale_keeps_bits(self, k):
+        """Amplitudes scaled by 2**k give the same coefficients bit for bit,
+        also where their square sum under- or overflows a double."""
+        raw = np.array([3.0, 2.0, 1.0, 0.0])
+        expected = make_schmidt_state(raw).coeffs
+        assert np.array_equal(make_schmidt_state(np.ldexp(raw, k)).coeffs, expected)
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ([3e-170, 2e-170, 1e-170], np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)),
+            ([1e154, 1e154], np.full(2, np.sqrt(0.5))),
+            ([1e-160, 1e-170], [1.0, 1e-10]),
+            ([5e-324, 5e-324], np.full(2, np.sqrt(0.5))),
+        ],
+        ids=["underflow", "overflow", "underflow-spread", "subnormal"],
+    )
+    def test_extreme_amplitudes_normalize(self, raw, expected):
+        s = make_schmidt_state(raw)
+        assert np.allclose(s.coeffs, expected, rtol=1e-15, atol=0.0)
+
+    def test_ordinary_amplitudes_keep_their_bits(self):
+        """The power-of-two scaling is exact, so ordinary amplitudes are
+        normalized exactly as by their own norm."""
+        rng = np.random.default_rng(21)
+        for raw in [rng.random(d) * 10.0 ** rng.integers(-5, 5) for d in range(2, 20)]:
+            expected = np.sort(raw)[::-1] / np.linalg.norm(raw)
+            assert np.array_equal(make_schmidt_state(raw).coeffs, expected)
+
     @pytest.mark.parametrize(
         "raw", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]], ids=["nan", "inf", "-inf"]
     )

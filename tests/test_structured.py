@@ -10,6 +10,7 @@ kinds II-VI, which the design's table certificate licenses), and must agree
 to round-off.
 """
 
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -481,6 +482,93 @@ def test_strategy_holds_shift_blocks_not_omega(kind):
     strategies.is_homogeneous(strat)
     exact_pass_rate(strat, worst_case_state(strat, 0.1))
     assert "omega" not in vars(strat)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_analysis_forms_no_tests(kind):
+    """Building a strategy, checking its homogeneity, reading an exact pass
+    rate and mixing its worst-case state never read the tests, so they are
+    not formed."""
+    strat = build_strategy(TARGETS["d6-zero-tail"], kind)
+    strategies.is_homogeneous(strat)
+    exact_pass_rate(strat, worst_case_state(strat, 0.1))
+    assert "tests" not in vars(strat)
+
+
+def _count_constructions(monkeypatch):
+    """Count every Basis and ConditionalProjectorTest formed from now on."""
+    counts = {bases.Basis: 0, strategies.ConditionalProjectorTest: 0}
+    for cls in counts:
+
+        def counted(self, real=cls.__post_init__, cls=cls):
+            counts[cls] += 1
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", KINDS[1:])
+def test_design_build_forms_only_its_head(kind, monkeypatch):
+    """A design build forms the head test (standard for II-IV, diagonal for V
+    and VI) and no design basis or design test; the first read of ``tests``
+    forms them all, once."""
+    state = TARGETS["d5-random"]
+    counts = _count_constructions(monkeypatch)
+    strat = build_strategy(state, kind)
+    head = 1 if kind in ("II", "III", "IV") else 0
+    assert list(counts.values()) == [head, head]
+    tests = strat.tests
+    assert strat.tests is tests
+    design = bases._design(strat.state.d)
+    n_design = len(design.multipliers) * (2 if kind in ("IV", "VI") else 1)
+    assert len(tests) == 1 + n_design
+    # the design's basis set also holds its own standard basis
+    n_bases = 1 + len(design.multipliers)
+    assert list(counts.values()) == [head + n_bases, head + n_design]
+
+
+def _test_contents(strat):
+    """Each test's weight, and its direction, measured kets, support and
+    conditional kets, or its acceptance table."""
+    out = []
+    for q, t in strat.tests:
+        if isinstance(t, RandomizedDiagonalTest):
+            out.append((q, t.acceptance.tobytes()))
+        else:
+            out.append((
+                q, t.direction, t.measured_basis.vectors.tobytes(),
+                t.supported.tobytes(), t.conditional_kets.tobytes(),
+            ))
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_strategy_pickles_before_and_after_reading_tests(kind):
+    """A strategy whose tests are not yet formed pickles, and its copy forms
+    the same tests; so does one whose tests are formed."""
+    strat = build_strategy(TARGETS["d4-zero-tail"], kind)
+    fresh = pickle.loads(pickle.dumps(strat))
+    assert "tests" not in vars(fresh)
+    assert np.array_equal(fresh.blocks, strat.blocks) and fresh.beta == strat.beta
+    expected = _test_contents(strat)
+    assert _test_contents(fresh) == expected
+    assert _test_contents(pickle.loads(pickle.dumps(strat))) == expected
+
+
+def test_design_build_allocates_no_design_tests():
+    """build_strategy at d=24 kind VI forms only the row table, the shift
+    blocks and the diagonal test: its traced peak stays under 2 MiB, where
+    forming its 794 design tests and their bases would take 7.3 MiB."""
+    state = make_schmidt_state(np.arange(24, 0, -1.0))
+    build_strategy(state, "VI")  # warm up imports and caches before tracing
+    tracemalloc.start()
+    try:
+        build_strategy(state, "VI")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_kind_i_at_d70_solves_no_eigenproblem(monkeypatch):
