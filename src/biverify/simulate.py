@@ -79,13 +79,12 @@ class FidelityEstimate:
     record: RunRecord
 
 
-def trial_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for (seed, stream); identical arguments
-    reproduce identical draws, distinct streams are independent."""
+def trial_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator for ``seed``; the same seed reproduces the
+    same draws."""
     seed = _integer_arg("seed", seed, 0)
-    stream = _integer_arg("stream", stream, 0)
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,)))
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
     )
 
 

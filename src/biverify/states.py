@@ -47,7 +47,8 @@ class SchmidtState:
             raise NegativeCoefficientError("Schmidt coefficients must be >= 0")
         if np.any(np.diff(c) > 0):
             raise OutOfRangeError("Schmidt coefficients must be non-increasing")
-        if abs(float(c @ c) - 1.0) > NORM_ATOL:
+        # a unit vector has no entry above 1; refusing one first keeps c @ c finite
+        if c.max() > 1.0 + NORM_ATOL or abs(float(c @ c) - 1.0) > NORM_ATOL:
             raise OutOfRangeError("Schmidt coefficients must have unit square sum")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 
@@ -61,6 +61,16 @@ class Direction(str, Enum):
 
     A_TO_B = "AtoB"
     B_TO_A = "BtoA"
+
+
+# the directions each design kind's average Pi runs over
+_DIRECTIONS = {
+    "II": (Direction.A_TO_B,),
+    "III": (Direction.A_TO_B,),
+    "IV": tuple(Direction),
+    "V": (Direction.A_TO_B,),
+    "VI": tuple(Direction),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +187,6 @@ class Strategy:
     index: np.ndarray
     blocks: np.ndarray
     beta: float
-    nu: float
     beta_vector: np.ndarray
     label: str
     p: float | None = None
@@ -186,6 +195,11 @@ class Strategy:
     def tests(self) -> tuple[tuple[float, TestOperator], ...]:
         """The (probability, test) pairs in mixing order, formed on first read."""
         return self._form_tests()
+
+    @property
+    def nu(self) -> float:
+        """The spectral gap 1 - beta."""
+        return 1.0 - self.beta
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -196,11 +210,6 @@ class Strategy:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _joined(head: tuple, form_tail: Callable[[], tuple | list] = tuple) -> tuple:
-    """The formed pairs ``head`` followed by those ``form_tail`` forms."""
-    return head + tuple(form_tail())
 
 
 def test_projector(
@@ -224,44 +233,35 @@ def standard_test(state: SchmidtState) -> ConditionalProjectorTest:
     return test_projector(state, standard_basis(state.d))
 
 
-def _diagonal_test(state: SchmidtState, acceptance: np.ndarray) -> RandomizedDiagonalTest:
-    acceptance = np.asarray(acceptance, dtype=float)
-    if acceptance.min() < -1e-12 or acceptance.max() > 1.0 + 1e-12:
-        raise OutOfRangeError("acceptance probabilities must lie in [0, 1]")
-    acceptance = np.clip(acceptance, 0.0, 1.0)
-    return RandomizedDiagonalTest(_freeze(acceptance))
-
-
 def one_way_diagonal_test(state: SchmidtState, p: float) -> RandomizedDiagonalTest:
     """Randomized diagonal test whose off-diagonal acceptance tracks the
-    non-measuring party's outcome: equal outcomes always pass, outcome pair
-    (j, k) with j != k passes with probability 1 - (1/p - 1) c_k^2."""
-    lo = float(state.coeffs[0] ** 2 / (1.0 + state.coeffs[0] ** 2))
-    if not lo - 1e-12 <= p < 1.0:
-        raise OutOfRangeError(
-            f"mixing probability p={p} outside [{lo:.12g}, 1): acceptance "
-            "probabilities would leave [0, 1]"
-        )
-    c2 = state.coeffs**2
-    acceptance = 1.0 - (1.0 / p - 1.0) * np.tile(c2, (state.d, 1))
-    np.fill_diagonal(acceptance, 1.0)
-    return _diagonal_test(state, acceptance)
+    non-measuring party's outcome: outcome pair (j, k) passes with
+    probability 1 - (1/p - 1) c_k^2 for j != k, and always for j = k."""
+    return RandomizedDiagonalTest(_diagonal_acceptance(state, p, _DIRECTIONS["V"]))
 
 
 def two_way_diagonal_test(state: SchmidtState, p: float) -> RandomizedDiagonalTest:
-    """Symmetrized randomized diagonal test: outcome pair (j, k) with j != k
-    passes with probability 1 - (1/p - 1)(c_j^2 + c_k^2)/2."""
-    c2 = state.coeffs**2
-    lo = float((c2[0] + c2[1]) / (2.0 + c2[0] + c2[1]))
+    """Symmetrized randomized diagonal test: outcome pair (j, k) passes with
+    probability 1 - (1/p - 1)(c_j^2 + c_k^2)/2 for j != k, and always for
+    j = k."""
+    return RandomizedDiagonalTest(_diagonal_acceptance(state, p, _DIRECTIONS["VI"]))
+
+
+def _diagonal_acceptance(state: SchmidtState, p: float, directions) -> np.ndarray:
+    """The diagonal test's table 1 - (1/p - 1) pi, pi being Pi's diagonal
+    averaged over ``directions`` (zero on |jj>), which lies in [0, 1] iff
+    p >= ``_lowest_p``: it cancels pi and makes Omega homogeneous."""
+    lo = _lowest_p(state, directions)
     if not lo - 1e-12 <= p < 1.0:
         raise OutOfRangeError(
             f"mixing probability p={p} outside [{lo:.12g}, 1): acceptance "
             "probabilities would leave [0, 1]"
         )
-    pair_mean = 0.5 * np.add.outer(c2, c2)
-    acceptance = 1.0 - (1.0 / p - 1.0) * pair_mean
-    np.fill_diagonal(acceptance, 1.0)
-    return _diagonal_test(state, acceptance)
+    pi = _pi_parts(state, directions)[1].reshape(state.d, state.d)
+    acceptance = 1.0 - (1.0 / p - 1.0) * pi
+    if acceptance.min() < -1e-12 or acceptance.max() > 1.0 + 1e-12:
+        raise OutOfRangeError("acceptance probabilities must lie in [0, 1]")
+    return _freeze(np.clip(acceptance, 0.0, 1.0))
 
 
 def pi_operator(state: SchmidtState, direction: Direction = Direction.A_TO_B) -> np.ndarray:
@@ -361,7 +361,7 @@ def assemble_strategy(
     chi = chi / float(np.linalg.norm(chi))
     one_block = _freeze(np.arange(omega.shape[0])[None]), _freeze(omega[None])
     return Strategy(
-        state, partial(_joined, tests), *one_block, beta, 1.0 - beta, _freeze(chi), label
+        state, partial(tuple, tests), *one_block, beta, _freeze(chi), label
     )
 
 
@@ -389,6 +389,14 @@ def _checked_tests(state: SchmidtState, tests) -> tuple:
     return tests
 
 
+def _lowest_p(state: SchmidtState, directions) -> float:
+    """s / (1 + s), s being the largest entry of Pi's diagonal off |jj>: the
+    mean of c_0^2, and c_1^2 if Pi runs both ways.  It is the optimal p of
+    II-IV, and the lowest p at which a diagonal test's table is in [0, 1]."""
+    top = (state.coeffs[: len(directions)] ** 2).tolist()
+    return sum(top) / sum(top, float(len(top)))
+
+
 def optimal_p(state: SchmidtState, kind: str) -> float:
     """Default mixing probability for a built-in strategy kind.
 
@@ -397,33 +405,28 @@ def optimal_p(state: SchmidtState, kind: str) -> float:
     VI uses 1/e, which is always admissible.
     """
     kind = _normalize_kind(kind)
-    c2 = state.coeffs**2
     if kind == "I":
         return 0.5
-    if kind in ("II", "III"):
-        return float(c2[0] / (1.0 + c2[0]))
-    if kind == "IV":
-        return float((c2[0] + c2[1]) / (2.0 + c2[0] + c2[1]))
-    if kind == "V":
-        return max(1.0 / math.e, float(c2[0] / (1.0 + c2[0])))
-    return 1.0 / math.e
+    if kind == "VI":
+        return 1.0 / math.e
+    lo = _lowest_p(state, _DIRECTIONS[kind])
+    return max(1.0 / math.e, lo) if kind == "V" else lo
 
 
 def closed_form_beta(state: SchmidtState, label: str, p: float) -> float | None:
     """Analytic second eigenvalue for the built-in kinds, None otherwise.
 
     It is the built strategy's ``beta`` for every built-in kind (see
-    ``build_strategy``).
+    ``build_strategy``): max(p, 1 - p) for I, max(p, (1 - p) s) for II-IV
+    and p for V and VI.
     """
-    c2 = state.coeffs**2
     if label == "I":
         return max(p, 1.0 - p)
-    if label in ("II", "III"):
-        return max(p, (1.0 - p) * float(c2[0]))
-    if label == "IV":
-        return max(p, (1.0 - p) * float(c2[0] + c2[1]) / 2.0)
     if label in ("V", "VI"):
         return p
+    if label in _DIRECTIONS:
+        top = (state.coeffs[: len(_DIRECTIONS[label])] ** 2).tolist()
+        return max(p, (1.0 - p) * sum(top) / len(top))
     return None
 
 
@@ -436,37 +439,42 @@ def _normalize_kind(kind) -> str:
     return label
 
 
-def _design_tests(state, design, total, two_way):
-    """The weighted tests realizing `total * Pi` (averaged over directions)
-    from a built-in design (``bases._design``) whose certificate
-    (``bases._Design.residual``) ``build_strategy`` has checked.
+def _head_diagonal(state: SchmidtState, kind: str, p: float) -> np.ndarray:
+    """The head test's diagonal in the |jk> basis, in closed form: 1 on the
+    standard test's supported |jj>, or V and VI's acceptance table.  A p
+    outside the kind's range is refused."""
+    if kind in ("V", "VI"):
+        return _diagonal_acceptance(state, p, _DIRECTIONS[kind]).ravel()
+    if kind != "I" and not 0.0 <= p < 1.0:
+        raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
+    return np.diag((state.coeffs**2 > SUPPORT_CUTOFF).astype(float)).ravel()
 
-    A build passes this, bound to its arguments, as the tail of a strategy's
-    ``tests``, so the design's bases and tests are formed only when a reader
-    asks for them.  Each test is its design basis and the target, and
-    derives its conditional kets on demand, so no basis stack is formed.  A
-    B -> A test is its A -> B twin with the parties swapped, which shares the
-    twin's basis and target.  The tests contribute nothing to Omega: the
-    certificate proves their sum equal to the closed form that the build
-    uses.
-    """
-    share = (state.d + 1) / state.d / (2 if two_way else 1)
+
+def _built_in_tests(state, kind, p, design):
+    """A built-in strategy's (probability, test) pairs in mixing order: the
+    head test (none for II-IV at p = 0), then kind I's Fourier test
+    (``design`` is None) or the design's tests."""
+    if kind in ("V", "VI"):
+        acceptance = _diagonal_acceptance(state, p, _DIRECTIONS[kind])
+        head = ((p, RandomizedDiagonalTest(acceptance)),)
+    else:
+        head = () if p == 0.0 else ((p, standard_test(state)),)
+    if design is None:
+        return (*head, (1.0 - p, test_projector(state, fourier_basis(state.d))))
+    return (*head, *_design_tests(state, design, 1.0 - p, len(_DIRECTIONS[kind]) > 1))
+
+
+def _design_tests(state, design, total, two_way):
+    """The tests realizing ``total`` Pi (averaged over both directions if
+    ``two_way``) from a certified built-in design, one per basis and
+    direction; a test derives its conditional kets on demand."""
+    directions = tuple(Direction)[: 1 + two_way]
+    share = (state.d + 1) / state.d / len(directions)
     tests = []
     for weight, basis in zip(design.weights[1:], design.basis_set.bases[1:]):
-        test = ConditionalProjectorTest(Direction.A_TO_B, basis, state)
         q = total * share * float(weight)
-        tests.append((q, test))
-        if two_way:
-            tests.append((q, replace(test, direction=Direction.B_TO_A)))
+        tests.extend((q, ConditionalProjectorTest(x, basis, state)) for x in directions)
     return tests
-
-
-def _diagonal(test) -> np.ndarray:
-    """Diagonal of the standard or a randomized diagonal test, both of which
-    are diagonal in the |jk> basis."""
-    if isinstance(test, RandomizedDiagonalTest):
-        return test.acceptance.ravel()
-    return np.sum(np.abs(test.pair_vectors()) ** 2, axis=1)
 
 
 def build_strategy(
@@ -507,10 +515,9 @@ def build_strategy(
     with its spectrum in closed form: no eigenproblem is solved and no
     d^2 x d^2 matrix is formed.
 
-    The head test (standard or diagonal), which validates p, is formed here,
-    and so are both of kind I's tests.  The design's m bases and tests, which
-    cost O(m d^2), are formed only when ``Strategy.tests`` is first read
-    (see ``_design_tests``).
+    No test is formed here: the head test enters Omega through its
+    closed-form diagonal (``_head_diagonal``), and ``Strategy.tests`` forms
+    every test when first read (``_built_in_tests``).
     """
     kind = _normalize_kind(kind)
     if not state.is_entangled:
@@ -529,43 +536,31 @@ def build_strategy(
     p = float(p)
 
     if kind == "I":
-        head = [(p, standard_test(state))]
-        tail = partial(tuple, [(1.0 - p, test_projector(state, fourier_basis(d)))])
+        design = None
+        head = _head_diagonal(state, kind, p)
         shift = np.arange(d) - np.arange(d)[:, None]  # a - delta, wrapped by indexing
         vectors, diagonal = state.coeffs[shift], np.zeros(d * d)
     else:
-        # the O(m d) row table comes before the O(d^2) head test; kind II
-        # refuses m and has a prime d here: the complete MUB set
+        # kind II refuses m and has a prime d here: the complete MUB set
         design = _design(d, m)
-        design.rows
-        if kind in ("II", "III", "IV"):
-            if not 0.0 <= p < 1.0:
-                raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
-            head = [] if p == 0.0 else [(p, standard_test(state))]
-        elif kind == "V":
-            head = [(p, one_way_diagonal_test(state, p))]
-        else:  # VI
-            head = [(p, two_way_diagonal_test(state, p))]
+        design.rows  # a table too large to allocate fails before any O(d^2) work
+        head = _head_diagonal(state, kind, p)
         residual = design.residual()
         if residual:
             raise DesignMismatchError(
                 f"design misses the 2-design identity by {residual:.3e}"
             )
-        two_way = kind in ("IV", "VI")
-        tail = partial(_design_tests, state, design, 1.0 - p, two_way)
-        directions = tuple(Direction) if two_way else (Direction.A_TO_B,)
-        vectors, diagonal = _pi_parts(state, directions)
+        vectors, diagonal = _pi_parts(state, _DIRECTIONS[kind])
     beta = closed_form_beta(state, kind, p)
     # no gap: kind I where 1 - p rounds to 1, II and III at p = 0 where c_0^2 does
     if not beta < 1.0:
         raise OutOfRangeError(
             f"p = {p} leaves no spectral gap for kind {kind}: beta = {beta:.17g} is not below 1"
         )
-    diagonal = diagonal * (1.0 - p) + sum(q * _diagonal(test) for q, test in head)
-    index, blocks = _shift_blocks(vectors, diagonal, 1.0 - p)
+    index, blocks = _shift_blocks(vectors, diagonal * (1.0 - p) + p * head, 1.0 - p)
     chi = _beta_vector(state, kind, beta == p)
-    form_tests = partial(_joined, tuple(head), tail)
-    return Strategy(state, form_tests, index, blocks, beta, 1.0 - beta, chi, kind, p)
+    form_tests = partial(_built_in_tests, state, kind, p, design)
+    return Strategy(state, form_tests, index, blocks, beta, chi, kind, p)
 
 
 def _beta_vector(state: SchmidtState, kind: str, on_jj: bool) -> np.ndarray:

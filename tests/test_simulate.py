@@ -44,28 +44,30 @@ def _random_density(dim, rng):
 
 class TestRngStreams:
     def test_same_seed_same_stream_bitwise(self):
-        a = trial_rng(42, 3).random(100)
-        b = trial_rng(42, 3).random(100)
+        a = trial_rng(42).random(100)
+        b = trial_rng(42).random(100)
         assert np.array_equal(a, b)
 
-    def test_distinct_streams_differ(self):
-        a = trial_rng(42, 0).random(100)
-        b = trial_rng(42, 1).random(100)
+    def test_distinct_seeds_differ(self):
+        a = trial_rng(42).random(100)
+        b = trial_rng(43).random(100)
         assert not np.array_equal(a, b)
+
+    def test_draws_are_the_seeds_first_spawned_stream(self):
+        """A seed's draws are those of SeedSequence(seed, spawn_key=(0,))."""
+        expected = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(42, spawn_key=(0,)))
+        ).random(100)
+        assert np.array_equal(trial_rng(42).random(100), expected)
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, True, np.bool_(True), "3", -1])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(OutOfRangeError):
             trial_rng(seed)
 
-    @pytest.mark.parametrize("stream", [0.5, False, -2])
-    def test_bad_stream_rejected(self, stream):
-        with pytest.raises(OutOfRangeError):
-            trial_rng(0, stream)
-
     def test_numpy_integers_accepted(self):
-        a = trial_rng(np.int64(42), np.uint8(3)).random(10)
-        assert np.array_equal(a, trial_rng(42, 3).random(10))
+        a = trial_rng(np.int64(42)).random(10)
+        assert np.array_equal(a, trial_rng(42).random(10))
 
 
 class TestRunSingleTest:

@@ -1,5 +1,7 @@
 """Tests for Schmidt states, density operators, noise, and fidelity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,20 @@ class TestMakeSchmidtState:
         order and norm checks."""
         with pytest.raises(OutOfRangeError, match="finite"):
             SchmidtState(d=2, coeffs=np.array([np.nan, np.nan]))
+
+    def test_huge_coefficients_refused_without_overflow(self):
+        """An entry above 1 is refused before squaring, so a huge one raises
+        the norm error without an overflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OutOfRangeError, match="unit square sum"):
+                SchmidtState(d=2, coeffs=np.array([1e200, 1e200]))
+
+    def test_entry_just_above_one_accepted(self):
+        """The cap on an entry admits every vector the norm check admits."""
+        c = np.array([np.sqrt(1.0 + 5e-13), 0.0])
+        assert c[0] > 1.0
+        assert SchmidtState(d=2, coeffs=c).coeffs[0] == c[0]
 
 
 class TestStateVector:

@@ -37,6 +37,31 @@ from biverify.errors import (
 )
 
 
+def _diagonal_lower_bound(state, kind):
+    c2 = state.coeffs**2
+    if kind == "V":
+        return float(c2[0] / (1.0 + c2[0]))
+    return float((c2[0] + c2[1]) / (2.0 + c2[0] + c2[1]))
+
+
+def _diagonal_verdict(state, kind, p):
+    """(refusal message or None, acceptance table) of the kind's diagonal
+    test at p: the bound check on p, then the table's [0, 1] check."""
+    lo = _diagonal_lower_bound(state, kind)
+    if not lo - 1e-12 <= p < 1.0:
+        return (
+            f"mixing probability p={p} outside [{lo:.12g}, 1): acceptance "
+            "probabilities would leave [0, 1]"
+        ), None
+    c2 = state.coeffs**2
+    pi = np.tile(c2, (state.d, 1)) if kind == "V" else 0.5 * np.add.outer(c2, c2)
+    table = 1.0 - (1.0 / p - 1.0) * pi
+    np.fill_diagonal(table, 1.0)
+    if table.min() < -1e-12 or table.max() > 1.0 + 1e-12:
+        return "acceptance probabilities must lie in [0, 1]", None
+    return None, np.clip(table, 0.0, 1.0)
+
+
 def design_residual(state, design):
     """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi for a built-in design
     (``bases._design``), with every test matrix built densely."""
@@ -324,6 +349,31 @@ class TestHomogeneousStrategies:
             build_strategy(s, "VI", p=0.2)
         with pytest.raises(OutOfRangeError):
             build_strategy(s, "V", p=1.0)
+
+    @pytest.mark.parametrize("kind", ["V", "VI"])
+    def test_p_near_the_lower_bound(self, kind):
+        """Near the lower bound, the diagonal test and the build accept and
+        refuse exactly as the per-test bound and table checks below, with
+        their messages and tables; the table check binds just under it."""
+        make = one_way_diagonal_test if kind == "V" else two_way_diagonal_test
+        outcomes = set()
+        for raw in ([2.0, 1.0], [3.0, 2.0, 1.0, 0.0], [1.0, 1.0, 0.5, 0.1, 0.01]):
+            state = make_schmidt_state(raw)
+            lo = _diagonal_lower_bound(state, kind)
+            ps = [lo + k * 1e-13 for k in range(-9, 10)] + [lo - 2e-12, 0.0, 1.0, -0.1]
+            for p in ps:
+                expected, table = _diagonal_verdict(state, kind, p)
+                outcomes.add(expected and expected.split()[0])
+                for build in (make, lambda s, p: build_strategy(s, kind, p)):
+                    try:
+                        built = build(state, p)
+                    except OutOfRangeError as exc:
+                        assert str(exc) == expected, p
+                        continue
+                    assert expected is None, p
+                    if build is make:
+                        assert np.array_equal(built.acceptance, table)
+        assert outcomes == {None, "mixing", "acceptance"}  # both checks refuse some p
 
     def test_diagonal_test_tables(self):
         s = make_schmidt_state([2.0, 1.0, 1.0])

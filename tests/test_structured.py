@@ -16,6 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biverify import (
     Direction,
@@ -28,6 +30,7 @@ from biverify import (
     exact_pass_rate,
     fourier_basis,
     make_schmidt_state,
+    pi_operator,
     random_unbiased_basis,
     roy_scott_set,
     standard_basis,
@@ -496,36 +499,81 @@ def test_analysis_forms_no_tests(kind):
 
 
 def _count_constructions(monkeypatch):
-    """Count every Basis and ConditionalProjectorTest formed from now on."""
-    counts = {bases.Basis: 0, strategies.ConditionalProjectorTest: 0}
-    for cls in counts:
+    """Count every Basis, ConditionalProjectorTest and RandomizedDiagonalTest
+    formed from now on."""
+    classes = (bases.Basis, strategies.ConditionalProjectorTest, RandomizedDiagonalTest)
+    counts = dict.fromkeys(classes, 0)
+    for cls in classes:
 
-        def counted(self, real=cls.__post_init__, cls=cls):
-            counts[cls] += 1
-            real(self)
+        def counted(self, *args, _real=cls.__init__, _cls=cls, **kwargs):
+            counts[_cls] += 1
+            _real(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     return counts
 
 
-@pytest.mark.parametrize("kind", KINDS[1:])
+@pytest.mark.parametrize("kind", KINDS)
 def test_design_build_forms_only_its_head(kind, monkeypatch):
-    """A design build forms the head test (standard for II-IV, diagonal for V
-    and VI) and no design basis or design test; the first read of ``tests``
-    forms them all, once."""
+    """A build forms no basis and no test, not even the head test (standard
+    for I-IV, diagonal for V and VI), whose diagonal enters Omega in closed
+    form; the first read of ``tests`` forms them all, once."""
     state = TARGETS["d5-random"]
     counts = _count_constructions(monkeypatch)
     strat = build_strategy(state, kind)
-    head = 1 if kind in ("II", "III", "IV") else 0
-    assert list(counts.values()) == [head, head]
+    assert list(counts.values()) == [0, 0, 0]
     tests = strat.tests
     assert strat.tests is tests
+    if kind == "I":  # the standard and Fourier tests with their bases
+        assert list(counts.values()) == [2, 2, 0]
+        return
+    head = 1 if kind in ("II", "III", "IV") else 0
     design = bases._design(strat.state.d)
     n_design = len(design.multipliers) * (2 if kind in ("IV", "VI") else 1)
     assert len(tests) == 1 + n_design
     # the design's basis set also holds its own standard basis
     n_bases = 1 + len(design.multipliers)
-    assert list(counts.values()) == [head + n_bases, head + n_design]
+    assert list(counts.values()) == [head + n_bases, head + n_design, 1 - head]
+
+
+@st.composite
+def head_targets(draw):
+    """Random, zero-tail or near-product targets at 2 <= d <= 8; the near
+    product's tail is [5e-6, 1e-4] c_0, so its supported weights stay above
+    ``dense_test``'s 1e-12 cutoff."""
+    d = draw(st.integers(2, 8))
+    raw = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d)), reverse=True)
+    family = draw(st.sampled_from(["random", "zero-tail", "near-product"]))
+    if family == "near-product":
+        raw = [1.0] + [1e-4 * r for r in raw[1:]]
+    if family == "zero-tail":
+        zeros = draw(st.integers(0, d - 2))
+        raw = raw[: d - zeros] + [0.0] * zeros
+    return make_schmidt_state(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(head_targets(), st.sampled_from(KINDS), st.one_of(st.none(), st.floats(0.5, 0.95)))
+def test_closed_form_head_is_the_formed_head(state, kind, p):
+    """The head diagonal a build mixes into Omega is the dense diagonal of
+    the head test that ``tests`` forms (1 on the standard test's supported
+    |jj>), and off |jj> V and VI's table is 1 - (1/p - 1) diag(Pi), Pi
+    averaged over both directions for VI."""
+    strat = build_strategy(state, kind, p)
+    state, p = strat.state, strat.p
+    head = strategies._head_diagonal(state, kind, p)
+    q, test = strat.tests[0]
+    assert q == p
+    assert np.abs(head - np.diag(dense_test(state, test)).real).max() <= 2.3e-16
+    if kind in ("V", "VI"):
+        directions = list(Direction)[: 2 if kind == "VI" else 1]
+        pi = np.mean([np.diag(pi_operator(state, x)).real for x in directions], axis=0)
+        off = np.ones(state.d**2, dtype=bool)
+        off[:: state.d + 1] = False
+        assert np.abs(head - (1.0 - (1.0 / p - 1.0) * pi))[off].max() <= 2.3e-16
+    else:
+        supported = state.coeffs**2 > 1e-12
+        assert np.array_equal(head.reshape(state.d, state.d), np.diag(supported.astype(float)))
 
 
 def _test_contents(strat):
