@@ -79,7 +79,6 @@ _EXPORTS = {
         "is_homogeneous",
         "one_way_diagonal_test",
         "optimal_p",
-        "pi_operator",
         "standard_test",
         "test_projector",
         "two_way_diagonal_test",

@@ -24,7 +24,8 @@ affine function of fidelity and suits adversarially prepared states.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import numbers
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
@@ -85,7 +86,7 @@ class ConditionalProjectorTest:
     outright.  The kets are derived on access, never stored.  The test
     realizes sum_j |u_j><u_j| x |v_j><v_j| over the supported outcomes
     (factors swapped for B -> A), a projector because ``Basis`` holds the
-    u_j orthonormal; ``matrix`` builds it on first access.  The target
+    u_j orthonormal, and is read only through ``pair_vectors``.  The target
     passes with probability sum_j w_j over the supported outcomes, which a
     basis at the edge of ORTHO_ATOL can push off 1, so construction checks it.
     """
@@ -134,29 +135,18 @@ class ConditionalProjectorTest:
         first, second = (u, v) if self.direction is Direction.A_TO_B else (v, u)
         return np.einsum("aj,bj->abj", first, second).reshape(self.d * self.d, -1)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense d^2 x d^2 projector, built on first access."""
-        x = self.pair_vectors()
-        return _freeze(x @ x.conj().T)
-
 
 @dataclass(frozen=True, eq=False)
 class RandomizedDiagonalTest:
     """Both parties measure the standard basis; outcome (j, k) is accepted
-    with probability ``acceptance[j, k]``.  ``matrix`` builds the diagonal
-    operator the test realizes on first access."""
+    with probability ``acceptance[j, k]``: the test realizes the diagonal
+    operator with the raveled table on its diagonal."""
 
     acceptance: np.ndarray
 
     @property
     def d(self) -> int:
         return self.acceptance.shape[0]
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense d^2 x d^2 diagonal operator, built on first access."""
-        return _freeze(np.diag(self.acceptance.ravel()).astype(complex))
 
 
 TestOperator = ConditionalProjectorTest | RandomizedDiagonalTest
@@ -170,7 +160,6 @@ class Strategy:
     |jk> indices ``index[i]``; the index sets partition the d^2 kets, and
     Omega vanishes between them.  The built-in kinds use the d shift classes
     (see ``build_strategy``), a custom mixture one block of all d^2 kets.
-    ``omega``, the dense matrix, is scattered on first access, for oracles.
     ``beta`` is Omega's second-largest eigenvalue, ``nu = 1 - beta`` the
     spectral gap, and ``beta_vector`` a unit eigenvector for ``beta``
     orthogonal to the target (see ``states.worst_case_state``).  ``p`` is
@@ -200,11 +189,6 @@ class Strategy:
     def nu(self) -> float:
         """The spectral gap 1 - beta."""
         return 1.0 - self.beta
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """The dense d^2 x d^2 Omega, built on first access."""
-        return _freeze(_scatter(self.index, self.blocks))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -264,15 +248,6 @@ def _diagonal_acceptance(state: SchmidtState, p: float, directions) -> np.ndarra
     return _freeze(np.clip(acceptance, 0.0, 1.0))
 
 
-def pi_operator(state: SchmidtState, direction: Direction = Direction.A_TO_B) -> np.ndarray:
-    """Average of the non-standard design tests, in closed form.
-
-    Equals |Psi><Psi| + I x rho_B - sum_k c_k^2 |kk><kk| for the one-way
-    direction (the mirrored form for the other).
-    """
-    return _scatter(*_shift_blocks(*_pi_parts(state, (direction,)), 1.0))
-
-
 def _pi_parts(state: SchmidtState, directions) -> tuple[np.ndarray, np.ndarray]:
     """Pi averaged over ``directions`` as (vectors, diagonal) for
     ``_shift_blocks``: |Psi><Psi| is c c^T on span{|jj>}, and I x rho_B
@@ -297,14 +272,6 @@ def _shift_blocks(vectors: np.ndarray, diagonal: np.ndarray, weight: float):
     blocks *= weight
     blocks[:, a, a] += diagonal[index]
     return _freeze(index), _freeze(blocks)
-
-
-def _scatter(index: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The dense matrix with ``blocks[i]`` on the indices ``index[i]``."""
-    n = index.size
-    out = np.zeros((n, n), dtype=complex)
-    out[index[:, :, None], index[:, None, :]] = blocks
-    return out
 
 
 def _mix(d: int, tests) -> np.ndarray:
@@ -366,9 +333,18 @@ def assemble_strategy(
 
 
 def _checked_tests(state: SchmidtState, tests) -> tuple:
-    """The ``(probability, test)`` pairs as a tuple, after checking that the
+    """The ``(probability, test)`` pairs as a tuple, after checking that each
+    entry is a pair of a real number (not a bool) and a test, that the
     probabilities are a distribution and the tests act on the target's space,
     the conditional ones made for the target itself."""
+    tests = tuple(tests) if isinstance(tests, Iterable) else (tests,)
+    if not all(
+        isinstance(pair, (tuple, list)) and len(pair) == 2 and isinstance(pair[1], TestOperator)
+        and isinstance(pair[0], numbers.Real) and not isinstance(pair[0], bool)
+        for pair in tests
+    ):
+        raise OutOfRangeError("tests must be (probability, test) pairs of a real number, "
+                              "not a bool, and a ConditionalProjectorTest or RandomizedDiagonalTest")
     tests = tuple((float(q), t) for q, t in tests)
     if not tests:
         raise OutOfRangeError("a strategy needs at least one test")
@@ -445,7 +421,7 @@ def _head_diagonal(state: SchmidtState, kind: str, p: float) -> np.ndarray:
     outside the kind's range is refused."""
     if kind in ("V", "VI"):
         return _diagonal_acceptance(state, p, _DIRECTIONS[kind]).ravel()
-    if kind != "I" and not 0.0 <= p < 1.0:
+    if not 0.0 <= p < 1.0:
         raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
     return np.diag((state.coeffs**2 > SUPPORT_CUTOFF).astype(float)).ravel()
 
@@ -493,9 +469,9 @@ def build_strategy(
         One of "I" .. "VI"; see the module docstring.
     p : float, optional
         Mixing probability of the standard (I-IV) or diagonal (V, VI) test.
-        Defaults to ``optimal_p(state, kind)``.  Kinds V and VI constrain p
-        from below so the acceptance probabilities stay in [0, 1], and every
-        kind refuses a p at which its closed-form beta is not below 1.
+        Defaults to ``optimal_p(state, kind)``.  Kinds I-IV take p in [0, 1),
+        V and VI bound it from below so the acceptance probabilities stay in
+        [0, 1], and every kind refuses a p at which its beta is not below 1.
     m : int, optional
         Number of design bases when the phase-basis design is used.
 

@@ -15,7 +15,6 @@ from biverify import (
     exact_pass_rate,
     make_schmidt_state,
     min_design_size,
-    pi_operator,
     prime_mub_set,
     random_state_at_fidelity,
     random_unbiased_basis,
@@ -32,19 +31,10 @@ from biverify import (
 from biverify import bases
 from biverify.cli import main
 
+import dense_oracle as dense
+
 D2_STATE = two_qubit_state(np.pi / 6)
 D3_STATE = make_schmidt_state([2.0, 1.0, 1.0])
-
-
-def _design_residual(state, design):
-    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi for a built-in design
-    (``bases._design``), with every test matrix built densely."""
-    basis_set = design.basis_set
-    average = sum(
-        w * test_projector(state, b).matrix
-        for b, w in zip(basis_set.bases[1:], basis_set.weights[1:])
-    )
-    return float(np.abs(average - pi_operator(state) * state.d / (state.d + 1)).max())
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -111,17 +101,17 @@ def test_orthogonality_and_design_average_identities():
         theta = rng.uniform(0.05, np.pi / 4)
         s = two_qubit_state(theta)
         proj = target_projector(s)
-        bar0 = standard_test(s).matrix - proj
-        bar1 = test_projector(s, random_unbiased_basis(2, rng)).matrix - proj
+        bar0 = dense.operator(standard_test(s)) - proj
+        bar1 = dense.operator(test_projector(s, random_unbiased_basis(2, rng))) - proj
         worst_tr = max(worst_tr, abs(complex(np.trace(bar0 @ bar1))))
     worst_avg = 0.0
     for d in (2, 3, 5):
         s = make_schmidt_state(np.arange(d, 0, -1.0))
-        worst_avg = max(worst_avg, _design_residual(s, bases._design(d)))
+        worst_avg = max(worst_avg, dense.design_miss(s, bases._design(d).basis_set))
     for d in (3, 6):
         s = make_schmidt_state(np.linspace(2.0, 1.0, d))
         design = bases._design(d, min_design_size(d))  # Roy-Scott also at d = 3
-        worst_avg = max(worst_avg, _design_residual(s, design))
+        worst_avg = max(worst_avg, dense.design_miss(s, design.basis_set))
     elapsed = time.perf_counter() - start
     _report(
         "orthogonal supports and design-average identity",
@@ -164,7 +154,7 @@ def test_homogeneous_spectra():
         ):
             for p in p_values:
                 strat = build_strategy(s, kind, p=p)
-                w = np.linalg.eigvalsh(strat.omega)[::-1]
+                w = np.linalg.eigvalsh(dense.scattered(strat.index, strat.blocks))[::-1]
                 worst = max(worst, abs(w[0] - 1.0), float(np.abs(w[1:] - p).max()))
     _report(
         "homogeneous spectra of V and VI (d = 2 and 3, three p each)",

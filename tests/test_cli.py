@@ -85,6 +85,16 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert "OutOfRangeError: p = 1e-17 leaves no spectral gap for kind I" in err
 
+    @pytest.mark.parametrize("p", ["-0.5", "1.0", "nan"])
+    def test_kind_i_p_outside_its_range_exits_2(self, p, capsys):
+        """Kind I checks its p range as II-IV do, instead of reading a beta of
+        1.5 or nan off an out-of-range p."""
+        code, out, err = run_cli(
+            ["analyze", "--theta", "0.5", "--strategy", "I", "--p", p], capsys
+        )
+        assert code == 2 and out == ""
+        assert "OutOfRangeError: p must be in [0, 1) for kind I" in err
+
     def test_design_kind_p_with_unit_beta_exits_2(self, capsys):
         """At p = 0, beta = c_0^2 for kind II, and c_0^2 rounds to 1 at
         c_1 = 1e-9: the build refuses p, before any test count is taken."""

@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from biverify import eig_hermitian, linalg
+from biverify import (
+    eig_hermitian,
+    fourier_basis,
+    linalg,
+    standard_test,
+    test_projector,
+    two_qubit_state,
+)
 from biverify.errors import NonHermitianError, OutOfRangeError
+
+import dense_oracle as dense
 
 
 def random_hermitian(dim, rng):
@@ -18,20 +27,13 @@ class TestEigHermitian:
         assert np.allclose(w, [1.0, 0.5, 0.5, 0.0], atol=1e-12)
 
     def test_two_test_mixture_spectrum(self):
-        """Brute-force build of the equal mixture of the standard test and the
-        Fourier-basis test for the maximally entangled two-qubit target; its
-        spectrum is (1, 1/2, 1/2, 0) because the two recentred projectors have
-        orthogonal rank-1 supports."""
-        c = np.array([1.0, 1.0]) / np.sqrt(2)
-        p0 = np.zeros((4, 4), dtype=complex)
-        p0[0, 0] = p0[3, 3] = 1.0
-        p1 = np.zeros((4, 4), dtype=complex)
-        for j, sign in enumerate([1.0, -1.0]):
-            u = np.array([1.0, sign]) / np.sqrt(2)
-            v = c * u.conj()
-            v /= np.linalg.norm(v)
-            p1 += np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
-        w, _ = eig_hermitian((p0 + p1) / 2)
+        """The dense equal mixture of the standard test and the Fourier-basis
+        test for the maximally entangled two-qubit target; its spectrum is
+        (1, 1/2, 1/2, 0) because the two recentred projectors have orthogonal
+        rank-1 supports."""
+        s = two_qubit_state(np.pi / 4)
+        tests = [(0.5, standard_test(s)), (0.5, test_projector(s, fourier_basis(2)))]
+        w, _ = eig_hermitian(dense.mixture(tests))
         assert np.allclose(w, [1.0, 0.5, 0.5, 0.0], atol=1e-12)
 
     def test_rank_one_projector(self):

@@ -62,6 +62,6 @@ def test_lazy_loading_keeps_numpy_out_and_binds_every_name():
     assert seen["figure1 --d 3"] == [False, 2, ""]  # a usage error
     assert seen["dir"] is True
     assert seen["unknown"] == "module 'biverify' has no attribute 'no_such_name'"
-    assert len(seen["all"]) == 58
+    assert len(seen["all"]) == 57
     assert seen["bound"] == sorted(seen["all"])
     assert seen["not defining object"] == []

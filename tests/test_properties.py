@@ -7,17 +7,16 @@ checked against the dense second-moment identity on random small tables.
 
 A conditional test is a projector only because its measured basis is
 orthonormal, which ``Basis`` certifies and the build does not re-check; the
-first property checks that fact on the dense matrix.  At large d, builds take
-a fraction of a second, but the dense worst-case state's positivity check
-costs an O(d^6) eigensolve, so the "large-d" hypothesis profile runs few
-examples.
+first property checks that fact on the dense oracle (``dense_oracle``), and
+that the test's pair vectors are an orthonormal basis of its range.  At
+large d, builds take a fraction of a second, but the dense worst-case
+state's positivity check costs an O(d^6) eigensolve, so the "large-d"
+hypothesis profile runs few examples.
 
 Every built-in kind forms Omega from its closed form as shift-class blocks,
 not from the tests, so the large-d property checks both sides: Omega is
 exactly zero outside the shift classes delta = a - b mod d, and the tests
-realize it, on a random vector, through their own factors.  The spectrum is
-read independently of the package, from the dense Omega's d blocks of size
-d x d.
+realize it, on a random vector, through their own factors.
 """
 
 import numpy as np
@@ -42,6 +41,8 @@ from biverify import (
     worst_case_state,
 )
 from biverify.bases import _Design, _design, is_prime, min_design_size, verify_2design
+
+import dense_oracle as dense
 
 KINDS = ("I", "II", "III", "IV", "V", "VI")
 
@@ -95,14 +96,17 @@ def targets_and_bases(draw):
 
 @given(targets_and_bases(), st.sampled_from(list(Direction)))
 def test_conditional_test_is_a_projector_the_target_passes(target_basis, direction):
-    """P^2 = P with eigenvalues in [0, 1], and <Psi|P|Psi> = 1."""
+    """P^2 = P with eigenvalues in [0, 1], <Psi|P|Psi> = 1, and the pair
+    vectors are an orthonormal basis of P's range."""
     state, basis = target_basis
-    p = test_projector(state, basis, direction).matrix
+    test = test_projector(state, basis, direction)
+    p = dense.operator(test)
     assert np.abs(p @ p - p).max() <= 1e-9
     w = np.linalg.eigvalsh(p)
     assert w.min() >= -1e-9 and w.max() <= 1.0 + 1e-9
     psi = state_vector(state)
     assert abs((psi.conj() @ p @ psi).real - 1.0) <= 1e-10
+    assert dense.factor_miss(p, test.pair_vectors()) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,21 +159,10 @@ def test_table_certificate_matches_the_dense_check(design):
     the derived basis set, and for a table whose multipliers span the full
     period M its value is the dense residual too."""
     residual = design.residual()
-    ok, dense = verify_2design(design.basis_set)
+    ok, dense_residual = verify_2design(design.basis_set)
     assert (residual == 0.0) is ok
     if len(design.multipliers) == design.modulus:
-        assert abs(residual - dense) <= 1e-12
-
-
-def shift_class_spectrum(omega, d):
-    """Eigenvalues of Omega, descending, from its d shift-class blocks; Omega
-    must be exactly zero outside them."""
-    a = np.arange(d)
-    index = np.arange(d * d)
-    shift = (index // d - index % d) % d
-    assert not omega[shift[:, None] != shift[None, :]].any()
-    w = [np.linalg.eigvalsh(omega[np.ix_(k, k)]) for k in (a * d + (a - delta) % d for delta in a)]
-    return np.sort(np.concatenate(w))[::-1]
+        assert abs(residual - dense_residual) <= 1e-12
 
 
 @LARGE_D
@@ -180,11 +173,11 @@ def shift_class_spectrum(omega, d):
     st.integers(0, 2**32 - 1),
 )
 def test_large_d_design_strategy_invariants(target, kind, eps, seed):
-    """Omega is exactly zero outside the shift classes, the tests realize it
-    (x^dagger Omega x is the q-weighted sum of each test's pass probability
-    on a random unit x, read from the test's factors in O(m d^3)), top
-    eigenvalue 1 on the target, beta at its closed form, and the worst-case
-    state passing with probability exactly 1 - nu * eps."""
+    """Omega is held on the shift classes (zero outside them), the tests
+    realize it (x^dagger Omega x is the q-weighted sum of each test's pass
+    probability on a random unit x, read from the test's factors in
+    O(m d^3)), top eigenvalue 1 on the target, beta at its closed form, and
+    the worst-case state passing with probability exactly 1 - nu * eps."""
     strat = build_strategy(target, kind)
     state = strat.state
     d = state.d
@@ -197,10 +190,13 @@ def test_large_d_design_strategy_invariants(target, kind, eps, seed):
         else q * float(test.acceptance.ravel() @ np.abs(x) ** 2)
         for q, test in strat.tests
     )
-    assert abs((x.conj() @ strat.omega @ x).real - realized) <= ATOL
+    a = np.arange(d)
+    assert np.array_equal(strat.index, a * d + (a - a[:, None]) % d)
+    omega = dense.scattered(strat.index, strat.blocks)
+    assert abs((x.conj() @ omega @ x).real - realized) <= ATOL
     psi = state_vector(state)
-    assert np.abs(strat.omega @ psi - psi).max() <= ATOL
-    w = shift_class_spectrum(strat.omega, d)
+    assert np.abs(omega @ psi - psi).max() <= ATOL
+    w = np.sort(np.linalg.eigvalsh(strat.blocks).ravel())[::-1]
     assert abs(w[0] - 1.0) <= ATOL
     assert abs(w[1] - strat.beta) <= ATOL
     assert abs(strat.beta - closed_form_beta(state, kind, strat.p)) <= ATOL

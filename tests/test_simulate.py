@@ -7,7 +7,6 @@ import pytest
 
 from biverify import (
     Direction,
-    RandomizedDiagonalTest,
     assemble_strategy,
     build_strategy,
     density_operator,
@@ -31,6 +30,8 @@ from biverify.errors import (
     OutOfRangeError,
 )
 from biverify.simulate import MAX_TRIALS, _cells, _draw, compile_tables
+
+import dense_oracle as dense
 
 KINDS = ("I", "II", "III", "IV", "V", "VI")
 
@@ -150,8 +151,8 @@ class TestRunVerification:
         for kind in ("I", "II", "III", "IV", "V", "VI"):
             s = make_schmidt_state([2.0, 1.0, 1.0])
             strat = build_strategy(s, kind)
-            mixed = sum(q * t.matrix for q, t in strat.tests)
-            assert np.abs(mixed - strat.omega).max() <= 1e-12
+            omega = dense.scattered(strat.index, strat.blocks)
+            assert np.abs(dense.mixture(strat.tests) - omega).max() <= 1e-12
 
     def test_conditional_acceptance_is_one_on_target(self):
         for kind in ("I", "II", "III", "IV", "V", "VI"):
@@ -442,29 +443,6 @@ class TestPassThresholds:
         assert np.all(accept[weights > 0.0] == 1.0)
 
 
-def _oracle_tables(test, rho, d):
-    """Outcome probabilities tr[(Pi_j x I) sigma] and acceptances
-    tr[P_j sigma] / tr[(Pi_j x I) sigma] of one test, outcome by outcome,
-    with P_j = Pi_j x |v_j><v_j| the outcome-j term of the test (factors
-    swapped for B -> A)."""
-    if isinstance(test, RandomizedDiagonalTest):
-        return np.diag(rho).real, test.acceptance.ravel()
-    eye = np.eye(d)
-    probs, accept = np.zeros(d), np.zeros(d)
-    for j in range(d):
-        u = test.measured_basis.vectors[:, j]
-        v = test.conditional_kets[:, j]
-        pi_u, pi_v = np.outer(u, u.conj()), np.outer(v, v.conj())
-        if test.direction is Direction.A_TO_B:
-            marginal, term = np.kron(pi_u, eye), np.kron(pi_u, pi_v)
-        else:
-            marginal, term = np.kron(eye, pi_u), np.kron(pi_v, pi_u)
-        probs[j] = np.trace(marginal @ rho).real
-        if test.supported[j]:
-            accept[j] = np.trace(term @ rho).real / probs[j]
-    return probs, accept
-
-
 def _table_cases():
     rng = np.random.default_rng(1905)
     targets = {"d2": two_qubit_state(0.4)}
@@ -487,7 +465,7 @@ class TestCompileTablesOracle:
         assert np.abs(pvec - q / q.sum()).max() <= 1e-12
         assert len(tables) == len(strat.tests)
         for (_, test), (probs, accept) in zip(strat.tests, tables):
-            want_probs, want_accept = _oracle_tables(test, sigma.matrix, d)
+            want_probs, want_accept = dense.outcome_tables(test, sigma.matrix)
             assert np.abs(probs - want_probs).max() <= 1e-12
             assert np.abs(accept - want_accept).max() <= 1e-12
 

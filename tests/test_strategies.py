@@ -17,7 +17,6 @@ from biverify import (
     min_design_size,
     one_way_diagonal_test,
     optimal_p,
-    pi_operator,
     random_unbiased_basis,
     roy_scott_set,
     standard_basis,
@@ -35,6 +34,8 @@ from biverify.errors import (
     SeparableStateError,
     TopEigenvalueError,
 )
+
+import dense_oracle as dense
 
 
 def _diagonal_lower_bound(state, kind):
@@ -62,32 +63,21 @@ def _diagonal_verdict(state, kind, p):
     return None, np.clip(table, 0.0, 1.0)
 
 
-def design_residual(state, design):
-    """max-norm of sum_{l>=1} w_l P_l - d/(d+1) Pi for a built-in design
-    (``bases._design``), with every test matrix built densely."""
-    basis_set = design.basis_set
-    average = sum(
-        w * test_projector(state, b).matrix
-        for b, w in zip(basis_set.bases[1:], basis_set.weights[1:])
-    )
-    return float(np.abs(average - pi_operator(state) * state.d / (state.d + 1)).max())
-
-
 class TestTestProjector:
     def test_standard_test_matrix(self):
         """Both parties measure the computational basis: pass iff outcomes
-        agree within the target support."""
+        agree within the target support, so the pair vectors span |00>, |11>."""
         s = two_qubit_state(np.pi / 5)
         t = standard_test(s)
         expect = np.zeros((4, 4))
         expect[0, 0] = expect[3, 3] = 1.0
-        assert np.allclose(t.matrix, expect, atol=1e-14)
+        assert dense.factor_miss(expect, t.pair_vectors()) <= 1e-14
 
     def test_standard_test_skips_zero_coefficients(self):
         s = make_schmidt_state([1.0, 1.0, 0.0])
         t = standard_test(s)
         assert list(t.supported) == [True, True, False]
-        assert t.matrix[8, 8] == 0.0
+        assert t.pair_vectors().shape == (9, 2) and not t.pair_vectors()[8].any()
 
     def test_standard_test_supports_tiny_coefficients(self):
         """Support is c_j > 0 down to weights at the edge of normal doubles."""
@@ -112,8 +102,10 @@ class TestTestProjector:
             b = random_unbiased_basis(3, rng)
             for direction in (Direction.A_TO_B, Direction.B_TO_A):
                 t = test_projector(s, b, direction)
-                assert np.abs(t.matrix @ t.matrix - t.matrix).max() <= 1e-9
-                assert abs((psi.conj() @ t.matrix @ psi).real - 1.0) <= 1e-10
+                m = dense.operator(t)
+                assert np.abs(m @ m - m).max() <= 1e-9
+                assert abs((psi.conj() @ m @ psi).real - 1.0) <= 1e-10
+                assert dense.factor_miss(m, t.pair_vectors()) <= 1e-9
 
     def test_target_pass_is_checked_at_the_basis_tolerance(self):
         """A basis at the edge of ORTHO_ATOL is a valid Basis, but the target
@@ -129,11 +121,13 @@ class TestTestProjector:
             ConditionalProjectorTest(Direction.B_TO_A, edge, s)
 
     def test_mirrored_test_is_the_swap(self):
+        """The B -> A pair vectors are the A -> B ones with the parties'
+        indices swapped, so the mirrored test is SWAP P SWAP."""
         s = make_schmidt_state([3.0, 2.0, 1.0])
         b = fourier_basis(3)
-        fwd = test_projector(s, b, Direction.A_TO_B).matrix
-        bwd = test_projector(s, b, Direction.B_TO_A).matrix
-        swapped = fwd.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)
+        fwd = test_projector(s, b, Direction.A_TO_B).pair_vectors()
+        bwd = test_projector(s, b, Direction.B_TO_A).pair_vectors()
+        swapped = fwd.reshape(3, 3, -1).transpose(1, 0, 2).reshape(9, -1)
         assert np.abs(bwd - swapped).max() <= 1e-12
 
     def test_orthogonal_recentred_supports(self):
@@ -143,43 +137,56 @@ class TestTestProjector:
         for _ in range(20):
             theta = rng.uniform(0.05, np.pi / 4)
             s = two_qubit_state(theta)
-            p0 = standard_test(s).matrix
-            p1 = test_projector(s, random_unbiased_basis(2, rng)).matrix
+            p0 = dense.operator(standard_test(s))
+            p1 = dense.operator(test_projector(s, random_unbiased_basis(2, rng)))
             assert abs(np.trace(p0 @ p1).real - 1.0) <= 1e-10
             proj = target_projector(s)
             bar0, bar1 = p0 - proj, p1 - proj
             assert abs(np.trace(bar0 @ bar1)) <= 1e-10
 
 
+def pi_blocks(s, kind):
+    """Omega of a kind-II (one-way) or kind-IV (two-way) strategy at p = 0,
+    which is its Pi, scattered densely from the strategy's shift blocks."""
+    strat = build_strategy(s, kind, p=0.0)
+    return dense.scattered(strat.index, strat.blocks)
+
+
 class TestPiOperator:
+    """The build's Pi (a p = 0 strategy's blocks) and the oracle's, against
+    the paper's two-qubit forms and the design averages."""
+
     def test_closed_form_two_qubits(self):
         theta = np.pi / 6
         s = two_qubit_state(theta)
         expect = target_projector(s) + np.diag(
             [0.0, np.sin(theta) ** 2, np.cos(theta) ** 2, 0.0]
         )
-        assert np.abs(pi_operator(s) - expect).max() <= 1e-14
+        assert np.abs(dense.pi(s) - expect).max() <= 1e-14
+        assert np.abs(pi_blocks(s, "II") - expect).max() <= 1e-14
 
     def test_eigenvalues_two_qubits(self):
-        w = np.linalg.eigvalsh(pi_operator(two_qubit_state(np.pi / 6)))[::-1]
+        w = np.linalg.eigvalsh(pi_blocks(two_qubit_state(np.pi / 6), "II"))[::-1]
         assert np.allclose(w, [1.0, 0.75, 0.25, 0.0], atol=1e-12)
 
     def test_maximally_entangled_form(self):
         s = two_qubit_state(np.pi / 4)
         expect = target_projector(s) + np.diag([0.0, 0.5, 0.5, 0.0])
-        assert np.abs(pi_operator(s) - expect).max() <= 1e-14
+        assert np.abs(dense.pi(s) - expect).max() <= 1e-14
+        assert np.abs(pi_blocks(s, "II") - expect).max() <= 1e-14
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_matches_mub_average(self, d):
         raw = np.arange(d, 0, -1).astype(float)
         s = make_schmidt_state(raw)
-        assert design_residual(s, bases._design(d)) <= 1e-10
+        assert dense.design_miss(s, bases._design(d).basis_set) <= 1e-10
 
     @pytest.mark.parametrize("d", [3, 6])
     def test_matches_phase_design_average(self, d):
         raw = np.linspace(2.0, 1.0, d)
         s = make_schmidt_state(raw)
-        assert design_residual(s, bases._design(d, min_design_size(d))) <= 1e-10
+        design = bases._design(d, min_design_size(d))
+        assert dense.design_miss(s, design.basis_set) <= 1e-10
 
     def test_mismatching_set_raises(self, monkeypatch):
         """The design's 2-design residual is kind II's only certificate: a
@@ -193,16 +200,12 @@ class TestPiOperator:
 
 
 class TestPiTwoWay:
-    """The direction average of pi_operator: off-diagonal |jk> entries are
-    (c_j^2 + c_k^2)/2."""
-
-    @staticmethod
-    def _two_way(s):
-        return 0.5 * pi_operator(s) + 0.5 * pi_operator(s, direction=Direction.B_TO_A)
+    """The direction average of Pi, kind IV's Omega at p = 0: off-diagonal
+    |jk> entries are (c_j^2 + c_k^2)/2."""
 
     def test_d3_entry(self):
         s = make_schmidt_state([2.0, 1.0, 1.0])
-        assert self._two_way(s)[1, 1].real == pytest.approx(5 / 12, abs=1e-14)
+        assert pi_blocks(s, "IV")[1, 1].real == pytest.approx(5 / 12, abs=1e-14)
 
     def test_equals_direction_average(self):
         s = make_schmidt_state([2.0, 1.0, 1.0])
@@ -210,7 +213,9 @@ class TestPiTwoWay:
         pair_mean = 0.5 * np.add.outer(c2, c2)
         np.fill_diagonal(pair_mean, 0.0)
         expect = target_projector(s) + np.diag(pair_mean.ravel())
-        assert np.abs(self._two_way(s) - expect).max() <= 1e-14
+        two_way = 0.5 * dense.pi(s) + 0.5 * dense.pi(s, Direction.B_TO_A)
+        assert np.abs(two_way - expect).max() <= 1e-14
+        assert np.abs(pi_blocks(s, "IV") - expect).max() <= 1e-14
 
 
 class TestBuildStrategy:
@@ -228,9 +233,9 @@ class TestBuildStrategy:
         same verification operator."""
         s = make_schmidt_state([2.0, 1.0, 1.0])
         p = 0.37
-        om_ii = build_strategy(s, "II", p=p).omega
-        om_iii = build_strategy(s, "III", p=p).omega
-        assert np.abs(om_ii - om_iii).max() <= 1e-10
+        ii, iii = build_strategy(s, "II", p=p), build_strategy(s, "III", p=p)
+        assert np.array_equal(ii.index, iii.index)
+        assert np.abs(ii.blocks - iii.blocks).max() <= 1e-10
 
     def test_embedding_for_nonprime_dimension(self):
         s = make_schmidt_state([2.0, 1.0, 1.0, 1.0])
@@ -268,7 +273,8 @@ class TestBuildStrategy:
             expected = closed_form_beta(strat.state, kind, strat.p)
             assert abs(strat.beta - expected) <= 1e-10
             psi = state_vector(strat.state)
-            assert np.abs(strat.omega @ psi - psi).max() <= 1e-12
+            omega = dense.scattered(strat.index, strat.blocks)
+            assert np.abs(omega @ psi - psi).max() <= 1e-12
 
     def test_two_way_test_probabilities(self):
         s = two_qubit_state(np.pi / 6)
@@ -290,14 +296,18 @@ class TestBuildStrategy:
 
     @pytest.mark.parametrize("kind", ["I", "II", "III", "IV", "V", "VI"])
     def test_every_test_operator_is_a_valid_effect(self, kind):
-        """Each mixed-in test satisfies 0 <= T <= I and passes the target."""
+        """Each mixed-in test satisfies 0 <= T <= I and passes the target,
+        and a conditional test's pair vectors realize it."""
         s = make_schmidt_state([2.0, 1.0, 1.0])
         strat = build_strategy(s, kind)
         psi = state_vector(strat.state)
         for _, t in strat.tests:
-            w = np.linalg.eigvalsh(t.matrix)
+            m = dense.operator(t)
+            w = np.linalg.eigvalsh(m)
             assert w[0] >= -1e-9 and w[-1] <= 1.0 + 1e-9
-            assert abs((psi.conj() @ t.matrix @ psi).real - 1.0) <= 1e-10
+            assert abs((psi.conj() @ m @ psi).real - 1.0) <= 1e-10
+            if isinstance(t, ConditionalProjectorTest):
+                assert dense.factor_miss(m, t.pair_vectors()) <= 1e-9
 
     def test_custom_unbiased_basis_for_kind_i(self):
         """Kind I with another basis unbiased to the standard one is the
@@ -322,7 +332,7 @@ class TestHomogeneousStrategies:
     def test_one_way_spectrum_two_qubits(self, p):
         s = two_qubit_state(np.pi / 4)
         strat = build_strategy(s, "V", p=p)
-        w = np.linalg.eigvalsh(strat.omega)[::-1]
+        w = np.linalg.eigvalsh(dense.scattered(strat.index, strat.blocks))[::-1]
         assert abs(w[0] - 1.0) <= 1e-10
         assert np.abs(w[1:] - p).max() <= 1e-10
         assert is_homogeneous(strat)
@@ -400,7 +410,7 @@ class TestHomogeneousStrategies:
         strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0, 0.0]), kind)
         proj = target_projector(strat.state)
         model = proj + strat.beta * (np.eye(strat.state.dim) - proj)
-        distance = np.abs(strat.omega - model).max()
+        distance = np.abs(dense.scattered(strat.index, strat.blocks) - model).max()
         if kind in ("V", "VI"):
             assert distance <= 1e-14 and is_homogeneous(strat)
         else:
@@ -437,6 +447,14 @@ class TestBetaNu:
         with pytest.raises(OutOfRangeError, match=match):
             build_strategy(s, kind, p=0.0)
 
+    @pytest.mark.parametrize("p", [-0.5, 1.0, float("nan")])
+    @pytest.mark.parametrize("kind", ["I", "II", "III", "IV"])
+    def test_p_outside_unit_interval_refused(self, kind, p):
+        """Kinds I-IV refuse a p outside [0, 1), NaN included, before their
+        beta is read: kind I's max(p, 1 - p) would be 1.5 or nan."""
+        with pytest.raises(OutOfRangeError, match=rf"p must be in \[0, 1\) for kind {kind},"):
+            build_strategy(two_qubit_state(0.5), kind, p=p)
+
     @pytest.mark.parametrize("d", [2, 5])
     def test_kind_iv_keeps_its_gap_where_c0_rounds_to_one(self, d):
         """Kind IV's beta at p = 0 is (c_0^2 + c_1^2)/2 <= 1/2, so the target
@@ -471,6 +489,9 @@ class TestBetaNu:
             0.9 * (c2[0] + c2[1]) / 2
         )
         assert closed_form_beta(s, "VI", 0.4) == pytest.approx(0.4)
+
+
+T_QUBIT = standard_test(two_qubit_state(np.pi / 6))
 
 
 class TestCustomStrategies:
@@ -516,6 +537,21 @@ class TestCustomStrategies:
         s = two_qubit_state(np.pi / 6)
         with pytest.raises(OutOfRangeError):
             assemble_strategy(s, [(0.6, standard_test(s))])
+
+    @pytest.mark.parametrize(
+        "tests",
+        [
+            [("a", T_QUBIT)], [(None, T_QUBIT)], [(1j, T_QUBIT)], [(1.0,)], [(1.0, "x")], 5,
+            [("0.5", T_QUBIT), (0.5, T_QUBIT)], [(True, T_QUBIT)], [(0.5, T_QUBIT, T_QUBIT)],
+        ],
+        ids=["str", "none", "complex", "single", "not-a-test", "not-iterable",
+             "numeric-str", "bool", "triple"],
+    )
+    def test_malformed_mixture_rejected(self, tests):
+        """Every entry must be a pair of a real number, not a bool, and a
+        test; anything else raises OutOfRangeError, not a raw exception."""
+        with pytest.raises(OutOfRangeError, match="probability, test"):
+            assemble_strategy(T_QUBIT.state, tests)
 
     @pytest.mark.parametrize("probs", [(np.nan,), (1.0, np.nan)], ids=["alone", "with-one"])
     def test_nan_probability_rejected(self, probs):

@@ -1,15 +1,17 @@
-"""Structured test operators against a dense oracle for d <= 8.
+"""Structured test operators against the dense oracle (``dense_oracle``)
+for d <= 12.
 
-The oracle rebuilds every test the direct way, as the dense sum over
-supported outcomes of |u_j><u_j| x |v_j><v_j| (factors swapped for B -> A)
-with the conditional kets recomputed from the target, and mixes the tests
-with their probabilities.  The package forms the same operators from their
-factors (custom mixtures as Gram products of stacked pair vectors) or from
-their closed form as shift-class blocks (kind I, and the design part of
-kinds II-VI, which the design's table certificate licenses), and must agree
-to round-off.
+The oracle rebuilds every test the direct way, as the dense sum over the
+outcomes supported above ``SUPPORT_CUTOFF`` of |u_j><u_j| x |v_j><v_j|
+(factors swapped for B -> A) with the conditional kets recomputed from the
+target, and mixes the tests with their probabilities.  The package holds
+the same operators only as factors (a test's pair vectors, a custom
+mixture's Gram product of them) or as closed-form shift-class blocks (kind
+I, and the design part of kinds II-VI, which the design's table certificate
+licenses), and must agree to round-off, near-product targets included.
 """
 
+import ast
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biverify import (
+    ConditionalProjectorTest,
     Direction,
     RandomizedDiagonalTest,
     WeightedBasisSet,
@@ -30,7 +33,6 @@ from biverify import (
     exact_pass_rate,
     fourier_basis,
     make_schmidt_state,
-    pi_operator,
     random_unbiased_basis,
     roy_scott_set,
     standard_basis,
@@ -42,6 +44,9 @@ from biverify import (
 from biverify import bases, linalg, strategies
 from biverify.bases import is_prime, min_design_size, next_prime
 from biverify.errors import DesignMismatchError, OutOfRangeError
+from biverify.states import SUPPORT_CUTOFF
+
+import dense_oracle as dense
 
 ATOL = 1e-12
 KINDS = ("I", "II", "III", "IV", "V", "VI")
@@ -55,31 +60,13 @@ def _targets():
     out["d4-zero-tail"] = make_schmidt_state([3.0, 2.0, 1.0, 0.0])
     out["d6-zero-tail"] = make_schmidt_state([4.0, 3.0, 2.0, 1.0, 0.0, 0.0])
     out["d7-zero-tail"] = make_schmidt_state([1.0, 1.0, 1.0, 0.5, 0.5, 0.0, 0.0])
+    # near-product tails with squares far below 1e-12, every outcome still supported
+    out["d3-near-product"] = make_schmidt_state([1.0, 6.25e-7, 1e-9])
+    out["d5-near-product"] = make_schmidt_state([1.0, 1e-7, 1e-12, 1e-50, 1e-100])
     return out
 
 
 TARGETS = _targets()
-
-
-def dense_test(state, test):
-    """The test's operator built densely from its basis and the target."""
-    if isinstance(test, RandomizedDiagonalTest):
-        return np.diag(test.acceptance.ravel()).astype(complex)
-    d = state.d
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        u = test.measured_basis.vectors[:, j]
-        v = state.coeffs * u.conj()
-        weight = float(np.vdot(v, v).real)
-        if weight <= 1e-12:
-            continue
-        v = v / np.sqrt(weight)
-        p_u, p_v = np.outer(u, u.conj()), np.outer(v, v.conj())
-        if test.direction is Direction.A_TO_B:
-            out += np.kron(p_u, p_v)
-        else:
-            out += np.kron(p_v, p_u)
-    return out
 
 
 def expected_test_count(kind, d):
@@ -99,14 +86,13 @@ def test_strategy_matches_dense_oracle(name, kind):
     state = strat.state
     assert state.d == (next_prime(target.d) if kind == "II" else target.d)
     assert len(strat.tests) == expected_test_count(kind, target.d)
-    # building never materializes a test matrix
-    assert all("matrix" not in vars(t) for _, t in strat.tests)
 
-    dense = [dense_test(state, t) for _, t in strat.tests]
-    omega = sum(q * m for (q, _), m in zip(strat.tests, dense))
-    assert np.abs(strat.omega - omega).max() <= ATOL
-    for (_, t), m in zip(strat.tests, dense):
-        assert np.abs(t.matrix - m).max() <= ATOL
+    operators = [dense.operator(t) for _, t in strat.tests]
+    for (_, t), m in zip(strat.tests, operators):
+        if isinstance(t, ConditionalProjectorTest):
+            assert dense.factor_miss(m, t.pair_vectors()) <= ATOL
+    omega = sum(q * m for (q, _), m in zip(strat.tests, operators))
+    assert np.abs(dense.scattered(strat.index, strat.blocks) - omega).max() <= ATOL
 
     w = np.linalg.eigvalsh(omega)[::-1]
     assert abs(strat.beta - w[1]) <= ATOL
@@ -130,32 +116,6 @@ def design_blocks(state, design):
     return blocks
 
 
-def dense_design_average(state, design, direction):
-    """sum_{l>=1} w_l P_l over a design's tests in one direction, each test
-    built densely with np.kron from the design's bases."""
-    basis_set = design.basis_set
-    return sum(
-        w * dense_test(state, strategies.test_projector(state, b, direction))
-        for b, w in zip(basis_set.bases[1:], basis_set.weights[1:])
-    )
-
-
-def scattered(blocks, direction):
-    """The d^2 x d^2 operator whose shift class delta is blocks[delta], on the
-    kets |a, a-delta> (A -> B) or their swaps |a-delta, a> (B -> A)."""
-    d = blocks.shape[0]
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for delta in range(d):
-        for a in range(d):
-            for a2 in range(d):
-                if direction is Direction.A_TO_B:
-                    row, col = a * d + (a - delta) % d, a2 * d + (a2 - delta) % d
-                else:
-                    row, col = (a - delta) % d * d + a, (a2 - delta) % d * d + a2
-                out[row, col] = blocks[delta, a, a2]
-    return out
-
-
 def perturbed(design):
     """The design with one exponent changed so that g_1(2) = e(2) - e(1)
     equals g_1(1): still orthonormal bases, no longer a 2-design."""
@@ -176,9 +136,7 @@ def test_design_residual_matches_dense_oracle(name, direction):
     for design, holds in ((bases._design(d), True), (perturbed(bases._design(d)), False)):
         residual = design.residual()
         assert abs(residual - verify_2design(design.basis_set)[1]) <= ATOL
-        avg = dense_design_average(state, design, direction)
-        pi = strategies.pi_operator(state, direction=direction)
-        miss = np.abs(avg - pi * d / (d + 1)).max()
+        miss = dense.design_miss(state, design.basis_set, direction)
         assert miss <= d * state.coeffs[0] ** 2 * residual + ATOL
         assert (residual <= 1e-10) is holds and bool(miss <= 1e-10) is holds
 
@@ -204,7 +162,7 @@ BLOCK_ORACLE_CASES = _block_oracle_cases()
 @pytest.mark.parametrize("name", sorted(BLOCK_ORACLE_CASES))
 def test_shift_blocks_match_dense_kron_oracle(name, direction):
     """The shift blocks of the design average, scattered onto their classes,
-    are the dense np.kron average of the design tests: nothing lies outside
+    are the oracle's dense average of the design tests: nothing lies outside
     the classes, and the B -> A average sits on the swapped classes."""
     state, embed_in = BLOCK_ORACLE_CASES[name]
     if embed_in is not None:
@@ -212,9 +170,12 @@ def test_shift_blocks_match_dense_kron_oracle(name, direction):
         design = bases._design(embed_in)
     else:
         design = bases._design(state.d)
-    blocks = design_blocks(state, design)
-    dense = dense_design_average(state, design, direction)
-    assert np.abs(scattered(blocks, direction) - dense).max() <= ATOL
+    d = state.d
+    a, shifted = np.arange(d), (np.arange(d) - np.arange(d)[:, None]) % d
+    # class delta's kets |a, a-delta>, or their swaps |a-delta, a> for B -> A
+    index = a * d + shifted if direction is Direction.A_TO_B else shifted * d + a
+    average = dense.design_average(state, design.basis_set, direction)
+    assert np.abs(dense.scattered(index, design_blocks(state, design)) - average).max() <= ATOL
 
 
 def test_custom_mixture_matches_dense_oracle():
@@ -226,8 +187,26 @@ def test_custom_mixture_matches_dense_oracle():
         (0.2, strategies.two_way_diagonal_test(state, 0.9)),
     ]
     strat = strategies.assemble_strategy(state, tests)
-    omega = sum(q * dense_test(state, t) for q, t in tests)
-    assert np.abs(strat.omega - omega).max() <= ATOL
+    omega = dense.scattered(strat.index, strat.blocks)
+    assert np.abs(omega - dense.mixture(tests)).max() <= ATOL
+
+
+def test_dense_oracle_reads_no_package_internals():
+    """The oracle shares nothing with the code it checks: it names no
+    ``_``-prefixed package name, module or attribute, and never reads a
+    test's own factors (``pair_vectors``, ``conditional_kets``,
+    ``supported``) in place of recomputing them."""
+    tree = ast.parse(open(dense.__file__).read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+            names.update((getattr(node, "module", None) or "").split("."))
+    assert {"biverify", "SUPPORT_CUTOFF"} <= names
+    assert not {name for name in names if name.startswith("_")}
+    assert not names & {"pair_vectors", "conditional_kets", "supported"}
 
 
 def test_lopsided_design_is_rejected(monkeypatch):
@@ -285,31 +264,27 @@ def test_2design_residual_matches_dense_oracle(basis_set):
     assert abs(residual - np.abs(lhs - rhs).max()) <= ATOL
 
 
-def swap_operator(d):
-    """SWAP on C^d x C^d as a permutation matrix: |jk> -> |kj>."""
-    idx = np.arange(d * d).reshape(d, d).T.ravel()
-    return np.eye(d * d)[idx]
-
-
 @pytest.mark.parametrize("kind", ["IV", "VI"])
 @pytest.mark.parametrize(
     "name", [n for n in sorted(TARGETS) if TARGETS[n].d <= 8]
 )
 def test_two_way_tests_are_swapped_twins(name, kind):
     """Each B -> A design test follows its A -> B twin and is that test with
-    the parties swapped: the same factors, and SWAP P SWAP as an operator."""
+    the parties swapped: the same factors, with the pair vectors' two
+    indices exchanged, so SWAP P SWAP as an operator."""
     state = TARGETS[name]
     strat = build_strategy(state, kind)
+    d = strat.state.d
     design = strat.tests[1:]
     assert len(design) % 2 == 0
-    swap = swap_operator(strat.state.d)
     for (q_ab, ab), (q_ba, ba) in zip(design[::2], design[1::2]):
         assert (ab.direction, ba.direction) == (Direction.A_TO_B, Direction.B_TO_A)
         assert q_ab == q_ba
         assert ba.measured_basis is ab.measured_basis
         assert np.array_equal(ba.supported, ab.supported)
         assert np.array_equal(ba.conditional_kets, ab.conditional_kets)
-        assert np.abs(ba.matrix - swap @ ab.matrix @ swap).max() <= ATOL
+        swapped = ab.pair_vectors().reshape(d, d, -1).transpose(1, 0, 2).reshape(d * d, -1)
+        assert np.array_equal(ba.pair_vectors(), swapped)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -430,8 +405,9 @@ def test_worst_case_state_solves_no_eigenproblem(kind, monkeypatch):
         chi, psi = strat.beta_vector, state_vector(strat.state)
         assert not chi.flags.writeable
         assert abs(np.linalg.norm(chi) - 1.0) <= ATOL and abs(psi.conj() @ chi) <= ATOL
-        assert abs(strat.beta - np.linalg.eigvalsh(strat.omega)[-2]) <= ATOL
-        assert np.abs(strat.omega @ chi - strat.beta * chi).max() <= ATOL
+        omega = dense.scattered(strat.index, strat.blocks)
+        assert abs(strat.beta - np.linalg.eigvalsh(omega)[-2]) <= ATOL
+        assert np.abs(omega @ chi - strat.beta * chi).max() <= ATOL
     calls = []
     eig = linalg.eig_hermitian
 
@@ -484,7 +460,6 @@ def test_strategy_holds_shift_blocks_not_omega(kind):
     assert np.array_equal(strat.index, a * d + (a - a[:, None]) % d)
     strategies.is_homogeneous(strat)
     exact_pass_rate(strat, worst_case_state(strat, 0.1))
-    assert "omega" not in vars(strat)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -539,13 +514,14 @@ def test_design_build_forms_only_its_head(kind, monkeypatch):
 @st.composite
 def head_targets(draw):
     """Random, zero-tail or near-product targets at 2 <= d <= 8; the near
-    product's tail is [5e-6, 1e-4] c_0, so its supported weights stay above
-    ``dense_test``'s 1e-12 cutoff."""
+    product's tail is 10^-k [0.05, 1] c_0 with 4 <= k <= 100, so its squares
+    stay normal doubles, supported by the package and the oracle alike."""
     d = draw(st.integers(2, 8))
     raw = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d)), reverse=True)
     family = draw(st.sampled_from(["random", "zero-tail", "near-product"]))
     if family == "near-product":
-        raw = [1.0] + [1e-4 * r for r in raw[1:]]
+        scale = 10.0 ** -draw(st.integers(4, 100))
+        raw = [1.0] + [scale * r for r in raw[1:]]
     if family == "zero-tail":
         zeros = draw(st.integers(0, d - 2))
         raw = raw[: d - zeros] + [0.0] * zeros
@@ -555,24 +531,24 @@ def head_targets(draw):
 @settings(max_examples=60, deadline=None)
 @given(head_targets(), st.sampled_from(KINDS), st.one_of(st.none(), st.floats(0.5, 0.95)))
 def test_closed_form_head_is_the_formed_head(state, kind, p):
-    """The head diagonal a build mixes into Omega is the dense diagonal of
-    the head test that ``tests`` forms (1 on the standard test's supported
-    |jj>), and off |jj> V and VI's table is 1 - (1/p - 1) diag(Pi), Pi
-    averaged over both directions for VI."""
+    """The head diagonal a build mixes into Omega is the oracle's diagonal
+    of the head test that ``tests`` forms (1 on the standard test's
+    supported |jj>), and off |jj> V and VI's table is 1 - (1/p - 1) diag(Pi)
+    with the oracle's Pi, averaged over both directions for VI."""
     strat = build_strategy(state, kind, p)
     state, p = strat.state, strat.p
     head = strategies._head_diagonal(state, kind, p)
     q, test = strat.tests[0]
     assert q == p
-    assert np.abs(head - np.diag(dense_test(state, test)).real).max() <= 2.3e-16
+    assert np.abs(head - np.diag(dense.operator(test)).real).max() <= 2.3e-16
     if kind in ("V", "VI"):
         directions = list(Direction)[: 2 if kind == "VI" else 1]
-        pi = np.mean([np.diag(pi_operator(state, x)).real for x in directions], axis=0)
+        pi = np.mean([np.diag(dense.pi(state, x)) for x in directions], axis=0)
         off = np.ones(state.d**2, dtype=bool)
         off[:: state.d + 1] = False
         assert np.abs(head - (1.0 - (1.0 / p - 1.0) * pi))[off].max() <= 2.3e-16
     else:
-        supported = state.coeffs**2 > 1e-12
+        supported = state.coeffs**2 > SUPPORT_CUTOFF
         assert np.array_equal(head.reshape(state.d, state.d), np.diag(supported.astype(float)))
 
 
@@ -657,8 +633,9 @@ def test_exact_pass_rate_matches_dense_trace(kind):
     else:
         strat = build_strategy(state, kind)
     sigma = _random_sigma(strat.state.dim, np.random.default_rng(7))
-    dense = float(np.einsum("ij,ji->", strat.omega, sigma.matrix).real)
-    assert abs(exact_pass_rate(strat, sigma) - dense) <= 1e-14
+    omega = dense.scattered(strat.index, strat.blocks)
+    trace = float(np.einsum("ij,ji->", omega, sigma.matrix).real)
+    assert abs(exact_pass_rate(strat, sigma) - trace) <= 1e-14
 
 
 def test_exact_pass_rate_reads_a_custom_block_without_copying_sigma():
@@ -679,6 +656,6 @@ def test_exact_pass_rate_reads_a_custom_block_without_copying_sigma():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    dense = float(np.trace(strat.omega @ sigma.matrix).real)
-    assert abs(rate - dense) <= 1e-12
+    trace = float(np.trace(dense.scattered(strat.index, strat.blocks) @ sigma.matrix).real)
+    assert abs(rate - trace) <= 1e-12
     assert peak <= 0.1 * sigma.matrix.nbytes
