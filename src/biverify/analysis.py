@@ -10,6 +10,7 @@ each other through rate = (1 - beta) F + beta.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,29 +126,64 @@ class Figure1Row(NamedTuple):
     n_vi: float
 
 
+def _mixing_p(p) -> float:
+    """``p`` as a float; a ``p`` that is not a real number, or is a bool, is
+    refused."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise OutOfRangeError(f"mixing probability p must be a real number, got {p!r}")
+    return float(p)
+
+
+def _closed_form(kind: str, c0sq: float, c1sq: float, p=None) -> tuple[float, float, float]:
+    """(s/(1 + s), p, beta) of a built-in strategy kind from its target's
+    c_0^2 and c_1^2, with p defaulting to the kind's default.
+
+    s, the largest entry of Pi's diagonal off |jj>, is c_0^2, or the mean of
+    c_0^2 and c_1^2 for the two-way kinds IV and VI.  s/(1 + s) is the
+    optimal p of II-IV and the lowest p that keeps V and VI's acceptance
+    table in [0, 1].  The default p is 1/2 for I, max(1/e, s/(1 + s)) for V
+    and 1/e for VI.  beta, the second eigenvalue, is max(p, 1 - p) for I,
+    max(p, (1 - p) s) for II-IV and p for V and VI.
+    """
+    two_way = kind == "IV" or kind == "VI"
+    lowest = (c0sq + c1sq) / (2.0 + c0sq + c1sq) if two_way else c0sq / (1.0 + c0sq)
+    if p is not None:
+        p = _mixing_p(p)
+    elif kind == "I":
+        p = 0.5
+    elif kind == "V" or kind == "VI":
+        p = 1.0 / math.e if kind == "VI" else max(1.0 / math.e, lowest)
+    else:
+        p = lowest
+    if kind == "V" or kind == "VI":
+        return lowest, p, p
+    if kind == "I":
+        return lowest, p, max(p, 1.0 - p)
+    return lowest, p, max(p, (1.0 - p) * (c0sq + c1sq) / 2 if two_way else (1.0 - p) * c0sq)
+
+
 def figure1_table(theta_grid, epsilon: float, delta: float) -> list[Figure1Row]:
     """Test counts versus theta for the built-in two-qubit strategies.
 
-    Kinds PLM/I/II/IV use the i.i.d. count with their closed-form gaps; V and
-    VI use the adversarial asymptotic at beta = max(1/e, cos^2/(1+cos^2)) and
-    beta = 1/e respectively.
+    Each kind's beta is its closed form (``_closed_form``) at its default p,
+    with c_0^2 = cos^2 theta and c_1^2 = sin^2 theta.  Kinds I/II/IV use the
+    i.i.d. count at nu = 1 - beta, as does PLM at its own gap; V and VI use
+    the adversarial asymptotic at beta.
     """
     rows = []
-    for theta in theta_grid:
-        theta = float(theta)
-        if not 0.0 < theta <= math.pi / 4:
-            raise OutOfRangeError(f"theta must be in (0, pi/4], got {theta}")
-        c2 = math.cos(theta) ** 2
-        beta_v = max(1.0 / math.e, c2 / (1.0 + c2))
+    for theta in map(float, theta_grid):
+        # plm_nu refuses a theta outside (0, pi/4] before any other formula reads it
+        n_plm = tests_needed(plm_nu(theta), epsilon, delta)
+        c0sq, c1sq = math.cos(theta) ** 2, math.sin(theta) ** 2
         rows.append(
             Figure1Row(
                 theta=theta,
-                n_plm=tests_needed(plm_nu(theta), epsilon, delta),
-                n_i=tests_needed(0.5, epsilon, delta),
-                n_ii=tests_needed(1.0 / (1.0 + c2), epsilon, delta),
-                n_iv=tests_needed(2.0 / 3.0, epsilon, delta),
-                n_v=tests_needed_adversarial(beta_v, epsilon, delta),
-                n_vi=tests_needed_adversarial(1.0 / math.e, epsilon, delta),
+                n_plm=n_plm,
+                n_i=tests_needed(1.0 - _closed_form("I", c0sq, c1sq)[2], epsilon, delta),
+                n_ii=tests_needed(1.0 - _closed_form("II", c0sq, c1sq)[2], epsilon, delta),
+                n_iv=tests_needed(1.0 - _closed_form("IV", c0sq, c1sq)[2], epsilon, delta),
+                n_v=tests_needed_adversarial(_closed_form("V", c0sq, c1sq)[2], epsilon, delta),
+                n_vi=tests_needed_adversarial(_closed_form("VI", c0sq, c1sq)[2], epsilon, delta),
             )
         )
     return rows

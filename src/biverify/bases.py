@@ -80,7 +80,7 @@ class WeightedBasisSet:
 
     def __post_init__(self):
         object.__setattr__(self, "bases", tuple(self.bases))
-        w = np.asarray(self.weights, dtype=float)
+        w = linalg.real_array(self.weights, "weights")
         if w.size != len(self.bases):
             raise DimensionMismatchError("one weight per basis required")
         if np.any(w < 0):
@@ -90,7 +90,6 @@ class WeightedBasisSet:
         dims = {b.d for b in self.bases}
         if len(dims) != 1:
             raise DimensionMismatchError(f"bases have mixed dimensions {sorted(dims)}")
-        w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

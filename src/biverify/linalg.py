@@ -28,6 +28,17 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def real_array(a, name: str) -> np.ndarray:
+    """A float copy of ``a``; a complex entry with a nonzero imaginary part
+    is refused, where numpy's cast would drop it with only a warning."""
+    arr = np.asarray(a)
+    if np.iscomplexobj(arr):
+        if np.any(arr.imag != 0):
+            raise OutOfRangeError(f"{name} must be real, got a nonzero imaginary part")
+        arr = arr.real
+    return arr.astype(float)
+
+
 def weighted_gram(blocks, dim: int) -> np.ndarray:
     """sum_k q_k X_k X_k^dagger over ``(X_k, q_k)`` pairs as one dim x dim matrix.
 

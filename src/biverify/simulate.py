@@ -189,12 +189,12 @@ def exact_pass_rate(strategy: Strategy, sigma: DensityOperator) -> float:
     the trace a few ulps above 1 on the target, and Omega's top eigenvalue is
     1 to 1e-8, so the clamp hides no larger error than that."""
     _check_dimension(strategy, sigma)
-    index = strategy.index
-    if len(index) == 1 and np.array_equal(index[0], np.arange(index.size)):
+    if len(strategy.blocks) == 1:
         # a custom mixture's one block is Omega itself: trace it against sigma
         # as it is, with no d^2 x d^2 copy
         parts = sigma.matrix[None]
     else:
+        index = strategy.index
         parts = sigma.matrix[index[:, :, None], index[:, None, :]]
     rate = float(np.einsum("kij,kji->", strategy.blocks, parts).real)
     return min(max(rate, 0.0), 1.0)

@@ -35,7 +35,7 @@ class SchmidtState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = linalg.real_array(self.coeffs, "Schmidt coefficients")
         object.__setattr__(self, "d", _integer_arg("local dimension", self.d, 2))
         if c.shape != (self.d,):
             raise DimensionMismatchError(
@@ -105,7 +105,7 @@ def make_schmidt_state(raw, d: int | None = None) -> SchmidtState:
     brings the largest into [1/2, 1), which is exact, so the square sum
     neither overflows nor underflows and a finite input keeps its bits.
     """
-    c = np.asarray(raw, dtype=float)
+    c = linalg.real_array(raw, "amplitudes")
     if c.ndim != 1:
         raise DimensionMismatchError("amplitudes must be a flat list")
     if d is None:

@@ -32,7 +32,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from . import linalg
+from . import analysis, linalg
 from .bases import (
     _check_tolerance,
     _design,
@@ -64,16 +64,6 @@ class Direction(str, Enum):
     B_TO_A = "BtoA"
 
 
-# the directions each design kind's average Pi runs over
-_DIRECTIONS = {
-    "II": (Direction.A_TO_B,),
-    "III": (Direction.A_TO_B,),
-    "IV": tuple(Direction),
-    "V": (Direction.A_TO_B,),
-    "VI": tuple(Direction),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class ConditionalProjectorTest:
     """One conditional-projector test, stored as its measured basis and its
@@ -96,6 +86,12 @@ class ConditionalProjectorTest:
     state: SchmidtState
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "direction", Direction(self.direction))
+        except (ValueError, TypeError):
+            raise OutOfRangeError(
+                f"direction must be 'AtoB' or 'BtoA', got {self.direction!r}"
+            ) from None
         if self.measured_basis.d != self.state.d:
             raise DimensionMismatchError(
                 f"basis dim {self.measured_basis.d} != state dim {self.state.d}"
@@ -140,9 +136,20 @@ class ConditionalProjectorTest:
 class RandomizedDiagonalTest:
     """Both parties measure the standard basis; outcome (j, k) is accepted
     with probability ``acceptance[j, k]``: the test realizes the diagonal
-    operator with the raveled table on its diagonal."""
+    operator with the raveled table on its diagonal.  The table must be a
+    real d x d array, d >= 2, of probabilities; the test keeps a frozen copy."""
 
     acceptance: np.ndarray
+
+    def __post_init__(self):
+        table = linalg.real_array(self.acceptance, "acceptance probabilities")
+        if table.ndim != 2 or not 2 <= len(table) == table.shape[1]:
+            raise DimensionMismatchError(
+                f"acceptance table must be d x d with d >= 2, got shape {table.shape}"
+            )
+        if not np.all((table >= 0.0) & (table <= 1.0)):
+            raise OutOfRangeError("acceptance probabilities must be finite and in [0, 1]")
+        object.__setattr__(self, "acceptance", _freeze(table))
 
     @property
     def d(self) -> int:
@@ -158,8 +165,9 @@ class Strategy:
 
     Omega, the weighted sum of the test operators, is ``blocks[i]`` on the
     |jk> indices ``index[i]``; the index sets partition the d^2 kets, and
-    Omega vanishes between them.  The built-in kinds use the d shift classes
-    (see ``build_strategy``), a custom mixture one block of all d^2 kets.
+    Omega vanishes between them.  A custom mixture is one block of all d^2
+    kets, and the built-in kinds are the d shift classes (see
+    ``build_strategy``), so ``index`` follows from the number of blocks.
     ``beta`` is Omega's second-largest eigenvalue, ``nu = 1 - beta`` the
     spectral gap, and ``beta_vector`` a unit eigenvector for ``beta``
     orthogonal to the target (see ``states.worst_case_state``).  ``p`` is
@@ -173,7 +181,6 @@ class Strategy:
 
     state: SchmidtState
     _form_tests: Callable[[], tuple[tuple[float, TestOperator], ...]]
-    index: np.ndarray
     blocks: np.ndarray
     beta: float
     beta_vector: np.ndarray
@@ -189,6 +196,13 @@ class Strategy:
     def nu(self) -> float:
         """The spectral gap 1 - beta."""
         return 1.0 - self.beta
+
+    @property
+    def index(self) -> np.ndarray:
+        """The |jk> indices of each block, one row per block."""
+        if len(self.blocks) == 1:
+            return _freeze(np.arange(self.state.dim)[None])
+        return _shift_index(self.state.d)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -221,57 +235,66 @@ def one_way_diagonal_test(state: SchmidtState, p: float) -> RandomizedDiagonalTe
     """Randomized diagonal test whose off-diagonal acceptance tracks the
     non-measuring party's outcome: outcome pair (j, k) passes with
     probability 1 - (1/p - 1) c_k^2 for j != k, and always for j = k."""
-    return RandomizedDiagonalTest(_diagonal_acceptance(state, p, _DIRECTIONS["V"]))
+    return RandomizedDiagonalTest(_diagonal_acceptance(state, p, "V"))
 
 
 def two_way_diagonal_test(state: SchmidtState, p: float) -> RandomizedDiagonalTest:
     """Symmetrized randomized diagonal test: outcome pair (j, k) passes with
     probability 1 - (1/p - 1)(c_j^2 + c_k^2)/2 for j != k, and always for
     j = k."""
-    return RandomizedDiagonalTest(_diagonal_acceptance(state, p, _DIRECTIONS["VI"]))
+    return RandomizedDiagonalTest(_diagonal_acceptance(state, p, "VI"))
 
 
-def _diagonal_acceptance(state: SchmidtState, p: float, directions) -> np.ndarray:
-    """The diagonal test's table 1 - (1/p - 1) pi, pi being Pi's diagonal
-    averaged over ``directions`` (zero on |jj>), which lies in [0, 1] iff
-    p >= ``_lowest_p``: it cancels pi and makes Omega homogeneous."""
-    lo = _lowest_p(state, directions)
+def _diagonal_acceptance(state: SchmidtState, p: float, kind: str) -> np.ndarray:
+    """Kind V or VI's diagonal test table 1 - (1/p - 1) pi, pi being Pi's
+    diagonal averaged over the kind's directions (zero on |jj>), which lies
+    in [0, 1] iff p >= s/(1 + s) (``analysis._closed_form``): it cancels pi
+    and makes Omega homogeneous."""
+    lo, p, _ = _closed_form(state, kind, analysis._mixing_p(p))
     if not lo - 1e-12 <= p < 1.0:
         raise OutOfRangeError(
             f"mixing probability p={p} outside [{lo:.12g}, 1): acceptance "
             "probabilities would leave [0, 1]"
         )
-    pi = _pi_parts(state, directions)[1].reshape(state.d, state.d)
+    pi = _pi_parts(state, kind == "VI")[1].reshape(state.d, state.d)
     acceptance = 1.0 - (1.0 / p - 1.0) * pi
     if acceptance.min() < -1e-12 or acceptance.max() > 1.0 + 1e-12:
         raise OutOfRangeError("acceptance probabilities must lie in [0, 1]")
-    return _freeze(np.clip(acceptance, 0.0, 1.0))
+    return np.clip(acceptance, 0.0, 1.0)
 
 
-def _pi_parts(state: SchmidtState, directions) -> tuple[np.ndarray, np.ndarray]:
-    """Pi averaged over ``directions`` as (vectors, diagonal) for
-    ``_shift_blocks``: |Psi><Psi| is c c^T on span{|jj>}, and I x rho_B
-    (rho_A x I for B -> A) is diagonal, with its |jj> entries cancelled."""
+def _pi_parts(state: SchmidtState, two_way: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Pi, averaged over both directions if ``two_way``, as (vectors,
+    diagonal) for ``_shift_blocks``: |Psi><Psi| is c c^T on span{|jj>}, and
+    I x rho_B (rho_A x I for B -> A) is diagonal, with its |jj> entries
+    cancelled."""
     d = state.d
     c2 = state.coeffs**2
-    one_way = {Direction.A_TO_B: np.tile(c2, d), Direction.B_TO_A: np.repeat(c2, d)}
-    diagonal = np.mean([one_way[x] for x in directions], axis=0)
+    diagonal = np.tile(c2, d)
+    if two_way:
+        diagonal = (diagonal + np.repeat(c2, d)) / 2.0
     diagonal[np.arange(d) * (d + 1)] = 0.0
     vectors = np.zeros((d, d))
     vectors[0] = state.coeffs
     return vectors, diagonal
 
 
-def _shift_blocks(vectors: np.ndarray, diagonal: np.ndarray, weight: float):
-    """(index, blocks) of weight |v><v| + diag(``diagonal``) on each shift
-    class delta, whose kets |a, a - delta> are ``index[delta]``, with
-    v = ``vectors[delta]`` on them and ``diagonal`` indexed by |jk>."""
+def _shift_index(d: int) -> np.ndarray:
+    """The d shift classes: row delta holds the kets |a, a - delta mod d>
+    as their |jk> indices a d + (a - delta mod d)."""
+    a = np.arange(d)
+    return _freeze(a * d + (a - a[:, None]) % d)
+
+
+def _shift_blocks(vectors: np.ndarray, diagonal: np.ndarray, weight: float) -> np.ndarray:
+    """The blocks weight |v><v| + diag(``diagonal``) on each shift class
+    delta (``_shift_index``), with v = ``vectors[delta]`` on its kets and
+    ``diagonal`` indexed by |jk>."""
     a = np.arange(len(vectors))
-    index = a * len(a) + (a - a[:, None]) % len(a)
     blocks = np.einsum("ka,kb->kab", vectors, vectors)
     blocks *= weight
-    blocks[:, a, a] += diagonal[index]
-    return _freeze(index), _freeze(blocks)
+    blocks[:, a, a] += diagonal[_shift_index(len(a))]
+    return _freeze(blocks)
 
 
 def _mix(d: int, tests) -> np.ndarray:
@@ -326,9 +349,8 @@ def assemble_strategy(
     beta = float(w[1])
     chi = v[:, 1] - psi * (psi.conj() @ v[:, 1])
     chi = chi / float(np.linalg.norm(chi))
-    one_block = _freeze(np.arange(omega.shape[0])[None]), _freeze(omega[None])
     return Strategy(
-        state, partial(tuple, tests), *one_block, beta, _freeze(chi), label
+        state, partial(tuple, tests), _freeze(omega[None]), beta, _freeze(chi), label
     )
 
 
@@ -365,45 +387,26 @@ def _checked_tests(state: SchmidtState, tests) -> tuple:
     return tests
 
 
-def _lowest_p(state: SchmidtState, directions) -> float:
-    """s / (1 + s), s being the largest entry of Pi's diagonal off |jj>: the
-    mean of c_0^2, and c_1^2 if Pi runs both ways.  It is the optimal p of
-    II-IV, and the lowest p at which a diagonal test's table is in [0, 1]."""
-    top = (state.coeffs[: len(directions)] ** 2).tolist()
-    return sum(top) / sum(top, float(len(top)))
+def _closed_form(state: SchmidtState, kind: str, p=None) -> tuple[float, float, float]:
+    """``analysis._closed_form`` at the target's c_0^2 and c_1^2."""
+    return analysis._closed_form(kind, *(state.coeffs[:2] ** 2).tolist(), p)
 
 
 def optimal_p(state: SchmidtState, kind: str) -> float:
-    """Default mixing probability for a built-in strategy kind.
-
-    Kinds I-IV use the probability that maximizes the spectral gap; V uses
-    the best choice for adversarially prepared states, max(1/e, lower bound);
-    VI uses 1/e, which is always admissible.
-    """
-    kind = _normalize_kind(kind)
-    if kind == "I":
-        return 0.5
-    if kind == "VI":
-        return 1.0 / math.e
-    lo = _lowest_p(state, _DIRECTIONS[kind])
-    return max(1.0 / math.e, lo) if kind == "V" else lo
+    """Default mixing probability for a built-in strategy kind: the gap's
+    maximizer for I-IV, the best for adversarial sources for V and VI
+    (``analysis._closed_form``)."""
+    return _closed_form(state, _normalize_kind(kind))[1]
 
 
 def closed_form_beta(state: SchmidtState, label: str, p: float) -> float | None:
-    """Analytic second eigenvalue for the built-in kinds, None otherwise.
-
-    It is the built strategy's ``beta`` for every built-in kind (see
-    ``build_strategy``): max(p, 1 - p) for I, max(p, (1 - p) s) for II-IV
-    and p for V and VI.
-    """
-    if label == "I":
-        return max(p, 1.0 - p)
-    if label in ("V", "VI"):
-        return p
-    if label in _DIRECTIONS:
-        top = (state.coeffs[: len(_DIRECTIONS[label])] ** 2).tolist()
-        return max(p, (1.0 - p) * sum(top) / len(top))
-    return None
+    """The built strategy's ``beta`` for a built-in kind at a real ``p``,
+    not a bool (``analysis._closed_form``); None for any other label."""
+    try:
+        kind = _normalize_kind(label)
+    except OutOfRangeError:
+        return None
+    return _closed_form(state, kind, analysis._mixing_p(p))[2]
 
 
 def _normalize_kind(kind) -> str:
@@ -420,7 +423,7 @@ def _head_diagonal(state: SchmidtState, kind: str, p: float) -> np.ndarray:
     standard test's supported |jj>, or V and VI's acceptance table.  A p
     outside the kind's range is refused."""
     if kind in ("V", "VI"):
-        return _diagonal_acceptance(state, p, _DIRECTIONS[kind]).ravel()
+        return _diagonal_acceptance(state, p, kind).ravel()
     if not 0.0 <= p < 1.0:
         raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
     return np.diag((state.coeffs**2 > SUPPORT_CUTOFF).astype(float)).ravel()
@@ -431,13 +434,12 @@ def _built_in_tests(state, kind, p, design):
     head test (none for II-IV at p = 0), then kind I's Fourier test
     (``design`` is None) or the design's tests."""
     if kind in ("V", "VI"):
-        acceptance = _diagonal_acceptance(state, p, _DIRECTIONS[kind])
-        head = ((p, RandomizedDiagonalTest(acceptance)),)
+        head = ((p, RandomizedDiagonalTest(_diagonal_acceptance(state, p, kind))),)
     else:
         head = () if p == 0.0 else ((p, standard_test(state)),)
     if design is None:
         return (*head, (1.0 - p, test_projector(state, fourier_basis(state.d))))
-    return (*head, *_design_tests(state, design, 1.0 - p, len(_DIRECTIONS[kind]) > 1))
+    return (*head, *_design_tests(state, design, 1.0 - p, kind in ("IV", "VI")))
 
 
 def _design_tests(state, design, total, two_way):
@@ -507,15 +509,12 @@ def build_strategy(
     if kind == "II" and not is_prime(state.d):
         state = embed_state(state, next_prime(state.d))
     d = state.d
-    if p is None:
-        p = optimal_p(state, kind)
-    p = float(p)
+    _, p, beta = _closed_form(state, kind, p)
 
     if kind == "I":
         design = None
         head = _head_diagonal(state, kind, p)
-        shift = np.arange(d) - np.arange(d)[:, None]  # a - delta, wrapped by indexing
-        vectors, diagonal = state.coeffs[shift], np.zeros(d * d)
+        vectors, diagonal = state.coeffs[_shift_index(d) % d], np.zeros(d * d)
     else:
         # kind II refuses m and has a prime d here: the complete MUB set
         design = _design(d, m)
@@ -526,17 +525,16 @@ def build_strategy(
             raise DesignMismatchError(
                 f"design misses the 2-design identity by {residual:.3e}"
             )
-        vectors, diagonal = _pi_parts(state, _DIRECTIONS[kind])
-    beta = closed_form_beta(state, kind, p)
+        vectors, diagonal = _pi_parts(state, kind in ("IV", "VI"))
     # no gap: kind I where 1 - p rounds to 1, II and III at p = 0 where c_0^2 does
     if not beta < 1.0:
         raise OutOfRangeError(
             f"p = {p} leaves no spectral gap for kind {kind}: beta = {beta:.17g} is not below 1"
         )
-    index, blocks = _shift_blocks(vectors, diagonal * (1.0 - p) + p * head, 1.0 - p)
+    blocks = _shift_blocks(vectors, diagonal * (1.0 - p) + p * head, 1.0 - p)
     chi = _beta_vector(state, kind, beta == p)
     form_tests = partial(_built_in_tests, state, kind, p, design)
-    return Strategy(state, form_tests, index, blocks, beta, chi, kind, p)
+    return Strategy(state, form_tests, blocks, beta, chi, kind, p)
 
 
 def _beta_vector(state: SchmidtState, kind: str, on_jj: bool) -> np.ndarray:
@@ -547,9 +545,9 @@ def _beta_vector(state: SchmidtState, kind: str, on_jj: bool) -> np.ndarray:
     and outcomes 0 and 1 are supported (``SchmidtState.is_entangled``), so
     (c_1|00> - c_0|11>)/sqrt(c_0^2 + c_1^2) has eigenvalue p.  Off that span
     kind I has 1 - p on sum_a c_{a-1}|a, a-1>, and the design kinds are
-    diagonal, with the largest entry, (1 - p) c_0^2 for II and III and
-    (1 - p)(c_0^2 + c_1^2)/2 for IV, at |10>; for V and VI every entry there
-    is p.  ``on_jj`` picks the first vector, for beta = p.
+    diagonal, with the largest entry, (1 - p) s for II-IV, at |10>; for V
+    and VI every entry there is p.  ``on_jj`` picks the first vector, for
+    beta = p.
     """
     d = state.d
     chi = np.zeros(d * d, dtype=complex)
@@ -558,8 +556,8 @@ def _beta_vector(state: SchmidtState, kind: str, on_jj: bool) -> np.ndarray:
         norm = math.hypot(c0, c1)
         chi[0], chi[d + 1] = c1 / norm, -c0 / norm
     elif kind == "I":
-        a = np.arange(d)
-        chi.reshape(d, d)[a, a - 1] = state.coeffs[a - 1]
+        ket = _shift_index(d)[1]
+        chi[ket] = state.coeffs[ket % d]
     else:
         chi[d] = 1.0
     return _freeze(chi)

@@ -215,6 +215,21 @@ class TestFigure1Table:
             tests_needed_adversarial(1 / math.e, 0.01, 0.01), rel=1e-12
         )
 
+    def test_rows_match_the_built_strategies(self):
+        """Figure 1's gaps are the built two-qubit strategies' gaps: the i.i.d.
+        counts equal exactly and the adversarial ones to rounding."""
+        grid = figure1_grid(400) + [0.05, 1e-3]
+        for theta, row in zip(grid, figure1_table(grid, 0.01, 0.01)):
+            built = {
+                kind: build_strategy(two_qubit_state(theta), kind)
+                for kind in ("I", "II", "IV", "V", "VI")
+            }
+            counts = [tests_needed(built[k].nu, 0.01, 0.01) for k in ("I", "II", "IV")]
+            assert [row.n_i, row.n_ii, row.n_iv] == counts, theta
+            for n, kind in ((row.n_v, "V"), (row.n_vi, "VI")):
+                expect = tests_needed_adversarial(built[kind].beta, 0.01, 0.01)
+                assert n == pytest.approx(expect, rel=1e-12, abs=0.0), (theta, kind)
+
     def test_single_point_grid(self):
         assert figure1_grid(1) == [math.pi / 4]
 

@@ -379,6 +379,13 @@ class TestWeightedBasisSetValidation:
                 weights=np.array([0.5, 0.6]),
             )
 
+    def test_complex_weights_refused(self):
+        with pytest.raises(OutOfRangeError, match="must be real"):
+            WeightedBasisSet(
+                bases=(standard_basis(2), fourier_basis(2)),
+                weights=np.array([0.5 + 0.1j, 0.5]),
+            )
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatchError):
             WeightedBasisSet(

@@ -124,6 +124,34 @@ class TestMakeSchmidtState:
             with pytest.raises(OutOfRangeError, match="unit square sum"):
                 SchmidtState(d=2, coeffs=np.array([1e200, 1e200]))
 
+    @pytest.mark.parametrize(
+        "raw", [np.array([1 + 1j, 0.5]), [1 + 1j, 0.5], [1.0, 0.5 - 1e-300j]],
+        ids=["array", "list", "tiny-imaginary"],
+    )
+    def test_complex_amplitudes_refused(self, raw):
+        """A nonzero imaginary part is refused, not dropped by the cast."""
+        with pytest.raises(OutOfRangeError, match="must be real"):
+            make_schmidt_state(raw)
+
+    def test_complex_coefficients_refused(self):
+        with pytest.raises(OutOfRangeError, match="must be real"):
+            SchmidtState(d=2, coeffs=np.array([0.8 + 0.1j, 0.6]))
+
+    def test_caller_array_is_copied_not_frozen(self):
+        """The state freezes its own copy of the coefficients, so the caller's
+        array stays writeable and a later write to it does not reach the state."""
+        c = np.array([0.8, 0.6])
+        state = SchmidtState(d=2, coeffs=c)
+        assert c.flags.writeable and not state.coeffs.flags.writeable
+        c[0] = 0.0
+        assert state.coeffs[0] == 0.8
+
+    def test_complex_dtype_with_zero_imaginary_part_accepted(self):
+        state = make_schmidt_state(np.array([1.0 + 0j, 0.5 + 0j]))
+        assert state.coeffs.dtype == float
+        assert np.array_equal(state.coeffs, make_schmidt_state([1.0, 0.5]).coeffs)
+        assert np.array_equal(SchmidtState(d=2, coeffs=state.coeffs + 0j).coeffs, state.coeffs)
+
     def test_entry_just_above_one_accepted(self):
         """The cap on an entry admits every vector the norm check admits."""
         c = np.array([np.sqrt(1.0 + 5e-13), 0.0])

@@ -1,5 +1,7 @@
 """Tests for test operators, the six strategies, and their spectral data."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,19 @@ from biverify import (
     Basis,
     ConditionalProjectorTest,
     Direction,
+    RandomizedDiagonalTest,
     assemble_strategy,
     build_strategy,
     closed_form_beta,
     depolarize,
+    exact_pass_rate,
     fourier_basis,
     is_homogeneous,
     make_schmidt_state,
     min_design_size,
     one_way_diagonal_test,
     optimal_p,
+    random_state_at_fidelity,
     random_unbiased_basis,
     roy_scott_set,
     standard_basis,
@@ -30,6 +35,7 @@ from biverify import (
 from biverify import bases, strategies
 from biverify.errors import (
     DesignMismatchError,
+    DimensionMismatchError,
     OutOfRangeError,
     SeparableStateError,
     TopEigenvalueError,
@@ -480,6 +486,48 @@ class TestBetaNu:
                 continue
             assert build_strategy(s, kind, p=p).beta >= base.beta - 1e-12
 
+    @pytest.mark.parametrize(
+        "p", ["0.5", 0.5j, True, [0.5]], ids=["str", "complex", "bool", "list"]
+    )
+    def test_p_must_be_a_real_number(self, p):
+        """A p that is not a real number, or is a bool, is refused rather than
+        converted through float()."""
+        s = make_schmidt_state([2.0, 1.0, 1.0])
+        calls = [partial(one_way_diagonal_test, s, p), partial(two_way_diagonal_test, s, p)]
+        for kind in strategies.STRATEGY_KINDS:
+            calls += [partial(build_strategy, s, kind, p=p), partial(closed_form_beta, s, kind, p)]
+        for call in calls:
+            with pytest.raises(OutOfRangeError, match="p must be a real number"):
+                call()
+
+    def test_p_of_none_refused_where_there_is_no_default(self):
+        s = make_schmidt_state([2.0, 1.0, 1.0])
+        for call in (
+            partial(closed_form_beta, s, "II", None),
+            partial(one_way_diagonal_test, s, None),
+            partial(two_way_diagonal_test, s, None),
+        ):
+            with pytest.raises(OutOfRangeError, match="p must be a real number, got None"):
+                call()
+
+    def test_numpy_scalar_p_accepted(self):
+        s = make_schmidt_state([2.0, 1.0, 1.0])
+        for p in (np.float64(0.75), np.float32(0.75), np.int64(0)):
+            strat = build_strategy(s, "IV", p=p)
+            assert type(strat.p) is float and strat.p == float(p)
+            assert closed_form_beta(s, "I", p) == max(float(p), 1.0 - float(p))
+
+    def test_label_is_normalized_once(self):
+        """closed_form_beta reads a label as build_strategy and optimal_p do,
+        and answers None only for a label that is not a built-in kind."""
+        s = make_schmidt_state([2.0, 1.0, 1.0])
+        for kind in strategies.STRATEGY_KINDS:
+            for label in (kind.lower(), f" {kind} "):
+                assert closed_form_beta(s, label, 0.3) == closed_form_beta(s, kind, 0.3)
+                assert optimal_p(s, label) == optimal_p(s, kind)
+        assert closed_form_beta(s, "custom", 0.3) is None
+        assert closed_form_beta(s, "custom", None) is None
+
     def test_closed_form_values(self):
         s = make_schmidt_state([2.0, 1.0, 1.0])
         c2 = s.coeffs**2
@@ -559,6 +607,74 @@ class TestCustomStrategies:
         s = two_qubit_state(np.pi / 6)
         with pytest.raises(OutOfRangeError, match="test probabilities must be positive"):
             assemble_strategy(s, [(q, standard_test(s)) for q in probs])
+
+
+class TestDirection:
+    def _test_and_basis(self, direction):
+        s = make_schmidt_state([3.0, 2.0, 1.0])
+        basis = random_unbiased_basis(3, np.random.default_rng(5))
+        return s, basis, test_projector(s, basis, direction)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_string_direction_is_the_member(self, direction):
+        """A direction given by its value runs that direction, as the enum
+        member does."""
+        s, basis, by_value = self._test_and_basis(direction.value)
+        by_member = test_projector(s, basis, direction)
+        assert by_value.direction is direction
+        assert np.array_equal(by_value.pair_vectors(), by_member.pair_vectors())
+
+    def test_string_direction_in_a_mixture(self):
+        """A 50/50 mixture of the standard test and an unbiased-basis test,
+        run against a fidelity-0.7 state, has the same exact rate whether the
+        direction is the string or the member."""
+        s, basis, by_value = self._test_and_basis("AtoB")
+        sigma = random_state_at_fidelity(s, 0.7, np.random.default_rng(11))
+        rates = [
+            exact_pass_rate(assemble_strategy(s, [(0.5, standard_test(s)), (0.5, t)]), sigma)
+            for t in (by_value, test_projector(s, basis, Direction.A_TO_B))
+        ]
+        assert rates[0] == rates[1]
+
+    @pytest.mark.parametrize("direction", ["sideways", "atob", None, 0, ["AtoB"]])
+    def test_unknown_direction_refused(self, direction):
+        with pytest.raises(OutOfRangeError, match="direction must be .AtoB. or .BtoA."):
+            self._test_and_basis(direction)
+
+
+class TestRandomizedDiagonalTest:
+    @pytest.mark.parametrize(
+        "table",
+        [np.full((2, 3), 0.5), np.full((1, 1), 0.5), np.full(4, 0.5), np.full((2, 2, 2), 0.5)],
+        ids=["rectangular", "d=1", "flat", "3-d"],
+    )
+    def test_table_must_be_square_with_d_at_least_2(self, table):
+        with pytest.raises(DimensionMismatchError, match="d x d"):
+            RandomizedDiagonalTest(table)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1.5, -0.2])
+    def test_entries_must_be_probabilities(self, entry):
+        table = np.full((2, 2), 0.5)
+        table[0, 1] = entry
+        with pytest.raises(OutOfRangeError, match=r"finite and in \[0, 1\]"):
+            RandomizedDiagonalTest(table)
+
+    def test_complex_table_refused(self):
+        with pytest.raises(OutOfRangeError, match="must be real"):
+            RandomizedDiagonalTest(np.full((2, 2), 0.5 + 0.1j))
+
+    def test_malformed_table_refused_before_a_mixture(self):
+        """The bad table of a custom mixture is refused when the test is made,
+        not as a broadcast error inside assemble_strategy."""
+        with pytest.raises(DimensionMismatchError):
+            assemble_strategy(T_QUBIT.state, [(1.0, RandomizedDiagonalTest(np.full((2, 3), 0.5)))])
+
+    def test_keeps_a_frozen_copy(self):
+        table = np.array([[1.0, 0.25], [0.5, 1]])
+        test = RandomizedDiagonalTest(table)
+        table[0, 1] = 0.0
+        assert test.acceptance[0, 1] == 0.25 and not test.acceptance.flags.writeable
+        assert RandomizedDiagonalTest([[1, 0], [0, 1]]).acceptance.dtype == float
 
 
 def test_array_records_compare_and_hash_by_identity():
