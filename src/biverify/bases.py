@@ -36,6 +36,7 @@ from .errors import (
     OutOfRangeError,
     TooFewBasesError,
     _integer_arg,
+    _real_arg,
 )
 
 ORTHO_ATOL = 1e-10
@@ -45,6 +46,8 @@ UNBIASED_ATOL = 1e-10
 # max-norm residual up to which the 2-design second-moment identity counts
 # as holding
 DESIGN_ATOL = 1e-10
+# the largest design size m and local dimension d (``_design``)
+_MAX_DESIGN_SIZE, _MAX_DIMENSION = math.isqrt(2**63 - 1), 63635
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +107,7 @@ class WeightedBasisSet:
 
 def standard_basis(d: int) -> Basis:
     """Coordinate basis {|j>}."""
-    d = _integer_arg("dimension", d, 2)
+    d = _integer_arg("dimension", d, 2, _MAX_DIMENSION)
     return Basis(d=d, vectors=np.eye(d, dtype=complex))
 
 
@@ -118,13 +121,13 @@ def _phases(l, e, modulus: int) -> np.ndarray:
 
 def fourier_basis(d: int) -> Basis:
     """Basis with ket j having components omega^{jk}/sqrt(d), omega = exp(2 pi i/d)."""
-    d = _integer_arg("dimension", d, 2)
+    d = _integer_arg("dimension", d, 2, _MAX_DIMENSION)
     return Basis(d=d, vectors=_phases(range(d), range(d), d) / math.sqrt(d))
 
 
 def random_unbiased_basis(d: int, rng: np.random.Generator) -> Basis:
     """A random basis unbiased with the standard basis (phase-dressed Fourier)."""
-    d = _integer_arg("dimension", d, 2)
+    d = _integer_arg("dimension", d, 2, _MAX_DIMENSION)
     row = np.exp(2j * np.pi * rng.random(d))
     col = np.exp(2j * np.pi * rng.random(d))
     return Basis(d=d, vectors=row[:, None] * fourier_basis(d).vectors * col[None, :])
@@ -147,8 +150,9 @@ def is_prime(n: int) -> bool:
 
 
 def next_prime(n: int) -> int:
-    """Smallest prime >= n."""
-    k = max(_integer_arg("n", n, 0), 2)
+    """Smallest prime >= n, for n <= 2**40, where trial division takes 0.1 s
+    (2-core VM); its cost grows as sqrt(n) above."""
+    k = max(_integer_arg("n", n, 0, 2**40), 2)
     while not is_prime(k):
         k += 1
     return k
@@ -157,16 +161,11 @@ def next_prime(n: int) -> int:
 def is_unbiased(b1: Basis, b2: Basis, tol: float = UNBIASED_ATOL) -> bool:
     """True iff every cross overlap satisfies | |<u|v>|^2 - 1/d | <= tol;
     ``tol`` must be finite and >= 0."""
-    _check_tolerance(tol)
+    tol = _real_arg("tolerance", tol, 0.0, math.inf, hi_open=True)
     if b1.d != b2.d:
         raise DimensionMismatchError(f"dimensions differ: {b1.d} vs {b2.d}")
     overlap = np.abs(b1.vectors.conj().T @ b2.vectors) ** 2
     return bool(np.abs(overlap - 1.0 / b1.d).max() <= tol)
-
-
-def _check_tolerance(tol: float) -> None:
-    if not 0.0 <= tol < math.inf:
-        raise OutOfRangeError(f"tolerance must be finite and >= 0, got {tol}")
 
 
 def maximally_entangled_ket(d: int) -> np.ndarray:
@@ -186,7 +185,7 @@ def verify_2design(
     formed as one Gram product of the stacked pair vectors.  Returns
     (passed, max-norm residual); ``tol`` must be finite and >= 0.
     """
-    _check_tolerance(tol)
+    tol = _real_arg("tolerance", tol, 0.0, math.inf, hi_open=True)
     d = basis_set.d
     pairs = (
         (np.einsum("aj,bj->abj", b.vectors, b.vectors.conj()).reshape(d * d, d), w)
@@ -208,7 +207,7 @@ def prime_mub_set(d: int) -> WeightedBasisSet:
     certifies the set, which is a 2-design exactly when its bases are
     mutually unbiased.
     """
-    d = _integer_arg("dimension", d, 2)
+    d = _integer_arg("dimension", d, 2, _MAX_DIMENSION)
     if not is_prime(d):
         raise NotPrimeError(f"{d} is not prime; embed into a larger space instead")
     return _design(d).basis_set
@@ -230,7 +229,7 @@ def roy_scott_set(d: int, m: int | None = None) -> WeightedBasisSet:
     vanishes for every k, all phase bases collapse onto the Fourier basis,
     and no 2-design can result, so that case is rejected.
     """
-    d = _integer_arg("dimension", d, 2)
+    d = _integer_arg("dimension", d, 2, _MAX_DIMENSION)
     if d == 2:
         raise DimensionTooSmallError(
             "phase-basis design degenerates at d = 2; use the complete MUB set"
@@ -297,8 +296,12 @@ def _design(d: int, m: int | None = None) -> _Design:
     and m is None (``prime_mub_set``: e(a) = a^2 mod d, l = 1..d; at d = 2,
     e = (0, 1) mod 4, l = 0, 1), the Roy-Scott design of m bases otherwise
     (``roy_scott_set``: e(a) = C(a, 2) mod m-1, l = 1..m-1, m defaulting to
-    ``min_design_size(d)``).  At d = 2 m is refused."""
-    d = _integer_arg("dimension", d, 2)
+    ``min_design_size(d)``).  At d = 2 m is refused.  The row table holds
+    the products l e(a) as int64, each factor below m (d for the MUB set), so
+    m is at most isqrt(2**63 - 1), and d at most 63635, the largest d whose
+    smallest design fits; every basis and embedding takes d up to that bound,
+    where one d x d complex table takes 65 GB."""
+    d = _integer_arg("dimension", d, 2, _MAX_DIMENSION)
     a = np.arange(d)
     if m is None and is_prime(d):
         table = (a, 4, range(2)) if d == 2 else (a * a % d, d, range(1, d + 1))
@@ -309,7 +312,7 @@ def _design(d: int, m: int | None = None) -> _Design:
             "complete MUB set"
         )
     bound = min_design_size(d)
-    m = bound if m is None else _integer_arg("design size m", m, 1)
+    m = bound if m is None else _integer_arg("design size m", m, 1, _MAX_DESIGN_SIZE)
     if m < bound:
         raise TooFewBasesError(f"need at least {bound} bases for d={d}, got {m}")
     return _Design(

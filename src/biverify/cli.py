@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import analysis
-from .errors import BiverifyError, OutOfRangeError
+from .errors import BiverifyError, OutOfRangeError, _integer_arg, _real_arg
 
 if TYPE_CHECKING:
     from . import states, strategies
@@ -36,36 +37,21 @@ if TYPE_CHECKING:
 CSV_HEADER = "theta,N_PLM,N_I,N_II,N_IV,N_V,N_VI"
 
 
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and all(_is_number(v) for v in value)
-
-
-# JobConfig field -> (type check, description, whether null is accepted)
-_FIELD_TYPES = {
-    "strategy": (_is_str, "a string", True),
-    "d": (_is_int, "an integer", True),
-    "schmidt": (_is_number_list, "a list of numbers", True),
-    "theta": (_is_number, "a number", True),
-    "p": (_is_number, "a number", True),
-    "m": (_is_int, "an integer", True),
-    "epsilon": (_is_number, "a number", False),
-    "delta": (_is_number, "a number", False),
-    "noise": (_is_str, "a string", False),
-    "trials": (_is_int, "an integer", False),
-    "seed": (_is_int, "an integer", False),
-}
+def _check_config_value(name: str, kind: str, value) -> None:
+    """Refuse ``value`` unless it has the type ``kind``, a JobConfig field's
+    annotation less ``| None``; an int (a size or a seed) must be >= 0, and
+    the command checks the rest of a number's range."""
+    if kind == "int":
+        _integer_arg(name, value, 0)
+    elif kind == "float":
+        _real_arg(name, value)
+    elif kind == "list[float]":
+        if not isinstance(value, list):
+            raise OutOfRangeError(f"{name} must be a list of numbers, got {value!r}")
+        for entry in value:
+            _real_arg(f"each entry of {name}", entry)
+    elif not isinstance(value, str):
+        raise OutOfRangeError(f"{name} must be a string, got {value!r}")
 
 
 @dataclass
@@ -95,12 +81,12 @@ class JobConfig:
         unknown = set(data) - known
         if unknown:
             raise OutOfRangeError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            check, kind, nullable = _FIELD_TYPES[key]
-            if not (check(value) or (nullable and value is None)):
-                raise OutOfRangeError(
-                    f"config field {key!r} must be {kind}, got {value!r}"
-                )
+        # a field whose default is None also takes null
+        for field in fields(cls):
+            value = data.get(field.name)
+            if field.name in data and not (value is None and field.default is None):
+                kind = field.type.split(" | ")[0]
+                _check_config_value(f"config field {field.name!r}", kind, value)
         return cls(**data)
 
     def target_state(self) -> states.SchmidtState:
@@ -281,7 +267,7 @@ def cmd_check_design(args) -> int:
     from . import bases
 
     tol = bases.DESIGN_ATOL if args.tol is None else args.tol
-    bases._check_tolerance(tol)
+    tol = _real_arg("tolerance", tol, 0.0, math.inf, hi_open=True)
     design = bases._design(args.d, args.m)
     residual = design.residual()
     ok = residual <= tol

@@ -2,8 +2,10 @@
 
 All errors derive from :class:`BiverifyError`, itself a ``ValueError``, so
 callers can catch everything from this package with one handler while the
-class name still identifies the violated precondition.  The module loads no
-numpy, so the closed-form ``analysis`` layer can use it without the arrays.
+class name still identifies the violated precondition.  A scalar argument
+enters through ``_integer_arg`` or ``_real_arg``, which refuse a wrong type
+as they refuse a value out of range.  The module loads no numpy, so the
+closed-form ``analysis`` layer can use it without the arrays.
 """
 from __future__ import annotations
 
@@ -72,3 +74,22 @@ def _integer_arg(name: str, value, minimum: int, maximum: int | None = None) -> 
     if maximum is not None and value > maximum:
         raise OutOfRangeError(f"{name} must be <= {maximum}, got {value}")
     return int(value)
+
+
+def _real_arg(name: str, value, lo=None, hi=None, lo_open=False, hi_open=False) -> float:
+    """``value`` as a Python float from ``lo`` to ``hi``, each end open if
+    its flag says so; ``hi`` may be ``math.inf``.  A bool, a non-``Real``
+    (str, complex, None), a value no double holds (``10**400``), NaN and a
+    value outside the interval raise.  With no interval only the type is
+    checked, for a caller whose range depends on more, which refuses NaN."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OutOfRangeError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise OutOfRangeError(f"{name} is too large for a double") from None
+    if lo is None or (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi):
+        return x
+    finite = "finite and " if hi == float("inf") else ""
+    interval = f"{'(' if lo_open else '['}{lo:.17g}, {hi:.17g}{')' if hi_open else ']'}"
+    raise OutOfRangeError(f"{name} must be {finite}in {interval}, got {x}")

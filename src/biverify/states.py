@@ -7,12 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .bases import _MAX_DIMENSION
 from .errors import (
     DimensionMismatchError,
     NegativeCoefficientError,
     OutOfRangeError,
     ZeroVectorError,
     _integer_arg,
+    _real_arg,
 )
 
 NORM_ATOL = 1e-12
@@ -74,6 +76,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer_arg("dimension", self.dim, 1))
         m = linalg.as_matrix(self.matrix)
         if m.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
@@ -108,8 +111,7 @@ def make_schmidt_state(raw, d: int | None = None) -> SchmidtState:
     c = linalg.real_array(raw, "amplitudes")
     if c.ndim != 1:
         raise DimensionMismatchError("amplitudes must be a flat list")
-    if d is None:
-        d = c.size
+    d = c.size if d is None else _integer_arg("local dimension", d, 2)
     if c.size != d:
         raise DimensionMismatchError(f"expected {d} amplitudes, got {c.size}")
     if not np.isfinite(c).all():
@@ -121,13 +123,12 @@ def make_schmidt_state(raw, d: int | None = None) -> SchmidtState:
     if norm == 0.0:
         raise ZeroVectorError("amplitudes are all zero")
     c = np.sort(c)[::-1] / norm
-    return SchmidtState(d=int(d), coeffs=c)
+    return SchmidtState(d=d, coeffs=c)
 
 
 def two_qubit_state(theta: float) -> SchmidtState:
     """Two-qubit target cos(theta)|00> + sin(theta)|11| for 0 < theta < pi/2."""
-    if not 0.0 < theta < math.pi / 2:
-        raise OutOfRangeError(f"theta must be in (0, pi/2), got {theta}")
+    theta = _real_arg("theta", theta, 0.0, math.pi / 2, lo_open=True, hi_open=True)
     return make_schmidt_state([math.cos(theta), math.sin(theta)])
 
 
@@ -164,8 +165,7 @@ def fidelity(rho: DensityOperator, state: SchmidtState) -> float:
 
 def depolarize(state: SchmidtState, lam: float) -> DensityOperator:
     """Depolarized target (1-lam)|Psi><Psi| + lam*I/D; fidelity (1-lam) + lam/D."""
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfRangeError(f"depolarizing weight must be in [0, 1], got {lam}")
+    lam = _real_arg("depolarizing weight", lam, 0.0, 1.0)
     dd = state.dim
     m = (1.0 - lam) * target_projector(state) + lam * np.eye(dd, dtype=complex) / dd
     return DensityOperator(dim=dd, matrix=m)
@@ -173,7 +173,7 @@ def depolarize(state: SchmidtState, lam: float) -> DensityOperator:
 
 def embed_state(state: SchmidtState, d_prime: int) -> SchmidtState:
     """Pad the Schmidt coefficients with zeros up to local dimension d_prime."""
-    d_prime = _integer_arg("target dimension", d_prime, state.d)
+    d_prime = _integer_arg("target dimension", d_prime, state.d, _MAX_DIMENSION)
     c = np.zeros(d_prime)
     c[: state.d] = state.coeffs
     return SchmidtState(d=d_prime, coeffs=c)
@@ -184,7 +184,7 @@ def embed_density(rho: DensityOperator, d_prime: int) -> DensityOperator:
     d = math.isqrt(rho.dim)
     if d * d != rho.dim:
         raise DimensionMismatchError(f"dimension {rho.dim} is not a perfect square")
-    d_prime = _integer_arg("target dimension", d_prime, d)
+    d_prime = _integer_arg("target dimension", d_prime, d, _MAX_DIMENSION)
     idx = (np.arange(d)[:, None] * d_prime + np.arange(d)[None, :]).ravel()
     out = np.zeros((d_prime * d_prime, d_prime * d_prime), dtype=complex)
     out[np.ix_(idx, idx)] = rho.matrix
@@ -199,8 +199,7 @@ def random_state_at_fidelity(
     Mixes the target projector with a random pure state drawn orthogonal to
     the target.
     """
-    if not 0.0 <= fid <= 1.0:
-        raise OutOfRangeError(f"fidelity must be in [0, 1], got {fid}")
+    fid = _real_arg("fidelity", fid, 0.0, 1.0)
     dd = state.dim
     psi = state_vector(state)
     chi = rng.standard_normal(dd) + 1j * rng.standard_normal(dd)
@@ -218,8 +217,7 @@ def worst_case_state(strategy, eps: float) -> DensityOperator:
     operator orthogonal to the target, so that tr(Omega sigma) = 1 - nu*eps
     is attained exactly.  Solves no eigenproblem: the build kept the vector.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise OutOfRangeError(f"infidelity must be in [0, 1], got {eps}")
+    eps = _real_arg("infidelity", eps, 0.0, 1.0)
     psi = state_vector(strategy.state)
     chi = strategy.beta_vector
     m = (1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(chi, chi.conj())

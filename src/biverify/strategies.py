@@ -24,7 +24,6 @@ affine function of fidelity and suits adversarially prepared states.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +33,6 @@ import numpy as np
 
 from . import analysis, linalg
 from .bases import (
-    _check_tolerance,
     _design,
     Basis,
     fourier_basis,
@@ -48,6 +46,7 @@ from .errors import (
     OutOfRangeError,
     SeparableStateError,
     TopEigenvalueError,
+    _real_arg,
 )
 from .states import SUPPORT_CUTOFF, SchmidtState, embed_state, state_vector
 
@@ -250,7 +249,7 @@ def _diagonal_acceptance(state: SchmidtState, p: float, kind: str) -> np.ndarray
     diagonal averaged over the kind's directions (zero on |jj>), which lies
     in [0, 1] iff p >= s/(1 + s) (``analysis._closed_form``): it cancels pi
     and makes Omega homogeneous."""
-    lo, p, _ = _closed_form(state, kind, analysis._mixing_p(p))
+    lo, p, _ = _closed_form(state, kind, _real_arg("mixing probability p", p))
     if not lo - 1e-12 <= p < 1.0:
         raise OutOfRangeError(
             f"mixing probability p={p} outside [{lo:.12g}, 1): acceptance "
@@ -362,12 +361,11 @@ def _checked_tests(state: SchmidtState, tests) -> tuple:
     tests = tuple(tests) if isinstance(tests, Iterable) else (tests,)
     if not all(
         isinstance(pair, (tuple, list)) and len(pair) == 2 and isinstance(pair[1], TestOperator)
-        and isinstance(pair[0], numbers.Real) and not isinstance(pair[0], bool)
         for pair in tests
     ):
-        raise OutOfRangeError("tests must be (probability, test) pairs of a real number, "
-                              "not a bool, and a ConditionalProjectorTest or RandomizedDiagonalTest")
-    tests = tuple((float(q), t) for q, t in tests)
+        raise OutOfRangeError("tests must be (probability, test) pairs of a real number "
+                              "and a ConditionalProjectorTest or RandomizedDiagonalTest")
+    tests = tuple((_real_arg("probability of a (probability, test) pair", q), t) for q, t in tests)
     if not tests:
         raise OutOfRangeError("a strategy needs at least one test")
     probs = np.array([q for q, _ in tests])
@@ -400,13 +398,14 @@ def optimal_p(state: SchmidtState, kind: str) -> float:
 
 
 def closed_form_beta(state: SchmidtState, label: str, p: float) -> float | None:
-    """The built strategy's ``beta`` for a built-in kind at a real ``p``,
-    not a bool (``analysis._closed_form``); None for any other label."""
+    """The built strategy's ``beta`` for a built-in kind at a real ``p`` in
+    [0, 1) (``analysis._closed_form``); None for any other label."""
     try:
         kind = _normalize_kind(label)
     except OutOfRangeError:
         return None
-    return _closed_form(state, kind, analysis._mixing_p(p))[2]
+    p = _real_arg("mixing probability p", p, 0.0, 1.0, hi_open=True)
+    return _closed_form(state, kind, p)[2]
 
 
 def _normalize_kind(kind) -> str:
@@ -571,7 +570,7 @@ def is_homogeneous(strategy: Strategy, tol: float = 1e-10) -> bool:
     beta I + (1 - beta) psi_i psi_i^T, psi_i the target on ``index[i]``:
     O(d^3) for the built-in kinds, with no d^2 x d^2 temporary.
     """
-    _check_tolerance(tol)
+    tol = _real_arg("tolerance", tol, 0.0, math.inf, hi_open=True)
     beta = strategy.beta
     psi = state_vector(strategy.state)[strategy.index]
     deviation = strategy.blocks - (1.0 - beta) * psi[:, :, None] * psi[:, None, :].conj()

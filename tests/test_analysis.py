@@ -1,6 +1,7 @@
 """Tests for the sample-complexity and fidelity-estimation formulas."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from biverify import (
     worst_case_pass_prob,
     worst_case_state,
 )
-from biverify.errors import OutOfRangeError
+from biverify import analysis
+from biverify.errors import OutOfRangeError, _real_arg
 
 
 class TestTestsNeeded:
@@ -63,6 +65,7 @@ class TestTestsNeeded:
         lambda: tests_needed_adversarial(0.3679, 1e-320, 0.1),
         lambda: tests_needed_adversarial(0.5, 0.01, 1e-320),
         lambda: tests_needed_adversarial(1e-320, 0.1, 0.1),
+        lambda: tests_needed_adversarial(1e-300, 1e-300, 0.5),
     ],
     ids=[
         "iid-one-minus-nu-eps-rounds-to-1",
@@ -70,6 +73,7 @@ class TestTestsNeeded:
         "adversarial-overflows",
         "adversarial-delta-overflows",
         "adversarial-underflows-to-0",
+        "adversarial-denominator-underflows-to-0",
     ],
 )
 def test_count_without_finite_positive_value_rejected(call):
@@ -96,6 +100,11 @@ class TestVerificationBudget:
     def test_invariants(self, kwargs):
         with pytest.raises(OutOfRangeError):
             VerificationBudget(**kwargs)
+
+    def test_stores_the_checked_floats(self):
+        budget = VerificationBudget(Fraction(1, 100), np.float32(0.5), np.int64(10))
+        assert (budget.epsilon, budget.delta, budget.n_tests) == (0.01, 0.5, 10)
+        assert type(budget.epsilon) is type(budget.delta) is float
 
 
 class TestAdversarialCounts:
@@ -236,3 +245,30 @@ class TestFigure1Table:
     def test_out_of_range_theta(self):
         with pytest.raises(OutOfRangeError):
             figure1_table([1.0], 0.01, 0.01)
+
+    def test_theta_that_is_no_number_refused(self):
+        with pytest.raises(OutOfRangeError, match="theta must be a real number, got 'x'"):
+            figure1_table([0.5, "x"], 0.01, 0.01)
+
+    def test_epsilon_and_delta_checked_once_per_table(self, monkeypatch):
+        """Each theta is checked, but epsilon and delta once for the table,
+        not once per count."""
+        names = []
+
+        def recorded(name, *args, **kwargs):
+            names.append(name)
+            return _real_arg(name, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_real_arg", recorded)
+        rows = figure1_table(figure1_grid(50), 0.01, 0.01)
+        assert len(rows) == 50
+        assert names.count("epsilon") == names.count("delta") == 1
+        assert set(names) == {"epsilon", "delta", "theta"}
+
+    def test_empty_grid_still_checks_epsilon_and_delta(self):
+        with pytest.raises(OutOfRangeError, match="epsilon"):
+            figure1_table([], 1.5, 0.01)
+
+    def test_grid_size_bounded(self):
+        with pytest.raises(OutOfRangeError, match="grid size must be <= 1000000"):
+            figure1_grid(10**6 + 1)
