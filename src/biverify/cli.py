@@ -148,9 +148,7 @@ def _load_json(path: str, what: str):
 
 
 def _load_density(path: str) -> states.DensityOperator:
-    import numpy as np
-
-    from . import states
+    from . import linalg, states
 
     data = _load_json(path, "noise file")
     if not isinstance(data, dict) or "real" not in data:
@@ -158,11 +156,12 @@ def _load_density(path: str) -> states.DensityOperator:
             f"noise file {path!r} must be a JSON object with a \"real\" matrix "
             "(and optionally \"imag\")"
         )
+    # a string, a ragged row or an entry no double holds is refused here
+    real = linalg.real_array(data["real"], f"noise file {path!r}")
+    imag = linalg.real_array(data.get("imag", 0.0), f"noise file {path!r}")
     try:
-        real = np.asarray(data["real"], dtype=float)
-        imag = np.asarray(data.get("imag", np.zeros_like(real)), dtype=float)
         matrix = real + 1j * imag
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise OutOfRangeError(f"noise file {path!r} holds no numeric matrix: {exc}") from exc
     return states.density_operator(matrix)
 

@@ -20,9 +20,24 @@ MAX_EIG_DIM = 4096
 GRAM_CHUNK = 16
 
 
+def _numeric(a, name: str) -> np.ndarray:
+    """``a`` as a numpy array of numbers: a ragged list, a string entry and
+    an entry no double holds (``10**400``) are refused, where numpy would
+    raise its own error or, for a numeric string, parse it."""
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind == "O":  # mixed Python numbers, or ints beyond int64
+            arr = arr.astype(complex)
+    except (ValueError, TypeError, OverflowError):
+        raise OutOfRangeError(f"{name} must be a rectangular array of numbers") from None
+    if arr.dtype.kind not in "biufc":
+        raise OutOfRangeError(f"{name} must hold numbers, got {arr.dtype} entries")
+    return arr
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array."""
-    m = np.asarray(a, dtype=complex)
+    m = _numeric(a, "matrix").astype(complex, copy=False)
     if m.ndim != 2:
         raise OutOfRangeError(f"expected a 2-D matrix, got array of shape {m.shape}")
     return m
@@ -31,7 +46,7 @@ def as_matrix(a) -> np.ndarray:
 def real_array(a, name: str) -> np.ndarray:
     """A float copy of ``a``; a complex entry with a nonzero imaginary part
     is refused, where numpy's cast would drop it with only a warning."""
-    arr = np.asarray(a)
+    arr = _numeric(a, name)
     if np.iscomplexobj(arr):
         if np.any(arr.imag != 0):
             raise OutOfRangeError(f"{name} must be real, got a nonzero imaginary part")

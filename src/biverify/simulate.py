@@ -2,9 +2,16 @@
 
 Each trial draws a test from the strategy's mixture, samples the measuring
 party's outcome by the Born rule, and accepts with the exact conditional
-probability (a trace ratio), which is statistically identical to simulating
-the partner's full binary measurement.  Randomized diagonal tests sample the
+probability, the joint pass probability <u_j v_j|sigma|u_j v_j> over the
+outcome's probability, which is statistically identical to simulating the
+partner's full binary measurement.  Randomized diagonal tests sample the
 joint standard-basis outcome and accept from the tabulated probabilities.
+
+Every probability is read off the source's factors (``DensityOperator``:
+a diagonal plus r kets), never off a dense d^2 x d^2 matrix.  A built-in
+strategy's design and Fourier tests are diag(row_l) F, so their tables come
+from the design's row table by one DFT over the d shift classes, O(r m d^2)
+for m rows, with no basis or test formed (``compile_tables``).
 
 The mixture and the outcome distributions are folded into one categorical
 distribution over (test, outcome) cells: cell (l, j) has weight q_l P_l(j)
@@ -25,23 +32,22 @@ bit-for-bit reproducible from its seed.  ``n_trials`` is at most
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import strategies
 from .analysis import fidelity_from_pass_rate
+from .bases import _phases
 from .errors import (
     DimensionMismatchError,
     NotHomogeneousError,
     OutOfRangeError,
     _integer_arg,
 )
-from .states import DensityOperator
+from .states import SUPPORT_CUTOFF, DensityOperator, _density_arg
 from .strategies import (
-    ConditionalProjectorTest,
     Direction,
     RandomizedDiagonalTest,
     Strategy,
@@ -49,6 +55,10 @@ from .strategies import (
 )
 
 PROB_FLOOR = 1e-300
+# complex entries of the largest temporary of one chunk of design rows
+# (``_row_tables``) and of sigma's kets (``exact_pass_rate``)
+_TABLE_CHUNK = 2**15
+_RATE_CHUNK = 2**11
 # numpy draws the counts as int64
 MAX_TRIALS = np.iinfo(np.int64).max
 
@@ -57,9 +67,9 @@ MAX_TRIALS = np.iinfo(np.int64).max
 class RunRecord:
     """Tally of one verification run.
 
-    ``exact_rate`` is tr(Omega sigma), computed from the matrices
-    independently of the sampled trials, and serves as the calibration
-    oracle for the empirical ``pass_rate``.
+    ``exact_rate`` is tr(Omega sigma), computed from Omega's blocks and the
+    source's factors independently of the sampled trials, and serves as the
+    calibration oracle for the empirical ``pass_rate``.
     """
 
     n_trials: int
@@ -88,66 +98,166 @@ def trial_rng(seed: int) -> np.random.Generator:
     )
 
 
-def _check_dimension(strategy: Strategy, sigma: DensityOperator) -> None:
+def _check_dimension(strategy: Strategy, sigma) -> DensityOperator:
+    sigma = _density_arg("sigma", sigma)
     if sigma.dim != strategy.state.dim:
         raise DimensionMismatchError(
             f"state dimension {sigma.dim} != strategy dimension {strategy.state.dim}"
         )
+    return sigma
 
 
-def _pair_pass_probabilities(rho: np.ndarray, tests):
-    """<x_j|sigma|x_j> over the pair-vector columns of each conditional test.
+def _oriented(sigma: DensityOperator, d: int, direction: Direction):
+    """sigma's diagonal as a d x d table and its kets as one (d, d, r)
+    array, the measuring party's index first, with the measuring party's
+    reduced state."""
+    diagonal = sigma._diagonal.reshape(d, d)
+    kets = sigma._kets.reshape(d, d, -1)
+    if direction is Direction.B_TO_A:
+        diagonal, kets = diagonal.T, kets.transpose(1, 0, 2)
+    reduced = np.einsum("abr,cbr->ac", kets, kets.conj())
+    reduced[np.diag_indices(d)] += diagonal.sum(axis=1)
+    return diagonal, kets, reduced
 
-    Yields one array per conditional test, in order.  The columns of
-    ``linalg.GRAM_CHUNK`` tests are stacked into one product ``sigma @ X``,
-    so only one chunk of vectors is held at a time.
+
+def _normalized(probs):
+    """Outcome probabilities clipped at 0, checked to sum to 1 within 1e-9
+    over the last axis, and normalized."""
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        raise OutOfRangeError(f"outcome probabilities sum to {total[off][0]:.12g}")
+    return probs / total
+
+
+def _conditional(probs, joint, supported):
+    """(probs, accept) of conditional tests from their outcome and joint pass
+    probabilities: the acceptance is joint / probs, clipped to [0, 1], on the
+    supported outcomes above ``PROB_FLOOR``, and 0 elsewhere."""
+    probs = np.clip(probs, 0.0, None)
+    accept = np.zeros_like(probs)
+    np.divide(joint, probs, out=accept, where=supported & (probs > PROB_FLOOR))
+    return _normalized(probs), np.clip(accept, 0.0, 1.0, out=accept)
+
+
+def _diagonal_table(sigma: DensityOperator, acceptance) -> tuple:
+    """A randomized diagonal test's table: <jk|sigma|jk> and its acceptance."""
+    kets = sigma._kets
+    probs = sigma._diagonal + np.einsum("kr,kr->k", kets, kets.conj()).real
+    return _normalized(probs), acceptance.ravel()
+
+
+def _conditional_table(basis, kets_v, supported, oriented):
+    """A conditional test of any basis u_j and conditional kets v_j, by one
+    contraction per factor: P(j) = <u_j|rho|u_j> and the joint pass
+    probability sum_r |<u_j v_j|y_r>|^2 + sum_ab g_ab |u_aj|^2 |v_bj|^2."""
+    diagonal, kets, reduced = oriented
+    probs = np.einsum("aj,ab,bj->j", basis.conj(), reduced, basis).real
+    d = len(basis)
+    partial = (basis.conj().T @ kets.reshape(d, -1)).reshape(kets.shape)  # (j, b, r)
+    amp = np.einsum("jbr,bj->jr", partial, kets_v.conj())
+    joint = np.einsum("jr,jr->j", amp, amp.conj()).real
+    joint += np.einsum("aj,ab,bj->j", np.abs(basis) ** 2, diagonal, np.abs(kets_v) ** 2)
+    return _conditional(probs, joint, supported)
+
+
+def _row_tables(rows, coeffs, oriented):
+    """The tables of the tests measuring diag(row_l) F, F the Fourier basis,
+    for every row l, as (L, d) arrays.
+
+    Outcome j's pair vector is sum_ab conj(row[a]) row[b] c_b w^{(a-b) j}
+    |ab> / sqrt(d), so its overlap with a ket y is the DFT over the shift
+    classes delta of t[delta] = sum_a conj(row[a]) row[a-delta] c_{a-delta}
+    y[a, a-delta], and P(j) is the DFT of the same sums over rho's classes,
+    with no c.  The diagonal part adds sum_ab g_ab c_b^2 / d to every joint
+    probability, since |row| = 1.  Rows are taken a chunk at a time, so the
+    (classes x rows x kets) products stay within ``_TABLE_CHUNK`` entries.
     """
-    conditional = (t for t in tests if isinstance(t, ConditionalProjectorTest))
-    while chunk := list(itertools.islice(conditional, linalg.GRAM_CHUNK)):
-        x = np.concatenate([test.pair_vectors() for test in chunk], axis=1)
-        values = np.einsum("ij,ij->j", x.conj(), rho @ x).real
-        sizes = [int(test.supported.sum()) for test in chunk]
-        yield from np.split(values, np.cumsum(sizes)[:-1])
+    diagonal, kets, reduced = oriented
+    n_rows, d = rows.shape
+    r = kets.shape[2]
+    a = np.arange(d)
+    shift = (a - a[:, None]) % d  # shift[delta, a] = a - delta mod d
+    # column k < r: c_{a-delta} y_k[a, a-delta]; column r: rho[a, a-delta]
+    classes = np.empty((d, d, r + 1), dtype=complex)
+    classes[:, :, :r] = kets[a, shift] * coeffs[shift][:, :, None]
+    classes[:, :, r] = reduced[a, shift]
+    dft = _phases(range(d), range(d), d).conj()
+    offset = float(np.sum(diagonal @ coeffs**2)) / d
+    probs = np.empty((n_rows, d))
+    joint = np.empty((n_rows, d))
+    step = max(1, _TABLE_CHUNK // (d * max(d, r + 1)))
+    for start in range(0, n_rows, step):
+        chunk = rows[start : start + step]
+        pairs = np.moveaxis(chunk.conj()[:, None, :] * chunk[:, shift], 1, 0)
+        sums = pairs @ classes  # (delta, row, column)
+        amp = (dft @ sums.reshape(d, -1)).reshape(d, len(chunk), r + 1)
+        probs[start : start + step] = amp[:, :, r].real.T / d
+        squares = amp.view(float).reshape(d, len(chunk), r + 1, 2)[:, :, :r]
+        joint[start : start + step] = np.einsum("jlkc,jlkc->lj", squares, squares) / d
+    joint += offset
+    return probs, joint
+
+
+def _built_in_tables(state, sigma: DensityOperator, mixture, oriented):
+    """``compile_tables`` of a built-in strategy from its closed-form
+    mixture (``strategies._mixture_of``): no basis or test is formed."""
+    d, c = state.d, state.coeffs
+    head, rows, q, directions = mixture
+    pvec, tables = [], []
+    if head is not None:
+        p, table = head
+        if table is None:  # the standard test
+            eye = np.eye(d)
+            supported = c**2 > SUPPORT_CUTOFF
+            tables.append(
+                _conditional_table(eye, eye * supported, supported, oriented[Direction.A_TO_B])
+            )
+        else:
+            tables.append(_diagonal_table(sigma, table))
+        pvec.append(p)
+    # every outcome of a phase-row test is supported: w_j = 1/d
+    per_direction = [_conditional(*_row_tables(rows, c, oriented[x]), True) for x in directions]
+    for row, q_row in enumerate(q):
+        for probs, accept in per_direction:
+            tables.append((probs[row], accept[row]))
+            pvec.append(q_row)
+    return np.array(pvec), tables
 
 
 def compile_tables(strategy: Strategy, sigma: DensityOperator):
     """Per-test sampling tables for a fixed (strategy, state) pair.
 
-    Returns the normalized mixture ``pvec`` and, per test, ``(probs,
-    accept)``: the outcome distribution and the per-outcome acceptance
-    probability.  A conditional test's outcome probabilities come from the
-    measuring party's reduced state (O(d^3) per test); its acceptance is the
-    joint pass probability <u_j v_j|sigma|u_j v_j> over the outcome
-    probability, the joint values computed a chunk of tests at a time.
+    Returns the normalized mixture ``pvec`` and, per test in the order of
+    ``strategy.tests``, ``(probs, accept)``: the outcome distribution and
+    the per-outcome acceptance probability, the joint pass probability
+    <u_j v_j|sigma|u_j v_j> over the outcome probability, both read off
+    sigma's factors.  A built-in strategy's design and Fourier tests come
+    from their phase rows by one DFT over the shift classes
+    (``_row_tables``), O(r m d^2) for r kets and m rows, and no test or
+    basis is formed; a custom mixture's tests take one contraction per test
+    and factor, O(r d^3).
     """
-    _check_dimension(strategy, sigma)
-    d = strategy.state.d
-    rho = sigma.matrix
-    sigma4 = rho.reshape(d, d, d, d)
-    reduced = {
-        Direction.A_TO_B: np.einsum("abcb->ac", sigma4),
-        Direction.B_TO_A: np.einsum("abad->bd", sigma4),
-    }
-    tests = [test for _, test in strategy.tests]
-    pair_pass = _pair_pass_probabilities(rho, tests)
+    sigma = _check_dimension(strategy, sigma)
+    oriented = {x: _oriented(sigma, strategy.state.d, x) for x in Direction}
+    mixture = strategies._mixture_of(strategy)
+    if mixture is not None:
+        pvec, tables = _built_in_tables(strategy.state, sigma, mixture, oriented)
+        return pvec / pvec.sum(), tables
     tables = []
-    for test in tests:
+    for _, test in strategy.tests:
         if isinstance(test, RandomizedDiagonalTest):
-            probs = np.clip(np.diag(rho).real, 0.0, None)
-            accept = test.acceptance.ravel()
+            tables.append(_diagonal_table(sigma, test.acceptance))
         else:
-            basis = test.measured_basis.vectors
-            marginal = reduced[test.direction] @ basis
-            probs = np.clip(np.einsum("aj,aj->j", basis.conj(), marginal).real, 0.0, None)
-            joint = np.zeros(d)
-            joint[test.supported] = next(pair_pass)
-            accept = np.zeros(d)
-            live = test.supported & (probs > PROB_FLOOR)
-            accept[live] = np.clip(joint[live] / probs[live], 0.0, 1.0)
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise OutOfRangeError(f"outcome probabilities sum to {total:.12g}")
-        tables.append((probs / total, accept))
+            tables.append(
+                _conditional_table(
+                    test.measured_basis.vectors,
+                    test.conditional_kets,
+                    test.supported,
+                    oriented[test.direction],
+                )
+            )
     pvec = np.array([q for q, _ in strategy.tests])
     return pvec / pvec.sum(), tables
 
@@ -159,9 +269,9 @@ def _cells(strategy: Strategy, sigma: DensityOperator) -> tuple[np.ndarray, np.n
     weights = np.concatenate([q * probs for q, (probs, _) in zip(pvec, tables)])
     accept = np.concatenate([acc for _, acc in tables])
     # The target's conditional states are exact, so its acceptances are 1, but
-    # the trace ratio can land a few ulps below; within d ulps they are taken
-    # as 1, so the target passes every trial.  A pass rate moves by at most
-    # d ulps.
+    # the ratio of joint to outcome probability can land a few ulps below;
+    # within d ulps they are taken as 1, so the target passes every trial.  A
+    # pass rate moves by at most d ulps.
     accept[accept >= 1.0 - strategy.state.d * np.finfo(float).eps] = 1.0
     return weights, accept
 
@@ -184,19 +294,23 @@ def _draw(
 
 
 def exact_pass_rate(strategy: Strategy, sigma: DensityOperator) -> float:
-    """tr(Omega sigma), the exact average pass probability, as the sum of
-    tr(B_i sigma_i) over Omega's blocks, clamped to [0, 1].  Round-off puts
-    the trace a few ulps above 1 on the target, and Omega's top eigenvalue is
-    1 to 1e-8, so the clamp hides no larger error than that."""
-    _check_dimension(strategy, sigma)
-    if len(strategy.blocks) == 1:
-        # a custom mixture's one block is Omega itself: trace it against sigma
-        # as it is, with no d^2 x d^2 copy
-        parts = sigma.matrix[None]
-    else:
-        index = strategy.index
-        parts = sigma.matrix[index[:, :, None], index[:, None, :]]
-    rate = float(np.einsum("kij,kji->", strategy.blocks, parts).real)
+    """tr(Omega sigma), the exact average pass probability, clamped to
+    [0, 1]: over Omega's blocks B_i, the sum of B_i's diagonal against
+    sigma's diagonal and of y^dagger B_i y over sigma's kets y restricted to
+    the block, a chunk of kets at a time.  Round-off puts the trace a few
+    ulps above 1 on the target, and Omega's top eigenvalue is 1 to 1e-8, so
+    the clamp hides no larger error than that."""
+    sigma = _check_dimension(strategy, sigma)
+    index, blocks = strategy.index, strategy.blocks
+    rate = float(np.einsum("kaa,ka->", blocks, sigma._diagonal[index]).real)
+    # one complex product, like the tables': a real one would page in the
+    # real BLAS kernels too, 0.2 MiB of peak RSS per process
+    blocks = blocks.astype(complex, copy=False)
+    kets = sigma._kets
+    step = max(1, _RATE_CHUNK // sigma.dim)
+    for start in range(0, kets.shape[1], step):
+        part = kets[:, start : start + step][index]  # (block, ket in block, ket)
+        rate += float(np.vdot(part, blocks @ part).real)
     return min(max(rate, 0.0), 1.0)
 
 

@@ -174,8 +174,9 @@ class Strategy:
     kinds (None for custom mixtures).
 
     ``tests`` are formed on first read by ``_form_tests``: none of the data
-    above depends on them, and only the sampling tables
-    (``simulate.compile_tables``) read them.
+    above depends on them, and the package reads them only for a custom
+    mixture's sampling tables (``simulate.compile_tables``); a built-in
+    strategy's tables come from ``_built_in_mixture``.
     """
 
     state: SchmidtState
@@ -428,17 +429,47 @@ def _head_diagonal(state: SchmidtState, kind: str, p: float) -> np.ndarray:
     return np.diag((state.coeffs**2 > SUPPORT_CUTOFF).astype(float)).ravel()
 
 
-def _built_in_tests(state, kind, p, design):
-    """A built-in strategy's (probability, test) pairs in mixing order: the
-    head test (none for II-IV at p = 0), then kind I's Fourier test
-    (``design`` is None) or the design's tests."""
+def _built_in_mixture(state, kind, p, design):
+    """A built-in strategy's mixture in test order, read off its closed form
+    without forming a test: ``(head, rows, q, directions)``.
+
+    ``head`` is None when there is no head test (II-IV at p = 0), else
+    ``(p, table)``, ``table`` the diagonal test's acceptance for V and VI and
+    None for the standard test.  The tail tests measure diag(rows[l]) F, F
+    the Fourier basis (kind I's one row is all ones), each row in every one
+    of ``directions`` in turn with probability ``q[l]``.
+    """
     if kind in ("V", "VI"):
-        head = ((p, RandomizedDiagonalTest(_diagonal_acceptance(state, p, kind))),)
+        head = (p, _diagonal_acceptance(state, p, kind))
     else:
-        head = () if p == 0.0 else ((p, standard_test(state)),)
+        head = None if p == 0.0 else (p, None)
+    if design is None:
+        return head, np.ones((1, state.d), dtype=complex), [1.0 - p], (Direction.A_TO_B,)
+    directions = tuple(Direction)[: 1 + (kind in ("IV", "VI"))]
+    return head, design.rows, _design_probabilities(state, design, 1.0 - p, directions), directions
+
+
+def _built_in_tests(state, kind, p, design):
+    """A built-in strategy's (probability, test) pairs in the order of
+    ``_built_in_mixture``: the head test (none for II-IV at p = 0), then
+    kind I's Fourier test (``design`` is None) or the design's tests."""
+    head = _built_in_mixture(state, kind, p, design)[0]
+    if head is None:
+        head = ()
+    elif head[1] is None:
+        head = ((p, standard_test(state)),)
+    else:
+        head = ((p, RandomizedDiagonalTest(head[1])),)
     if design is None:
         return (*head, (1.0 - p, test_projector(state, fourier_basis(state.d))))
     return (*head, *_design_tests(state, design, 1.0 - p, kind in ("IV", "VI")))
+
+
+def _design_probabilities(state, design, total, directions) -> list[float]:
+    """Each design basis's probability in every one of ``directions``, so
+    that the tests realize ``total`` Pi averaged over the directions."""
+    share = (state.d + 1) / state.d / len(directions)
+    return [total * share * float(weight) for weight in design.weights[1:]]
 
 
 def _design_tests(state, design, total, two_way):
@@ -446,12 +477,21 @@ def _design_tests(state, design, total, two_way):
     ``two_way``) from a certified built-in design, one per basis and
     direction; a test derives its conditional kets on demand."""
     directions = tuple(Direction)[: 1 + two_way]
-    share = (state.d + 1) / state.d / len(directions)
-    tests = []
-    for weight, basis in zip(design.weights[1:], design.basis_set.bases[1:]):
-        q = total * share * float(weight)
-        tests.extend((q, ConditionalProjectorTest(x, basis, state)) for x in directions)
-    return tests
+    q = _design_probabilities(state, design, total, directions)
+    return [
+        (q_l, ConditionalProjectorTest(x, basis, state))
+        for q_l, basis in zip(q, design.basis_set.bases[1:])
+        for x in directions
+    ]
+
+
+def _mixture_of(strategy: Strategy):
+    """``_built_in_mixture`` of a built-in strategy, read from its test
+    factory; None for a custom mixture."""
+    form = strategy._form_tests
+    if isinstance(form, partial) and form.func is _built_in_tests:
+        return _built_in_mixture(*form.args)
+    return None
 
 
 def build_strategy(

@@ -20,46 +20,54 @@ from biverify import ConditionalProjectorTest, Direction, RandomizedDiagonalTest
 from biverify.states import SUPPORT_CUTOFF
 
 
-def outcome_terms(test):
-    """For each outcome j of a conditional test, |u_j><u_j| and the test's
-    term |u_j><u_j| x |v_j><v_j| (swapped for B -> A), None for an outcome
-    whose weight w_j is not above ``SUPPORT_CUTOFF``."""
+def outcome_kets(test):
+    """For each outcome j of a conditional test, u_j and the conditional ket
+    v_j, None for an outcome whose weight w_j is not above
+    ``SUPPORT_CUTOFF``."""
     c = test.state.coeffs
     for u in test.measured_basis.vectors.T:
-        pi_u = np.outer(u, u.conj())
         v = c * u.conj()
         weight = float(np.vdot(v, v).real)
-        if weight <= SUPPORT_CUTOFF:
-            yield pi_u, None
-            continue
-        v = v / np.sqrt(weight)
-        pi_v = np.outer(v, v.conj())
-        yield pi_u, np.kron(pi_u, pi_v) if test.direction is Direction.A_TO_B else np.kron(pi_v, pi_u)
+        yield u, (v / np.sqrt(weight) if weight > SUPPORT_CUTOFF else None)
+
+
+def _pair(test, first, second):
+    """first x second, swapped for B -> A."""
+    return np.kron(first, second) if test.direction is Direction.A_TO_B else np.kron(second, first)
 
 
 def operator(test):
-    """The test's operator: the sum of its outcome terms, or the diagonal
-    test's table on the diagonal."""
+    """The test's operator: the sum of its outcome terms |u_j><u_j| x
+    |v_j><v_j| (swapped for B -> A), or the diagonal test's table on the
+    diagonal."""
     if isinstance(test, RandomizedDiagonalTest):
         return np.diag(test.acceptance.ravel()).astype(complex)
-    return sum(term for _, term in outcome_terms(test) if term is not None)
+    return sum(
+        np.outer(x, x.conj())
+        for x in (_pair(test, u, v) for u, v in outcome_kets(test) if v is not None)
+    )
 
 
 def outcome_tables(test, rho):
     """The test's outcome probabilities and acceptances on the density
     matrix ``rho``, outcome by outcome: tr[M_j rho] for the measuring
-    party's projector M_j = |u_j><u_j| x I (I x |u_j><u_j| for B -> A) and
-    tr[P_j rho] / tr[M_j rho] for the outcome's term P_j, 0 where the
+    party's projector M_j = |u_j><u_j| x I (I x |u_j><u_j| for B -> A),
+    summed over the partner's standard basis, and <u_j v_j|rho|u_j v_j> /
+    tr[M_j rho] for the outcome's term (|v_j u_j> for B -> A), 0 where the
     outcome has no term; for a diagonal test, the diagonal of ``rho`` and
     the table."""
     if isinstance(test, RandomizedDiagonalTest):
         return np.diag(rho).real, test.acceptance.ravel()
     eye = np.eye(test.d)
     probs, accept = [], []
-    for pi_u, term in outcome_terms(test):
-        marginal = np.kron(pi_u, eye) if test.direction is Direction.A_TO_B else np.kron(eye, pi_u)
-        probs.append(np.trace(marginal @ rho).real)
-        accept.append(0.0 if term is None else np.trace(term @ rho).real / probs[-1])
+    for u, v in outcome_kets(test):
+        m = _pair(test, u[:, None], eye)
+        probs.append(float(np.vdot(m, rho @ m).real))
+        if v is None:
+            accept.append(0.0)
+        else:
+            x = _pair(test, u, v)
+            accept.append(float(np.vdot(x, rho @ x).real) / probs[-1])
     return np.array(probs), np.array(accept)
 
 

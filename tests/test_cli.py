@@ -611,6 +611,23 @@ class TestMalformedInput:
         self.assert_validation_error(code, err)
         assert "DimensionMismatchError" in err and "(3, 4)" in err
 
+    @pytest.mark.parametrize(
+        "entry", ["0.25", 10**400, [0.25]], ids=["numeric-string", "huge", "ragged"]
+    )
+    def test_noise_file_entry_that_is_no_number(self, entry, tmp_path, capsys):
+        """Every entry of a noise file is a JSON number: a numeric string,
+        an int no double holds and a ragged row are refused, not cast."""
+        noise = tmp_path / "rho.json"
+        real = np.diag([0.25] * 4).tolist()
+        real[0][0] = entry
+        noise.write_text(json.dumps({"real": real}))
+        code, _, err = run_cli(
+            ["simulate", "--theta", "0.5", "--strategy", "V", "--noise", f"file:{noise}"],
+            capsys,
+        )
+        self.assert_validation_error(code, err)
+        assert "noise file" in err
+
     def test_noise_file_without_real_part(self, tmp_path, capsys):
         noise = tmp_path / "rho.json"
         noise.write_text(json.dumps({"imag": np.zeros((4, 4)).tolist()}))

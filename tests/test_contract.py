@@ -82,7 +82,8 @@ from biverify import (
 )
 from biverify.bases import _MAX_DESIGN_SIZE, _MAX_DIMENSION
 from biverify.cli import JobConfig, build_parser, main
-from biverify.errors import BiverifyError
+from biverify.errors import BiverifyError, OutOfRangeError
+from biverify.simulate import compile_tables
 
 # seconds a call may take before it counts as a hang
 TIME_LIMIT = 5.0
@@ -318,6 +319,39 @@ def test_bounds_fit_the_int64_exponent_table():
 def test_size_above_its_bound_refused(call, message):
     with time_limit(TIME_LIMIT), pytest.raises(BiverifyError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call", [make_schmidt_state, density_operator])
+@pytest.mark.parametrize(
+    "entries",
+    [["a", "b"], [HUGE, 1.0], [[1.0], [1.0, 2.0]]],
+    ids=["string", "huge", "ragged"],
+)
+def test_list_entry_numpy_cannot_cast_is_refused(call, entries):
+    """A list entry that is no number numpy can cast (a string, even a
+    numeric one, an int no double holds, a ragged row) is refused as out of
+    range, not left to numpy's own error."""
+    with pytest.raises(OutOfRangeError):
+        call([entries, entries] if call is density_operator else entries)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sigma: run_verification(STRAT_V, sigma, 100),
+        lambda sigma: estimate_fidelity(STRAT_V, sigma, 100),
+        lambda sigma: compile_tables(STRAT_V, sigma),
+        lambda sigma: exact_pass_rate(STRAT_V, sigma),
+        lambda sigma: fidelity(sigma, S2),
+        lambda sigma: embed_density(sigma, 3),
+    ],
+    ids=["run_verification", "estimate_fidelity", "compile_tables", "exact_pass_rate",
+         "fidelity", "embed_density"],
+)
+@pytest.mark.parametrize("sigma", [RHO2.matrix, None, "rho"], ids=["matrix", "none", "str"])
+def test_state_that_is_no_density_operator_is_refused(call, sigma):
+    with pytest.raises(OutOfRangeError, match="must be a DensityOperator"):
+        call(sigma)
 
 
 def test_sizes_at_their_bounds_answer(capsys):

@@ -1,20 +1,25 @@
 """Tests for the Monte Carlo simulator and fidelity estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from biverify import (
+    Basis,
+    ConditionalProjectorTest,
     Direction,
     assemble_strategy,
     build_strategy,
     density_operator,
     depolarize,
+    embed_density,
     estimate_fidelity,
     exact_pass_rate,
     fidelity,
     make_schmidt_state,
+    min_design_size,
     random_state_at_fidelity,
     run_verification,
     standard_test,
@@ -442,6 +447,20 @@ class TestPassThresholds:
         weights, accept = _cells(strat, sigma)
         assert np.all(accept[weights > 0.0] == 1.0)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", [7, 9, 16])
+    def test_target_passes_for_sure_in_either_form(self, d, kind):
+        """The target given densely is factored on its nonzero rows, so no
+        rounding gives a rejecting cell weight, and given as factors it is
+        its one ket: either way every cell that can be drawn passes."""
+        rng = np.random.default_rng(d)
+        state = make_schmidt_state(np.concatenate((rng.uniform(0.05, 1.0, d - 1), [0.0])))
+        strat = build_strategy(state, kind)
+        dense_target = density_operator(target_projector(strat.state))
+        for sigma in (dense_target, depolarize(strat.state, 0.0)):
+            weights, accept = _cells(strat, sigma)
+            assert np.all(accept[weights > 0.0] == 1.0)
+
 
 def _table_cases():
     rng = np.random.default_rng(1905)
@@ -468,6 +487,92 @@ class TestCompileTablesOracle:
             want_probs, want_accept = dense.outcome_tables(test, sigma.matrix)
             assert np.abs(probs - want_probs).max() <= 1e-12
             assert np.abs(accept - want_accept).max() <= 1e-12
+
+
+def _grid_targets():
+    """Zero-tail and near-product targets at composite d = 6 and 12 (Roy-Scott
+    rows), prime d = 5 and 13 (MUB rows) and d = 4; kind II embeds d = 4, 6
+    and 12 into 5, 7 and 13."""
+    targets = {}
+    for d in (4, 5, 6, 12, 13):
+        raw = np.arange(d, 0, -1.0)
+        targets[f"d{d}-zero-tail"] = make_schmidt_state(np.concatenate((raw[:-2], [0.0, 0.0])))
+        targets[f"d{d}-near-product"] = make_schmidt_state(np.concatenate(([1.0], 1e-6 * raw[1:])))
+    return targets
+
+
+GRID_TARGETS = _grid_targets()
+
+
+def _grid_sources(state, strat):
+    """The depolarized target, the worst-case state, a random rank-2 state at
+    fidelity 0.8 and a random full-rank state, the first, third and fourth
+    made on the target's own space and embedded into the strategy's."""
+    rng = np.random.default_rng(state.d)
+    sources = {
+        "depolarized": depolarize(state, 0.2),
+        "random-rank-2": random_state_at_fidelity(state, 0.8, rng),
+        "full-rank": _random_density(state.dim, rng),
+    }
+    if strat.state.d != state.d:
+        sources = {name: embed_density(s, strat.state.d) for name, s in sources.items()}
+    return {**sources, "worst-case": worst_case_state(strat, 0.1)}
+
+
+class TestCompileTablesOracleGrid:
+    """The tables of every built-in kind match the dense oracle to 1e-12 on
+    factored and dense sources, embedded ones included.  Three tests a
+    strategy are checked against the oracle: the head and the first and last
+    tail tests, which cover both directions of IV and VI."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("name", sorted(GRID_TARGETS))
+    def test_tables_match_the_dense_oracle(self, name, kind):
+        state = GRID_TARGETS[name]
+        strat = build_strategy(state, kind)
+        tests = strat.tests
+        checked = sorted({0, 1, len(tests) - 1})
+        for source, sigma in _grid_sources(state, strat).items():
+            _, tables = compile_tables(strat, sigma)
+            assert len(tables) == len(tests)
+            for i in checked:
+                probs, accept = tables[i]
+                want_probs, want_accept = dense.outcome_tables(tests[i][1], sigma.matrix)
+                assert np.abs(probs - want_probs).max() <= 1e-12, (source, i)
+                assert np.abs(accept - want_accept).max() <= 1e-12, (source, i)
+
+
+def test_run_verification_holds_no_dense_state_and_forms_no_basis(monkeypatch):
+    """At d = 24, kind VI, a run on the depolarized target allocates less
+    than one d^2 x d^2 complex matrix (5.3 MB) and constructs no Basis and no
+    test: the source is its factors and the tables come from the design's
+    row table.  Reading ``tests`` afterwards forms them as before."""
+    d = 24
+    state = make_schmidt_state(np.arange(d, 0, -1.0))
+    strat = build_strategy(state, "VI")
+    sigma = depolarize(state, 0.1)
+    formed = []
+    for cls in (Basis, ConditionalProjectorTest):
+
+        def counted(self, *args, _real=cls.__init__, _cls=cls, **kwargs):
+            formed.append(_cls)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    tracemalloc.start()
+    try:
+        record = run_verification(strat, sigma, 10**5, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert formed == []
+    assert peak < (d * d) ** 2 * np.dtype(complex).itemsize
+    assert abs(record.pass_rate - record.exact_rate) <= 5 * record.std_err
+    fresh = build_strategy(state, "VI").tests
+    assert len(strat.tests) == len(fresh) == 1 + 2 * (min_design_size(d) - 1)
+    for (q, test), (q_fresh, test_fresh) in zip(strat.tests[1:], fresh[1:]):
+        assert q == q_fresh and test.direction is test_fresh.direction
+        assert np.array_equal(test.measured_basis.vectors, test_fresh.measured_basis.vectors)
 
 
 class TestEstimateFidelity:

@@ -288,6 +288,79 @@ class TestDensityOperatorValidation:
         with pytest.raises(OutOfRangeError):
             density_operator(m)
 
+    def test_eigenvalue_just_below_the_psd_tolerance_refused(self):
+        """The eigensolve that factors a dense input still refuses an
+        eigenvalue below -PSD_ATOL, with the same message; one above it is
+        accepted and held as the input's positive part."""
+        message = r"smallest eigenvalue -2.000e-10 is below -1e-10"
+        with pytest.raises(OutOfRangeError, match=message):
+            density_operator(np.diag([1.0 + 2e-10, -2e-10, 0.0, 0.0]))
+        rho = density_operator(np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]))
+        assert np.abs(rho.matrix - np.diag([1.0 + 5e-11, 0.0, 0.0, 0.0])).max() <= 1e-15
+
+
+class TestFactoredStates:
+    """The states the package builds are held as a diagonal plus kets; the
+    matrix formed from them on first read is the dense formula."""
+
+    S = make_schmidt_state([3.0, 2.0, 1.0, 0.5])
+
+    @staticmethod
+    def _outer(v):
+        return np.outer(v, v.conj())
+
+    def test_depolarize(self):
+        psi = state_vector(self.S)
+        want = 0.7 * self._outer(psi) + 0.3 * np.eye(16) / 16
+        assert np.abs(depolarize(self.S, 0.3).matrix - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["I", "II", "V"])
+    def test_worst_case_state(self, kind):
+        strategy = build_strategy(self.S, kind)
+        psi, chi = state_vector(strategy.state), strategy.beta_vector
+        want = 0.9 * self._outer(psi) + 0.1 * self._outer(chi)
+        assert np.abs(worst_case_state(strategy, 0.1).matrix - want).max() <= 1e-15
+
+    def test_random_state_at_fidelity(self):
+        psi = state_vector(self.S)
+        rng = np.random.default_rng(5)
+        chi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        chi -= psi * (psi.conj() @ chi)
+        chi /= np.linalg.norm(chi)
+        want = 0.8 * self._outer(psi) + 0.2 * self._outer(chi)
+        sigma = random_state_at_fidelity(self.S, 0.8, np.random.default_rng(5))
+        assert np.abs(sigma.matrix - want).max() <= 1e-15
+
+    def test_embed_density(self):
+        rho = depolarize(self.S, 0.3)
+        idx = (np.arange(4)[:, None] * 6 + np.arange(4)).ravel()
+        want = np.zeros((36, 36), dtype=complex)
+        want[np.ix_(idx, idx)] = rho.matrix
+        assert np.abs(embed_density(rho, 6).matrix - want).max() <= 1e-15
+
+    def test_reduced_state_b(self):
+        want = np.diag(self.S.coeffs**2)
+        assert np.abs(reduced_state_b(self.S).matrix - want).max() <= 1e-15
+
+    def test_matrix_formed_once_and_frozen(self):
+        rho = depolarize(self.S, 0.3)
+        assert rho.matrix is rho.matrix
+        assert not rho.matrix.flags.writeable
+        with pytest.raises(AttributeError):
+            rho.dim = 9
+
+    def test_dense_input_keeps_its_rank(self):
+        """A dense input is factored by eigh; eigenvalues at rounding level
+        are dropped, so the target projector is held as one ket."""
+        rho = density_operator(target_projector(self.S))
+        assert rho._kets.shape == (16, 1)
+        assert np.abs(rho.matrix - target_projector(self.S)).max() <= 1e-15
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        m = g @ g.conj().T
+        m /= np.trace(m).real
+        assert np.abs(density_operator(m).matrix - m).max() <= 1e-15
+
 
 class TestWorstCaseState:
     @pytest.mark.parametrize(
