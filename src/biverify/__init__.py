@@ -32,16 +32,14 @@ _EXPORTS = {
         "Basis",
         "WeightedBasisSet",
         "fourier_basis",
-        "is_prime",
         "is_unbiased",
-        "min_design_size",
-        "next_prime",
         "prime_mub_set",
         "random_unbiased_basis",
         "roy_scott_set",
         "standard_basis",
         "verify_2design",
     ),
+    "designs": ("is_prime", "min_design_size", "next_prime"),
     "errors": ("BiverifyError",),
     "linalg": ("eig_hermitian",),
     "simulate": (

@@ -13,11 +13,14 @@ d = 2, ``--theta T`` is sugar for ``--schmidt cos(T),sin(T)``.  Exit codes:
 0 success, 1 failed check, 2 validation error or refused allocation
 (MemoryError), 3 I/O error.
 
-Only the closed-form ``analysis`` layer loads with this module, so
-``figure1``, ``--help`` and usage errors run without numpy; a numeric
-command imports the modules it calls inside the command and calls through
-their attributes (``states.depolarize``), so a wrapper installed on a
-module function is the one called.
+Only the numpy-free ``analysis`` and ``designs`` layers load with this
+module, so ``figure1``, ``check-design``, ``analyze``, ``--help`` and usage
+errors run without numpy: ``analyze`` prints a built-in strategy's scalar
+record (``analysis._strategy_record``) and ``check-design`` certifies a
+design from its integer table.  ``simulate`` and ``estimate-fidelity``
+import the modules they call inside the command and call through their
+attributes (``states.depolarize``), so a wrapper installed on a module
+function is the one called.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
-from . import analysis
+from . import analysis, designs
 from .errors import BiverifyError, OutOfRangeError, _integer_arg, _real_arg
 
 if TYPE_CHECKING:
@@ -89,25 +92,33 @@ class JobConfig:
                 _check_config_value(f"config field {field.name!r}", kind, value)
         return cls(**data)
 
-    def target_state(self) -> states.SchmidtState:
-        from . import states
-
+    def target_amplitudes(self) -> list[float]:
+        """The target's Schmidt coefficients, sorted and normalized, with no
+        numpy (``analysis._unit_amplitudes``)."""
         if (self.schmidt is None) == (self.theta is None):
             raise OutOfRangeError("exactly one of schmidt or theta must be given")
         if self.theta is not None:
             if self.d not in (None, 2):
                 raise OutOfRangeError("theta shorthand implies d = 2")
-            return states.two_qubit_state(self.theta)
-        return states.make_schmidt_state(self.schmidt, self.d)
+            return analysis._two_qubit_amplitudes(self.theta)
+        return analysis._unit_amplitudes(self.schmidt, self.d)
+
+    def target_state(self) -> states.SchmidtState:
+        from . import states
+
+        coeffs = self.target_amplitudes()
+        return states.SchmidtState(len(coeffs), coeffs)
+
+    def _kind(self) -> str:
+        if not self.strategy:
+            raise OutOfRangeError("a strategy kind (I..VI) is required")
+        return self.strategy
 
     def build_strategy(self) -> strategies.Strategy:
         from . import strategies
 
-        if not self.strategy:
-            raise OutOfRangeError("a strategy kind (I..VI) is required")
-        return strategies.build_strategy(
-            self.target_state(), self.strategy, p=self.p, m=self.m
-        )
+        kind = self._kind()
+        return strategies.build_strategy(self.target_state(), kind, p=self.p, m=self.m)
 
     def noise_state(self, strategy: strategies.Strategy) -> states.DensityOperator:
         """Density operator of the source, embedded if the strategy was."""
@@ -194,33 +205,29 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _strategy_summary(strategy: strategies.Strategy) -> dict:
-    from . import strategies
-
+def _strategy_summary(record: analysis._StrategyRecord) -> dict:
     return {
-        "label": strategy.label,
-        "d": strategy.state.d,
-        "p": strategy.p,
-        "beta": strategy.beta,
-        "nu": strategy.nu,
-        "homogeneous": strategies.is_homogeneous(strategy),
+        "label": record.label,
+        "d": record.d,
+        "p": record.p,
+        "beta": record.beta,
+        "nu": 1.0 - record.beta,
+        "homogeneous": record.deviation <= analysis._HOMOGENEITY_ATOL,
     }
 
 
 def cmd_analyze(args) -> int:
-    from . import strategies
-
     config = _config_from_args(args)
-    state = config.target_state()
-    strategy = config.build_strategy()
-    n_iid = analysis.tests_needed(strategy.nu, config.epsilon, config.delta)
+    coeffs = config.target_amplitudes()
+    record = analysis._strategy_record(config._kind(), coeffs, config.p, config.m)
+    summary = _strategy_summary(record)
+    n_iid = analysis.tests_needed(summary["nu"], config.epsilon, config.delta)
     n_adv = (
-        analysis.tests_needed_adversarial(strategy.beta, config.epsilon, config.delta)
-        if strategy.beta > 0.0
+        analysis.tests_needed_adversarial(record.beta, config.epsilon, config.delta)
+        if record.beta > 0.0
         else None
     )
-    summary = _strategy_summary(strategy)
-    summary["optimal_p"] = strategies.optimal_p(strategy.state, strategy.label)
+    summary["optimal_p"] = record.optimal_p
     payload = {
         "config": config.to_dict(),
         "analysis": {
@@ -234,12 +241,13 @@ def cmd_analyze(args) -> int:
     if args.json:
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
+    d = len(coeffs)
     lines = [
-        f"strategy {strategy.label} for d={state.d}"
-        + (f" (embedded into d={strategy.state.d})" if strategy.state.d != state.d else ""),
-        f"p = {strategy.p:.17g} (optimal {summary['optimal_p']:.17g})",
-        f"beta = {strategy.beta:.17g}",
-        f"nu = {strategy.nu:.17g}",
+        f"strategy {record.label} for d={d}"
+        + (f" (embedded into d={record.d})" if record.d != d else ""),
+        f"p = {record.p:.17g} (optimal {record.optimal_p:.17g})",
+        f"beta = {record.beta:.17g}",
+        f"nu = {summary['nu']:.17g}",
         f"homogeneous = {summary['homogeneous']}",
         f"tests needed (epsilon={config.epsilon:g}, delta={config.delta:g}): {n_iid}",
         "tests needed, adversarial source: "
@@ -263,11 +271,8 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_check_design(args) -> int:
-    from . import bases
-
-    tol = bases.DESIGN_ATOL if args.tol is None else args.tol
-    tol = _real_arg("tolerance", tol, 0.0, math.inf, hi_open=True)
-    design = bases._design(args.d, args.m)
+    tol = _real_arg("tolerance", args.tol, 0.0, math.inf, hi_open=True)
+    design = designs._design(args.d, args.m)
     residual = design.residual()
     ok = residual <= tol
     status = "PASS" if ok else "FAIL"
@@ -288,7 +293,7 @@ def cmd_simulate(args) -> int:
     record = simulate.run_verification(strategy, sigma, config.trials, config.seed)
     payload = {
         "config": config.to_dict(),
-        "strategy": _strategy_summary(strategy),
+        "strategy": _strategy_summary(strategy._record),
         "record": asdict(record),
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -304,7 +309,7 @@ def cmd_estimate_fidelity(args) -> int:
     estimate = simulate.estimate_fidelity(strategy, sigma, config.trials, config.seed)
     payload = {
         "config": config.to_dict(),
-        "strategy": _strategy_summary(strategy),
+        "strategy": _strategy_summary(strategy._record),
         "record": asdict(estimate.record),
         "estimate": {"f_hat": estimate.f_hat, "std_err": estimate.std_err},
     }
@@ -359,9 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chk.add_argument("--d", type=int, required=True)
     p_chk.add_argument("--m", type=int, default=None)
-    # None stands for bases.DESIGN_ATOL, read in the command so that --help
-    # loads no numpy
-    p_chk.add_argument("--tol", type=float, default=None)
+    p_chk.add_argument("--tol", type=float, default=designs.DESIGN_ATOL)
     p_chk.set_defaults(func=cmd_check_design)
 
     p_sim = sub.add_parser(

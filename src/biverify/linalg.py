@@ -18,6 +18,9 @@ MAX_EIG_DIM = 4096
 # Blocks stacked into one matrix product by weighted_gram: large enough for
 # BLAS to run at full speed, small enough that the stack stays a few MiB.
 GRAM_CHUNK = 16
+# complex entries of one row block that require_hermitian compares with its
+# transpose: 1 MiB per temporary
+_HERMITIAN_BLOCK = 2**16
 
 
 def _numeric(a, name: str) -> np.ndarray:
@@ -73,12 +76,24 @@ def weighted_gram(blocks, dim: int) -> np.ndarray:
 
 def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """``h`` as a complex matrix, after checking that it is square, finite and
-    Hermitian within ``atol`` in max-norm."""
+    Hermitian within ``atol`` in max-norm.  Rows are compared with the
+    matching columns a block at a time, so no temporary is as large as
+    ``h``."""
     h = as_matrix(h)
     if not np.isfinite(h).all():
         raise OutOfRangeError("matrix entries must be finite")
-    square = h.shape[0] == h.shape[1]
-    defect = float(np.abs(h - h.conj().T).max()) if square else float("inf")
+    n = h.shape[0]
+    if n != h.shape[1]:
+        defect = float("inf")
+    else:
+        step = max(1, _HERMITIAN_BLOCK // max(n, 1))
+        defect = max(
+            (
+                float(np.abs(h[i : i + step] - h[:, i : i + step].conj().T).max())
+                for i in range(0, n, step)
+            ),
+            default=0.0,
+        )
     if defect > atol:
         raise NonHermitianError(
             f"max |H - H^dagger| = {defect:.3e} exceeds tolerance {atol:.1e}"

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .bases import _MAX_DIMENSION
+from . import analysis, linalg
+from .analysis import SUPPORT_CUTOFF
+from .designs import _MAX_DIMENSION
 from .errors import (
     DimensionMismatchError,
     NegativeCoefficientError,
     OutOfRangeError,
-    ZeroVectorError,
     _integer_arg,
     _real_arg,
 )
@@ -27,8 +27,6 @@ from .errors import (
 NORM_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
-# support weights below the smallest normal double lose the unit conditional ket
-SUPPORT_CUTOFF = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,33 +168,20 @@ def density_operator(matrix) -> DensityOperator:
 def make_schmidt_state(raw, d: int | None = None) -> SchmidtState:
     """Build a SchmidtState from raw non-negative amplitudes.
 
-    The amplitudes are sorted in decreasing order and L2-normalized; exact
-    zeros are preserved.  They are first scaled by the power of two that
-    brings the largest into [1/2, 1), which is exact, so the square sum
-    neither overflows nor underflows and a finite input keeps its bits.
+    The amplitudes are sorted in decreasing order and L2-normalized by
+    ``analysis._unit_amplitudes``, the normalizer ``analyze`` reads too;
+    exact zeros are preserved.
     """
     c = linalg.real_array(raw, "amplitudes")
     if c.ndim != 1:
         raise DimensionMismatchError("amplitudes must be a flat list")
-    d = c.size if d is None else _integer_arg("local dimension", d, 2)
-    if c.size != d:
-        raise DimensionMismatchError(f"expected {d} amplitudes, got {c.size}")
-    if not np.isfinite(c).all():
-        raise OutOfRangeError("amplitudes must be finite")
-    if np.any(c < 0):
-        raise NegativeCoefficientError("amplitudes must be >= 0")
-    c = np.ldexp(c, -np.frexp(c.max(initial=0.0))[1])
-    norm = float(np.linalg.norm(c))
-    if norm == 0.0:
-        raise ZeroVectorError("amplitudes are all zero")
-    c = np.sort(c)[::-1] / norm
-    return SchmidtState(d=d, coeffs=c)
+    c = analysis._unit_amplitudes(c.tolist(), d)
+    return SchmidtState(d=len(c), coeffs=c)
 
 
 def two_qubit_state(theta: float) -> SchmidtState:
     """Two-qubit target cos(theta)|00> + sin(theta)|11| for 0 < theta < pi/2."""
-    theta = _real_arg("theta", theta, 0.0, math.pi / 2, lo_open=True, hi_open=True)
-    return make_schmidt_state([math.cos(theta), math.sin(theta)])
+    return SchmidtState(d=2, coeffs=analysis._two_qubit_amplitudes(theta))
 
 
 def state_vector(state: SchmidtState) -> np.ndarray:

@@ -31,20 +31,13 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from . import analysis, linalg
-from .bases import (
-    _design,
-    Basis,
-    fourier_basis,
-    is_prime,
-    next_prime,
-    standard_basis,
-)
+from . import analysis, bases, linalg
+from .analysis import STRATEGY_KINDS, _normalize_kind
+from .bases import Basis, fourier_basis, standard_basis
 from .errors import (
     DesignMismatchError,
     DimensionMismatchError,
     OutOfRangeError,
-    SeparableStateError,
     TopEigenvalueError,
     _real_arg,
 )
@@ -52,8 +45,6 @@ from .states import SUPPORT_CUTOFF, SchmidtState, embed_state, state_vector
 
 TARGET_PASS_ATOL = 1e-10
 TOP_EIGENVALUE_ATOL = 1e-8
-
-STRATEGY_KINDS = ("I", "II", "III", "IV", "V", "VI")
 
 
 class Direction(str, Enum):
@@ -169,9 +160,10 @@ class Strategy:
     ``build_strategy``), so ``index`` follows from the number of blocks.
     ``beta`` is Omega's second-largest eigenvalue, ``nu = 1 - beta`` the
     spectral gap, and ``beta_vector`` a unit eigenvector for ``beta``
-    orthogonal to the target (see ``states.worst_case_state``).  ``p`` is
-    the mixing probability of the standard/diagonal test for the built-in
-    kinds (None for custom mixtures).
+    orthogonal to the target (see ``states.worst_case_state``).  A built-in
+    strategy keeps its scalar record (``analysis._strategy_record``), None
+    for a custom mixture; ``p`` is the record's mixing probability of the
+    standard/diagonal test.
 
     ``tests`` are formed on first read by ``_form_tests``: none of the data
     above depends on them, and the package reads them only for a custom
@@ -185,7 +177,12 @@ class Strategy:
     beta: float
     beta_vector: np.ndarray
     label: str
-    p: float | None = None
+    _record: analysis._StrategyRecord | None = None
+
+    @property
+    def p(self) -> float | None:
+        """The built-in kinds' mixing probability, None for a custom mixture."""
+        return None if self._record is None else self._record.p
 
     @cached_property
     def tests(self) -> tuple[tuple[float, TestOperator], ...]:
@@ -248,19 +245,13 @@ def two_way_diagonal_test(state: SchmidtState, p: float) -> RandomizedDiagonalTe
 def _diagonal_acceptance(state: SchmidtState, p: float, kind: str) -> np.ndarray:
     """Kind V or VI's diagonal test table 1 - (1/p - 1) pi, pi being Pi's
     diagonal averaged over the kind's directions (zero on |jj>), which lies
-    in [0, 1] iff p >= s/(1 + s) (``analysis._closed_form``): it cancels pi
+    in [0, 1] iff p >= s/(1 + s) (``analysis._check_p``): it cancels pi
     and makes Omega homogeneous."""
-    lo, p, _ = _closed_form(state, kind, _real_arg("mixing probability p", p))
-    if not lo - 1e-12 <= p < 1.0:
-        raise OutOfRangeError(
-            f"mixing probability p={p} outside [{lo:.12g}, 1): acceptance "
-            "probabilities would leave [0, 1]"
-        )
+    p = _real_arg("mixing probability p", p)
+    c0sq, c1sq = (state.coeffs[:2] ** 2).tolist()
+    analysis._check_p(kind, p, c0sq, c1sq)
     pi = _pi_parts(state, kind == "VI")[1].reshape(state.d, state.d)
-    acceptance = 1.0 - (1.0 / p - 1.0) * pi
-    if acceptance.min() < -1e-12 or acceptance.max() > 1.0 + 1e-12:
-        raise OutOfRangeError("acceptance probabilities must lie in [0, 1]")
-    return np.clip(acceptance, 0.0, 1.0)
+    return np.clip(1.0 - (1.0 / p - 1.0) * pi, 0.0, 1.0)
 
 
 def _pi_parts(state: SchmidtState, two_way: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -409,23 +400,11 @@ def closed_form_beta(state: SchmidtState, label: str, p: float) -> float | None:
     return _closed_form(state, kind, p)[2]
 
 
-def _normalize_kind(kind) -> str:
-    label = str(kind).strip().upper()
-    if label not in STRATEGY_KINDS:
-        raise OutOfRangeError(
-            f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}"
-        )
-    return label
-
-
 def _head_diagonal(state: SchmidtState, kind: str, p: float) -> np.ndarray:
     """The head test's diagonal in the |jk> basis, in closed form: 1 on the
-    standard test's supported |jj>, or V and VI's acceptance table.  A p
-    outside the kind's range is refused."""
+    standard test's supported |jj>, or V and VI's acceptance table."""
     if kind in ("V", "VI"):
         return _diagonal_acceptance(state, p, kind).ravel()
-    if not 0.0 <= p < 1.0:
-        raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
     return np.diag((state.coeffs**2 > SUPPORT_CUTOFF).astype(float)).ravel()
 
 
@@ -446,7 +425,10 @@ def _built_in_mixture(state, kind, p, design):
     if design is None:
         return head, np.ones((1, state.d), dtype=complex), [1.0 - p], (Direction.A_TO_B,)
     directions = tuple(Direction)[: 1 + (kind in ("IV", "VI"))]
-    return head, design.rows, _design_probabilities(state, design, 1.0 - p, directions), directions
+    # the (n, d) row table first: a table too large to allocate is refused
+    # before the n weights are written
+    rows = bases._rows(design)
+    return head, rows, _design_probabilities(state, design, 1.0 - p, directions), directions
 
 
 def _built_in_tests(state, kind, p, design):
@@ -469,7 +451,7 @@ def _design_probabilities(state, design, total, directions) -> list[float]:
     """Each design basis's probability in every one of ``directions``, so
     that the tests realize ``total`` Pi averaged over the directions."""
     share = (state.d + 1) / state.d / len(directions)
-    return [total * share * float(weight) for weight in design.weights[1:]]
+    return [total * share * float(weight) for weight in bases._weights(design)[1:]]
 
 
 def _design_tests(state, design, total, two_way):
@@ -480,7 +462,7 @@ def _design_tests(state, design, total, two_way):
     q = _design_probabilities(state, design, total, directions)
     return [
         (q_l, ConditionalProjectorTest(x, basis, state))
-        for q_l, basis in zip(q, design.basis_set.bases[1:])
+        for q_l, basis in zip(q, bases._basis_set(design).bases[1:])
         for x in directions
     ]
 
@@ -518,62 +500,40 @@ def build_strategy(
 
     Notes
     -----
+    Every check and every scalar -- d, p, beta and the distance from the
+    homogeneous form -- comes from the numpy-free record
+    ``analysis._strategy_record``, which ``analyze`` prints without a build.
     Kind II requires a complete MUB set, so for non-prime d the target is
     first zero-padded into the smallest prime dimension >= d; the returned
     strategy acts on the enlarged space (see ``Strategy.state``) and keeps
     the same spectral gap.  Whenever a design is used, it comes from
-    ``bases._design(d, m)`` and is certified exactly once from its integer
-    table (``bases._Design.residual``), which proves sum_{l>=1} w_l P_l =
-    d/(d+1) Pi for every target.  Once it holds, Omega is p times the head
-    test's diagonal plus (1 - p) Pi (averaged over the two directions for IV
-    and VI): c c^T on span{|jj>} plus a d^2 diagonal.  Kind I's Fourier test
-    is c_delta c_delta^T, c_delta[a] = c_{a - delta}, on each shift class
-    delta (the kets |a, a - delta>).  So every kind is d real d x d blocks
-    with its spectrum in closed form: no eigenproblem is solved and no
-    d^2 x d^2 matrix is formed.
+    ``designs._design(d, m)`` and the record certifies it exactly once from
+    its integer table (``designs._Design.residual``), which proves
+    sum_{l>=1} w_l P_l = d/(d+1) Pi for every target.  Once it holds, Omega
+    is p times the head test's diagonal plus (1 - p) Pi (averaged over the
+    two directions for IV and VI): c c^T on span{|jj>} plus a d^2 diagonal.
+    Kind I's Fourier test is c_delta c_delta^T, c_delta[a] = c_{a - delta},
+    on each shift class delta (the kets |a, a - delta>).  So every kind is
+    d real d x d blocks with its spectrum in closed form: no eigenproblem is
+    solved and no d^2 x d^2 matrix is formed.
 
     No test is formed here: the head test enters Omega through its
     closed-form diagonal (``_head_diagonal``), and ``Strategy.tests`` forms
     every test when first read (``_built_in_tests``).
     """
-    kind = _normalize_kind(kind)
-    if not state.is_entangled:
-        raise SeparableStateError(
-            f"target has Schmidt rank 1 to double precision (c_1 = {state.coeffs[1]:.3g}); "
-            "the standard test alone verifies it"
-        )
-    if m is not None and kind in ("I", "II"):
-        raise OutOfRangeError("the design size m does not apply to kinds I and II")
-
-    if kind == "II" and not is_prime(state.d):
-        state = embed_state(state, next_prime(state.d))
-    d = state.d
-    _, p, beta = _closed_form(state, kind, p)
-
-    if kind == "I":
-        design = None
-        head = _head_diagonal(state, kind, p)
+    record = analysis._strategy_record(kind, state.coeffs.tolist(), p, m)
+    kind, d, p, design = record.label, record.d, record.p, record.design
+    if d != state.d:
+        state = embed_state(state, d)
+    if design is None:
         vectors, diagonal = state.coeffs[_shift_index(d) % d], np.zeros(d * d)
     else:
-        # kind II refuses m and has a prime d here: the complete MUB set
-        design = _design(d, m)
-        design.rows  # a table too large to allocate fails before any O(d^2) work
-        head = _head_diagonal(state, kind, p)
-        residual = design.residual()
-        if residual:
-            raise DesignMismatchError(
-                f"design misses the 2-design identity by {residual:.3e}"
-            )
         vectors, diagonal = _pi_parts(state, kind in ("IV", "VI"))
-    # no gap: kind I where 1 - p rounds to 1, II and III at p = 0 where c_0^2 does
-    if not beta < 1.0:
-        raise OutOfRangeError(
-            f"p = {p} leaves no spectral gap for kind {kind}: beta = {beta:.17g} is not below 1"
-        )
+    head = _head_diagonal(state, kind, p)
     blocks = _shift_blocks(vectors, diagonal * (1.0 - p) + p * head, 1.0 - p)
-    chi = _beta_vector(state, kind, beta == p)
+    chi = _beta_vector(state, kind, record.beta == p)
     form_tests = partial(_built_in_tests, state, kind, p, design)
-    return Strategy(state, form_tests, blocks, beta, chi, kind, p)
+    return Strategy(state, form_tests, blocks, record.beta, chi, kind, record)
 
 
 def _beta_vector(state: SchmidtState, kind: str, on_jj: bool) -> np.ndarray:
@@ -602,15 +562,17 @@ def _beta_vector(state: SchmidtState, kind: str, on_jj: bool) -> np.ndarray:
     return _freeze(chi)
 
 
-def is_homogeneous(strategy: Strategy, tol: float = 1e-10) -> bool:
+def is_homogeneous(strategy: Strategy, tol: float = analysis._HOMOGENEITY_ATOL) -> bool:
     """True iff Omega = |Psi><Psi| + beta (I - |Psi><Psi|) within tol in
     max-norm; ``tol`` must be finite and >= 0.
 
-    Both vanish between the index sets, so block i is compared with
-    beta I + (1 - beta) psi_i psi_i^T, psi_i the target on ``index[i]``:
-    O(d^3) for the built-in kinds, with no d^2 x d^2 temporary.
+    A built-in strategy reads the distance off its record, where it is in
+    closed form (``analysis._homogeneity_deviation``).  A custom mixture's
+    block is compared with beta I + (1 - beta) psi psi^T, psi the target.
     """
     tol = _real_arg("tolerance", tol, 0.0, math.inf, hi_open=True)
+    if strategy._record is not None:
+        return strategy._record.deviation <= tol
     beta = strategy.beta
     psi = state_vector(strategy.state)[strategy.index]
     deviation = strategy.blocks - (1.0 - beta) * psi[:, :, None] * psi[:, None, :].conj()

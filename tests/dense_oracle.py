@@ -10,8 +10,8 @@ its acceptance table on the diagonal.  Pi is |Psi><Psi| + I x rho_B -
 sum_k c_k^2 |kk><kk| (rho_A x I for B -> A), and Omega is the q-weighted sum
 of the tests.  Only the records' public fields are read (a test's direction,
 measured basis, target and table, a basis set's bases and weights, a
-strategy's index and blocks), so the oracle shares no helper with the code
-it checks.
+strategy's index, blocks, beta and target), so the oracle shares no helper
+with the code it checks.
 """
 
 import numpy as np
@@ -96,6 +96,18 @@ def scattered(index, blocks):
     for idx, block in zip(index, blocks):
         out[np.ix_(idx, idx)] = block
     return out
+
+
+def homogeneity_miss(strategy):
+    """Max-norm distance of a strategy's dense Omega from the homogeneous
+    |Psi><Psi| + beta (I - |Psi><Psi|), |Psi> = sum_k c_k |kk>."""
+    c = strategy.state.coeffs
+    d = len(c)
+    psi = np.zeros(d * d)
+    psi[:: d + 1] = c
+    proj = np.outer(psi, psi)
+    model = proj + strategy.beta * (np.eye(d * d) - proj)
+    return float(np.abs(scattered(strategy.index, strategy.blocks) - model).max())
 
 
 def design_average(state, basis_set, direction=Direction.A_TO_B):

@@ -107,11 +107,11 @@ def test_orthogonality_and_design_average_identities():
     worst_avg = 0.0
     for d in (2, 3, 5):
         s = make_schmidt_state(np.arange(d, 0, -1.0))
-        worst_avg = max(worst_avg, dense.design_miss(s, bases._design(d).basis_set))
+        worst_avg = max(worst_avg, dense.design_miss(s, bases._basis_set(bases._design(d))))
     for d in (3, 6):
         s = make_schmidt_state(np.linspace(2.0, 1.0, d))
         design = bases._design(d, min_design_size(d))  # Roy-Scott also at d = 3
-        worst_avg = max(worst_avg, dense.design_miss(s, design.basis_set))
+        worst_avg = max(worst_avg, dense.design_miss(s, bases._basis_set(design)))
     elapsed = time.perf_counter() - start
     _report(
         "orthogonal supports and design-average identity",

@@ -25,7 +25,8 @@ from biverify import (
     standard_basis,
     verify_2design,
 )
-from biverify.bases import Basis, WeightedBasisSet, _design
+from biverify.bases import Basis, WeightedBasisSet, _basis_set, _rows
+from biverify.designs import _design
 from biverify.errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
@@ -187,7 +188,7 @@ class TestRoyScottSet:
     def test_rows_match_the_quadratic_phase_formula(self, d, m):
         """Row l of the table is exp(2 pi i l C(a, 2)/(m-1)), read without
         reducing the exponent."""
-        rows = _design(d, m).rows
+        rows = _rows(_design(d, m))
         a = np.arange(d)
         for l in range(1, m):
             phase = np.exp(2j * np.pi * l * (a * (a - 1) / 2) / (m - 1))
@@ -240,11 +241,11 @@ def _corrupted_designs():
     g_1(2) = g_1(1) collides, and three multipliers dropped (n = 16 < M = 19),
     which leaves every g_1 injective but not constant mod M."""
     honest = _design(6, 20)
-    e = honest.exponents.copy()
+    e = list(honest.exponents)
     e[2] = (2 * e[1] - e[0]) % honest.modulus
     return {
         "rows-dropped": replace(honest, multipliers=range(1, 17)),
-        "phase-perturbed": replace(honest, exponents=e),
+        "phase-perturbed": replace(honest, exponents=tuple(e)),
     }
 
 
@@ -259,7 +260,7 @@ class TestTableCertificate:
     @staticmethod
     def _compare(design, same_value=True):
         residual = design.residual()
-        ok, dense = verify_2design(design.basis_set)
+        ok, dense = verify_2design(_basis_set(design))
         if same_value:
             assert abs(residual - dense) <= 1e-12
         assert (residual == 0.0) is ok

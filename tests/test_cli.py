@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from biverify import bases
+from biverify import bases, designs
 from biverify.cli import CSV_HEADER, JobConfig, _config_from_args, build_parser, main
 
 
@@ -216,7 +216,7 @@ class TestCheckDesign:
         def refused(*args, **kwargs):
             pytest.fail("check-design formed the design before checking --tol")
 
-        monkeypatch.setattr(bases, "_design", refused)
+        monkeypatch.setattr(designs, "_design", refused)
         code, _, err = run_cli(["check-design", "--d", "200", "--tol", tol], capsys)
         assert code == 2 and "tolerance must be finite" in err
 
@@ -233,7 +233,7 @@ class TestCheckDesign:
         the row table, builds the design's bases nor runs the dense 2-design
         check."""
         calls = []
-        residual = bases._Design.residual
+        residual = designs._Design.residual
 
         def counted(design):
             calls.append(design.name)
@@ -242,9 +242,9 @@ class TestCheckDesign:
         def refused(*args, **kwargs):
             pytest.fail("check-design built the bases or ran the dense check")
 
-        monkeypatch.setattr(bases._Design, "residual", counted)
-        monkeypatch.setattr(bases._Design, "basis_set", property(refused))
-        monkeypatch.setattr(bases._Design, "rows", property(refused))
+        monkeypatch.setattr(designs._Design, "residual", counted)
+        monkeypatch.setattr(bases, "_basis_set", refused)
+        monkeypatch.setattr(bases, "_rows", refused)
         monkeypatch.setattr(bases, "verify_2design", refused)
         code, out, _ = run_cli(["check-design", "--d", "6", "--m", "20"], capsys)
         assert code == 0 and "PASS" in out
@@ -252,17 +252,18 @@ class TestCheckDesign:
 
 
 class TestRefusedAllocation:
-    """A dimension whose design table cannot be allocated exits 2 with one
-    error line: numpy refuses the 1.4 TB row-phase table.  check-design
-    forms no table, so only a build can reach this."""
+    """A design whose row table cannot be allocated exits 2 with one error
+    line: numpy refuses the 136 GiB table of m - 1 = 3037000498 rows.
+    check-design and analyze form no table, so only simulate, which reads
+    the rows, can reach this."""
 
     @pytest.mark.parametrize(
         "args",
         [
-            ["analyze", "--d", "5000", "--strategy", "VI",
-             "--schmidt", ",".join(str(5000 - k) for k in range(5000))],
+            ["simulate", "--d", "3", "--schmidt", "3,2,1", "--strategy", "III",
+             "--m", "3037000499", "--noise", "none", "--trials", "10"],
         ],
-        ids=["analyze-VI"],
+        ids=["simulate-III"],
     )
     def test_memory_error_exits_2(self, args, capsys):
         code, out, err = run_cli(args, capsys)

@@ -80,7 +80,7 @@ from biverify import (
     worst_case_pass_prob,
     worst_case_state,
 )
-from biverify.bases import _MAX_DESIGN_SIZE, _MAX_DIMENSION
+from biverify.designs import _MAX_DESIGN_SIZE, _MAX_DIMENSION
 from biverify.cli import JobConfig, build_parser, main
 from biverify.errors import BiverifyError, OutOfRangeError
 from biverify.simulate import compile_tables
@@ -169,7 +169,7 @@ CONTRACT = {
     ),
     "fourier_basis": (lambda d=3: fourier_basis(d), {}),
     "is_homogeneous": (lambda tol=1e-10: is_homogeneous(STRAT_V, tol), {}),
-    "is_prime": (lambda n=7: is_prime(n), {("n", "huge"): lambda r: r is False}),
+    "is_prime": (lambda n=7: is_prime(n), {}),
     "is_unbiased": (
         lambda tol=1e-10: is_unbiased(standard_basis(3), fourier_basis(3), tol), {}
     ),
@@ -301,7 +301,6 @@ def test_bounds_fit_the_int64_exponent_table():
     the d bound is the largest d whose smallest design fits m's."""
     assert (_MAX_DESIGN_SIZE - 1) ** 2 < 2**63 <= (_MAX_DESIGN_SIZE + 1) ** 2
     assert min_design_size(_MAX_DIMENSION) <= _MAX_DESIGN_SIZE < min_design_size(_MAX_DIMENSION + 1)
-    assert _MAX_DIMENSION > 5000  # the refused-allocation CLI test runs at d = 5000
 
 
 @pytest.mark.parametrize(
@@ -309,12 +308,13 @@ def test_bounds_fit_the_int64_exponent_table():
     [
         (lambda: figure1_grid(10**6 + 1), "grid size must be <= 1000000,"),
         (lambda: next_prime(2**40 + 1), "n must be <= 1099511627776,"),
+        (lambda: is_prime(2**61 - 1), "n must be <= 4398046511104,"),
         (lambda: standard_basis(_MAX_DIMENSION + 1), "dimension must be <= 63635,"),
         (lambda: prime_mub_set(2**127 - 1), "dimension must be <= 63635,"),
         (lambda: embed_state(S2, _MAX_DIMENSION + 1), "target dimension must be <= 63635,"),
         (lambda: roy_scott_set(3, _MAX_DESIGN_SIZE + 1), "design size m must be <= 3037000499,"),
     ],
-    ids=["grid", "next-prime", "basis", "mub-before-primality", "embedding", "design-m"],
+    ids=["grid", "next-prime", "is-prime", "basis", "mub-before-primality", "embedding", "design-m"],
 )
 def test_size_above_its_bound_refused(call, message):
     with time_limit(TIME_LIMIT), pytest.raises(BiverifyError, match=message):

@@ -1,5 +1,6 @@
 """The package loads its public names lazily, so the closed-form entry points
-run without numpy."""
+(``figure1``, ``analyze``, ``check-design``, ``--help``) run without
+numpy."""
 
 import json
 import os
@@ -13,7 +14,9 @@ from biverify.cli import CSV_HEADER
 # Runs in a fresh interpreter and prints one JSON object of observations.
 # The command-line cases run biverify.cli as ``python -m`` does.
 PROBE = """
-import contextlib, io, json, runpy, sys
+import contextlib, io, json, os, runpy, sys, tempfile
+
+KINDS = ("I", "II", "III", "IV", "V", "VI")
 
 seen = {}
 import biverify
@@ -27,6 +30,29 @@ for argv in (["figure1", "--grid-size", "2"], ["--help"], ["figure1", "--d", "3"
         except SystemExit as exc:
             code = exc.code
     seen[" ".join(argv)] = ["numpy" in sys.modules, code, out.getvalue().partition("\\n")[0]]
+
+# analyze and check-design print closed forms and integer certificates
+config = os.path.join(tempfile.mkdtemp(), "job.json")
+with open(config, "w") as fh:
+    json.dump({"strategy": "VI", "schmidt": [4, 3, 2, 1]}, fh)
+jobs = [
+    ["analyze", "--theta", "0.5", "--strategy", "I"],
+    ["analyze", "--json", "--theta", "0.5", "--strategy", "IV"],
+    *(["analyze", "--json", "--schmidt", "3,2,1", "--strategy", kind] for kind in KINDS),
+    *(["analyze", "--schmidt", "3,2,1", "--strategy", kind] for kind in KINDS),
+    ["analyze", "--d", "12", "--schmidt", ",".join(map(str, range(12, 0, -1))),
+     "--strategy", "II"],
+    ["analyze", "--config", config],
+    ["check-design", "--d", "16"],
+]
+for argv in jobs:
+    sys.argv = ["biverify", *argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("biverify.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code
+    seen.setdefault("numpy-free jobs", []).append([argv, "numpy" in sys.modules, code])
 
 seen["dir"] = "__all__" in dir(biverify)
 try:
@@ -60,6 +86,10 @@ def test_lazy_loading_keeps_numpy_out_and_binds_every_name():
     numpy_loaded, code, first_line = seen["--help"]
     assert not numpy_loaded and code == 0 and first_line.startswith("usage: biverify")
     assert seen["figure1 --d 3"] == [False, 2, ""]  # a usage error
+    jobs = seen["numpy-free jobs"]
+    assert len(jobs) == 17
+    for argv, numpy_loaded, code in jobs:
+        assert (numpy_loaded, code) == (False, 0), argv
     assert seen["dir"] is True
     assert seen["unknown"] == "module 'biverify' has no attribute 'no_such_name'"
     assert len(seen["all"]) == 57

@@ -2,8 +2,10 @@
 the built strategies at small d, and of the design strategies at large d
 (20 <= d <= 32).
 
-A built-in design's exact certificate, read from its integer table, is
-checked against the dense second-moment identity on random small tables.
+A built-in design's exact certificate, read from its integer table in
+Python integers, is checked against the dense second-moment identity on
+random small tables, and against its numpy formulation, one sort per shift
+class, on built-in and corrupted tables up to d = 40.
 
 A conditional test is a projector only because its measured basis is
 orthonormal, which ``Basis`` certifies and the build does not re-check; the
@@ -18,6 +20,9 @@ not from the tests, so the large-d property checks both sides: Omega is
 exactly zero outside the shift classes delta = a - b mod d, and the tests
 realize it, on a random vector, through their own factors.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -40,7 +45,8 @@ from biverify import (
     test_projector,
     worst_case_state,
 )
-from biverify.bases import _Design, _design, is_prime, min_design_size, verify_2design
+from biverify.bases import _basis_set, is_prime, min_design_size, verify_2design
+from biverify.designs import _Design, _design
 
 import dense_oracle as dense
 
@@ -149,7 +155,7 @@ def integer_tables(draw):
     exponents = draw(st.lists(st.integers(0, modulus - 1), min_size=d, max_size=d))
     n = draw(st.integers(1, modulus))
     start = draw(st.integers(0, modulus))
-    return _Design("random", np.array(exponents), modulus, range(start, start + n))
+    return _Design("random", tuple(exponents), modulus, range(start, start + n))
 
 
 @settings(max_examples=80, deadline=None)
@@ -159,10 +165,51 @@ def test_table_certificate_matches_the_dense_check(design):
     the derived basis set, and for a table whose multipliers span the full
     period M its value is the dense residual too."""
     residual = design.residual()
-    ok, dense_residual = verify_2design(design.basis_set)
+    ok, dense_residual = verify_2design(_basis_set(design))
     assert (residual == 0.0) is ok
     if len(design.multipliers) == design.modulus:
         assert abs(residual - dense_residual) <= 1e-12
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A built-in table at 3 <= d <= 40, as built, with one exponent
+    redrawn, or with its multipliers cut to a shorter run."""
+    d = draw(st.integers(3, 40))
+    if is_prime(d) and draw(st.booleans()):
+        design = _design(d)
+    else:
+        design = _design(d, min_design_size(d) + draw(st.integers(0, 50)))
+    change = draw(st.sampled_from(["none", "exponent", "multipliers"]))
+    if change == "exponent":
+        e = list(design.exponents)
+        e[draw(st.integers(0, d - 1))] = draw(st.integers(0, design.modulus - 1))
+        return replace(design, exponents=tuple(e))
+    if change == "multipliers":
+        n = draw(st.integers(1, len(design.multipliers)))
+        return replace(design, multipliers=range(1, 1 + n))
+    return design
+
+
+def sorted_class_residual(design):
+    """The certificate as numpy reads it: per shift class, sort g = e -
+    e(. - delta) mod M and look for a repeat or a value off g[0] mod the
+    period."""
+    e, modulus = np.array(design.exponents), design.modulus
+    period = modulus // math.gcd(len(design.multipliers), modulus)
+    for delta in range(1, e.size):
+        g = np.sort((e - np.roll(e, delta)) % modulus)
+        if np.any(g[1:] == g[:-1]) or np.any(g % period != g[0] % period):
+            return 1.0 / (e.size + 1)
+    return 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_tables() | corrupted_tables())
+def test_table_certificate_matches_its_numpy_form(design):
+    """The integer certificate decides every table as the numpy sort does,
+    with the same value."""
+    assert design.residual() == sorted_class_residual(design)
 
 
 @LARGE_D

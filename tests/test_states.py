@@ -1,5 +1,6 @@
 """Tests for Schmidt states, density operators, noise, and fidelity."""
 
+import math
 import warnings
 
 import numpy as np
@@ -97,10 +98,10 @@ class TestMakeSchmidtState:
 
     def test_ordinary_amplitudes_keep_their_bits(self):
         """The power-of-two scaling is exact, so ordinary amplitudes are
-        normalized exactly as by their own norm."""
+        normalized exactly as by their own norm, ``math.hypot``'s."""
         rng = np.random.default_rng(21)
         for raw in [rng.random(d) * 10.0 ** rng.integers(-5, 5) for d in range(2, 20)]:
-            expected = np.sort(raw)[::-1] / np.linalg.norm(raw)
+            expected = np.sort(raw)[::-1] / math.hypot(*raw)
             assert np.array_equal(make_schmidt_state(raw).coeffs, expected)
 
     @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from biverify import (
     two_qubit_state,
     two_way_diagonal_test,
 )
-from biverify import bases, strategies
+from biverify import bases, designs, strategies
 from biverify.errors import (
     DesignMismatchError,
     DimensionMismatchError,
@@ -185,22 +185,20 @@ class TestPiOperator:
     def test_matches_mub_average(self, d):
         raw = np.arange(d, 0, -1).astype(float)
         s = make_schmidt_state(raw)
-        assert dense.design_miss(s, bases._design(d).basis_set) <= 1e-10
+        assert dense.design_miss(s, bases._basis_set(designs._design(d))) <= 1e-10
 
     @pytest.mark.parametrize("d", [3, 6])
     def test_matches_phase_design_average(self, d):
         raw = np.linspace(2.0, 1.0, d)
         s = make_schmidt_state(raw)
-        design = bases._design(d, min_design_size(d))
-        assert dense.design_miss(s, design.basis_set) <= 1e-10
+        design = designs._design(d, min_design_size(d))
+        assert dense.design_miss(s, bases._basis_set(design)) <= 1e-10
 
     def test_mismatching_set_raises(self, monkeypatch):
         """The design's 2-design residual is kind II's only certificate: a
         lop-sided set in place of the complete MUB set fails it."""
-        lop_sided = bases._Design(
-            "standard and Fourier, lop-sided", np.array([0, 1]), 4, range(1)
-        )
-        monkeypatch.setattr(strategies, "_design", lambda d, m=None: lop_sided)
+        lop_sided = designs._Design("standard and Fourier, lop-sided", (0, 1), 4, range(1))
+        monkeypatch.setattr(designs, "_design", lambda d, m=None: lop_sided)
         with pytest.raises(DesignMismatchError, match="2-design identity"):
             build_strategy(two_qubit_state(np.pi / 6), "II")
 

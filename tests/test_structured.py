@@ -41,7 +41,7 @@ from biverify import (
     verify_2design,
     worst_case_state,
 )
-from biverify import bases, linalg, strategies
+from biverify import bases, designs, linalg, strategies
 from biverify.bases import is_prime, min_design_size, next_prime
 from biverify.errors import DesignMismatchError, OutOfRangeError
 from biverify.states import SUPPORT_CUTOFF
@@ -111,17 +111,18 @@ def design_blocks(state, design):
     blocks = np.empty((d, d, d), dtype=complex)
     for delta in range(d):
         b = (a - delta) % d
-        w = state.coeffs[b][:, None] * (design.rows * design.rows[:, b].conj()).T
-        blocks[delta] = (w * design.weights[1:]) @ w.conj().T
+        rows = bases._rows(design)
+        w = state.coeffs[b][:, None] * (rows * rows[:, b].conj()).T
+        blocks[delta] = (w * bases._weights(design)[1:]) @ w.conj().T
     return blocks
 
 
 def perturbed(design):
     """The design with one exponent changed so that g_1(2) = e(2) - e(1)
     equals g_1(1): still orthonormal bases, no longer a 2-design."""
-    e = design.exponents.copy()
+    e = list(design.exponents)
     e[2] = (2 * e[1] - e[0]) % design.modulus
-    return replace(design, exponents=e)
+    return replace(design, exponents=tuple(e))
 
 
 @pytest.mark.parametrize("direction", list(Direction))
@@ -133,10 +134,11 @@ def test_design_residual_matches_dense_oracle(name, direction):
     the A -> B one): the design passes both, a perturbed copy fails both."""
     state = TARGETS[name]
     d = state.d
-    for design, holds in ((bases._design(d), True), (perturbed(bases._design(d)), False)):
+    for design, holds in ((designs._design(d), True), (perturbed(designs._design(d)), False)):
         residual = design.residual()
-        assert abs(residual - verify_2design(design.basis_set)[1]) <= ATOL
-        miss = dense.design_miss(state, design.basis_set, direction)
+        basis_set = bases._basis_set(design)
+        assert abs(residual - verify_2design(basis_set)[1]) <= ATOL
+        miss = dense.design_miss(state, basis_set, direction)
         assert miss <= d * state.coeffs[0] ** 2 * residual + ATOL
         assert (residual <= 1e-10) is holds and bool(miss <= 1e-10) is holds
 
@@ -167,14 +169,14 @@ def test_shift_blocks_match_dense_kron_oracle(name, direction):
     state, embed_in = BLOCK_ORACLE_CASES[name]
     if embed_in is not None:
         state = embed_state(state, embed_in)
-        design = bases._design(embed_in)
+        design = designs._design(embed_in)
     else:
-        design = bases._design(state.d)
+        design = designs._design(state.d)
     d = state.d
     a, shifted = np.arange(d), (np.arange(d) - np.arange(d)[:, None]) % d
     # class delta's kets |a, a-delta>, or their swaps |a-delta, a> for B -> A
     index = a * d + shifted if direction is Direction.A_TO_B else shifted * d + a
-    average = dense.design_average(state, design.basis_set, direction)
+    average = dense.design_average(state, bases._basis_set(design), direction)
     assert np.abs(dense.scattered(index, design_blocks(state, design)) - average).max() <= ATOL
 
 
@@ -213,9 +215,9 @@ def test_lopsided_design_is_rejected(monkeypatch):
     """The design identity is still checked at build time: a design source
     that drops one multiplier, spreading the weight over the rest of its
     bases, fails it."""
-    honest = bases._design(4)
+    honest = designs._design(4)
     lopsided = replace(honest, multipliers=honest.multipliers[:-1])
-    monkeypatch.setattr(strategies, "_design", lambda d, m=None: lopsided)
+    monkeypatch.setattr(designs, "_design", lambda d, m=None: lopsided)
     state = TARGETS["d4-random"]
     for kind in ("III", "IV", "V", "VI"):
         with pytest.raises(DesignMismatchError, match="2-design identity"):
@@ -237,7 +239,7 @@ def test_build_runs_one_design_check(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     spy(bases, "verify_2design")
-    spy(bases._Design, "residual")
+    spy(designs._Design, "residual")
     build_strategy(make_schmidt_state([3.0, 2.0, 1.0, 1.0, 0.5]), "II")
     assert calls == {"verify_2design": 0, "residual": 1}
 
@@ -335,13 +337,13 @@ def test_design_bases_are_the_averaged_phase_rows(d, m, monkeypatch):
     d^2 B[k,j] conj(B[0,j]) conj(B[k,0]) B[0,0] = omega^{jk}: the structure
     that the table certificate rests on."""
     tables = []
-    residual = bases._Design.residual
+    residual = designs._Design.residual
 
     def recording_residual(design):
-        tables.append(design.rows)
+        tables.append(bases._rows(design))
         return residual(design)
 
-    monkeypatch.setattr(bases._Design, "residual", recording_residual)
+    monkeypatch.setattr(designs._Design, "residual", recording_residual)
     strat = build_strategy(make_schmidt_state(np.arange(d, 0, -1.0)), "III", m=m)
     (rows,) = tables
     design = [test.measured_basis.vectors for _, test in strat.tests[1:]]
@@ -354,7 +356,7 @@ def test_design_bases_are_the_averaged_phase_rows(d, m, monkeypatch):
         assert np.abs(product - fourier).max() <= 1e-15
 
 
-def test_design_tests_hold_few_basis_stacks():
+def test_design_tests_hold_few_basis_stacks(monkeypatch):
     """Each design test is its basis and the target, and the certificate
     reads only the row-phase table: at d=24 kind VI, with the design's bases
     built beforehand, the traced peak of _design_tests stays within half a
@@ -364,8 +366,10 @@ def test_design_tests_hold_few_basis_stacks():
     form."""
     d = 24
     state = make_schmidt_state(np.arange(d, 0, -1.0))
-    design = bases._design(d)
-    n_bases = design.basis_set.m  # the bases are built here, before tracing
+    design = designs._design(d)
+    basis_set = bases._basis_set(design)  # the bases are built here, before tracing
+    monkeypatch.setattr(bases, "_basis_set", lambda _: basis_set)
+    n_bases = basis_set.m
     stack_bytes = (n_bases - 1) * d * d * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
@@ -503,7 +507,7 @@ def test_design_build_forms_only_its_head(kind, monkeypatch):
         assert list(counts.values()) == [2, 2, 0]
         return
     head = 1 if kind in ("II", "III", "IV") else 0
-    design = bases._design(strat.state.d)
+    design = designs._design(strat.state.d)
     n_design = len(design.multipliers) * (2 if kind in ("IV", "VI") else 1)
     assert len(tests) == 1 + n_design
     # the design's basis set also holds its own standard basis
