@@ -45,6 +45,7 @@ from .errors import (
     DimensionTooSmallError,
     NotPrimeError,
     OutOfRangeError,
+    _instance_arg,
     _integer_arg,
     _real_arg,
 )
@@ -87,7 +88,8 @@ class WeightedBasisSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bases", tuple(self.bases))
+        bases = tuple(_instance_arg("each basis", b, Basis) for b in self.bases)
+        object.__setattr__(self, "bases", bases)
         w = linalg.real_array(self.weights, "weights")
         if w.size != len(self.bases):
             raise DimensionMismatchError("one weight per basis required")
@@ -133,6 +135,7 @@ def fourier_basis(d: int) -> Basis:
 def random_unbiased_basis(d: int, rng: np.random.Generator) -> Basis:
     """A random basis unbiased with the standard basis (phase-dressed Fourier)."""
     d = _integer_arg("dimension", d, 2, _MAX_DIMENSION)
+    rng = _instance_arg("rng", rng, np.random.Generator)
     row = np.exp(2j * np.pi * rng.random(d))
     col = np.exp(2j * np.pi * rng.random(d))
     return Basis(d=d, vectors=row[:, None] * fourier_basis(d).vectors * col[None, :])
@@ -141,6 +144,7 @@ def random_unbiased_basis(d: int, rng: np.random.Generator) -> Basis:
 def is_unbiased(b1: Basis, b2: Basis, tol: float = UNBIASED_ATOL) -> bool:
     """True iff every cross overlap satisfies | |<u|v>|^2 - 1/d | <= tol;
     ``tol`` must be finite and >= 0."""
+    b1, b2 = (_instance_arg("basis", b, Basis) for b in (b1, b2))
     tol = _real_arg("tolerance", tol, 0.0, math.inf, hi_open=True)
     if b1.d != b2.d:
         raise DimensionMismatchError(f"dimensions differ: {b1.d} vs {b2.d}")
@@ -165,6 +169,7 @@ def verify_2design(
     formed as one Gram product of the stacked pair vectors.  Returns
     (passed, max-norm residual); ``tol`` must be finite and >= 0.
     """
+    basis_set = _instance_arg("basis_set", basis_set, WeightedBasisSet)
     tol = _real_arg("tolerance", tol, 0.0, math.inf, hi_open=True)
     d = basis_set.d
     pairs = (

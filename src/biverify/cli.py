@@ -179,7 +179,7 @@ def _load_density(path: str) -> states.DensityOperator:
 
 def _parse_schmidt(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise OutOfRangeError(f"cannot parse schmidt coefficients {text!r}") from exc
 

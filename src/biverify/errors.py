@@ -6,6 +6,8 @@ class name still identifies the violated precondition.  A scalar argument
 enters through ``_integer_arg`` or ``_real_arg``, which refuse a wrong type
 as they refuse a value out of range.  The module loads no numpy, so the
 closed-form ``analysis`` layer can use it without the arrays.
+An object argument (a state, a strategy, a basis, a generator) enters
+through ``_instance_arg``, which refuses any other type.
 """
 from __future__ import annotations
 
@@ -93,3 +95,10 @@ def _real_arg(name: str, value, lo=None, hi=None, lo_open=False, hi_open=False) 
     finite = "finite and " if hi == float("inf") else ""
     interval = f"{'(' if lo_open else '['}{lo:.17g}, {hi:.17g}{')' if hi_open else ']'}"
     raise OutOfRangeError(f"{name} must be {finite}in {interval}, got {x}")
+
+
+def _instance_arg(name: str, value, cls: type):
+    """``value`` if it is a ``cls``; any other object raises."""
+    if not isinstance(value, cls):
+        raise OutOfRangeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value

@@ -10,8 +10,10 @@ joint standard-basis outcome and accept from the tabulated probabilities.
 Every probability is read off the source's factors (``DensityOperator``:
 a diagonal plus r kets), never off a dense d^2 x d^2 matrix.  A built-in
 strategy's design and Fourier tests are diag(row_l) F, so their tables come
-from the design's row table by one DFT over the d shift classes, O(r m d^2)
-for m rows, with no basis or test formed (``compile_tables``).
+from its mixture (``strategies._built_in_mixture``, the description its
+``tests`` are formed from) by one DFT of the row table over the d shift
+classes, O(r m d^2) for m rows, with no basis or test formed
+(``compile_tables``).
 
 The mixture and the outcome distributions are folded into one categorical
 distribution over (test, outcome) cells: cell (l, j) has weight q_l P_l(j)
@@ -44,9 +46,10 @@ from .errors import (
     DimensionMismatchError,
     NotHomogeneousError,
     OutOfRangeError,
+    _instance_arg,
     _integer_arg,
 )
-from .states import SUPPORT_CUTOFF, DensityOperator, _density_arg
+from .states import SUPPORT_CUTOFF, DensityOperator
 from .strategies import (
     Direction,
     RandomizedDiagonalTest,
@@ -99,7 +102,8 @@ def trial_rng(seed: int) -> np.random.Generator:
 
 
 def _check_dimension(strategy: Strategy, sigma) -> DensityOperator:
-    sigma = _density_arg("sigma", sigma)
+    strategy = _instance_arg("strategy", strategy, Strategy)
+    sigma = _instance_arg("sigma", sigma, DensityOperator)
     if sigma.dim != strategy.state.dim:
         raise DimensionMismatchError(
             f"state dimension {sigma.dim} != strategy dimension {strategy.state.dim}"
@@ -178,7 +182,7 @@ def _row_tables(rows, coeffs, oriented):
     n_rows, d = rows.shape
     r = kets.shape[2]
     a = np.arange(d)
-    shift = (a - a[:, None]) % d  # shift[delta, a] = a - delta mod d
+    shift = strategies._shift_index(d) % d  # shift[delta, a] = a - delta mod d
     # column k < r: c_{a-delta} y_k[a, a-delta]; column r: rho[a, a-delta]
     classes = np.empty((d, d, r + 1), dtype=complex)
     classes[:, :, :r] = kets[a, shift] * coeffs[shift][:, :, None]
@@ -202,7 +206,7 @@ def _row_tables(rows, coeffs, oriented):
 
 def _built_in_tables(state, sigma: DensityOperator, mixture, oriented):
     """``compile_tables`` of a built-in strategy from its closed-form
-    mixture (``strategies._mixture_of``): no basis or test is formed."""
+    mixture (``strategies._built_in_mixture``): no basis or test is formed."""
     d, c = state.d, state.coeffs
     head, rows, q, directions = mixture
     pvec, tables = [], []
@@ -233,16 +237,17 @@ def compile_tables(strategy: Strategy, sigma: DensityOperator):
     ``strategy.tests``, ``(probs, accept)``: the outcome distribution and
     the per-outcome acceptance probability, the joint pass probability
     <u_j v_j|sigma|u_j v_j> over the outcome probability, both read off
-    sigma's factors.  A built-in strategy's design and Fourier tests come
-    from their phase rows by one DFT over the shift classes
-    (``_row_tables``), O(r m d^2) for r kets and m rows, and no test or
-    basis is formed; a custom mixture's tests take one contraction per test
-    and factor, O(r d^3).
+    sigma's factors.  A built-in strategy, the one kind with a scalar
+    record, is read from its mixture (``strategies._built_in_mixture``): its
+    design and Fourier tests come from their phase rows by one DFT over the
+    shift classes (``_row_tables``), O(r m d^2) for r kets and m rows, and
+    no test or basis is formed.  A custom mixture's tests take one
+    contraction per test and factor, O(r d^3).
     """
     sigma = _check_dimension(strategy, sigma)
     oriented = {x: _oriented(sigma, strategy.state.d, x) for x in Direction}
-    mixture = strategies._mixture_of(strategy)
-    if mixture is not None:
+    if strategy._record is not None:
+        mixture = strategies._built_in_mixture(strategy.state, strategy._record)
         pvec, tables = _built_in_tables(strategy.state, sigma, mixture, oriented)
         return pvec / pvec.sum(), tables
     tables = []

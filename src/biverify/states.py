@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     NegativeCoefficientError,
     OutOfRangeError,
+    _instance_arg,
     _integer_arg,
     _real_arg,
 )
@@ -152,13 +153,6 @@ class DensityOperator:
         return self._matrix
 
 
-def _density_arg(name: str, value) -> DensityOperator:
-    """``value`` if it is a ``DensityOperator``, else OutOfRangeError."""
-    if not isinstance(value, DensityOperator):
-        raise OutOfRangeError(f"{name} must be a DensityOperator, got {type(value).__name__}")
-    return value
-
-
 def density_operator(matrix) -> DensityOperator:
     """Validate an arbitrary matrix as a density operator."""
     m = linalg.as_matrix(matrix)
@@ -186,7 +180,7 @@ def two_qubit_state(theta: float) -> SchmidtState:
 
 def state_vector(state: SchmidtState) -> np.ndarray:
     """The ket of the target state in C^{d^2}; component c_j at index j*d + j."""
-    d = state.d
+    d = _instance_arg("state", state, SchmidtState).d
     v = np.zeros(d * d, dtype=complex)
     v[np.arange(d) * (d + 1)] = state.coeffs
     return v
@@ -199,12 +193,14 @@ def target_projector(state: SchmidtState) -> np.ndarray:
 
 def reduced_state_b(state: SchmidtState) -> DensityOperator:
     """Reduced state of the second party: diag(c_0^2, ..., c_{d-1}^2)."""
+    state = _instance_arg("state", state, SchmidtState)
     return DensityOperator._factored(state.d, state.coeffs**2, np.zeros((state.d, 0), complex))
 
 
 def fidelity(rho: DensityOperator, state: SchmidtState) -> float:
     """<Psi| rho |Psi> for the target state, read off rho's factors."""
-    rho = _density_arg("rho", rho)
+    rho = _instance_arg("rho", rho, DensityOperator)
+    state = _instance_arg("state", state, SchmidtState)
     if rho.dim != state.dim:
         raise DimensionMismatchError(
             f"density operator dim {rho.dim} != target dim {state.dim}"
@@ -216,6 +212,7 @@ def fidelity(rho: DensityOperator, state: SchmidtState) -> float:
 
 def depolarize(state: SchmidtState, lam: float) -> DensityOperator:
     """Depolarized target (1-lam)|Psi><Psi| + lam*I/D; fidelity (1-lam) + lam/D."""
+    state = _instance_arg("state", state, SchmidtState)
     lam = _real_arg("depolarizing weight", lam, 0.0, 1.0)
     dd = state.dim
     kets = math.sqrt(1.0 - lam) * state_vector(state)[:, None]
@@ -224,6 +221,7 @@ def depolarize(state: SchmidtState, lam: float) -> DensityOperator:
 
 def embed_state(state: SchmidtState, d_prime: int) -> SchmidtState:
     """Pad the Schmidt coefficients with zeros up to local dimension d_prime."""
+    state = _instance_arg("state", state, SchmidtState)
     d_prime = _integer_arg("target dimension", d_prime, state.d, _MAX_DIMENSION)
     c = np.zeros(d_prime)
     c[: state.d] = state.coeffs
@@ -233,7 +231,7 @@ def embed_state(state: SchmidtState, d_prime: int) -> SchmidtState:
 def embed_density(rho: DensityOperator, d_prime: int) -> DensityOperator:
     """Embed a d^2-dimensional state into C^{d'^2}, mapping |jk> to |jk>:
     its diagonal and kets are padded with zeros."""
-    rho = _density_arg("rho", rho)
+    rho = _instance_arg("rho", rho, DensityOperator)
     d = math.isqrt(rho.dim)
     if d * d != rho.dim:
         raise DimensionMismatchError(f"dimension {rho.dim} is not a perfect square")
@@ -260,6 +258,8 @@ def random_state_at_fidelity(
     Mixes the target projector with a random pure state drawn orthogonal to
     the target.
     """
+    state = _instance_arg("state", state, SchmidtState)
+    rng = _instance_arg("rng", rng, np.random.Generator)
     fid = _real_arg("fidelity", fid, 0.0, 1.0)
     dd = state.dim
     psi = state_vector(state)
@@ -277,6 +277,9 @@ def worst_case_state(strategy, eps: float) -> DensityOperator:
     operator orthogonal to the target, so that tr(Omega sigma) = 1 - nu*eps
     is attained exactly.  Solves no eigenproblem: the build kept the vector.
     """
+    from .strategies import Strategy  # strategies builds on this module
+
+    strategy = _instance_arg("strategy", strategy, Strategy)
     eps = _real_arg("infidelity", eps, 0.0, 1.0)
     psi = state_vector(strategy.state)
     kets = np.stack([psi, strategy.beta_vector], axis=1)

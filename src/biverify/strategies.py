@@ -24,21 +24,22 @@ affine function of fidelity and suits adversarially prepared states.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import analysis, bases, linalg
 from .analysis import STRATEGY_KINDS, _normalize_kind
-from .bases import Basis, fourier_basis, standard_basis
+from .bases import Basis, _phases, standard_basis
 from .errors import (
     DesignMismatchError,
     DimensionMismatchError,
     OutOfRangeError,
     TopEigenvalueError,
+    _instance_arg,
     _real_arg,
 )
 from .states import SUPPORT_CUTOFF, SchmidtState, embed_state, state_vector
@@ -82,6 +83,8 @@ class ConditionalProjectorTest:
             raise OutOfRangeError(
                 f"direction must be 'AtoB' or 'BtoA', got {self.direction!r}"
             ) from None
+        _instance_arg("measured_basis", self.measured_basis, Basis)
+        _instance_arg("state", self.state, SchmidtState)
         if self.measured_basis.d != self.state.d:
             raise DimensionMismatchError(
                 f"basis dim {self.measured_basis.d} != state dim {self.state.d}"
@@ -155,29 +158,29 @@ class Strategy:
 
     Omega, the weighted sum of the test operators, is ``blocks[i]`` on the
     |jk> indices ``index[i]``; the index sets partition the d^2 kets, and
-    Omega vanishes between them.  A custom mixture is one block of all d^2
-    kets, and the built-in kinds are the d shift classes (see
-    ``build_strategy``), so ``index`` follows from the number of blocks.
-    ``beta`` is Omega's second-largest eigenvalue, ``nu = 1 - beta`` the
-    spectral gap, and ``beta_vector`` a unit eigenvector for ``beta``
-    orthogonal to the target (see ``states.worst_case_state``).  A built-in
-    strategy keeps its scalar record (``analysis._strategy_record``), None
-    for a custom mixture; ``p`` is the record's mixing probability of the
-    standard/diagonal test.
+    Omega vanishes between them.  ``beta`` is Omega's second-largest
+    eigenvalue, ``nu = 1 - beta`` the spectral gap, and ``beta_vector`` a
+    unit eigenvector for ``beta`` orthogonal to the target (see
+    ``states.worst_case_state``).
 
-    ``tests`` are formed on first read by ``_form_tests``: none of the data
-    above depends on them, and the package reads them only for a custom
-    mixture's sampling tables (``simulate.compile_tables``); a built-in
-    strategy's tables come from ``_built_in_mixture``.
+    A built-in strategy keeps its scalar record
+    (``analysis._strategy_record``): its blocks are the d shift classes (see
+    ``build_strategy``), ``p`` is the record's mixing probability of the
+    standard/diagonal test, and its tests are formed on first read of
+    ``tests`` from ``_built_in_mixture``, which also gives its sampling
+    tables (``simulate.compile_tables``) without forming a test.  A custom
+    mixture has no record (None): its one block holds all d^2 kets, and it
+    keeps its checked ``(q, test)`` pairs in ``_tests``.  The record alone
+    tells the two apart.
     """
 
     state: SchmidtState
-    _form_tests: Callable[[], tuple[tuple[float, TestOperator], ...]]
     blocks: np.ndarray
     beta: float
     beta_vector: np.ndarray
     label: str
     _record: analysis._StrategyRecord | None = None
+    _tests: tuple[tuple[float, TestOperator], ...] = ()
 
     @property
     def p(self) -> float | None:
@@ -186,8 +189,23 @@ class Strategy:
 
     @cached_property
     def tests(self) -> tuple[tuple[float, TestOperator], ...]:
-        """The (probability, test) pairs in mixing order, formed on first read."""
-        return self._form_tests()
+        """The (probability, test) pairs in mixing order; a built-in
+        strategy forms them on first read from ``_built_in_mixture``: its head
+        test, then one basis diag(row) F per row, tested in each direction."""
+        if self._record is None:
+            return self._tests
+        head, rows, q, directions = _built_in_mixture(self.state, self._record)
+        tests = []
+        if head is not None:
+            p, table = head
+            tests.append((p, standard_test(self.state) if table is None
+                          else RandomizedDiagonalTest(table)))
+        d = self.state.d
+        fourier = _phases(range(d), range(d), d)
+        for q_row, row in zip(q, rows):
+            basis = Basis(d, (fourier * row[:, None]) / math.sqrt(d))
+            tests += [(q_row, ConditionalProjectorTest(x, basis, self.state)) for x in directions]
+        return tuple(tests)
 
     @property
     def nu(self) -> float:
@@ -197,7 +215,7 @@ class Strategy:
     @property
     def index(self) -> np.ndarray:
         """The |jk> indices of each block, one row per block."""
-        if len(self.blocks) == 1:
+        if self._record is None:
             return _freeze(np.arange(self.state.dim)[None])
         return _shift_index(self.state.d)
 
@@ -225,6 +243,7 @@ test_projector.__test__ = False  # keep pytest from collecting the imported name
 
 def standard_test(state: SchmidtState) -> ConditionalProjectorTest:
     """Both parties measure the standard basis; pass on equal supported outcomes."""
+    state = _instance_arg("state", state, SchmidtState)
     return test_projector(state, standard_basis(state.d))
 
 
@@ -247,6 +266,7 @@ def _diagonal_acceptance(state: SchmidtState, p: float, kind: str) -> np.ndarray
     diagonal averaged over the kind's directions (zero on |jj>), which lies
     in [0, 1] iff p >= s/(1 + s) (``analysis._check_p``): it cancels pi
     and makes Omega homogeneous."""
+    state = _instance_arg("state", state, SchmidtState)
     p = _real_arg("mixing probability p", p)
     c0sq, c1sq = (state.coeffs[:2] ** 2).tolist()
     analysis._check_p(kind, p, c0sq, c1sq)
@@ -325,6 +345,7 @@ def assemble_strategy(
     is orthogonal to the top one, which overlaps the target to 1e-8, so the
     projection leaves it nearly unit.
     """
+    state = _instance_arg("state", state, SchmidtState)
     tests = _checked_tests(state, tests)
     linalg.check_eig_dim(state.d * state.d)  # before the d^2 x d^2 Gram product
     omega = _mix(state.d, tests)
@@ -340,9 +361,7 @@ def assemble_strategy(
     beta = float(w[1])
     chi = v[:, 1] - psi * (psi.conj() @ v[:, 1])
     chi = chi / float(np.linalg.norm(chi))
-    return Strategy(
-        state, partial(tuple, tests), _freeze(omega[None]), beta, _freeze(chi), label
-    )
+    return Strategy(state, _freeze(omega[None]), beta, _freeze(chi), label, _tests=tests)
 
 
 def _checked_tests(state: SchmidtState, tests) -> tuple:
@@ -379,6 +398,7 @@ def _checked_tests(state: SchmidtState, tests) -> tuple:
 
 def _closed_form(state: SchmidtState, kind: str, p=None) -> tuple[float, float, float]:
     """``analysis._closed_form`` at the target's c_0^2 and c_1^2."""
+    state = _instance_arg("state", state, SchmidtState)
     return analysis._closed_form(kind, *(state.coeffs[:2] ** 2).tolist(), p)
 
 
@@ -400,80 +420,36 @@ def closed_form_beta(state: SchmidtState, label: str, p: float) -> float | None:
     return _closed_form(state, kind, p)[2]
 
 
-def _head_diagonal(state: SchmidtState, kind: str, p: float) -> np.ndarray:
-    """The head test's diagonal in the |jk> basis, in closed form: 1 on the
-    standard test's supported |jj>, or V and VI's acceptance table."""
+def _head(state: SchmidtState, record: analysis._StrategyRecord):
+    """A built-in strategy's head test as ``(p, table)``, None when there is
+    none (I-IV at p = 0): ``table`` is the diagonal test's acceptance for V
+    and VI and None for the standard test."""
+    kind, p = record.label, record.p
     if kind in ("V", "VI"):
-        return _diagonal_acceptance(state, p, kind).ravel()
-    return np.diag((state.coeffs**2 > SUPPORT_CUTOFF).astype(float)).ravel()
+        return p, _diagonal_acceptance(state, p, kind)
+    return None if p == 0.0 else (p, None)
 
 
-def _built_in_mixture(state, kind, p, design):
-    """A built-in strategy's mixture in test order, read off its closed form
+def _built_in_mixture(state: SchmidtState, record: analysis._StrategyRecord):
+    """A built-in strategy's mixture in test order, read off its record
     without forming a test: ``(head, rows, q, directions)``.
 
-    ``head`` is None when there is no head test (II-IV at p = 0), else
-    ``(p, table)``, ``table`` the diagonal test's acceptance for V and VI and
-    None for the standard test.  The tail tests measure diag(rows[l]) F, F
-    the Fourier basis (kind I's one row is all ones), each row in every one
-    of ``directions`` in turn with probability ``q[l]``.
+    ``head`` is ``_head``.  The tail tests measure diag(rows[l]) F, F the
+    Fourier basis (kind I's one row is all ones, the design kinds' rows are
+    the design's), each row in every one of ``directions`` in turn with
+    probability ``q[l]``, so that the tail realizes (1 - p) Pi averaged over
+    the directions.
     """
-    if kind in ("V", "VI"):
-        head = (p, _diagonal_acceptance(state, p, kind))
-    else:
-        head = None if p == 0.0 else (p, None)
+    head, p, design = _head(state, record), record.p, record.design
     if design is None:
         return head, np.ones((1, state.d), dtype=complex), [1.0 - p], (Direction.A_TO_B,)
-    directions = tuple(Direction)[: 1 + (kind in ("IV", "VI"))]
+    directions = tuple(Direction)[: 1 + (record.label in ("IV", "VI"))]
     # the (n, d) row table first: a table too large to allocate is refused
     # before the n weights are written
     rows = bases._rows(design)
-    return head, rows, _design_probabilities(state, design, 1.0 - p, directions), directions
-
-
-def _built_in_tests(state, kind, p, design):
-    """A built-in strategy's (probability, test) pairs in the order of
-    ``_built_in_mixture``: the head test (none for II-IV at p = 0), then
-    kind I's Fourier test (``design`` is None) or the design's tests."""
-    head = _built_in_mixture(state, kind, p, design)[0]
-    if head is None:
-        head = ()
-    elif head[1] is None:
-        head = ((p, standard_test(state)),)
-    else:
-        head = ((p, RandomizedDiagonalTest(head[1])),)
-    if design is None:
-        return (*head, (1.0 - p, test_projector(state, fourier_basis(state.d))))
-    return (*head, *_design_tests(state, design, 1.0 - p, kind in ("IV", "VI")))
-
-
-def _design_probabilities(state, design, total, directions) -> list[float]:
-    """Each design basis's probability in every one of ``directions``, so
-    that the tests realize ``total`` Pi averaged over the directions."""
     share = (state.d + 1) / state.d / len(directions)
-    return [total * share * float(weight) for weight in bases._weights(design)[1:]]
-
-
-def _design_tests(state, design, total, two_way):
-    """The tests realizing ``total`` Pi (averaged over both directions if
-    ``two_way``) from a certified built-in design, one per basis and
-    direction; a test derives its conditional kets on demand."""
-    directions = tuple(Direction)[: 1 + two_way]
-    q = _design_probabilities(state, design, total, directions)
-    return [
-        (q_l, ConditionalProjectorTest(x, basis, state))
-        for q_l, basis in zip(q, bases._basis_set(design).bases[1:])
-        for x in directions
-    ]
-
-
-def _mixture_of(strategy: Strategy):
-    """``_built_in_mixture`` of a built-in strategy, read from its test
-    factory; None for a custom mixture."""
-    form = strategy._form_tests
-    if isinstance(form, partial) and form.func is _built_in_tests:
-        return _built_in_mixture(*form.args)
-    return None
+    q = [(1.0 - p) * share * float(weight) for weight in bases._weights(design)[1:]]
+    return head, rows, q, directions
 
 
 def build_strategy(
@@ -517,10 +493,10 @@ def build_strategy(
     d real d x d blocks with its spectrum in closed form: no eigenproblem is
     solved and no d^2 x d^2 matrix is formed.
 
-    No test is formed here: the head test enters Omega through its
-    closed-form diagonal (``_head_diagonal``), and ``Strategy.tests`` forms
-    every test when first read (``_built_in_tests``).
+    No test is formed here: the head test (``_head``) enters Omega through
+    its diagonal, and ``Strategy.tests`` forms every test when first read.
     """
+    state = _instance_arg("state", state, SchmidtState)
     record = analysis._strategy_record(kind, state.coeffs.tolist(), p, m)
     kind, d, p, design = record.label, record.d, record.p, record.design
     if d != state.d:
@@ -529,11 +505,16 @@ def build_strategy(
         vectors, diagonal = state.coeffs[_shift_index(d) % d], np.zeros(d * d)
     else:
         vectors, diagonal = _pi_parts(state, kind in ("IV", "VI"))
-    head = _head_diagonal(state, kind, p)
-    blocks = _shift_blocks(vectors, diagonal * (1.0 - p) + p * head, 1.0 - p)
+    diagonal = diagonal * (1.0 - p)
+    head = _head(state, record)
+    if head is not None:
+        table = head[1]
+        if table is None:  # the standard test: 1 on its supported |jj>
+            table = np.diag((state.coeffs**2 > SUPPORT_CUTOFF).astype(float))
+        diagonal += p * table.ravel()
+    blocks = _shift_blocks(vectors, diagonal, 1.0 - p)
     chi = _beta_vector(state, kind, record.beta == p)
-    form_tests = partial(_built_in_tests, state, kind, p, design)
-    return Strategy(state, form_tests, blocks, record.beta, chi, kind, record)
+    return Strategy(state, blocks, record.beta, chi, kind, record)
 
 
 def _beta_vector(state: SchmidtState, kind: str, on_jj: bool) -> np.ndarray:
@@ -570,6 +551,7 @@ def is_homogeneous(strategy: Strategy, tol: float = analysis._HOMOGENEITY_ATOL) 
     closed form (``analysis._homogeneity_deviation``).  A custom mixture's
     block is compared with beta I + (1 - beta) psi psi^T, psi the target.
     """
+    strategy = _instance_arg("strategy", strategy, Strategy)
     tol = _real_arg("tolerance", tol, 0.0, math.inf, hi_open=True)
     if strategy._record is not None:
         return strategy._record.deviation <= tol

@@ -580,12 +580,21 @@ class TestMalformedInput:
 
     def test_empty_schmidt_flag_is_not_ignored(self, capsys):
         """--schmidt "" is read like any other value, not dropped in favour of
-        --theta."""
+        --theta: its one entry is empty, and refused."""
         code, _, err = run_cli(
             ["analyze", "--theta", "0.5", "--schmidt", "", "--strategy", "II"], capsys
         )
         self.assert_validation_error(code, err)
-        assert "exactly one of schmidt or theta" in err
+        assert "cannot parse schmidt coefficients ''" in err
+
+    @pytest.mark.parametrize("schmidt", ["3,,1", ",3,2", "3, ,2", "3,2,1,"])
+    def test_empty_schmidt_entry_is_refused(self, schmidt, capsys):
+        """An empty entry anywhere in --schmidt, a trailing comma included, is
+        refused in one line, not dropped."""
+        code, out, err = run_cli(["analyze", "--strategy", "I", "--schmidt", schmidt], capsys)
+        self.assert_validation_error(code, err)
+        assert err == f"error: OutOfRangeError: cannot parse schmidt coefficients {schmidt!r}\n"
+        assert out == ""
 
     def test_noise_file_with_nan_entry(self, tmp_path, capsys):
         """json reads NaN; the density operator must reject it."""

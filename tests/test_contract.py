@@ -1,11 +1,15 @@
 """The input contract of every public callable and every numeric CLI flag.
 
 API: each public callable has an entry here, a call whose keyword defaults
-are valid scalar arguments.  Each scalar is swapped in turn for a hostile
-value: a numeric string, a bool, a complex, NaN, infinity, None and an int
-no double holds.  The call must raise ``BiverifyError``, unless the entry
-names the swap as valid and checks its answer, and must do either within
-``TIME_LIMIT`` seconds.  A public function whose parameter is annotated as a
+are valid arguments: scalars, and the objects (``OBJECTS``: a state, a
+strategy, a basis, a basis set, a density operator, a generator) it takes.
+Each scalar is swapped in turn for a hostile value: a numeric string, a
+bool, a complex, NaN, infinity, None and an int no double holds.  The call
+must raise ``BiverifyError``, unless the entry names the swap as valid and
+checks its answer, and must do either within ``TIME_LIMIT`` seconds.  Each
+object is swapped in turn for a string, None, an array and an object of
+another package type, and the call must raise ``OutOfRangeError`` naming
+the type it expects.  A public function whose parameter is annotated as a
 number must have that parameter in its entry.
 
 CLI: each numeric flag of ``build_parser`` is given the same values as text,
@@ -34,6 +38,7 @@ from biverify import (
     Direction,
     RandomizedDiagonalTest,
     SchmidtState,
+    Strategy,
     VerificationBudget,
     WeightedBasisSet,
     assemble_strategy,
@@ -107,10 +112,10 @@ S2 = two_qubit_state(0.5)
 S3 = make_schmidt_state([3.0, 2.0, 1.0])
 RHO2 = depolarize(S2, 0.1)
 STRAT_V = build_strategy(S2, "V")
-
-
-def _rng():
-    return np.random.default_rng(0)
+RNG = np.random.default_rng(0)
+B2 = fourier_basis(2)
+# the types a call takes as an object argument
+OBJECTS = (SchmidtState, Strategy, Basis, WeightedBasisSet, DensityOperator, np.random.Generator)
 
 
 # public name -> (call with valid scalar defaults, {(scalar, hostile id):
@@ -118,7 +123,10 @@ def _rng():
 CONTRACT = {
     "Basis": (lambda d=2: Basis(d, np.eye(2)), {}),
     "ConditionalProjectorTest": (
-        lambda: ConditionalProjectorTest(Direction.A_TO_B, fourier_basis(2), S2), {}
+        lambda measured_basis=B2, state=S2: ConditionalProjectorTest(
+            Direction.A_TO_B, measured_basis, state
+        ),
+        {},
     ),
     "DensityOperator": (lambda dim=4: DensityOperator(dim, RHO2.matrix), {}),
     "Direction": (lambda: Direction("BtoA"), {}),
@@ -132,33 +140,37 @@ CONTRACT = {
         lambda nu=0.5, epsilon=0.01, delta=0.01: VerificationBudget.plan(nu, epsilon, delta), {}
     ),
     "WeightedBasisSet": (
-        lambda: WeightedBasisSet((standard_basis(2), fourier_basis(2)), [0.5, 0.5]), {}
+        lambda basis=standard_basis(2): WeightedBasisSet((basis, B2), [0.5, 0.5]), {}
     ),
     "assemble_strategy": (
-        lambda q=0.5: assemble_strategy(
-            S2, [(q, standard_test(S2)), (0.5, test_projector(S2, fourier_basis(2)))]
+        lambda state=S2, q=0.5: assemble_strategy(
+            state, [(q, standard_test(S2)), (0.5, test_projector(S2, B2))]
         ),
         {},
     ),
     "build_strategy": (
-        lambda p=0.3, m=8: build_strategy(S3, "III", p, m),
+        lambda state=S3, p=0.3, m=8: build_strategy(state, "III", p, m),
         {
             ("p", "none"): lambda r: r.p == optimal_p(S3, "III"),
             ("m", "none"): lambda r: r.beta == build_strategy(S3, "III", 0.3).beta,
         },
     ),
-    "closed_form_beta": (lambda p=0.3: closed_form_beta(S3, "IV", p), {}),
+    "closed_form_beta": (lambda state=S3, p=0.3: closed_form_beta(state, "IV", p), {}),
     "density_operator": (lambda: density_operator(RHO2.matrix), {}),
-    "depolarize": (lambda lam=0.1: depolarize(S2, lam), {}),
+    "depolarize": (lambda state=S2, lam=0.1: depolarize(state, lam), {}),
     "eig_hermitian": (lambda: eig_hermitian(np.eye(2)), {}),
-    "embed_density": (lambda d_prime=3: embed_density(RHO2, d_prime), {}),
-    "embed_state": (lambda d_prime=3: embed_state(S2, d_prime), {}),
+    "embed_density": (lambda rho=RHO2, d_prime=3: embed_density(rho, d_prime), {}),
+    "embed_state": (lambda state=S2, d_prime=3: embed_state(state, d_prime), {}),
     "estimate_fidelity": (
-        lambda n_trials=100, seed=0: estimate_fidelity(STRAT_V, RHO2, n_trials, seed),
+        lambda strategy=STRAT_V, sigma=RHO2, n_trials=100, seed=0: estimate_fidelity(
+            strategy, sigma, n_trials, seed
+        ),
         {("seed", "huge"): lambda r: r.record.seed == HUGE},
     ),
-    "exact_pass_rate": (lambda: exact_pass_rate(STRAT_V, RHO2), {}),
-    "fidelity": (lambda: fidelity(RHO2, S2), {}),
+    "exact_pass_rate": (
+        lambda strategy=STRAT_V, sigma=RHO2: exact_pass_rate(strategy, sigma), {}
+    ),
+    "fidelity": (lambda rho=RHO2, state=S2: fidelity(rho, state), {}),
     "fidelity_from_pass_rate": (
         lambda rate=0.9, beta=0.5: fidelity_from_pass_rate(rate, beta), {}
     ),
@@ -168,10 +180,11 @@ CONTRACT = {
         {},
     ),
     "fourier_basis": (lambda d=3: fourier_basis(d), {}),
-    "is_homogeneous": (lambda tol=1e-10: is_homogeneous(STRAT_V, tol), {}),
+    "is_homogeneous": (lambda strategy=STRAT_V, tol=1e-10: is_homogeneous(strategy, tol), {}),
     "is_prime": (lambda n=7: is_prime(n), {}),
     "is_unbiased": (
-        lambda tol=1e-10: is_unbiased(standard_basis(3), fourier_basis(3), tol), {}
+        lambda b1=standard_basis(3), b2=fourier_basis(3), tol=1e-10: is_unbiased(b1, b2, tol),
+        {},
     ),
     "make_schmidt_state": (
         lambda d=3: make_schmidt_state([3.0, 2.0, 1.0], d),
@@ -182,28 +195,35 @@ CONTRACT = {
         {("d", "huge"): lambda r: r == (3 * (HUGE - 1) ** 2 + 3) // 4 + 1},
     ),
     "next_prime": (lambda n=8: next_prime(n), {}),
-    "one_way_diagonal_test": (lambda p=0.7: one_way_diagonal_test(S3, p), {}),
-    "optimal_p": (lambda: optimal_p(S3, "II"), {}),
+    "one_way_diagonal_test": (lambda state=S3, p=0.7: one_way_diagonal_test(state, p), {}),
+    "optimal_p": (lambda state=S3: optimal_p(state, "II"), {}),
     "plm_nu": (lambda theta=0.5: plm_nu(theta), {}),
     "prime_mub_set": (lambda d=3: prime_mub_set(d), {}),
     "random_state_at_fidelity": (
-        lambda fid=0.9: random_state_at_fidelity(S2, fid, _rng()), {}
+        lambda state=S2, fid=0.9, rng=RNG: random_state_at_fidelity(state, fid, rng), {}
     ),
-    "random_unbiased_basis": (lambda d=3: random_unbiased_basis(d, _rng()), {}),
-    "reduced_state_b": (lambda: reduced_state_b(S2), {}),
+    "random_unbiased_basis": (lambda d=3, rng=RNG: random_unbiased_basis(d, rng), {}),
+    "reduced_state_b": (lambda state=S2: reduced_state_b(state), {}),
     "roy_scott_set": (
         lambda d=3, m=5: roy_scott_set(d, m),
         {("m", "none"): lambda r: r.m == min_design_size(3)},
     ),
     "run_verification": (
-        lambda n_trials=100, seed=0: run_verification(STRAT_V, RHO2, n_trials, seed),
+        lambda strategy=STRAT_V, sigma=RHO2, n_trials=100, seed=0: run_verification(
+            strategy, sigma, n_trials, seed
+        ),
         {("seed", "huge"): lambda r: r.seed == HUGE},
     ),
+    "simulate.compile_tables": (
+        lambda strategy=STRAT_V, sigma=RHO2: compile_tables(strategy, sigma), {}
+    ),
     "standard_basis": (lambda d=3: standard_basis(d), {}),
-    "standard_test": (lambda: standard_test(S2), {}),
-    "state_vector": (lambda: state_vector(S2), {}),
-    "target_projector": (lambda: target_projector(S2), {}),
-    "test_projector": (lambda: test_projector(S2, fourier_basis(2), Direction.B_TO_A), {}),
+    "standard_test": (lambda state=S2: standard_test(state), {}),
+    "state_vector": (lambda state=S2: state_vector(state), {}),
+    "target_projector": (lambda state=S2: target_projector(state), {}),
+    "test_projector": (
+        lambda state=S2, basis=B2: test_projector(state, basis, Direction.B_TO_A), {}
+    ),
     "tests_needed": (
         lambda nu=0.5, epsilon=0.01, delta=0.01: tests_needed(nu, epsilon, delta), {}
     ),
@@ -216,17 +236,25 @@ CONTRACT = {
         {("seed", "huge"): lambda r: isinstance(r, np.random.Generator)},
     ),
     "two_qubit_state": (lambda theta=0.5: two_qubit_state(theta), {}),
-    "two_way_diagonal_test": (lambda p=0.7: two_way_diagonal_test(S3, p), {}),
-    "verify_2design": (lambda tol=1e-10: verify_2design(prime_mub_set(3), tol), {}),
+    "two_way_diagonal_test": (lambda state=S3, p=0.7: two_way_diagonal_test(state, p), {}),
+    "verify_2design": (
+        lambda basis_set=prime_mub_set(3), tol=1e-10: verify_2design(basis_set, tol), {}
+    ),
     "worst_case_pass_prob": (lambda nu=0.5, epsilon=0.1: worst_case_pass_prob(nu, epsilon), {}),
-    "worst_case_state": (lambda eps=0.1: worst_case_state(STRAT_V, eps), {}),
+    "worst_case_state": (lambda strategy=STRAT_V, eps=0.1: worst_case_state(strategy, eps), {}),
 }
 
 _NUMBER_ANNOTATION = re.compile(r"(float|int)( \| None)?")
 
 
 def _scalars(call) -> list[str]:
-    return list(inspect.signature(call).parameters)
+    parameters = inspect.signature(call).parameters.values()
+    return [p.name for p in parameters if not isinstance(p.default, OBJECTS)]
+
+
+def _objects(call) -> list[str]:
+    parameters = inspect.signature(call).parameters.values()
+    return [p.name for p in parameters if isinstance(p.default, OBJECTS)]
 
 
 def _public(name: str):
@@ -296,6 +324,24 @@ def test_hostile_scalar_is_refused_or_answered(name, scalar):
     assert not broken
 
 
+@pytest.mark.parametrize(
+    "name, argument",
+    [(name, arg) for name, (call, _) in sorted(CONTRACT.items()) for arg in _objects(call)],
+)
+def test_object_of_another_type_is_refused(name, argument):
+    """A string, None, an array or another package object in place of an
+    object argument is refused as out of range, naming the expected type."""
+    call = CONTRACT[name][0]
+    expected = inspect.signature(call).parameters[argument].default
+    other = RHO2 if isinstance(expected, SchmidtState) else S2
+    expected_type = next(cls for cls in OBJECTS if isinstance(expected, cls)).__name__
+    for value in ("x", None, np.eye(2), other):
+        with time_limit(TIME_LIMIT), pytest.raises(
+            OutOfRangeError, match=f"must be a {expected_type}, got "
+        ):
+            call(**{argument: value})
+
+
 def test_bounds_fit_the_int64_exponent_table():
     """m's bound keeps every product l e(a) of a design table in int64, and
     the d bound is the largest d whose smallest design fits m's."""
@@ -333,25 +379,6 @@ def test_list_entry_numpy_cannot_cast_is_refused(call, entries):
     range, not left to numpy's own error."""
     with pytest.raises(OutOfRangeError):
         call([entries, entries] if call is density_operator else entries)
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda sigma: run_verification(STRAT_V, sigma, 100),
-        lambda sigma: estimate_fidelity(STRAT_V, sigma, 100),
-        lambda sigma: compile_tables(STRAT_V, sigma),
-        lambda sigma: exact_pass_rate(STRAT_V, sigma),
-        lambda sigma: fidelity(sigma, S2),
-        lambda sigma: embed_density(sigma, 3),
-    ],
-    ids=["run_verification", "estimate_fidelity", "compile_tables", "exact_pass_rate",
-         "fidelity", "embed_density"],
-)
-@pytest.mark.parametrize("sigma", [RHO2.matrix, None, "rho"], ids=["matrix", "none", "str"])
-def test_state_that_is_no_density_operator_is_refused(call, sigma):
-    with pytest.raises(OutOfRangeError, match="must be a DensityOperator"):
-        call(sigma)
 
 
 def test_sizes_at_their_bounds_answer(capsys):

@@ -356,28 +356,26 @@ def test_design_bases_are_the_averaged_phase_rows(d, m, monkeypatch):
         assert np.abs(product - fourier).max() <= 1e-15
 
 
-def test_design_tests_hold_few_basis_stacks(monkeypatch):
-    """Each design test is its basis and the target, and the certificate
-    reads only the row-phase table: at d=24 kind VI, with the design's bases
-    built beforehand, the traced peak of _design_tests stays within half a
-    stack of size (m-1) d^2 complex entries, with the returned tests
-    included.  No basis stack or stored conditional ket is formed, and
-    _design_tests allocates no Omega: the build forms it from the closed
-    form."""
+def test_design_tests_hold_few_basis_stacks():
+    """Each design test is its basis and the target: at d=24 kind VI, the
+    traced peak of the first read of ``tests`` stays within 1.5 times the
+    bytes of the design's own bases, m d^2 complex entries for its m phase
+    bases, with the returned tests included.  No basis stack or stored
+    conditional ket is formed, and no Omega: the build formed it from the
+    closed form."""
     d = 24
     state = make_schmidt_state(np.arange(d, 0, -1.0))
-    design = designs._design(d)
-    basis_set = bases._basis_set(design)  # the bases are built here, before tracing
-    monkeypatch.setattr(bases, "_basis_set", lambda _: basis_set)
-    n_bases = basis_set.m
-    stack_bytes = (n_bases - 1) * d * d * np.dtype(complex).itemsize
+    strat = build_strategy(state, "VI")
+    n_bases = len(designs._design(d).multipliers)
+    bases_bytes = n_bases * d * d * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        strategies._design_tests(state, design, 0.5, two_way=True)
+        tests = strat.tests
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * stack_bytes
+    assert len(tests) == 1 + 2 * n_bases
+    assert peak <= 1.5 * bases_bytes
 
 
 def p_cases(state, kind):
@@ -510,8 +508,8 @@ def test_design_build_forms_only_its_head(kind, monkeypatch):
     design = designs._design(strat.state.d)
     n_design = len(design.multipliers) * (2 if kind in ("IV", "VI") else 1)
     assert len(tests) == 1 + n_design
-    # the design's basis set also holds its own standard basis
-    n_bases = 1 + len(design.multipliers)
+    # one basis per design row, shared by its two directions for IV and VI
+    n_bases = len(design.multipliers)
     assert list(counts.values()) == [head + n_bases, head + n_design, 1 - head]
 
 
@@ -535,15 +533,20 @@ def head_targets(draw):
 @settings(max_examples=60, deadline=None)
 @given(head_targets(), st.sampled_from(KINDS), st.one_of(st.none(), st.floats(0.5, 0.95)))
 def test_closed_form_head_is_the_formed_head(state, kind, p):
-    """The head diagonal a build mixes into Omega is the oracle's diagonal
-    of the head test that ``tests`` forms (1 on the standard test's
-    supported |jj>), and off |jj> V and VI's table is 1 - (1/p - 1) diag(Pi)
-    with the oracle's Pi, averaged over both directions for VI."""
+    """The head that a build mixes into Omega and ``tests`` forms
+    (``_head``) is the oracle's diagonal of the formed head test: the
+    standard test for I-IV, 1 on its supported |jj>, and for V and VI a table
+    that is 1 - (1/p - 1) diag(Pi) off |jj>, with the oracle's Pi, averaged
+    over both directions for VI."""
     strat = build_strategy(state, kind, p)
     state, p = strat.state, strat.p
-    head = strategies._head_diagonal(state, kind, p)
+    head_p, table = strategies._head(state, strat._record)
     q, test = strat.tests[0]
-    assert q == p
+    assert q == head_p == p
+    if table is None:  # the standard test
+        assert kind in ("I", "II", "III", "IV")
+        table = np.diag((state.coeffs**2 > SUPPORT_CUTOFF).astype(float))
+    head = table.ravel()
     assert np.abs(head - np.diag(dense.operator(test)).real).max() <= 2.3e-16
     if kind in ("V", "VI"):
         directions = list(Direction)[: 2 if kind == "VI" else 1]
@@ -551,9 +554,6 @@ def test_closed_form_head_is_the_formed_head(state, kind, p):
         off = np.ones(state.d**2, dtype=bool)
         off[:: state.d + 1] = False
         assert np.abs(head - (1.0 - (1.0 / p - 1.0) * pi))[off].max() <= 2.3e-16
-    else:
-        supported = state.coeffs**2 > SUPPORT_CUTOFF
-        assert np.array_equal(head.reshape(state.d, state.d), np.diag(supported.astype(float)))
 
 
 def _test_contents(strat):
