@@ -65,7 +65,7 @@ class Basis:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _integer_arg("dimension", self.d, 1))
-        v = np.asarray(self.vectors, dtype=complex)
+        v = linalg.as_matrix(self.vectors)
         if v.shape != (self.d, self.d):
             raise DimensionMismatchError(
                 f"expected a {self.d}x{self.d} matrix of kets, got {v.shape}"

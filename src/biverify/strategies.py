@@ -167,11 +167,11 @@ class Strategy:
     (``analysis._strategy_record``): its blocks are the d shift classes (see
     ``build_strategy``), ``p`` is the record's mixing probability of the
     standard/diagonal test, and its tests are formed on first read of
-    ``tests`` from ``_built_in_mixture``, which also gives its sampling
-    tables (``simulate.compile_tables``) without forming a test.  A custom
-    mixture has no record (None): its one block holds all d^2 kets, and it
-    keeps its checked ``(q, test)`` pairs in ``_tests``.  The record alone
-    tells the two apart.
+    ``tests`` from ``_built_in_mixture``, which also gives its per-test
+    pass probabilities (``simulate.compile_tables``) without forming a
+    test.  A custom mixture has no record (None): its one block holds all
+    d^2 kets, and it keeps its checked ``(q, test)`` pairs in ``_tests``.
+    The record alone tells the two apart.
     """
 
     state: SchmidtState
@@ -412,6 +412,7 @@ def optimal_p(state: SchmidtState, kind: str) -> float:
 def closed_form_beta(state: SchmidtState, label: str, p: float) -> float | None:
     """The built strategy's ``beta`` for a built-in kind at a real ``p`` in
     [0, 1) (``analysis._closed_form``); None for any other label."""
+    state = _instance_arg("state", state, SchmidtState)
     try:
         kind = _normalize_kind(label)
     except OutOfRangeError:

@@ -11,14 +11,15 @@ case records:
 - exactly: the built label and dimension (``built_d``, which kind II
   raises to a prime), the number of tests, each test's
   probability ``q``, its direction (``A``, ``B``, or ``D`` for a diagonal
-  test) and its supported outcomes as a bit mask;
-- to ``TOL``: ``p``, ``beta``, ``nu`` and ``optimal_p``; each test's
-  measured basis and conditional kets, or its acceptance table, read
-  through the fixed probes x^dagger M y (``probe``); each test's mixture
-  weight and its ``compile_tables`` outcome and acceptance rows on
-  ``depolarize(state, LAMBDA)``, each row read against a fixed weight
-  vector; and ``exact_pass_rate`` on that state and on
-  ``worst_case_state(strategy, EPS)``;
+  test) and its supported outcomes as a bit mask; ``is_homogeneous``;
+  and ``tests_needed`` at ``BUDGET`` (epsilon, delta);
+- to ``TOL``: ``p``, ``beta``, ``nu``, ``optimal_p`` and
+  ``tests_needed_adversarial`` at ``BUDGET`` (None where beta is 0); each
+  test's measured basis and conditional kets, or its acceptance table, read
+  through the fixed probes x^dagger M y (``probes``); each test's mixture
+  weight and its ``compile_tables`` pass probability on
+  ``depolarize(state, LAMBDA)``; and ``exact_pass_rate`` on that state and
+  on ``worst_case_state(strategy, EPS)``;
 - ``n_pass`` of a seeded ``run_verification`` on the depolarized state,
   with the numpy version that drew it: numpy does not promise a
   ``Generator`` stream across versions, so it compares exactly under the
@@ -47,9 +48,12 @@ from biverify import (
     build_strategy,
     depolarize,
     exact_pass_rate,
+    is_homogeneous,
     make_schmidt_state,
     optimal_p,
     run_verification,
+    tests_needed,
+    tests_needed_adversarial,
     worst_case_state,
 )
 from biverify.errors import BiverifyError
@@ -61,6 +65,7 @@ DIMENSIONS = (2, 3, 4, 5, 8, 12, 13, 16, 17)
 P_FIXED = 0.7
 LAMBDA = 0.1
 EPS = 0.1
+BUDGET = (0.01, 0.01)
 N_TRIALS = 10**6
 TOL = 1e-12
 
@@ -76,17 +81,16 @@ def targets(d: int) -> dict[str, list[float]]:
 
 
 @functools.cache
-def probes(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed complex probes x, y of C^d and a fixed real weight vector of
-    R^d, for ``_bilinear`` and the rows of ``compile_tables``."""
+def probes(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed complex probes x, y of C^d, for ``_bilinear``."""
     k = np.arange(d)
     x, y = (np.exp(1j * (s * k * k + 0.37 * k + s)) * (1.0 + k / d) for s in (0.61, 1.13))
-    return x.conj(), y, np.cos(0.3 + 0.71 * k)
+    return x.conj(), y
 
 
 def _bilinear(matrix: np.ndarray) -> list[float]:
     """x^dagger M y for the fixed probes of ``probes``."""
-    x, y, _ = probes(len(matrix))
+    x, y = probes(len(matrix))
     value = complex(x @ matrix @ y)
     return [value.real, value.imag]
 
@@ -111,15 +115,7 @@ def answers(kind: str, amplitudes: list[float], p, seed: int) -> dict:
             support.append(int(test.supported @ (1 << np.arange(d))))
             matrices.append(_bilinear(test.measured_basis.vectors))
     sigma = depolarize(strategy.state, LAMBDA)
-    pvec, tables = compile_tables(strategy, sigma)
-    weights = probes(d)[2]
-    rows = [
-        [float(weight), float(probs @ weights), float(accept @ weights)]
-        if len(probs) == d
-        else [float(weight), float(probs.reshape(d, d) @ weights @ weights),
-              float(accept.reshape(d, d) @ weights @ weights)]
-        for weight, (probs, accept) in zip(pvec, tables)
-    ]
+    pvec, pass_probs = compile_tables(strategy, sigma)
     return {
         "label": strategy.label,
         "built_d": d,
@@ -134,7 +130,12 @@ def answers(kind: str, amplitudes: list[float], p, seed: int) -> dict:
         "directions": "".join(directions),
         "support": support,
         "matrices": matrices,
-        "tables": rows,
+        "tables": [[float(weight), float(pi)] for weight, pi in zip(pvec, pass_probs)],
+        "homogeneous": is_homogeneous(strategy),
+        "tests_needed": tests_needed(strategy.nu, *BUDGET),
+        "tests_needed_adversarial": (
+            tests_needed_adversarial(strategy.beta, *BUDGET) if strategy.beta > 0.0 else None
+        ),
     }
 
 

@@ -48,27 +48,18 @@ def operator(test):
     )
 
 
-def outcome_tables(test, rho):
-    """The test's outcome probabilities and acceptances on the density
-    matrix ``rho``, outcome by outcome: tr[M_j rho] for the measuring
-    party's projector M_j = |u_j><u_j| x I (I x |u_j><u_j| for B -> A),
-    summed over the partner's standard basis, and <u_j v_j|rho|u_j v_j> /
-    tr[M_j rho] for the outcome's term (|v_j u_j> for B -> A), 0 where the
-    outcome has no term; for a diagonal test, the diagonal of ``rho`` and
-    the table."""
+def pass_probability(test, rho):
+    """The test's pass probability on the density matrix ``rho``, outcome
+    by outcome: sum_j tr[(M_j x |v_j><v_j|) rho] = <u_j v_j|rho|u_j v_j>
+    (M_j = |u_j><u_j| the measuring party's projector; |v_j u_j> for
+    B -> A) over the outcomes with a term; for a diagonal test, the
+    diagonal of ``rho`` against the table."""
     if isinstance(test, RandomizedDiagonalTest):
-        return np.diag(rho).real, test.acceptance.ravel()
-    eye = np.eye(test.d)
-    probs, accept = [], []
-    for u, v in outcome_kets(test):
-        m = _pair(test, u[:, None], eye)
-        probs.append(float(np.vdot(m, rho @ m).real))
-        if v is None:
-            accept.append(0.0)
-        else:
-            x = _pair(test, u, v)
-            accept.append(float(np.vdot(x, rho @ x).real) / probs[-1])
-    return np.array(probs), np.array(accept)
+        return float(np.diag(rho).real @ test.acceptance.ravel())
+    return sum(
+        float(np.vdot(x, rho @ x).real)
+        for x in (_pair(test, u, v) for u, v in outcome_kets(test) if v is not None)
+    )
 
 
 def pi(state, direction=Direction.A_TO_B):

@@ -367,7 +367,18 @@ def test_size_above_its_bound_refused(call, message):
         call()
 
 
-@pytest.mark.parametrize("call", [make_schmidt_state, density_operator])
+@pytest.mark.parametrize(
+    "call",
+    [
+        make_schmidt_state,
+        lambda entries: density_operator([entries, entries]),
+        lambda entries: Basis(2, [entries, entries]),
+        lambda entries: RandomizedDiagonalTest([entries, entries]),
+        lambda entries: WeightedBasisSet((B2, B2), entries),
+    ],
+    ids=["make_schmidt_state", "density_operator", "Basis", "RandomizedDiagonalTest",
+         "WeightedBasisSet"],
+)
 @pytest.mark.parametrize(
     "entries",
     [["a", "b"], [HUGE, 1.0], [[1.0], [1.0, 2.0]]],
@@ -376,9 +387,17 @@ def test_size_above_its_bound_refused(call, message):
 def test_list_entry_numpy_cannot_cast_is_refused(call, entries):
     """A list entry that is no number numpy can cast (a string, even a
     numeric one, an int no double holds, a ragged row) is refused as out of
-    range, not left to numpy's own error."""
+    range, not left to numpy's own error; the matrix inputs take two rows
+    of the entries, a basis set's weights the entries themselves."""
     with pytest.raises(OutOfRangeError):
-        call([entries, entries] if call is density_operator else entries)
+        call(entries)
+
+
+def test_closed_form_beta_checks_the_state_before_the_label():
+    """A label that names no built-in kind answers None only for a state."""
+    assert closed_form_beta(S3, "custom", 0.3) is None
+    with pytest.raises(OutOfRangeError, match="state must be a SchmidtState, got str"):
+        closed_form_beta("x", "custom", 0.3)
 
 
 def test_sizes_at_their_bounds_answer(capsys):

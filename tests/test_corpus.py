@@ -14,8 +14,11 @@ sys.path.insert(0, str(Path(__file__).with_name("corpus")))
 import generate  # noqa: E402
 
 CORPUS = json.loads(generate.PATH.read_text())
-EXACT = ("error", "label", "built_d", "q", "directions", "support")
-CLOSE = ("p", "beta", "nu", "optimal_p", "exact_depolarized", "exact_worst_case")
+EXACT = ("error", "label", "built_d", "q", "directions", "support", "homogeneous", "tests_needed")
+CLOSE = (
+    "p", "beta", "nu", "optimal_p", "exact_depolarized", "exact_worst_case",
+    "tests_needed_adversarial",
+)
 
 
 def _case_id(case):

@@ -21,9 +21,11 @@ from biverify import (
     make_schmidt_state,
     min_design_size,
     random_state_at_fidelity,
+    random_unbiased_basis,
     run_verification,
     standard_test,
     target_projector,
+    test_projector,
     trial_rng,
     two_qubit_state,
     worst_case_state,
@@ -34,7 +36,7 @@ from biverify.errors import (
     NotHomogeneousError,
     OutOfRangeError,
 )
-from biverify.simulate import MAX_TRIALS, _cells, _draw, compile_tables
+from biverify.simulate import MAX_TRIALS, _draw, compile_tables
 
 import dense_oracle as dense
 
@@ -159,15 +161,13 @@ class TestRunVerification:
             omega = dense.scattered(strat.index, strat.blocks)
             assert np.abs(dense.mixture(strat.tests) - omega).max() <= 1e-12
 
-    def test_conditional_acceptance_is_one_on_target(self):
+    def test_pass_probability_is_one_on_target(self):
         for kind in ("I", "II", "III", "IV", "V", "VI"):
             s = make_schmidt_state([2.0, 1.0, 1.0])
             strat = build_strategy(s, kind)
             sigma = density_operator(target_projector(strat.state))
-            _, tables = compile_tables(strat, sigma)
-            for probs, accept in tables:
-                live = probs > 1e-9
-                assert np.abs(accept[live] - 1.0).max() <= 1e-12
+            _, pass_probs = compile_tables(strat, sigma)
+            assert np.all(pass_probs == 1.0), kind
 
     def test_zero_probability_outcomes_never_sampled(self):
         """A source confined to one Schmidt branch never triggers the other
@@ -299,14 +299,15 @@ class TestBinomialOracle:
 
 
 class TestCountSampler:
-    """One run draws the cell counts as Multinomial(n, w) and the passes of a
-    cell as Binomial(count, a); the draw goes through the per-test tables."""
+    """One run draws the per-test counts as Multinomial(n, q) and the passes
+    of a test as Binomial(count, pi); the draw goes through each test's
+    pass probability."""
 
     @staticmethod
     def _tally(strat, sigma, n, seed):
-        weights, accept = _cells(strat, sigma)
-        counts, passes = _draw(weights, accept, n, trial_rng(seed))
-        return weights, accept, counts, passes
+        pvec, pass_probs = compile_tables(strat, sigma)
+        counts, passes = _draw(pvec, pass_probs, n, trial_rng(seed))
+        return pvec, pass_probs, counts, passes
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_counts_sum_to_n_and_passes_are_the_run(self, kind):
@@ -314,6 +315,7 @@ class TestCountSampler:
         sigma = _random_density(9, np.random.default_rng(3))
         for n, seed in ((1, 0), (4097, 1), (10**9, 2)):
             _, _, counts, passes = self._tally(strat, sigma, n, seed)
+            assert counts.shape == passes.shape == (len(strat.tests),)
             assert counts.sum() == n
             assert passes.sum() == run_verification(strat, sigma, n, seed).n_pass
 
@@ -326,58 +328,52 @@ class TestCountSampler:
             assert np.all((passes >= 0) & (passes <= counts))
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_zero_weight_and_unsupported_cells(self, kind):
-        """On a zero-tail target, outcomes the source never shows get no
-        trials, and outcomes the target does not support never pass."""
+    def test_unsupported_outcomes_fail_and_the_target_passes(self, kind):
+        """On a zero-tail target, every test the target runs passes every
+        trial; a noisy source that reaches the outcome the target does not
+        support fails the standard test of I-IV there, and every test some
+        trials."""
         strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0, 0.0]), kind)
         target = density_operator(target_projector(strat.state))
+        _, _, counts, passes = self._tally(strat, target, 10**6, 7)
+        assert np.array_equal(passes, counts)
         noisy = _random_density(strat.state.dim, np.random.default_rng(6))
-        for sigma in (target, noisy):
-            weights, accept, counts, passes = self._tally(strat, sigma, 10**6, 7)
-            assert np.all(counts[weights == 0.0] == 0)
-            assert np.all(passes[accept == 0.0] == 0)
-        # the noisy source, drawn last, reaches the unsupported cells (VI has none)
-        unsupported = (weights > 0.0) & (accept == 0.0)
-        assert unsupported.any() == (kind != "VI")
-        assert np.all(counts[unsupported] > 0)
+        _, pass_probs, counts, passes = self._tally(strat, noisy, 10**6, 7)
+        assert np.all(pass_probs < 1.0) and np.all(counts > 0) and np.all(passes < counts)
 
-    def test_zero_weight_last_cell_gets_no_trials(self):
+    def test_zero_weight_last_test_gets_no_trials(self):
         """numpy's multinomial hands the rounding remainder of the weights to
-        its last category.  Here that is the standard test's zero-tail
-        outcome, which the target never shows and which never passes, so
-        the target would fail some of 2**63 - 1 trials if the zero-weight
-        cell were drawn from."""
+        its last category.  Here that is a zero-weight test that never
+        passes, after kind III's tests on its target: drawn from, it would
+        take about a thousand of 2**63 - 1 trials and fail them."""
         s = make_schmidt_state([3.0, 2.0, 1.0, 0.0])
-        design = build_strategy(s, "III")
-        strat = assemble_strategy(
-            s, [(0.9 * q, t) for q, t in design.tests] + [(0.1, standard_test(s))]
-        )
-        sigma = density_operator(target_projector(s))
-        weights, accept = _cells(strat, sigma)
-        assert weights[-1] == 0.0 and accept[-1] == 0.0
+        strat = build_strategy(s, "III")
+        pvec, pass_probs = compile_tables(strat, density_operator(target_projector(s)))
+        pvec, pass_probs = np.append(pvec, 0.0), np.append(pass_probs, 0.0)
+        assert trial_rng(0).multinomial(MAX_TRIALS, pvec)[-1] > 0
         for seed in range(3):
-            assert run_verification(strat, sigma, MAX_TRIALS, seed).n_pass == MAX_TRIALS
+            counts, passes = _draw(pvec, pass_probs, MAX_TRIALS, trial_rng(seed))
+            assert counts[-1] == 0 and passes.sum() == MAX_TRIALS
 
-    def test_cell_counts_match_weights_chi_square(self):
-        """Pearson chi-square of the counts of a d = 3 kind VI run against n w,
-        over the cells of its A -> B and B -> A tests, within 5 sigma of its
-        mean on either side; and the passes of each cell against count * a."""
+    def test_counts_match_weights_chi_square(self):
+        """Pearson chi-square of the per-test counts of a d = 3 kind VI run
+        against n q, over its A -> B and B -> A tests, within 5 sigma of its
+        mean on either side; and the passes of each test against count * pi."""
         strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0]), "VI")
         assert {t.direction for _, t in strat.tests[1:]} == set(Direction)
         sigma = _random_density(9, np.random.default_rng(8))
         n = 10**7
-        weights, accept, counts, passes = self._tally(strat, sigma, n, 9)
-        live = weights > 0.0
-        dof = int(live.sum()) - 1
-        chi2 = float(np.sum((counts[live] - n * weights[live]) ** 2 / (n * weights[live])))
+        pvec, pass_probs, counts, passes = self._tally(strat, sigma, n, 9)
+        dof = len(pvec) - 1
+        chi2 = float(np.sum((counts - n * pvec) ** 2 / (n * pvec)))
         assert abs(chi2 - dof) <= 5.0 * math.sqrt(2 * dof)
-        mixed = (counts > 0) & (accept > 0.0) & (accept < 1.0)
-        c, a = counts[mixed], accept[mixed]
-        dispersion = float(np.sum((passes[mixed] - c * a) ** 2 / (c * a * (1.0 - a))))
-        assert abs(dispersion - mixed.sum()) <= 5.0 * math.sqrt(2 * mixed.sum())
+        assert np.all((pass_probs > 0.0) & (pass_probs < 1.0))
+        c, a = counts, pass_probs
+        dispersion = float(np.sum((passes - c * a) ** 2 / (c * a * (1.0 - a))))
+        assert abs(dispersion - len(c)) <= 5.0 * math.sqrt(2 * len(c))
 
-    def test_draws_go_through_the_tables(self, monkeypatch):
-        """With every acceptance zeroed in the tables, no trial passes, while
+    def test_draws_go_through_the_pass_probabilities(self, monkeypatch):
+        """With every pass probability zeroed, no trial passes, while
         exact_rate, read from Omega, is unchanged: the pass count is not a
         single Binomial(n, exact_rate) draw."""
         s = two_qubit_state(np.pi / 5)
@@ -386,19 +382,19 @@ class TestCountSampler:
         exact = {kind: run_verification(strats[kind], sigma, 10**4, 1).exact_rate for kind in KINDS}
         real = simulate.compile_tables
 
-        def zero_acceptance(strategy, state):
-            pvec, tables = real(strategy, state)
-            return pvec, [(probs, np.zeros_like(accept)) for probs, accept in tables]
+        def zero_pass(strategy, state):
+            pvec, pass_probs = real(strategy, state)
+            return pvec, np.zeros_like(pass_probs)
 
-        monkeypatch.setattr(simulate, "compile_tables", zero_acceptance)
+        monkeypatch.setattr(simulate, "compile_tables", zero_pass)
         for kind in KINDS:
             record = run_verification(strats[kind], sigma, 10**4, 1)
             assert record.n_pass == 0, kind
             assert record.exact_rate == exact[kind] > 0.5
 
-    def test_cell_weights_normalized_by_the_sampler(self, monkeypatch):
-        """Scaling the tables' mixture by a power of two leaves every run as it
-        was, bit for bit: the sampler normalizes the cell weights itself."""
+    def test_weights_normalized_by_the_sampler(self, monkeypatch):
+        """Scaling the mixture by a power of two leaves every run as it was,
+        bit for bit: the sampler normalizes the test weights itself."""
         strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0]), "VI")
         sigma = _random_density(9, np.random.default_rng(10))
         before = [run_verification(strat, sigma, 10**5, seed) for seed in range(5)]
@@ -406,8 +402,8 @@ class TestCountSampler:
         for scale in (0.25, 4.0):
 
             def scaled(strategy, state, scale=scale):
-                pvec, tables = real(strategy, state)
-                return scale * pvec, tables
+                pvec, pass_probs = real(strategy, state)
+                return scale * pvec, pass_probs
 
             monkeypatch.setattr(simulate, "compile_tables", scaled)
             after = [run_verification(strat, sigma, 10**5, seed) for seed in range(5)]
@@ -424,42 +420,42 @@ def _threshold_cases():
 
 
 class TestPassThresholds:
-    """Each trial of cell k passes with probability accept[k], the success
-    probability of that cell's binomial draw, so the cell weights average
-    these pass thresholds to the strategy's pass rate.  A "column" in the
-    test names is one (test, outcome) cell."""
+    """Each trial of test l passes with probability pi_l, the success
+    probability of that test's binomial draw, so the mixture averages these
+    pass thresholds to the strategy's pass rate."""
 
     @pytest.mark.parametrize("state,kind", _threshold_cases())
-    def test_column_pass_fractions_average_to_exact_rate(self, state, kind):
+    def test_pass_probabilities_average_to_exact_rate(self, state, kind):
         strat = build_strategy(state, kind)
         sigma = _random_density(strat.state.dim, np.random.default_rng(17))
-        weights, accept = _cells(strat, sigma)
-        assert weights.shape == accept.shape
-        assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
-        assert np.all((accept >= 0.0) & (accept <= 1.0))
-        assert abs(weights @ accept - exact_pass_rate(strat, sigma)) <= 1e-12
+        pvec, pass_probs = compile_tables(strat, sigma)
+        assert pvec.shape == pass_probs.shape == (len(strat.tests),)
+        assert np.all(pvec > 0.0) and abs(pvec.sum() - 1.0) <= 1e-12
+        assert np.all((pass_probs >= 0.0) & (pass_probs <= 1.0))
+        assert abs(pvec @ pass_probs - exact_pass_rate(strat, sigma)) <= 1e-12
 
     @pytest.mark.parametrize("state,kind", _threshold_cases())
-    def test_target_thresholds_are_column_ends(self, state, kind):
-        """On the target every cell that can be drawn passes for sure."""
+    def test_target_thresholds_are_one(self, state, kind):
+        """On the target every test passes for sure, with no rounding."""
         strat = build_strategy(state, kind)
         sigma = density_operator(target_projector(strat.state))
-        weights, accept = _cells(strat, sigma)
-        assert np.all(accept[weights > 0.0] == 1.0)
+        _, pass_probs = compile_tables(strat, sigma)
+        assert np.all(pass_probs == 1.0)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d", [7, 9, 16])
     def test_target_passes_for_sure_in_either_form(self, d, kind):
-        """The target given densely is factored on its nonzero rows, so no
-        rounding gives a rejecting cell weight, and given as factors it is
-        its one ket: either way every cell that can be drawn passes."""
+        """The target given densely is factored on its nonzero rows, and
+        given as factors it is its one ket: either way its fail mass is a
+        sum of squares of exact zeros and O(eps) residuals, so every test
+        reads exactly 1."""
         rng = np.random.default_rng(d)
         state = make_schmidt_state(np.concatenate((rng.uniform(0.05, 1.0, d - 1), [0.0])))
         strat = build_strategy(state, kind)
         dense_target = density_operator(target_projector(strat.state))
         for sigma in (dense_target, depolarize(strat.state, 0.0)):
-            weights, accept = _cells(strat, sigma)
-            assert np.all(accept[weights > 0.0] == 1.0)
+            _, pass_probs = compile_tables(strat, sigma)
+            assert np.all(pass_probs == 1.0)
 
 
 def _table_cases():
@@ -471,22 +467,27 @@ def _table_cases():
     return [pytest.param(s, kind, id=f"{name}-{kind}") for name, s in targets.items() for kind in KINDS]
 
 
+def _check_against_oracle(strat, sigma, checked, context=()):
+    """Every checked test's pass probability matches the dense oracle to
+    1e-12, and the mixture matches the strategy's weights."""
+    pvec, pass_probs = compile_tables(strat, sigma)
+    q = np.array([q for q, _ in strat.tests])
+    assert np.abs(pvec - q / q.sum()).max() <= 1e-12
+    assert len(pass_probs) == len(strat.tests)
+    for i in checked:
+        want = dense.pass_probability(strat.tests[i][1], sigma.matrix)
+        assert abs(pass_probs[i] - want) <= 1e-12, (*context, i)
+
+
 class TestCompileTablesOracle:
     """Kinds IV and VI carry B -> A tests, so both directions are covered."""
 
     @pytest.mark.parametrize("state,kind", _table_cases())
-    def test_tables_match_per_test_traces(self, state, kind):
+    def test_pass_probabilities_match_per_test_traces(self, state, kind):
         strat = build_strategy(state, kind)
         d = strat.state.d
         sigma = _random_density(d * d, np.random.default_rng(d))
-        pvec, tables = compile_tables(strat, sigma)
-        q = np.array([q for q, _ in strat.tests])
-        assert np.abs(pvec - q / q.sum()).max() <= 1e-12
-        assert len(tables) == len(strat.tests)
-        for (_, test), (probs, accept) in zip(strat.tests, tables):
-            want_probs, want_accept = dense.outcome_tables(test, sigma.matrix)
-            assert np.abs(probs - want_probs).max() <= 1e-12
-            assert np.abs(accept - want_accept).max() <= 1e-12
+        _check_against_oracle(strat, sigma, range(len(strat.tests)))
 
 
 def _grid_targets():
@@ -519,34 +520,50 @@ def _grid_sources(state, strat):
     return {**sources, "worst-case": worst_case_state(strat, 0.1)}
 
 
+def _custom_mixture(state):
+    """The standard test mixed with one random unbiased basis, measured
+    A -> B and B -> A: the custom path of every conditional test."""
+    basis = random_unbiased_basis(state.d, np.random.default_rng(state.d))
+    return assemble_strategy(state, [
+        (0.5, standard_test(state)),
+        (0.25, test_projector(state, basis, Direction.A_TO_B)),
+        (0.25, test_projector(state, basis, Direction.B_TO_A)),
+    ])
+
+
 class TestCompileTablesOracleGrid:
-    """The tables of every built-in kind match the dense oracle to 1e-12 on
-    factored and dense sources, embedded ones included.  Three tests a
-    strategy are checked against the oracle: the head and the first and last
-    tail tests, which cover both directions of IV and VI."""
+    """The pass probabilities of every built-in kind and of a custom mixture
+    match the dense oracle to 1e-12 on factored and dense sources, embedded
+    ones included, and read exactly 1 on the target.  Three tests of a
+    built-in strategy are checked against the oracle: the head and the
+    first and last tail tests, which cover both directions of IV and VI."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("name", sorted(GRID_TARGETS))
-    def test_tables_match_the_dense_oracle(self, name, kind):
+    def test_pass_probabilities_match_the_dense_oracle(self, name, kind):
         state = GRID_TARGETS[name]
         strat = build_strategy(state, kind)
-        tests = strat.tests
-        checked = sorted({0, 1, len(tests) - 1})
+        checked = sorted({0, 1, len(strat.tests) - 1})
         for source, sigma in _grid_sources(state, strat).items():
-            _, tables = compile_tables(strat, sigma)
-            assert len(tables) == len(tests)
-            for i in checked:
-                probs, accept = tables[i]
-                want_probs, want_accept = dense.outcome_tables(tests[i][1], sigma.matrix)
-                assert np.abs(probs - want_probs).max() <= 1e-12, (source, i)
-                assert np.abs(accept - want_accept).max() <= 1e-12, (source, i)
+            _check_against_oracle(strat, sigma, checked, (source,))
+        target = depolarize(strat.state, 0.0)
+        assert np.all(compile_tables(strat, target)[1] == 1.0)
+
+    @pytest.mark.parametrize("name", sorted(GRID_TARGETS))
+    def test_custom_mixture_matches_the_dense_oracle(self, name):
+        state = GRID_TARGETS[name]
+        strat = _custom_mixture(state)
+        for source, sigma in _grid_sources(state, strat).items():
+            _check_against_oracle(strat, sigma, range(3), (source,))
+        for target in (depolarize(state, 0.0), density_operator(target_projector(state))):
+            assert np.all(compile_tables(strat, target)[1] == 1.0)
 
 
 def test_run_verification_holds_no_dense_state_and_forms_no_basis(monkeypatch):
     """At d = 24, kind VI, a run on the depolarized target allocates less
     than one d^2 x d^2 complex matrix (5.3 MB) and constructs no Basis and no
-    test: the source is its factors and the tables come from the design's
-    row table.  Reading ``tests`` afterwards forms them as before."""
+    test: the source is its factors and the pass probabilities come from the
+    design's row table.  Reading ``tests`` afterwards forms them as before."""
     d = 24
     state = make_schmidt_state(np.arange(d, 0, -1.0))
     strat = build_strategy(state, "VI")
