@@ -27,6 +27,7 @@ from .errors import (
     NegativeCoefficientError,
     OutOfRangeError,
     SeparableStateError,
+    Tolerance,
     ZeroVectorError,
     _integer_arg,
     _real_arg,
@@ -35,9 +36,6 @@ from .errors import (
 STRATEGY_KINDS = ("I", "II", "III", "IV", "V", "VI")
 # support weights below the smallest normal double lose the unit conditional ket
 SUPPORT_CUTOFF = sys.float_info.min
-# max-norm distance from |Psi><Psi| + beta (I - |Psi><Psi|) within which a
-# strategy counts as homogeneous
-_HOMOGENEITY_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -216,22 +214,23 @@ def _two_qubit_amplitudes(theta) -> list[float]:
 
 def _check_p(kind: str, p: float, c0sq: float, c1sq: float) -> None:
     """Refuse a mixing probability outside built-in ``kind``'s range: [0, 1)
-    for I-IV; for V and VI [s/(1 + s), 1) to 1e-12 (``_closed_form``), where
-    the diagonal test's lowest acceptance 1 - (1/p - 1) s must also stay in
-    [0, 1] to 1e-12, s being Pi's largest diagonal entry off |jj> (its
-    highest acceptance is 1, on |jj>)."""
+    for I-IV; for V and VI [s/(1 + s), 1) to ``Tolerance.SCALAR``
+    (``_closed_form``), where the diagonal test's lowest acceptance
+    1 - (1/p - 1) s must also stay in [0, 1] to ``Tolerance.SCALAR``, s
+    being Pi's largest diagonal entry off |jj> (its highest acceptance is 1,
+    on |jj>)."""
     if kind != "V" and kind != "VI":
         if not 0.0 <= p < 1.0:
             raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
         return
     lowest = _closed_form(kind, c0sq, c1sq)[0]
-    if not lowest - 1e-12 <= p < 1.0:
+    if not lowest - Tolerance.SCALAR <= p < 1.0:
         raise OutOfRangeError(
             f"mixing probability p={p} outside [{lowest:.12g}, 1): acceptance "
             "probabilities would leave [0, 1]"
         )
     s = (c0sq + c1sq) / 2.0 if kind == "VI" else c0sq
-    if 1.0 - (1.0 / p - 1.0) * s < -1e-12:
+    if 1.0 - (1.0 / p - 1.0) * s < -Tolerance.SCALAR:
         raise OutOfRangeError("acceptance probabilities must lie in [0, 1]")
 
 
@@ -250,7 +249,8 @@ def _homogeneity_deviation(kind: str, c: list[float], p: float, beta: float) -> 
     the diagonal (1 - p) c_k^2 for II and III, (1 - p)(c_j^2 + c_k^2)/2
     over j != k for IV, extreme at the two largest and the two smallest c,
     and p for V and VI, whose diagonal test cancels Pi there up to
-    rounding (and the clip of a p within 1e-12 below its lowest).
+    rounding (and the clip of a p within ``Tolerance.SCALAR`` below its
+    lowest).
     """
     w = 1.0 - p
     homogeneous = kind == "V" or kind == "VI"

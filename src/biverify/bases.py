@@ -29,10 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-# is_prime, next_prime, min_design_size and DESIGN_ATOL stay importable
-# from here
+# is_prime, next_prime and min_design_size stay importable from here
 from .designs import (
-    DESIGN_ATOL,
     _MAX_DIMENSION,
     _Design,
     _design,
@@ -45,15 +43,11 @@ from .errors import (
     DimensionTooSmallError,
     NotPrimeError,
     OutOfRangeError,
+    Tolerance,
     _instance_arg,
     _integer_arg,
     _real_arg,
 )
-
-ORTHO_ATOL = 1e-10
-UNIT_ATOL = 1e-12
-WEIGHT_ATOL = 1e-12
-UNBIASED_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +64,14 @@ class Basis:
             raise DimensionMismatchError(
                 f"expected a {self.d}x{self.d} matrix of kets, got {v.shape}"
             )
+        if not np.isfinite(v).all():
+            raise OutOfRangeError("basis kets must be finite")
         gram = v.conj().T @ v
-        if np.abs(np.diag(gram) - 1.0).max() > UNIT_ATOL:
+        # an overflowed product leaves a NaN defect, which compares false, so
+        # each check asks for a defect within its tolerance
+        if not np.abs(np.diag(gram) - 1.0).max() <= Tolerance.SCALAR:
             raise OutOfRangeError("basis kets must have unit norm")
-        if np.abs(gram - np.eye(self.d)).max() > ORTHO_ATOL:
+        if not np.abs(gram - np.eye(self.d)).max() <= Tolerance.MATRIX:
             raise OutOfRangeError("basis kets must be pairwise orthogonal")
         v = v.copy()
         v.flags.writeable = False
@@ -95,7 +93,7 @@ class WeightedBasisSet:
             raise DimensionMismatchError("one weight per basis required")
         if np.any(w < 0):
             raise OutOfRangeError("weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_ATOL:
+        if not abs(float(w.sum()) - 1.0) <= Tolerance.SCALAR:
             raise OutOfRangeError(f"weights must sum to 1, got {w.sum():.15g}")
         dims = {b.d for b in self.bases}
         if len(dims) != 1:
@@ -141,7 +139,7 @@ def random_unbiased_basis(d: int, rng: np.random.Generator) -> Basis:
     return Basis(d=d, vectors=row[:, None] * fourier_basis(d).vectors * col[None, :])
 
 
-def is_unbiased(b1: Basis, b2: Basis, tol: float = UNBIASED_ATOL) -> bool:
+def is_unbiased(b1: Basis, b2: Basis, tol: float = Tolerance.MATRIX) -> bool:
     """True iff every cross overlap satisfies | |<u|v>|^2 - 1/d | <= tol;
     ``tol`` must be finite and >= 0."""
     b1, b2 = (_instance_arg("basis", b, Basis) for b in (b1, b2))
@@ -160,7 +158,7 @@ def maximally_entangled_ket(d: int) -> np.ndarray:
 
 
 def verify_2design(
-    basis_set: WeightedBasisSet, tol: float = DESIGN_ATOL
+    basis_set: WeightedBasisSet, tol: float = Tolerance.MATRIX
 ) -> tuple[bool, float]:
     """Check the weighted second-moment identity against (I + d|Phi><Phi|)/(d+1).
 

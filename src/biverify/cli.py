@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import analysis, designs
-from .errors import BiverifyError, OutOfRangeError, _integer_arg, _real_arg
+from .errors import BiverifyError, OutOfRangeError, Tolerance, _integer_arg, _real_arg
 
 if TYPE_CHECKING:
     from . import states, strategies
@@ -212,7 +212,7 @@ def _strategy_summary(record: analysis._StrategyRecord) -> dict:
         "p": record.p,
         "beta": record.beta,
         "nu": 1.0 - record.beta,
-        "homogeneous": record.deviation <= analysis._HOMOGENEITY_ATOL,
+        "homogeneous": record.deviation <= Tolerance.MATRIX,
     }
 
 
@@ -284,12 +284,22 @@ def cmd_check_design(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_simulate(args) -> int:
-    from . import simulate
-
+def _monte_carlo_job(args):
+    """The config, strategy and source of a ``simulate`` or
+    ``estimate-fidelity`` job.  The run never reads epsilon and delta, but
+    the payload echoes them, so they are checked last, as ``analyze`` checks
+    them after the strategy: an input refused before keeps its message."""
     config = _config_from_args(args)
     strategy = config.build_strategy()
     sigma = config.noise_state(strategy)
+    analysis._error_bounds(config.epsilon, config.delta)
+    return config, strategy, sigma
+
+
+def cmd_simulate(args) -> int:
+    from . import simulate
+
+    config, strategy, sigma = _monte_carlo_job(args)
     record = simulate.run_verification(strategy, sigma, config.trials, config.seed)
     payload = {
         "config": config.to_dict(),
@@ -303,9 +313,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate_fidelity(args) -> int:
     from . import simulate
 
-    config = _config_from_args(args)
-    strategy = config.build_strategy()
-    sigma = config.noise_state(strategy)
+    config, strategy, sigma = _monte_carlo_job(args)
     estimate = simulate.estimate_fidelity(strategy, sigma, config.trials, config.seed)
     payload = {
         "config": config.to_dict(),
@@ -364,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chk.add_argument("--d", type=int, required=True)
     p_chk.add_argument("--m", type=int, default=None)
-    p_chk.add_argument("--tol", type=float, default=designs.DESIGN_ATOL)
+    p_chk.add_argument("--tol", type=float, default=Tolerance.MATRIX)
     p_chk.set_defaults(func=cmd_check_design)
 
     p_sim = sub.add_parser(

@@ -17,9 +17,6 @@ from dataclasses import dataclass
 
 from .errors import OutOfRangeError, TooFewBasesError, _integer_arg
 
-# max-norm residual up to which the 2-design second-moment identity counts
-# as holding
-DESIGN_ATOL = 1e-10
 # the largest design size m and local dimension d (``_design``)
 _MAX_DESIGN_SIZE, _MAX_DIMENSION = math.isqrt(2**63 - 1), 63635
 # the largest n ``is_prime`` takes: trial division of a prime near it takes

@@ -8,10 +8,29 @@ as they refuse a value out of range.  The module loads no numpy, so the
 closed-form ``analysis`` layer can use it without the arrays.
 An object argument (a state, a strategy, a basis, a generator) enters
 through ``_instance_arg``, which refuses any other type.
+
+``Tolerance`` is the package's one table of tolerances: every check of an
+exact identity on floating-point input, and every default ``tol``, reads
+its bound there.
 """
 from __future__ import annotations
 
 import numbers
+
+
+class Tolerance:
+    """The three absolute tolerances of the package's floating-point checks."""
+
+    # A scalar that an exact formula makes 1 (a norm, a sum of weights or
+    # probabilities) is one short sum, whose rounding stays far below this.
+    SCALAR = 1e-12
+    # An entry of a matrix identity (orthonormality, Hermiticity, a trace,
+    # the design's second moment, the homogeneous form) sums up to d^2
+    # rounded products, so it gets a hundred times more room.
+    MATRIX = 1e-10
+    # An eigensolver's top eigenvalue and eigenvector carry its backward
+    # error, amplified for the vector by the inverse spectral gap.
+    EIGEN = 1e-8
 
 
 class BiverifyError(ValueError):

@@ -11,9 +11,8 @@ import itertools
 
 import numpy as np
 
-from .errors import NonHermitianError, OutOfRangeError
+from .errors import NonHermitianError, OutOfRangeError, Tolerance
 
-HERMITIAN_ATOL = 1e-10
 MAX_EIG_DIM = 4096
 # Blocks stacked into one matrix product by weighted_gram: large enough for
 # BLAS to run at full speed, small enough that the stack stays a few MiB.
@@ -74,11 +73,11 @@ def weighted_gram(blocks, dim: int) -> np.ndarray:
     return out
 
 
-def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(h) -> np.ndarray:
     """``h`` as a complex matrix, after checking that it is square, finite and
-    Hermitian within ``atol`` in max-norm.  Rows are compared with the
-    matching columns a block at a time, so no temporary is as large as
-    ``h``."""
+    Hermitian within ``Tolerance.MATRIX`` in max-norm.  Rows are compared
+    with the matching columns a block at a time, so no temporary is as large
+    as ``h``."""
     h = as_matrix(h)
     if not np.isfinite(h).all():
         raise OutOfRangeError("matrix entries must be finite")
@@ -94,9 +93,9 @@ def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
             ),
             default=0.0,
         )
-    if defect > atol:
+    if defect > Tolerance.MATRIX:
         raise NonHermitianError(
-            f"max |H - H^dagger| = {defect:.3e} exceeds tolerance {atol:.1e}"
+            f"max |H - H^dagger| = {defect:.3e} exceeds tolerance {Tolerance.MATRIX:.1e}"
         )
     return h
 

@@ -47,7 +47,7 @@ from .errors import (
     _instance_arg,
     _integer_arg,
 )
-from .states import SUPPORT_CUTOFF, DensityOperator
+from .states import DensityOperator
 from .strategies import (
     Direction,
     RandomizedDiagonalTest,
@@ -183,17 +183,12 @@ def _built_in_fail(state, sigma: DensityOperator, mixture, oriented):
     """The mixture and the per-test fail masses of a built-in strategy, from
     its closed-form mixture (``strategies._built_in_mixture``): no basis or
     test is formed."""
-    d, c = state.d, state.coeffs
+    c = state.coeffs
     head, rows, q, directions = mixture
     pvec, fail = [], []
     if head is not None:
         p, table = head
-        if table is None:  # the standard test
-            eye = np.eye(d)
-            kets_v = eye * (c**2 > SUPPORT_CUTOFF)
-            fail.append(_conditional_fail(eye, kets_v, oriented[Direction.A_TO_B]))
-        else:
-            fail.append(_diagonal_fail(sigma, table))
+        fail.append(_diagonal_fail(sigma, table))
         pvec.append(p)
     per_direction = np.stack([_row_fail(rows, c, oriented[x]) for x in directions], axis=1)
     fail.extend(per_direction.ravel())
@@ -255,8 +250,9 @@ def exact_pass_rate(strategy: Strategy, sigma: DensityOperator) -> float:
     [0, 1]: over Omega's blocks B_i, the sum of B_i's diagonal against
     sigma's diagonal and of y^dagger B_i y over sigma's kets y restricted to
     the block, a chunk of kets at a time.  Round-off puts the trace a few
-    ulps above 1 on the target, and Omega's top eigenvalue is 1 to 1e-8, so
-    the clamp hides no larger error than that."""
+    ulps above 1 on the target, and Omega's top eigenvalue is 1 to
+    ``errors.Tolerance.EIGEN``, so the clamp hides no larger error than
+    that."""
     sigma = _check_dimension(strategy, sigma)
     index, blocks = strategy.index, strategy.blocks
     rate = float(np.einsum("kaa,ka->", blocks, sigma._diagonal[index]).real)

@@ -20,14 +20,11 @@ from .errors import (
     DimensionMismatchError,
     NegativeCoefficientError,
     OutOfRangeError,
+    Tolerance,
     _instance_arg,
     _integer_arg,
     _real_arg,
 )
-
-NORM_ATOL = 1e-12
-TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +53,7 @@ class SchmidtState:
         if np.any(np.diff(c) > 0):
             raise OutOfRangeError("Schmidt coefficients must be non-increasing")
         # a unit vector has no entry above 1; refusing one first keeps c @ c finite
-        if c.max() > 1.0 + NORM_ATOL or abs(float(c @ c) - 1.0) > NORM_ATOL:
+        if c.max() > 1.0 + Tolerance.SCALAR or abs(float(c @ c) - 1.0) > Tolerance.SCALAR:
             raise OutOfRangeError("Schmidt coefficients must have unit square sum")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -83,12 +80,12 @@ class DensityOperator:
     off the kets y_r (columns of ``_kets``) and the diagonal g (``_diagonal``)
     without a dim x dim matrix.  ``DensityOperator(dim, matrix)`` checks a
     dense matrix (square, finite, Hermitian, unit trace, smallest eigenvalue
-    not below -``PSD_ATOL``) and factors it by one ``eigh`` on the rows and
-    columns that are not exactly zero, n of them, keeping y_r = sqrt(w_r)
-    x_r for the eigenvalues w_r above the rank tolerance max(w) n eps
-    (numpy's ``matrix_rank`` rule): the rest is rounding, or
-    a negative part the PSD tolerance admits, so the state held is the
-    input to within ``PSD_ATOL``.  The package's own states
+    not below -``Tolerance.MATRIX``) and factors it by one ``eigh`` on the
+    rows and columns that are not exactly zero, n of them, keeping y_r =
+    sqrt(w_r) x_r for the eigenvalues w_r above the rank tolerance max(w) n
+    eps (numpy's ``matrix_rank`` rule): the rest is rounding, or a negative
+    part the PSD check admits, so the state held is the input to within
+    ``Tolerance.MATRIX``.  The package's own states
     (``depolarize``, ``random_state_at_fidelity``, ``worst_case_state``,
     ``embed_density``, ``reduced_state_b``) give their factors in closed
     form, and their only check is g >= 0 and the trace.  ``matrix`` is
@@ -102,14 +99,16 @@ class DensityOperator:
             raise DimensionMismatchError(f"expected a {dim}x{dim} matrix, got {m.shape}")
         m = linalg.require_hermitian(m)
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if abs(tr - 1.0) > Tolerance.MATRIX:
             raise OutOfRangeError(f"trace must be 1, got {tr:.12g}")
         # a row and column of exact zeros lie in the kernel: the eigensolve
         # runs on the rest, so the kets vanish there exactly
         live = np.flatnonzero((m != 0).any(axis=0) | (m != 0).any(axis=1))
         w, v = np.linalg.eigh(m if live.size == dim else m[np.ix_(live, live)])
-        if w[0] < -PSD_ATOL:
-            raise OutOfRangeError(f"smallest eigenvalue {w[0]:.3e} is below -{PSD_ATOL:.0e}")
+        if w[0] < -Tolerance.MATRIX:
+            raise OutOfRangeError(
+                f"smallest eigenvalue {w[0]:.3e} is below -{Tolerance.MATRIX:.0e}"
+            )
         kept = w > w[-1] * live.size * np.finfo(float).eps
         if live.size == dim:
             kets = v if kept.all() else v[:, kept]
@@ -127,7 +126,7 @@ class DensityOperator:
         if not np.all(diagonal >= 0.0):
             raise OutOfRangeError("the diagonal part of a density operator must be >= 0")
         tr = float(diagonal.sum() + np.vdot(kets, kets).real)
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if abs(tr - 1.0) > Tolerance.MATRIX:
             raise OutOfRangeError(f"trace must be 1, got {tr:.12g}")
         rho = object.__new__(cls)
         rho._set(dim, diagonal, kets)

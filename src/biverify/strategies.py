@@ -38,14 +38,12 @@ from .errors import (
     DesignMismatchError,
     DimensionMismatchError,
     OutOfRangeError,
+    Tolerance,
     TopEigenvalueError,
     _instance_arg,
     _real_arg,
 )
 from .states import SUPPORT_CUTOFF, SchmidtState, embed_state, state_vector
-
-TARGET_PASS_ATOL = 1e-10
-TOP_EIGENVALUE_ATOL = 1e-8
 
 
 class Direction(str, Enum):
@@ -69,7 +67,8 @@ class ConditionalProjectorTest:
     (factors swapped for B -> A), a projector because ``Basis`` holds the
     u_j orthonormal, and is read only through ``pair_vectors``.  The target
     passes with probability sum_j w_j over the supported outcomes, which a
-    basis at the edge of ORTHO_ATOL can push off 1, so construction checks it.
+    basis at the edge of its orthogonality check can push off 1, so
+    construction checks it to ``Tolerance.MATRIX``.
     """
 
     direction: Direction
@@ -91,7 +90,7 @@ class ConditionalProjectorTest:
             )
         weights = self._scaled_kets()[1]
         pass_target = float(weights[weights > SUPPORT_CUTOFF].sum())
-        if abs(pass_target - 1.0) > TARGET_PASS_ATOL:
+        if abs(pass_target - 1.0) > Tolerance.MATRIX:
             raise DesignMismatchError(f"target pass probability {pass_target:.12g} is not 1")
 
     @property
@@ -198,8 +197,9 @@ class Strategy:
         tests = []
         if head is not None:
             p, table = head
-            tests.append((p, standard_test(self.state) if table is None
-                          else RandomizedDiagonalTest(table)))
+            diagonal_test = self._record.label in ("V", "VI")
+            tests.append((p, RandomizedDiagonalTest(table) if diagonal_test
+                          else standard_test(self.state)))
         d = self.state.d
         fourier = _phases(range(d), range(d), d)
         for q_row, row in zip(q, rows):
@@ -342,19 +342,19 @@ def assemble_strategy(
     and its spectrum comes from one dense eigensolve.  Its top eigenvalue
     must be 1 with the target as the top eigenvector.  The second
     eigenvector is kept as ``beta_vector`` once projected off the target; it
-    is orthogonal to the top one, which overlaps the target to 1e-8, so the
-    projection leaves it nearly unit.
+    is orthogonal to the top one, which overlaps the target to
+    ``Tolerance.EIGEN``, so the projection leaves it nearly unit.
     """
     state = _instance_arg("state", state, SchmidtState)
     tests = _checked_tests(state, tests)
     linalg.check_eig_dim(state.d * state.d)  # before the d^2 x d^2 Gram product
     omega = _mix(state.d, tests)
     w, v = linalg.eig_hermitian(omega)
-    if abs(w[0] - 1.0) > TOP_EIGENVALUE_ATOL:
+    if abs(w[0] - 1.0) > Tolerance.EIGEN:
         raise TopEigenvalueError(f"top eigenvalue is {w[0]:.12g}, expected 1")
     psi = state_vector(state)
     overlap = float(np.abs(psi.conj() @ v[:, 0]) ** 2)
-    if overlap < 1.0 - 1e-8:
+    if overlap < 1.0 - Tolerance.EIGEN:
         raise TopEigenvalueError(
             f"top eigenvector overlaps the target with only {overlap:.12g}"
         )
@@ -382,7 +382,7 @@ def _checked_tests(state: SchmidtState, tests) -> tuple:
     probs = np.array([q for q, _ in tests])
     if not np.all(probs > 0):
         raise OutOfRangeError("test probabilities must be positive")
-    if not abs(float(probs.sum()) - 1.0) <= 1e-12:
+    if not abs(float(probs.sum()) - 1.0) <= Tolerance.SCALAR:
         raise OutOfRangeError(f"test probabilities sum to {probs.sum():.15g}, not 1")
     if any(test.d != state.d for _, test in tests):
         raise DimensionMismatchError("test operator dimension mismatch")
@@ -423,12 +423,15 @@ def closed_form_beta(state: SchmidtState, label: str, p: float) -> float | None:
 
 def _head(state: SchmidtState, record: analysis._StrategyRecord):
     """A built-in strategy's head test as ``(p, table)``, None when there is
-    none (I-IV at p = 0): ``table`` is the diagonal test's acceptance for V
-    and VI and None for the standard test."""
+    none (I-IV at p = 0): ``table`` is the test's d x d acceptance table,
+    the diagonal test's for V and VI, and for I-IV the standard test's, 1 on
+    each supported |jj> and 0 elsewhere."""
     kind, p = record.label, record.p
     if kind in ("V", "VI"):
         return p, _diagonal_acceptance(state, p, kind)
-    return None if p == 0.0 else (p, None)
+    if p == 0.0:
+        return None
+    return p, np.diag((state.coeffs**2 > SUPPORT_CUTOFF).astype(float))
 
 
 def _built_in_mixture(state: SchmidtState, record: analysis._StrategyRecord):
@@ -509,10 +512,7 @@ def build_strategy(
     diagonal = diagonal * (1.0 - p)
     head = _head(state, record)
     if head is not None:
-        table = head[1]
-        if table is None:  # the standard test: 1 on its supported |jj>
-            table = np.diag((state.coeffs**2 > SUPPORT_CUTOFF).astype(float))
-        diagonal += p * table.ravel()
+        diagonal += p * head[1].ravel()
     blocks = _shift_blocks(vectors, diagonal, 1.0 - p)
     chi = _beta_vector(state, kind, record.beta == p)
     return Strategy(state, blocks, record.beta, chi, kind, record)
@@ -544,7 +544,7 @@ def _beta_vector(state: SchmidtState, kind: str, on_jj: bool) -> np.ndarray:
     return _freeze(chi)
 
 
-def is_homogeneous(strategy: Strategy, tol: float = analysis._HOMOGENEITY_ATOL) -> bool:
+def is_homogeneous(strategy: Strategy, tol: float = Tolerance.MATRIX) -> bool:
     """True iff Omega = |Psi><Psi| + beta (I - |Psi><Psi|) within tol in
     max-norm; ``tol`` must be finite and >= 0.
 

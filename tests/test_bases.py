@@ -66,6 +66,13 @@ class TestElementaryBases:
         with pytest.raises(OutOfRangeError):
             Basis(d=2, vectors=np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_ket_refused(self, bad):
+        """A NaN Gram defect compares false against any tolerance, so a NaN
+        or inf entry is refused before the Gram product."""
+        with pytest.raises(OutOfRangeError, match="basis kets must be finite"):
+            Basis(2, [[bad, 0.0], [0.0, 1.0]])
+
 
 class TestIsUnbiased:
     def test_standard_with_itself(self):
@@ -379,6 +386,13 @@ class TestWeightedBasisSetValidation:
                 bases=(standard_basis(2), fourier_basis(2)),
                 weights=np.array([0.5, 0.6]),
             )
+
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_weights_refused(self, weights):
+        """A NaN sum compares false against the tolerance, so the check asks
+        for a sum within it."""
+        with pytest.raises(OutOfRangeError, match="weights must sum to 1, got (nan|inf)"):
+            WeightedBasisSet((standard_basis(2), fourier_basis(2)), weights)
 
     def test_complex_weights_refused(self):
         with pytest.raises(OutOfRangeError, match="must be real"):

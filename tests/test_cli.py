@@ -562,6 +562,37 @@ class TestMalformedInput:
         self.assert_validation_error(code, err)
         assert "n_trials" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate-fidelity"])
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--epsilon", "nan"], "epsilon must be in (0, 1), got nan"),
+            (["--delta", "inf"], "delta must be in (0, 1), got inf"),
+            (["--epsilon", "nan", "--delta", "inf"], "epsilon must be in (0, 1), got nan"),
+            (["--epsilon", "1"], "epsilon must be in (0, 1), got 1.0"),
+        ],
+        ids=["nan-epsilon", "inf-delta", "both", "unit-epsilon"],
+    )
+    def test_error_bounds_the_payload_echoes(self, command, bounds, message, capsys):
+        """A Monte Carlo command never reads epsilon and delta but echoes
+        them, so a value no JSON holds (NaN, inf) or one ``analyze`` refuses
+        is refused as ``analyze`` refuses it, with nothing on stdout."""
+        code, out, err = run_cli(
+            [command, "--theta", "0.5", "--strategy", "V", "--trials", "1000", *bounds], capsys
+        )
+        self.assert_validation_error(code, err)
+        assert err == f"error: OutOfRangeError: {message}\n"
+        assert out == ""
+
+    def test_strategy_error_keeps_its_message_before_the_bounds(self, capsys):
+        """The bounds are checked after the job is built, so an input refused
+        before keeps its message."""
+        code, _, err = run_cli(
+            ["simulate", "--theta", "0.5", "--strategy", "VII", "--epsilon", "nan"], capsys
+        )
+        self.assert_validation_error(code, err)
+        assert "unknown strategy kind" in err
+
     def test_unparsable_depolarizing_weight(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--theta", "0.5", "--strategy", "V", "--noise", "depolarize:abc"],

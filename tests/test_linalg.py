@@ -14,7 +14,7 @@ from biverify import (
     test_projector,
     two_qubit_state,
 )
-from biverify.errors import NonHermitianError, OutOfRangeError
+from biverify.errors import NonHermitianError, OutOfRangeError, Tolerance
 
 import dense_oracle as dense
 
@@ -88,9 +88,10 @@ class TestRequireHermitian:
             eig_hermitian(h)
 
     @pytest.mark.parametrize("dim", [3, 300, 577])
-    def test_blockwise_defect_is_the_full_max_norm(self, dim):
+    def test_blockwise_defect_is_the_full_max_norm(self, dim, monkeypatch):
         """The row blocks, several of them above 256 rows, report the
-        max-norm defect of H - H^dagger with its bits, wherever it sits."""
+        max-norm defect of H - H^dagger with its bits, wherever it sits: a
+        tolerance of exactly that defect admits the matrix."""
         rng = np.random.default_rng(dim)
         h = random_hermitian(dim, rng)
         h[dim - 1, dim // 2] += 3e-9
@@ -98,7 +99,8 @@ class TestRequireHermitian:
         message = f"max |H - H^dagger| = {defect:.3e} exceeds tolerance 1.0e-10"
         with pytest.raises(NonHermitianError, match=re.escape(message)):
             linalg.require_hermitian(h)
-        assert linalg.require_hermitian(h, atol=defect) is h
+        monkeypatch.setattr(Tolerance, "MATRIX", defect)
+        assert linalg.require_hermitian(h) is h
 
     def test_peak_memory_stays_below_the_input(self):
         """The comparison holds no temporary as large as the matrix: at
