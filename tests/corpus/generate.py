@@ -19,7 +19,10 @@ case records:
   through the fixed probes x^dagger M y (``probes``); each test's mixture
   weight and its ``compile_tables`` pass probability on
   ``depolarize(state, LAMBDA)``; and ``exact_pass_rate`` on that state and
-  on ``worst_case_state(strategy, EPS)``;
+  on ``worst_case_state(strategy, EPS)``; and Omega, formed densely by
+  the oracle (``dense_oracle.omega``), as its trace, its Frobenius norm,
+  the probe x^dagger Omega y on C^{d^2} and the sum of its |jj> block
+  (``omega_invariants``);
 - ``n_pass`` of a seeded ``run_verification`` on the depolarized state,
   with the numpy version that drew it: numpy does not promise a
   ``Generator`` stream across versions, so it compares exactly under the
@@ -41,6 +44,8 @@ import functools
 import json
 import pathlib
 
+import sys
+
 import numpy as np
 
 from biverify import (
@@ -58,6 +63,9 @@ from biverify import (
 )
 from biverify.errors import BiverifyError
 from biverify.simulate import compile_tables
+
+sys.path.insert(0, str(pathlib.Path(__file__).parents[1]))
+import dense_oracle as dense  # noqa: E402
 
 PATH = pathlib.Path(__file__).with_name("corpus.json")
 KINDS = ("I", "II", "III", "IV", "V", "VI")
@@ -93,6 +101,21 @@ def _bilinear(matrix: np.ndarray) -> list[float]:
     x, y = probes(len(matrix))
     value = complex(x @ matrix @ y)
     return [value.real, value.imag]
+
+
+def omega_invariants(strategy) -> dict:
+    """Omega's trace, Frobenius norm, probe x^dagger Omega y (``_bilinear``
+    on C^{d^2}) and |jj> block sum sum_jk <jj|Omega|kk>, from the oracle's
+    dense Omega."""
+    omega = dense.omega(strategy)
+    d = strategy.state.d
+    jj = np.arange(d) * (d + 1)
+    return {
+        "omega_trace": float(np.trace(omega).real),
+        "omega_norm": float(np.linalg.norm(omega)),
+        "omega_probe": _bilinear(omega),
+        "omega_jj_sum": float(omega[np.ix_(jj, jj)].sum().real),
+    }
 
 
 def answers(kind: str, amplitudes: list[float], p, seed: int) -> dict:
@@ -136,6 +159,7 @@ def answers(kind: str, amplitudes: list[float], p, seed: int) -> dict:
         "tests_needed_adversarial": (
             tests_needed_adversarial(strategy.beta, *BUDGET) if strategy.beta > 0.0 else None
         ),
+        **omega_invariants(strategy),
     }
 
 

@@ -89,6 +89,12 @@ def scattered(index, blocks):
     return out
 
 
+def omega(strategy):
+    """A strategy's dense Omega, read from its public fields: ``blocks[i]``
+    on the |jk> indices ``index[i]``."""
+    return scattered(strategy.index, strategy.blocks)
+
+
 def homogeneity_miss(strategy):
     """Max-norm distance of a strategy's dense Omega from the homogeneous
     |Psi><Psi| + beta (I - |Psi><Psi|), |Psi> = sum_k c_k |kk>."""

@@ -17,7 +17,7 @@ CORPUS = json.loads(generate.PATH.read_text())
 EXACT = ("error", "label", "built_d", "q", "directions", "support", "homogeneous", "tests_needed")
 CLOSE = (
     "p", "beta", "nu", "optimal_p", "exact_depolarized", "exact_worst_case",
-    "tests_needed_adversarial",
+    "tests_needed_adversarial", "omega_trace", "omega_norm", "omega_jj_sum",
 )
 
 
@@ -36,6 +36,8 @@ def _moved(case, got):
     if "error" in case or moved:
         return moved
     moved += [(f, case[f], got[f]) for f in CLOSE if not _close(case[f], got[f])]
+    if not all(map(_close, case["omega_probe"], got["omega_probe"])):
+        moved.append(("omega_probe", case["omega_probe"], got["omega_probe"]))
     for field in ("matrices", "tables"):
         for test, (want, now) in enumerate(zip(case[field], got[field])):
             if not all(map(_close, want, now)):
