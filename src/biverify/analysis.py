@@ -238,7 +238,7 @@ def _homogeneity_deviation(kind: str, c: list[float], p: float, beta: float) -> 
     """Max-norm distance of a built-in strategy's Omega from |Psi><Psi| +
     beta (I - |Psi><Psi|), in O(d) from its sorted coefficients ``c``.
 
-    Omega is d blocks, one per shift class of kets |a, a - delta>
+    Omega acts on each shift class of kets |a, a - delta> apart
     (``strategies.build_strategy``).  On class 0, the kets |aa>, it is
     (1 - p) c c^T + p diag(h), h_a = 1 where the head test accepts |aa>
     (always for V and VI, on a supported outcome for I-IV), and the model is

@@ -66,6 +66,10 @@ class Basis:
             )
         if not np.isfinite(v).all():
             raise OutOfRangeError("basis kets must be finite")
+        # a unit ket has no entry above 1; refusing one first keeps the Gram
+        # product from overflowing
+        if not np.abs(v).max() <= 1.0 + Tolerance.SCALAR:
+            raise OutOfRangeError("basis kets must have unit norm")
         gram = v.conj().T @ v
         # an overflowed product leaves a NaN defect, which compares false, so
         # each check asks for a defect within its tolerance

@@ -67,7 +67,7 @@ MAX_TRIALS = np.iinfo(np.int64).max
 class RunRecord:
     """Tally of one verification run.
 
-    ``exact_rate`` is tr(Omega sigma), computed from Omega's blocks and the
+    ``exact_rate`` is tr(Omega sigma), computed from Omega's factors and the
     source's factors independently of the sampled trials, and serves as the
     calibration oracle for the empirical ``pass_rate``.
     """
@@ -247,23 +247,35 @@ def _draw(
 
 def exact_pass_rate(strategy: Strategy, sigma: DensityOperator) -> float:
     """tr(Omega sigma), the exact average pass probability, clamped to
-    [0, 1]: over Omega's blocks B_i, the sum of B_i's diagonal against
-    sigma's diagonal and of y^dagger B_i y over sigma's kets y restricted to
-    the block, a chunk of kets at a time.  Round-off puts the trace a few
-    ulps above 1 on the target, and Omega's top eigenvalue is 1 to
+    [0, 1], read off both operators' factors (``Strategy``,
+    ``DensityOperator``): Omega's diagonal g_O + sum_k w_k |X_ik|^2 against
+    sigma's diagonal, plus, over sigma's kets y a chunk at a time, g_O |y|^2
+    + sum_k w_k |X_ik^T conj(y_i)|^2, y_i the ket's entries on index set i.
+    A built-in strategy costs O(r d^2) on r kets.  Round-off puts the trace
+    a few ulps above 1 on the target, and Omega's top eigenvalue is 1 to
     ``errors.Tolerance.EIGEN``, so the clamp hides no larger error than
     that."""
     sigma = _check_dimension(strategy, sigma)
-    index, blocks = strategy.index, strategy.blocks
-    rate = float(np.einsum("kaa,ka->", blocks, sigma._diagonal[index]).real)
-    # one complex product, like ``_row_fail``'s: a real one would page in the
-    # real BLAS kernels too, 0.2 MiB of peak RSS per process
-    blocks = blocks.astype(complex, copy=False)
+    index, diagonal, x, w = strategy.index, strategy.diagonal, strategy.factors, strategy.weights
+    # a sum of |z|^2 reads z's real view (re and im on the last axis), so
+    # that neither X nor a chunk of kets is copied to take a modulus
+    parts = x.view(float).reshape(*x.shape, 2)
+    rate = float(diagonal @ sigma._diagonal) + float(
+        np.einsum("iskc,iskc,is->k", parts, parts, sigma._diagonal[index]) @ w
+    )
+    # X^T conj(y) is a complex matrix product, like ``_row_fail``'s: a real
+    # one would page in the real BLAS matrix kernels too, 0.2 MiB of peak
+    # RSS per process
+    x_t, on_sets = np.swapaxes(x, 1, 2), diagonal[index]
     kets = sigma._kets
     step = max(1, _RATE_CHUNK // sigma.dim)
     for start in range(0, kets.shape[1], step):
-        part = kets[:, start : start + step][index]  # (block, ket in block, ket)
-        rate += float(np.vdot(part, blocks @ part).real)
+        part = kets[:, start : start + step][index]  # (index set, ket in set, ket)
+        np.conjugate(part, out=part)
+        rate += float(np.einsum("is,ist,ist->", on_sets, part.view(float), part.view(float)))
+        amp = (x_t @ part).view(float)  # X_i^T conj(y_i): (index set, k, ket re/im)
+        rate += float(np.einsum("ikt,ikt->k", amp, amp) @ w)
+        del part, amp  # before the next chunk is gathered
     return min(max(rate, 0.0), 1.0)
 
 

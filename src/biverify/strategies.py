@@ -155,26 +155,34 @@ TestOperator = ConditionalProjectorTest | RandomizedDiagonalTest
 class Strategy:
     """A convex mixture of tests with its spectral data.
 
-    Omega, the weighted sum of the test operators, is ``blocks[i]`` on the
-    |jk> indices ``index[i]``; the index sets partition the d^2 kets, and
-    Omega vanishes between them.  ``beta`` is Omega's second-largest
-    eigenvalue, ``nu = 1 - beta`` the spectral gap, and ``beta_vector`` a
-    unit eigenvector for ``beta`` orthogonal to the target (see
-    ``states.worst_case_state``).
+    Omega, the weighted sum of the test operators, is held as its factors,
+
+        Omega = diag(diagonal) + sum_i X_i diag(weights) X_i^dagger,
+
+    with ``diagonal`` indexed by |jk> and X_i = ``factors[i]`` (an s x k
+    complex matrix) on the s kets ``index[i]``; the index sets partition
+    the d^2 kets.  ``beta`` is Omega's second-largest eigenvalue, ``nu = 1 -
+    beta`` the spectral gap, and ``beta_vector`` a unit eigenvector for
+    ``beta`` orthogonal to the target (see ``states.worst_case_state``).
 
     A built-in strategy keeps its scalar record
-    (``analysis._strategy_record``): its blocks are the d shift classes (see
-    ``build_strategy``), ``p`` is the record's mixing probability of the
-    standard/diagonal test, and its tests are formed on first read of
-    ``tests`` from ``_built_in_mixture``, which also gives its per-test
-    pass probabilities (``simulate.compile_tables``) without forming a
-    test.  A custom mixture has no record (None): its one block holds all
-    d^2 kets, and it keeps its checked ``(q, test)`` pairs in ``_tests``.
-    The record alone tells the two apart.
+    (``analysis._strategy_record``): its index sets are the d shift classes,
+    each X_delta one column and ``weights`` = [1 - p] (see
+    ``build_strategy``), O(d^2) numbers in all; ``p`` is the record's mixing
+    probability of the standard/diagonal test, and its tests are formed on
+    first read of ``tests`` from ``_built_in_mixture``, which also gives its
+    per-test pass probabilities (``simulate.compile_tables``) without
+    forming a test.  A custom mixture has no record (None): its one index
+    set holds all d^2 kets in order, X its eigenvectors, ``weights`` its
+    eigenvalues in descending order and ``diagonal`` 0, and it keeps its
+    checked ``(q, test)`` pairs in ``_tests``.  The record alone tells the
+    two apart.
     """
 
     state: SchmidtState
-    blocks: np.ndarray
+    diagonal: np.ndarray
+    factors: np.ndarray
+    weights: np.ndarray
     beta: float
     beta_vector: np.ndarray
     label: str
@@ -214,7 +222,7 @@ class Strategy:
 
     @property
     def index(self) -> np.ndarray:
-        """The |jk> indices of each block, one row per block."""
+        """The |jk> indices that each of ``factors`` sits on, one row each."""
         if self._record is None:
             return _freeze(np.arange(self.state.dim)[None])
         return _shift_index(self.state.d)
@@ -276,9 +284,9 @@ def _diagonal_acceptance(state: SchmidtState, p: float, kind: str) -> np.ndarray
 
 def _pi_parts(state: SchmidtState, two_way: bool) -> tuple[np.ndarray, np.ndarray]:
     """Pi, averaged over both directions if ``two_way``, as (vectors,
-    diagonal) for ``_shift_blocks``: |Psi><Psi| is c c^T on span{|jj>}, and
-    I x rho_B (rho_A x I for B -> A) is diagonal, with its |jj> entries
-    cancelled."""
+    diagonal) on the shift classes (``build_strategy``): |Psi><Psi| is
+    c c^T on span{|jj>}, and I x rho_B (rho_A x I for B -> A) is diagonal,
+    with its |jj> entries cancelled."""
     d = state.d
     c2 = state.coeffs**2
     diagonal = np.tile(c2, d)
@@ -295,17 +303,6 @@ def _shift_index(d: int) -> np.ndarray:
     as their |jk> indices a d + (a - delta mod d)."""
     a = np.arange(d)
     return _freeze(a * d + (a - a[:, None]) % d)
-
-
-def _shift_blocks(vectors: np.ndarray, diagonal: np.ndarray, weight: float) -> np.ndarray:
-    """The blocks weight |v><v| + diag(``diagonal``) on each shift class
-    delta (``_shift_index``), with v = ``vectors[delta]`` on its kets and
-    ``diagonal`` indexed by |jk>."""
-    a = np.arange(len(vectors))
-    blocks = np.einsum("ka,kb->kab", vectors, vectors)
-    blocks *= weight
-    blocks[:, a, a] += diagonal[_shift_index(len(a))]
-    return _freeze(blocks)
 
 
 def _mix(d: int, tests) -> np.ndarray:
@@ -339,11 +336,13 @@ def assemble_strategy(
     probabilities summing to one, every conditional test made for ``state``.
     The verification operator is the exact weighted sum of the test
     operators, formed from their factors without building any test's matrix,
-    and its spectrum comes from one dense eigensolve.  Its top eigenvalue
-    must be 1 with the target as the top eigenvector.  The second
-    eigenvector is kept as ``beta_vector`` once projected off the target; it
-    is orthogonal to the top one, which overlaps the target to
-    ``Tolerance.EIGEN``, so the projection leaves it nearly unit.
+    and its spectrum comes from one dense eigensolve, whose eigenvectors and
+    eigenvalues the strategy keeps as Omega's factors in place of the
+    matrix.  Its top eigenvalue must be 1 with the target as the top
+    eigenvector.  The second eigenvector is kept as ``beta_vector`` once
+    projected off the target; it is orthogonal to the top one, which
+    overlaps the target to ``Tolerance.EIGEN``, so the projection leaves it
+    nearly unit.
     """
     state = _instance_arg("state", state, SchmidtState)
     tests = _checked_tests(state, tests)
@@ -361,7 +360,8 @@ def assemble_strategy(
     beta = float(w[1])
     chi = v[:, 1] - psi * (psi.conj() @ v[:, 1])
     chi = chi / float(np.linalg.norm(chi))
-    return Strategy(state, _freeze(omega[None]), beta, _freeze(chi), label, _tests=tests)
+    return Strategy(state, _freeze(np.zeros(state.dim)), _freeze(v[None]), _freeze(w), beta,
+                    _freeze(chi), label, _tests=tests)
 
 
 def _checked_tests(state: SchmidtState, tests) -> tuple:
@@ -494,8 +494,11 @@ def build_strategy(
     two directions for IV and VI): c c^T on span{|jj>} plus a d^2 diagonal.
     Kind I's Fourier test is c_delta c_delta^T, c_delta[a] = c_{a - delta},
     on each shift class delta (the kets |a, a - delta>).  So every kind is
-    d real d x d blocks with its spectrum in closed form: no eigenproblem is
-    solved and no d^2 x d^2 matrix is formed.
+    (1 - p) v_delta v_delta^T plus a d^2 diagonal on each class, held as
+    those factors (``Strategy``): v_delta = c_delta for kind I, and for the
+    design kinds v_0 = c and v_delta = 0 for delta >= 1.  That is O(d^2)
+    state with its spectrum in closed form: no eigenproblem is solved and
+    no d x d block or d^2 x d^2 matrix is formed.
 
     No test is formed here: the head test (``_head``) enters Omega through
     its diagonal, and ``Strategy.tests`` forms every test when first read.
@@ -513,9 +516,10 @@ def build_strategy(
     head = _head(state, record)
     if head is not None:
         diagonal += p * head[1].ravel()
-    blocks = _shift_blocks(vectors, diagonal, 1.0 - p)
+    factors = _freeze(vectors.astype(complex)[:, :, None])
     chi = _beta_vector(state, kind, record.beta == p)
-    return Strategy(state, blocks, record.beta, chi, kind, record)
+    return Strategy(state, _freeze(diagonal), factors, _freeze(np.array([1.0 - p])), record.beta,
+                    chi, kind, record)
 
 
 def _beta_vector(state: SchmidtState, kind: str, on_jj: bool) -> np.ndarray:
@@ -550,15 +554,16 @@ def is_homogeneous(strategy: Strategy, tol: float = Tolerance.MATRIX) -> bool:
 
     A built-in strategy reads the distance off its record, where it is in
     closed form (``analysis._homogeneity_deviation``).  A custom mixture's
-    block is compared with beta I + (1 - beta) psi psi^T, psi the target.
+    dense Omega, formed from its factors, is compared with
+    beta I + (1 - beta) psi psi^T, psi the target.
     """
     strategy = _instance_arg("strategy", strategy, Strategy)
     tol = _real_arg("tolerance", tol, 0.0, math.inf, hi_open=True)
     if strategy._record is not None:
         return strategy._record.deviation <= tol
-    beta = strategy.beta
-    psi = state_vector(strategy.state)[strategy.index]
-    deviation = strategy.blocks - (1.0 - beta) * psi[:, :, None] * psi[:, None, :].conj()
-    diag = np.arange(deviation.shape[1])
-    deviation[:, diag, diag] -= beta
+    beta, (x,) = strategy.beta, strategy.factors  # one index set: every ket in order
+    psi = state_vector(strategy.state)
+    deviation = (x * strategy.weights) @ x.conj().T
+    deviation -= (1.0 - beta) * np.outer(psi, psi.conj())
+    deviation.flat[:: len(psi) + 1] += strategy.diagonal - beta
     return bool(np.abs(deviation).max() <= tol)

@@ -8,10 +8,12 @@ w_j = sum_k c_k^2 |u_kj|^2; outcome j counts only when w_j is above
 ``SUPPORT_CUTOFF``, the package's stated support rule.  A diagonal test is
 its acceptance table on the diagonal.  Pi is |Psi><Psi| + I x rho_B -
 sum_k c_k^2 |kk><kk| (rho_A x I for B -> A), and Omega is the q-weighted sum
-of the tests.  Only the records' public fields are read (a test's direction,
-measured basis, target and table, a basis set's bases and weights, a
-strategy's index, blocks, beta and target), so the oracle shares no helper
-with the code it checks.
+of the tests.  A strategy's Omega is formed densely from its factors,
+diag(diagonal) + X_i diag(weights) X_i^dagger on the |jk> indices index[i].
+Only the records' public fields are read (a test's direction, measured
+basis, target and table, a basis set's bases and weights, a strategy's
+diagonal, factors, weights, index, beta and target), so the oracle shares no
+helper with the code it checks.
 """
 
 import numpy as np
@@ -81,18 +83,28 @@ def mixture(tests):
 
 
 def scattered(index, blocks):
-    """The dense Omega of a strategy held as ``blocks[i]`` on the |jk>
-    indices ``index[i]``, zero between the index sets."""
+    """The dense matrix that is ``blocks[i]`` on the |jk> indices
+    ``index[i]`` and zero between the index sets."""
     out = np.zeros((index.size, index.size), dtype=complex)
     for idx, block in zip(index, blocks):
         out[np.ix_(idx, idx)] = block
     return out
 
 
+def blocks(strategy):
+    """A strategy's Omega on each of its index sets, stacked: X_i
+    diag(weights) X_i^dagger + diag(diagonal[index[i]]), X_i =
+    ``factors[i]``."""
+    return np.stack([
+        (x * strategy.weights) @ x.conj().T + np.diag(strategy.diagonal[idx])
+        for idx, x in zip(strategy.index, strategy.factors)
+    ])
+
+
 def omega(strategy):
-    """A strategy's dense Omega, read from its public fields: ``blocks[i]``
-    on the |jk> indices ``index[i]``."""
-    return scattered(strategy.index, strategy.blocks)
+    """A strategy's dense Omega, read from its public fields: ``blocks`` on
+    the |jk> indices ``index[i]``, zero between the index sets."""
+    return scattered(strategy.index, blocks(strategy))
 
 
 def homogeneity_miss(strategy):
@@ -104,7 +116,7 @@ def homogeneity_miss(strategy):
     psi[:: d + 1] = c
     proj = np.outer(psi, psi)
     model = proj + strategy.beta * (np.eye(d * d) - proj)
-    return float(np.abs(scattered(strategy.index, strategy.blocks) - model).max())
+    return float(np.abs(omega(strategy) - model).max())
 
 
 def design_average(state, basis_set, direction=Direction.A_TO_B):

@@ -154,7 +154,7 @@ def test_homogeneous_spectra():
         ):
             for p in p_values:
                 strat = build_strategy(s, kind, p=p)
-                w = np.linalg.eigvalsh(dense.scattered(strat.index, strat.blocks))[::-1]
+                w = np.linalg.eigvalsh(dense.omega(strat))[::-1]
                 worst = max(worst, abs(w[0] - 1.0), float(np.abs(w[1:] - p).max()))
     _report(
         "homogeneous spectra of V and VI (d = 2 and 3, three p each)",

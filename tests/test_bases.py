@@ -73,6 +73,13 @@ class TestElementaryBases:
         with pytest.raises(OutOfRangeError, match="basis kets must be finite"):
             Basis(2, [[bad, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("huge", [1e200 + 1e200j, 1.7e308 + 1.7e308j])
+    def test_huge_ket_refused_before_the_gram_product(self, huge):
+        """A finite entry above 1 is refused as it stands, where its Gram
+        product would overflow (the second one's modulus is inf)."""
+        with pytest.raises(OutOfRangeError, match="basis kets must have unit norm"):
+            Basis(2, [[huge, 0.0], [0.0, 1.0]])
+
 
 class TestIsUnbiased:
     def test_standard_with_itself(self):

@@ -15,7 +15,7 @@ large d, builds take a fraction of a second, but the dense worst-case
 state's positivity check costs an O(d^6) eigensolve, so the "large-d"
 hypothesis profile runs few examples.
 
-Every built-in kind forms Omega from its closed form as shift-class blocks,
+Every built-in kind forms Omega from its closed form as shift-class factors,
 not from the tests, so the large-d property checks both sides: Omega is
 exactly zero outside the shift classes delta = a - b mod d, and the tests
 realize it, on a random vector, through their own factors.
@@ -239,11 +239,11 @@ def test_large_d_design_strategy_invariants(target, kind, eps, seed):
     )
     a = np.arange(d)
     assert np.array_equal(strat.index, a * d + (a - a[:, None]) % d)
-    omega = dense.scattered(strat.index, strat.blocks)
+    omega = dense.omega(strat)
     assert abs((x.conj() @ omega @ x).real - realized) <= ATOL
     psi = state_vector(state)
     assert np.abs(omega @ psi - psi).max() <= ATOL
-    w = np.sort(np.linalg.eigvalsh(strat.blocks).ravel())[::-1]
+    w = np.sort(np.linalg.eigvalsh(dense.blocks(strat)).ravel())[::-1]
     assert abs(w[0] - 1.0) <= ATOL
     assert abs(w[1] - strat.beta) <= ATOL
     assert abs(strat.beta - closed_form_beta(state, kind, strat.p)) <= ATOL

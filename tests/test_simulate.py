@@ -158,7 +158,7 @@ class TestRunVerification:
         for kind in ("I", "II", "III", "IV", "V", "VI"):
             s = make_schmidt_state([2.0, 1.0, 1.0])
             strat = build_strategy(s, kind)
-            omega = dense.scattered(strat.index, strat.blocks)
+            omega = dense.omega(strat)
             assert np.abs(dense.mixture(strat.tests) - omega).max() <= 1e-12
 
     def test_pass_probability_is_one_on_target(self):

@@ -153,13 +153,12 @@ class TestTestProjector:
 
 def pi_blocks(s, kind):
     """Omega of a kind-II (one-way) or kind-IV (two-way) strategy at p = 0,
-    which is its Pi, scattered densely from the strategy's shift blocks."""
-    strat = build_strategy(s, kind, p=0.0)
-    return dense.scattered(strat.index, strat.blocks)
+    which is its Pi, formed densely from the strategy's shift-class factors."""
+    return dense.omega(build_strategy(s, kind, p=0.0))
 
 
 class TestPiOperator:
-    """The build's Pi (a p = 0 strategy's blocks) and the oracle's, against
+    """The build's Pi (a p = 0 strategy's Omega) and the oracle's, against
     the paper's two-qubit forms and the design averages."""
 
     def test_closed_form_two_qubits(self):
@@ -239,7 +238,7 @@ class TestBuildStrategy:
         p = 0.37
         ii, iii = build_strategy(s, "II", p=p), build_strategy(s, "III", p=p)
         assert np.array_equal(ii.index, iii.index)
-        assert np.abs(ii.blocks - iii.blocks).max() <= 1e-10
+        assert np.abs(dense.omega(ii) - dense.omega(iii)).max() <= 1e-10
 
     def test_embedding_for_nonprime_dimension(self):
         s = make_schmidt_state([2.0, 1.0, 1.0, 1.0])
@@ -277,7 +276,7 @@ class TestBuildStrategy:
             expected = closed_form_beta(strat.state, kind, strat.p)
             assert abs(strat.beta - expected) <= 1e-10
             psi = state_vector(strat.state)
-            omega = dense.scattered(strat.index, strat.blocks)
+            omega = dense.omega(strat)
             assert np.abs(omega @ psi - psi).max() <= 1e-12
 
     def test_two_way_test_probabilities(self):
@@ -336,7 +335,7 @@ class TestHomogeneousStrategies:
     def test_one_way_spectrum_two_qubits(self, p):
         s = two_qubit_state(np.pi / 4)
         strat = build_strategy(s, "V", p=p)
-        w = np.linalg.eigvalsh(dense.scattered(strat.index, strat.blocks))[::-1]
+        w = np.linalg.eigvalsh(dense.omega(strat))[::-1]
         assert abs(w[0] - 1.0) <= 1e-10
         assert np.abs(w[1:] - p).max() <= 1e-10
         assert is_homogeneous(strat)
@@ -414,7 +413,7 @@ class TestHomogeneousStrategies:
         strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0, 0.0]), kind)
         proj = target_projector(strat.state)
         model = proj + strat.beta * (np.eye(strat.state.dim) - proj)
-        distance = np.abs(dense.scattered(strat.index, strat.blocks) - model).max()
+        distance = np.abs(dense.omega(strat) - model).max()
         if kind in ("V", "VI"):
             assert distance <= 1e-14 and is_homogeneous(strat)
         else:

@@ -6,7 +6,7 @@ outcomes supported above ``SUPPORT_CUTOFF`` of |u_j><u_j| x |v_j><v_j|
 (factors swapped for B -> A) with the conditional kets recomputed from the
 target, and mixes the tests with their probabilities.  The package holds
 the same operators only as factors (a test's pair vectors, a custom
-mixture's Gram product of them) or as closed-form shift-class blocks (kind
+mixture's Gram product of them) or as closed-form shift-class factors (kind
 I, and the design part of kinds II-VI, which the design's table certificate
 licenses), and must agree to round-off, near-product targets included.
 """
@@ -29,6 +29,7 @@ from biverify import (
     build_strategy,
     closed_form_beta,
     density_operator,
+    depolarize,
     embed_state,
     exact_pass_rate,
     fourier_basis,
@@ -92,7 +93,7 @@ def test_strategy_matches_dense_oracle(name, kind):
         if isinstance(t, ConditionalProjectorTest):
             assert dense.factor_miss(m, t.pair_vectors()) <= ATOL
     omega = sum(q * m for (q, _), m in zip(strat.tests, operators))
-    assert np.abs(dense.scattered(strat.index, strat.blocks) - omega).max() <= ATOL
+    assert np.abs(dense.omega(strat) - omega).max() <= ATOL
 
     w = np.linalg.eigvalsh(omega)[::-1]
     assert abs(strat.beta - w[1]) <= ATOL
@@ -189,7 +190,7 @@ def test_custom_mixture_matches_dense_oracle():
         (0.2, strategies.two_way_diagonal_test(state, 0.9)),
     ]
     strat = strategies.assemble_strategy(state, tests)
-    omega = dense.scattered(strat.index, strat.blocks)
+    omega = dense.omega(strat)
     assert np.abs(omega - dense.mixture(tests)).max() <= ATOL
 
 
@@ -293,7 +294,7 @@ def test_two_way_tests_are_swapped_twins(name, kind):
 def test_design_strategy_calls_no_gram_and_no_eigensolver(kind, monkeypatch):
     """Each B -> A design test shares its A -> B twin's basis and target; no
     built-in build calls weighted_gram (kind I's Fourier test and the design
-    part come from shift blocks, the head test from its diagonal) or an
+    part come from shift-class factors, the head test from its diagonal) or an
     eigensolver (the spectrum is the closed form)."""
     state = TARGETS["d5-random"]
     grams, eig_dims = [], []
@@ -407,7 +408,7 @@ def test_worst_case_state_solves_no_eigenproblem(kind, monkeypatch):
         chi, psi = strat.beta_vector, state_vector(strat.state)
         assert not chi.flags.writeable
         assert abs(np.linalg.norm(chi) - 1.0) <= ATOL and abs(psi.conj() @ chi) <= ATOL
-        omega = dense.scattered(strat.index, strat.blocks)
+        omega = dense.omega(strat)
         assert abs(strat.beta - np.linalg.eigvalsh(omega)[-2]) <= ATOL
         assert np.abs(omega @ chi - strat.beta * chi).max() <= ATOL
     calls = []
@@ -425,7 +426,7 @@ def test_worst_case_state_solves_no_eigenproblem(kind, monkeypatch):
 
 def test_max_eig_dim_limits_only_the_dense_path(monkeypatch):
     """With the dense eigensolver capped below d^2, every built-in kind still
-    builds from its shift-class blocks, and a custom mixture raises before
+    builds from its shift-class factors, and a custom mixture raises before
     its d^2 x d^2 Gram product is formed."""
     monkeypatch.setattr(linalg, "MAX_EIG_DIM", 64)
     grams = []
@@ -451,15 +452,21 @@ def test_max_eig_dim_limits_only_the_dense_path(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_strategy_holds_shift_blocks_not_omega(kind):
-    """Every built-in kind holds Omega as d real d x d shift-class blocks on
-    the kets |a, a - delta>; building it, checking its homogeneity and
-    reading an exact pass rate never form the dense Omega."""
+def test_strategy_holds_shift_class_factors_not_omega(kind):
+    """Every built-in kind holds Omega as one column and a diagonal on each
+    shift class, the kets |a, a - delta>: the column is c_{a - delta} for
+    kind I and c on class 0 alone for the design kinds, of weight 1 - p;
+    building it, checking its homogeneity and reading an exact pass rate
+    never form the dense Omega."""
     strat = build_strategy(TARGETS["d6-zero-tail"], kind)
-    d = strat.state.d
+    d, c = strat.state.d, strat.state.coeffs
     a = np.arange(d)
-    assert strat.blocks.shape == (d, d, d) and strat.blocks.dtype == np.float64
+    assert strat.factors.shape == (d, d, 1) and strat.factors.dtype == np.complex128
+    assert strat.diagonal.shape == (d * d,) and strat.diagonal.dtype == np.float64
+    assert np.array_equal(strat.weights, [1.0 - strat.p])
     assert np.array_equal(strat.index, a * d + (a - a[:, None]) % d)
+    columns = c[strat.index % d] if kind == "I" else np.where(a[:, None] == 0, c, 0.0)
+    assert np.array_equal(strat.factors[:, :, 0], columns)
     strategies.is_homogeneous(strat)
     exact_pass_rate(strat, worst_case_state(strat, 0.1))
 
@@ -578,7 +585,11 @@ def test_strategy_pickles_before_and_after_reading_tests(kind):
     strat = build_strategy(TARGETS["d4-zero-tail"], kind)
     fresh = pickle.loads(pickle.dumps(strat))
     assert "tests" not in vars(fresh)
-    assert np.array_equal(fresh.blocks, strat.blocks) and fresh.beta == strat.beta
+    assert all(
+        np.array_equal(getattr(fresh, name), getattr(strat, name))
+        for name in ("diagonal", "factors", "weights", "index")
+    )
+    assert fresh.beta == strat.beta
     expected = _test_contents(strat)
     assert _test_contents(fresh) == expected
     assert _test_contents(pickle.loads(pickle.dumps(strat))) == expected
@@ -586,7 +597,7 @@ def test_strategy_pickles_before_and_after_reading_tests(kind):
 
 def test_design_build_allocates_no_design_tests():
     """build_strategy at d=24 kind VI forms only the row table, the shift
-    blocks and the diagonal test: its traced peak stays under 2 MiB, where
+    class factors and the diagonal test: its traced peak stays under 2 MiB, where
     forming its 794 design tests and their bases would take 7.3 MiB."""
     state = make_schmidt_state(np.arange(24, 0, -1.0))
     build_strategy(state, "VI")  # warm up imports and caches before tracing
@@ -597,6 +608,26 @@ def test_design_build_allocates_no_design_tests():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["I", "III", "VI"])
+def test_built_strategy_allocates_no_cubic_array(kind):
+    """At d = 256, building a strategy and reading its exact pass rate on a
+    depolarized and on the worst-case state peak under 32 MiB traced, where
+    one real (d, d, d) array alone is 128 MiB; the worst-case state passes
+    with probability 1 - nu eps."""
+    d, eps = 256, 0.1
+    state = make_schmidt_state(np.arange(d, 0, -1.0))
+    tracemalloc.start()
+    try:
+        strat = build_strategy(state, kind)
+        exact_pass_rate(strat, depolarize(strat.state, 0.1))
+        worst = exact_pass_rate(strat, worst_case_state(strat, eps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert abs(worst - (1.0 - strat.nu * eps)) <= 1e-12
 
 
 def test_kind_i_at_d70_solves_no_eigenproblem(monkeypatch):
@@ -612,7 +643,7 @@ def test_kind_i_at_d70_solves_no_eigenproblem(monkeypatch):
     monkeypatch.setattr(linalg, "eig_hermitian", counting_eig)
     strat = build_strategy(make_schmidt_state(np.arange(70, 0, -1.0)), "I")
     assert strat.beta == 0.5 and strat.nu == 0.5
-    assert strat.blocks.shape == (70, 70, 70)
+    assert strat.factors.shape == (70, 70, 1) and strat.diagonal.shape == (70 * 70,)
     assert calls == []
 
 
@@ -633,11 +664,12 @@ def test_exact_pass_rate_matches_dense_trace(kind):
         b_to_a = strategies.test_projector(state, basis, Direction.B_TO_A)
         tests = [(0.3, strategies.standard_test(state)), (0.7, b_to_a)]
         strat = strategies.assemble_strategy(state, tests)
-        assert strat.blocks.shape == (1, 25, 25)
+        assert strat.factors.shape == (1, 25, 25) and strat.weights.shape == (25,)
+        assert np.array_equal(strat.index, [np.arange(25)]) and not strat.diagonal.any()
     else:
         strat = build_strategy(state, kind)
     sigma = _random_sigma(strat.state.dim, np.random.default_rng(7))
-    omega = dense.scattered(strat.index, strat.blocks)
+    omega = dense.omega(strat)
     trace = float(np.einsum("ij,ji->", omega, sigma.matrix).real)
     assert abs(exact_pass_rate(strat, sigma) - trace) <= 1e-14
 
@@ -660,6 +692,6 @@ def test_exact_pass_rate_reads_a_custom_block_without_copying_sigma():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    trace = float(np.trace(dense.scattered(strat.index, strat.blocks) @ sigma.matrix).real)
+    trace = float(np.trace(dense.omega(strat) @ sigma.matrix).real)
     assert abs(rate - trace) <= 1e-12
     assert peak <= 0.1 * sigma.matrix.nbytes
