@@ -214,24 +214,21 @@ def _two_qubit_amplitudes(theta) -> list[float]:
 
 def _check_p(kind: str, p: float, c0sq: float, c1sq: float) -> None:
     """Refuse a mixing probability outside built-in ``kind``'s range: [0, 1)
-    for I-IV; for V and VI [s/(1 + s), 1) to ``Tolerance.SCALAR``
-    (``_closed_form``), where the diagonal test's lowest acceptance
-    1 - (1/p - 1) s must also stay in [0, 1] to ``Tolerance.SCALAR``, s
-    being Pi's largest diagonal entry off |jj> (its highest acceptance is 1,
-    on |jj>)."""
+    for I-IV; for V and VI [s/(1 + s), 1) (``_closed_form``), s being Pi's
+    largest diagonal entry off |jj>: p in (0, 1) whose diagonal test's
+    lowest acceptance 1 - (1/p - 1) s is at least -``Tolerance.SCALAR`` (its
+    highest acceptance is 1, on |jj>)."""
     if kind != "V" and kind != "VI":
         if not 0.0 <= p < 1.0:
             raise OutOfRangeError(f"p must be in [0, 1) for kind {kind}, got {p}")
         return
-    lowest = _closed_form(kind, c0sq, c1sq)[0]
-    if not lowest - Tolerance.SCALAR <= p < 1.0:
+    s = (c0sq + c1sq) / 2.0 if kind == "VI" else c0sq
+    if not (0.0 < p < 1.0 and 1.0 - (1.0 / p - 1.0) * s >= -Tolerance.SCALAR):
+        lowest = _closed_form(kind, c0sq, c1sq)[0]
         raise OutOfRangeError(
             f"mixing probability p={p} outside [{lowest:.12g}, 1): acceptance "
             "probabilities would leave [0, 1]"
         )
-    s = (c0sq + c1sq) / 2.0 if kind == "VI" else c0sq
-    if 1.0 - (1.0 / p - 1.0) * s < -Tolerance.SCALAR:
-        raise OutOfRangeError("acceptance probabilities must lie in [0, 1]")
 
 
 def _homogeneity_deviation(kind: str, c: list[float], p: float, beta: float) -> float:

@@ -8,8 +8,8 @@ Roy and Scott, together with numerical checks of unbiasedness and of the
 A built-in design is its integer table (``designs._design``), certified
 exactly from that table (``designs._Design.residual``) with no numpy; this
 module forms the table's numpy forms, its complex rows (``_rows``), weights
-(``_weights``) and bases (``_basis_set``), and re-exports the primality
-helpers and the design bounds from ``designs``.
+(``_weights``) and bases (``_phase_bases``, ``_basis_set``), and
+re-exports the primality helpers and the design bounds from ``designs``.
 
 Each fact about a construction is certified in one place.  ``Basis`` checks
 that its kets are orthonormal.  A built-in design's 2-design identity is
@@ -230,12 +230,16 @@ def _weights(design: _Design) -> np.ndarray:
     return np.concatenate(([1.0 / (d + 1)], np.full(n, d / (n * (d + 1)))))
 
 
-def _basis_set(design: _Design) -> WeightedBasisSet:
-    """The design's bases, every phase basis from one vectorized product."""
+def _phase_bases(design: _Design):
+    """The bases diag(row) F, F the Fourier basis, one per row of the table."""
     d = len(design.exponents)
-    kets = _phases(range(d), range(d), d)[None, :, :] * _rows(design)[:, :, None]
-    kets /= math.sqrt(d)
+    fourier = _phases(range(d), range(d), d)
+    return (Basis(d=d, vectors=fourier * row[:, None] / math.sqrt(d)) for row in _rows(design))
+
+
+def _basis_set(design: _Design) -> WeightedBasisSet:
+    """The design's bases: the standard basis, then ``_phase_bases``."""
     return WeightedBasisSet(
-        bases=(standard_basis(d), *(Basis(d=d, vectors=v) for v in kets)),
+        bases=(standard_basis(len(design.exponents)), *_phase_bases(design)),
         weights=_weights(design),
     )

@@ -14,8 +14,8 @@ test's fail mass, a sum of non-negative squares, so a test the source
 passes for sure reads exactly 1.  A built-in strategy's design and Fourier
 tests are diag(row_l) F, so their fail masses come from its mixture
 (``strategies._built_in_mixture``, the description its ``tests`` are formed
-from) over the d shift classes, O(r m d^2) for m rows, with no basis or
-test formed (``compile_tables``).
+from) by one DFT of its integer table per live shift class, with no row,
+basis or test formed (``compile_tables``).
 
 Trials are i.i.d., so the per-test counts of n trials are Multinomial(n,
 q_l), and the passes of a test are Binomial(count, pi_l) given its count.
@@ -55,9 +55,7 @@ from .strategies import (
     is_homogeneous,
 )
 
-# complex entries of the largest temporary of one chunk of design rows
-# (``_row_fail``) and of sigma's kets (``exact_pass_rate``)
-_TABLE_CHUNK = 2**15
+# complex entries of one chunk of sigma's kets (``exact_pass_rate``)
 _RATE_CHUNK = 2**11
 # numpy draws the counts as int64
 MAX_TRIALS = np.iinfo(np.int64).max
@@ -143,9 +141,10 @@ def _conditional_fail(basis, kets_v, oriented) -> float:
     )
 
 
-def _row_fail(rows, coeffs, oriented):
+def _row_fail(table, coeffs, oriented):
     """The fail mass of the tests measuring diag(row_l) F, F the Fourier
-    basis, for every row l, as an (L,) array.
+    basis, for every multiplier l of the integer ``table`` (row_l[a] =
+    zeta^{l e(a)}, ``designs._Design``), as an (L,) array.
 
     Outcome j's pair vector is sum_ab conj(row[a]) row[b] c_b w^{(a-b) j}
     |ab> / sqrt(d), so by Parseval the pass mass of a ket y is
@@ -155,45 +154,43 @@ def _row_fail(rows, coeffs, oriented):
     sum of |y_delta|^2 - |t[delta]|^2 over kets and classes, plus
     sum_ab g_ab (1 - c_b^2) from the diagonal.  Since |row| = 1, v_0 = c
     for every row, so class 0 is row-free: its residual |y_0 - <c, y_0> c|^2
-    is formed once.  Rows are taken a chunk at a time, so the (classes x
-    rows x kets) products stay within ``_TABLE_CHUNK`` entries.
+    is formed once.  On class delta >= 1, conj(row_l[a]) row_l[a-delta] =
+    zeta^{-l g(a)}, g(a) = e(a) - e(a-delta) mod M, so t_l[delta] is entry
+    l mod M of one length-M DFT of c_{a-delta} y[a, a-delta] scattered onto
+    g(a): O(r M log M) per class with a nonzero entry, and none otherwise.
     """
     diagonal, kets = oriented
-    n_rows, d = rows.shape
-    r = kets.shape[2]
+    d, r = kets.shape[1:]
     a = np.arange(d)
     on_class_0 = kets[a, a]  # (a, r)
     residual = on_class_0 - coeffs[:, None] * (coeffs @ on_class_0)
     fixed = float(np.vdot(residual, residual).real) + float(np.sum(diagonal @ (1.0 - coeffs**2)))
-    shift = strategies._shift_index(d)[1:] % d  # shift[delta - 1, a] = a - delta mod d
-    classes = kets[a, shift]  # (delta, a, r): y[a, a - delta]
-    fixed += float(np.vdot(classes, classes).real)
-    classes *= coeffs[shift][:, :, None]
-    fail = np.empty(n_rows)
-    step = max(1, _TABLE_CHUNK // (d * max(d, r)))
-    for start in range(0, n_rows, step):
-        chunk = rows[start : start + step]
-        pairs = np.moveaxis(chunk.conj()[:, None, :] * chunk[:, shift], 1, 0)
-        sums = (pairs @ classes).view(float)  # (delta, row, 2 r): t
-        fail[start : start + step] = fixed - np.einsum("jlk,jlk->l", sums, sums)
+    fail = np.full(len(table.multipliers), fixed)
+    e, modulus = np.array(table.exponents), table.modulus
+    multipliers = np.arange(table.multipliers.start, table.multipliers.stop) % modulus
+    for delta in range(1, d):
+        b = a - delta
+        y = kets[a, b]  # (a, r): y[a, a - delta]
+        if not y.any():
+            continue
+        scattered = np.zeros((modulus, r), dtype=complex)
+        np.add.at(scattered, (e - e[b]) % modulus, coeffs[b, None] * y)
+        t = np.fft.fft(scattered, axis=0).view(float)  # (l mod M, 2 r): t_l[delta]
+        fail += float(np.vdot(y, y).real) - np.einsum("lk,lk->l", t, t)[multipliers]
     return fail
 
 
 def _built_in_fail(state, sigma: DensityOperator, mixture, oriented):
     """The mixture and the per-test fail masses of a built-in strategy, from
-    its closed-form mixture (``strategies._built_in_mixture``): no basis or
-    test is formed."""
-    c = state.coeffs
-    head, rows, q, directions = mixture
-    pvec, fail = [], []
-    if head is not None:
-        p, table = head
-        fail.append(_diagonal_fail(sigma, table))
-        pvec.append(p)
-    per_direction = np.stack([_row_fail(rows, c, oriented[x]) for x in directions], axis=1)
-    fail.extend(per_direction.ravel())
-    pvec.extend(np.repeat(q, len(directions)))
-    return np.array(pvec), np.array(fail)
+    its closed-form mixture (``strategies._built_in_mixture``): no row,
+    basis or test is formed."""
+    head, table, q, directions = mixture
+    pvec = np.repeat(q, len(directions))
+    fail = np.stack([_row_fail(table, state.coeffs, oriented[x]) for x in directions], axis=1)
+    if head is None:
+        return pvec, fail.ravel()
+    p, acceptance = head
+    return np.append(p, pvec), np.append(_diagonal_fail(sigma, acceptance), fail)
 
 
 def compile_tables(strategy: Strategy, sigma: DensityOperator):
@@ -205,10 +202,10 @@ def compile_tables(strategy: Strategy, sigma: DensityOperator):
     squares, so a test the source passes for sure reads exactly 1.  A
     built-in strategy, the one kind with a scalar record, is read from its
     mixture (``strategies._built_in_mixture``): its design and Fourier tests
-    come from their phase rows over the shift classes (``_row_fail``),
-    O(r m d^2) for r kets and m rows, and no test or basis is formed.  A
-    custom mixture's tests take one contraction per test and factor,
-    O(r d^3).
+    come from their integer table by one length-M DFT per live shift class
+    (``_row_fail``), O(r s M log M) for r kets, s live classes and modulus
+    M, and no row, test or basis is formed.  A custom mixture's tests take
+    one contraction per test and factor, O(r d^3).
     """
     sigma = _check_dimension(strategy, sigma)
     oriented = {x: _oriented(sigma, strategy.state.d, x) for x in Direction}

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import analysis, bases, linalg
 from .analysis import STRATEGY_KINDS, _normalize_kind
-from .bases import Basis, _phases, standard_basis
+from .bases import Basis, standard_basis
+from .designs import _Design
 from .errors import (
     DesignMismatchError,
     DimensionMismatchError,
@@ -201,17 +202,14 @@ class Strategy:
         test, then one basis diag(row) F per row, tested in each direction."""
         if self._record is None:
             return self._tests
-        head, rows, q, directions = _built_in_mixture(self.state, self._record)
+        head, table, q, directions = _built_in_mixture(self.state, self._record)
         tests = []
         if head is not None:
-            p, table = head
+            p, acceptance = head
             diagonal_test = self._record.label in ("V", "VI")
-            tests.append((p, RandomizedDiagonalTest(table) if diagonal_test
+            tests.append((p, RandomizedDiagonalTest(acceptance) if diagonal_test
                           else standard_test(self.state)))
-        d = self.state.d
-        fourier = _phases(range(d), range(d), d)
-        for q_row, row in zip(q, rows):
-            basis = Basis(d, (fourier * row[:, None]) / math.sqrt(d))
+        for q_row, basis in zip(q, bases._phase_bases(table)):
             tests += [(q_row, ConditionalProjectorTest(x, basis, self.state)) for x in directions]
         return tuple(tests)
 
@@ -436,24 +434,24 @@ def _head(state: SchmidtState, record: analysis._StrategyRecord):
 
 def _built_in_mixture(state: SchmidtState, record: analysis._StrategyRecord):
     """A built-in strategy's mixture in test order, read off its record
-    without forming a test: ``(head, rows, q, directions)``.
+    without forming a test: ``(head, table, q, directions)``.
 
-    ``head`` is ``_head``.  The tail tests measure diag(rows[l]) F, F the
-    Fourier basis (kind I's one row is all ones, the design kinds' rows are
-    the design's), each row in every one of ``directions`` in turn with
-    probability ``q[l]``, so that the tail realizes (1 - p) Pi averaged over
-    the directions.
+    ``head`` is ``_head``.  The tail tests measure diag(row_l) F, F the
+    Fourier basis, one per multiplier l of the integer ``table``
+    (``designs._Design``, row_l[a] = zeta^{l e(a)}): kind I's one row is
+    all ones (exponents 0, modulus 1, multiplier 0), the design kinds' table
+    is the design's.  Each row is tested in every one of ``directions`` in
+    turn with probability ``q[l]``, so that the tail realizes (1 - p) Pi
+    averaged over the directions.
     """
     head, p, design = _head(state, record), record.p, record.design
     if design is None:
-        return head, np.ones((1, state.d), dtype=complex), [1.0 - p], (Direction.A_TO_B,)
+        fourier = _Design("Fourier test", (0,) * state.d, 1, range(1))
+        return head, fourier, [1.0 - p], (Direction.A_TO_B,)
     directions = tuple(Direction)[: 1 + (record.label in ("IV", "VI"))]
-    # the (n, d) row table first: a table too large to allocate is refused
-    # before the n weights are written
-    rows = bases._rows(design)
     share = (state.d + 1) / state.d / len(directions)
     q = [(1.0 - p) * share * float(weight) for weight in bases._weights(design)[1:]]
-    return head, rows, q, directions
+    return head, design, q, directions
 
 
 def build_strategy(

@@ -252,10 +252,10 @@ class TestCheckDesign:
 
 
 class TestRefusedAllocation:
-    """A design whose row table cannot be allocated exits 2 with one error
-    line: numpy refuses the 136 GiB table of m - 1 = 3037000498 rows.
-    check-design and analyze form no table, so only simulate, which reads
-    the rows, can reach this."""
+    """A design whose test weights cannot be allocated exits 2 with one
+    error line: numpy refuses the 22.6 GiB array of m - 1 = 3037000498
+    weights.  check-design and analyze form no per-test array, so only
+    simulate, which reads the weights, can reach this."""
 
     @pytest.mark.parametrize(
         "args",

@@ -79,7 +79,7 @@ def _build_error(raw, d, kind, p, m):
 
 def _edge_p():
     """A p for kind V within 1e-12 below its lowest, where the lowest
-    acceptance falls below -1e-12."""
+    acceptance falls below -1e-12, so the p is refused."""
     c0sq = analysis._unit_amplitudes([3.0, 1.0])[0] ** 2
     return c0sq / (1.0 + c0sq) - 0.9e-12
 
@@ -98,7 +98,7 @@ BAD = {
     "p-for-I": ([3.0, 2.0, 1.0], None, "I", -0.1, None, "p must be in [0, 1) for kind I"),
     "p-for-II": ([3.0, 2.0, 1.0], None, "II", 1.0, None, "p must be in [0, 1) for kind II"),
     "p-below-V": ([3.0, 1.0], None, "V", 0.2, None, "outside ["),
-    "p-edge-V": ([3.0, 1.0], None, "V", _edge_p(), None, "acceptance probabilities must lie"),
+    "p-edge-V": ([3.0, 1.0], None, "V", _edge_p(), None, "outside ["),
     "p-nan-VI": ([3.0, 1.0], None, "VI", math.nan, None, "outside ["),
     "p-before-design": ([1.0] * 6, None, "IV", 2.0, 10, "need at least 20 bases"),
     "no-gap": ([3.0, 2.0, 1.0], None, "I", 0.0, None, "leaves no spectral gap"),

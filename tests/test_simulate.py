@@ -30,7 +30,7 @@ from biverify import (
     two_qubit_state,
     worst_case_state,
 )
-from biverify import simulate
+from biverify import bases, simulate
 from biverify.errors import (
     DimensionMismatchError,
     NotHomogeneousError,
@@ -563,7 +563,8 @@ def test_run_verification_holds_no_dense_state_and_forms_no_basis(monkeypatch):
     """At d = 24, kind VI, a run on the depolarized target allocates less
     than one d^2 x d^2 complex matrix (5.3 MB) and constructs no Basis and no
     test: the source is its factors and the pass probabilities come from the
-    design's row table.  Reading ``tests`` afterwards forms them as before."""
+    design's integer table.  Reading ``tests`` afterwards forms them as
+    before."""
     d = 24
     state = make_schmidt_state(np.arange(d, 0, -1.0))
     strat = build_strategy(state, "VI")
@@ -590,6 +591,49 @@ def test_run_verification_holds_no_dense_state_and_forms_no_basis(monkeypatch):
     for (q, test), (q_fresh, test_fresh) in zip(strat.tests[1:], fresh[1:]):
         assert q == q_fresh and test.direction is test_fresh.direction
         assert np.array_equal(test.measured_basis.vectors, test_fresh.measured_basis.vectors)
+
+
+@pytest.mark.parametrize("kind", ["VI", "I"])
+def test_compile_tables_forms_no_row_table(kind, monkeypatch):
+    """At d = 24 a built-in strategy's pass probabilities are read off its
+    integer table, one DFT per shift class the source lives on: no complex
+    row table is formed, on the depolarized target (class 0 only) nor on a
+    random rank-2 state (every class), and the head and the first and last
+    tail tests still match the dense oracle."""
+    state = make_schmidt_state(np.arange(24, 0, -1.0))
+    strat = build_strategy(state, kind)
+    tests = strat.tests  # formed here, before the rows are refused
+    rng = np.random.default_rng(24)
+    sources = (depolarize(state, 0.1), random_state_at_fidelity(state, 0.8, rng))
+
+    def refused(*args, **kwargs):
+        pytest.fail("compile_tables formed a row table")
+
+    monkeypatch.setattr(bases, "_rows", refused)
+    monkeypatch.setattr(bases, "_phases", refused)
+    for sigma in sources:
+        pass_probs = compile_tables(strat, sigma)[1]
+        for i in (0, 1, len(tests) - 1):
+            want = dense.pass_probability(tests[i][1], sigma.matrix)
+            assert abs(pass_probs[i] - want) <= 1e-12, i
+
+
+@pytest.mark.parametrize("d, kind", [(16, "III"), (16, "VI"), (17, "II")])
+def test_every_tail_test_matches_the_custom_path(d, kind):
+    """Every test of a built-in strategy, read off its integer table by a
+    DFT of length M = 169 (d = 16) or M = d = 17, matches the same tests
+    mixed as a custom strategy, whose tests each take one contraction per
+    ket, to 1e-13 on a full-rank and a random rank-2 source."""
+    state = make_schmidt_state(np.arange(d, 0, -1.0))
+    strat = build_strategy(state, kind)
+    custom = assemble_strategy(strat.state, strat.tests)
+    rng = np.random.default_rng(d)
+    for sigma in (_random_density(d * d, rng), random_state_at_fidelity(state, 0.8, rng)):
+        pvec, pass_probs = compile_tables(strat, sigma)
+        custom_pvec, custom_probs = compile_tables(custom, sigma)
+        assert len(pass_probs) == len(strat.tests)
+        assert np.abs(pvec - custom_pvec).max() <= 1e-13
+        assert np.abs(pass_probs - custom_probs).max() <= 1e-13
 
 
 class TestEstimateFidelity:

@@ -53,19 +53,21 @@ def _diagonal_lower_bound(state, kind):
 
 def _diagonal_verdict(state, kind, p):
     """(refusal message or None, acceptance table) of the kind's diagonal
-    test at p: the bound check on p, then the table's [0, 1] check."""
+    test at p: one check, that p lies in (0, 1) and the table in [0, 1] to
+    1e-12."""
     lo = _diagonal_lower_bound(state, kind)
-    if not lo - 1e-12 <= p < 1.0:
-        return (
-            f"mixing probability p={p} outside [{lo:.12g}, 1): acceptance "
-            "probabilities would leave [0, 1]"
-        ), None
+    refusal = (
+        f"mixing probability p={p} outside [{lo:.12g}, 1): acceptance "
+        "probabilities would leave [0, 1]"
+    )
+    if not 0.0 < p < 1.0:
+        return refusal, None
     c2 = state.coeffs**2
     pi = np.tile(c2, (state.d, 1)) if kind == "V" else 0.5 * np.add.outer(c2, c2)
     table = 1.0 - (1.0 / p - 1.0) * pi
     np.fill_diagonal(table, 1.0)
     if table.min() < -1e-12 or table.max() > 1.0 + 1e-12:
-        return "acceptance probabilities must lie in [0, 1]", None
+        return refusal, None
     return None, np.clip(table, 0.0, 1.0)
 
 
@@ -366,10 +368,10 @@ class TestHomogeneousStrategies:
     @pytest.mark.parametrize("kind", ["V", "VI"])
     def test_p_near_the_lower_bound(self, kind):
         """Near the lower bound, the diagonal test and the build accept and
-        refuse exactly as the per-test bound and table checks below, with
-        their messages and tables; the table check binds just under it."""
+        refuse exactly as the one check below, with its message and table:
+        some p just under the bound pass it and others do not."""
         make = one_way_diagonal_test if kind == "V" else two_way_diagonal_test
-        outcomes = set()
+        outcomes, below = set(), set()
         for raw in ([2.0, 1.0], [3.0, 2.0, 1.0, 0.0], [1.0, 1.0, 0.5, 0.1, 0.01]):
             state = make_schmidt_state(raw)
             lo = _diagonal_lower_bound(state, kind)
@@ -377,6 +379,8 @@ class TestHomogeneousStrategies:
             for p in ps:
                 expected, table = _diagonal_verdict(state, kind, p)
                 outcomes.add(expected and expected.split()[0])
+                if 0.0 < p < lo:
+                    below.add(expected is None)
                 for build in (make, lambda s, p: build_strategy(s, kind, p)):
                     try:
                         built = build(state, p)
@@ -386,7 +390,8 @@ class TestHomogeneousStrategies:
                     assert expected is None, p
                     if build is make:
                         assert np.array_equal(built.acceptance, table)
-        assert outcomes == {None, "mixing", "acceptance"}  # both checks refuse some p
+        assert outcomes == {None, "mixing"}
+        assert below == {True, False}  # the check binds just under the bound
 
     def test_diagonal_test_tables(self):
         s = make_schmidt_state([2.0, 1.0, 1.0])
