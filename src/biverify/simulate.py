@@ -5,8 +5,9 @@ test's pass probability on the source, pi_l = tr(P_l sigma): the
 probability that the measuring party's Born-rule outcome j is followed by
 the partner's pass on |v_j>, summed over the outcomes, or for a randomized
 diagonal test the tabulated acceptance averaged over the joint
-standard-basis outcome.  Given that test l runs n_l times, its passes are
-Binomial(n_l, pi_l), so the outcomes need not be drawn.
+standard-basis outcome.  So a trial passes with the mixture's mean pass
+probability sum_l q_l pi_l, and neither the test nor the outcomes need be
+drawn.
 
 Every pi_l is read off the source's factors (``DensityOperator``: a
 diagonal plus r kets), never off a dense d^2 x d^2 matrix, as 1 minus the
@@ -17,20 +18,18 @@ tests are diag(row_l) F, so their fail masses come from its mixture
 from) by one DFT of its integer table per live shift class, with no row,
 basis or test formed (``compile_tables``).
 
-Trials are i.i.d., so the per-test counts of n trials are Multinomial(n,
-q_l), and the passes of a test are Binomial(count, pi_l) given its count.
-That is the joint law of n trial-by-trial draws, drawn at O(L) cost per run
-for L tests whatever n is.  The draws go through each test's own pi_l,
-never through tr(Omega sigma), so the sampled pass rate stays an
-independent check of the exact rate.  Tests of zero weight get no trials.
-The per-test counts and passes hold the run's per-test tallies;
-``RunRecord`` does not carry them yet.
+Trials are i.i.d., so the passes of n trials are Binomial(n, 1 - sum_l q_l
+f_l), f_l = 1 - pi_l the fail masses: the joint law of n trial-by-trial
+draws, drawn at O(1) cost whatever n is.  The mean is taken as 1 minus the
+weighted fail sum, so that on the target, where every fail mass is exactly
+0, it reads exactly 1 although the weights sum to 1 only to an ulp.  It goes
+through each test's own pi_l, never through tr(Omega sigma), so the sampled
+pass rate stays an independent check of the exact rate.
 
 Reproducibility contract: a run opens one counter-based Philox stream,
-``trial_rng(seed)``, and makes one multinomial draw of the test counts and
-then one binomial draw of the per-test passes on it, so a run is
-bit-for-bit reproducible from its seed.  ``n_trials`` is at most
-``MAX_TRIALS`` = 2**63 - 1, because numpy draws the counts as int64.
+``trial_rng(seed)``, and makes one binomial draw of its passes on it, so a
+run is bit-for-bit reproducible from its seed.  ``n_trials`` is at most
+``MAX_TRIALS`` = 2**63 - 1, because numpy draws the passes as int64.
 """
 from __future__ import annotations
 
@@ -57,7 +56,7 @@ from .strategies import (
 
 # complex entries of one chunk of sigma's kets (``exact_pass_rate``)
 _RATE_CHUNK = 2**11
-# numpy draws the counts as int64
+# numpy draws the passes as int64
 MAX_TRIALS = np.iinfo(np.int64).max
 
 
@@ -185,7 +184,7 @@ def _built_in_fail(state, sigma: DensityOperator, mixture, oriented):
     its closed-form mixture (``strategies._built_in_mixture``): no row,
     basis or test is formed."""
     head, table, q, directions = mixture
-    pvec = np.repeat(q, len(directions))
+    pvec = np.full(len(table.multipliers) * len(directions), q)
     fail = np.stack([_row_fail(table, state.coeffs, oriented[x]) for x in directions], axis=1)
     if head is None:
         return pvec, fail.ravel()
@@ -205,7 +204,9 @@ def compile_tables(strategy: Strategy, sigma: DensityOperator):
     come from their integer table by one length-M DFT per live shift class
     (``_row_fail``), O(r s M log M) for r kets, s live classes and modulus
     M, and no row, test or basis is formed.  A custom mixture's tests take
-    one contraction per test and factor, O(r d^3).
+    one contraction per test and factor, O(r d^3).  This is the one place
+    the fail masses are computed: ``run_verification`` draws its passes
+    from their weighted sum.
     """
     sigma = _check_dimension(strategy, sigma)
     oriented = {x: _oriented(sigma, strategy.state.d, x) for x in Direction}
@@ -223,23 +224,6 @@ def compile_tables(strategy: Strategy, sigma: DensityOperator):
         ])
         pvec = np.array([q for q, _ in strategy.tests])
     return pvec / pvec.sum(), np.clip(1.0 - fail, 0.0, 1.0)
-
-
-def _draw(
-    pvec: np.ndarray, pass_probs: np.ndarray, n_trials: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-test trial and pass counts of ``n_trials`` i.i.d. trials.
-
-    The counts are Multinomial(n_trials, pvec / pvec.sum()) and the passes
-    of a test are Binomial(count, pass_probs) given its count.  Tests of
-    zero weight are left out of the multinomial, which hands the rounding
-    remainder of its probabilities to its last category, so they get no
-    trials.
-    """
-    live = pvec > 0.0
-    counts = np.zeros(pvec.size, dtype=np.int64)
-    counts[live] = rng.multinomial(n_trials, pvec[live] / pvec[live].sum())
-    return counts, rng.binomial(counts, pass_probs)
 
 
 def exact_pass_rate(strategy: Strategy, sigma: DensityOperator) -> float:
@@ -281,14 +265,16 @@ def run_verification(
 ) -> RunRecord:
     """Run ``n_trials`` independent tests of ``sigma`` and tally the passes.
 
-    The trials are drawn as per-test counts; see the module docstring for
-    the sampler and the reproducibility contract.
+    The passes are one Binomial(n_trials, 1 - pvec @ (1 - pass_probs)) draw
+    over ``compile_tables``, the mean clamped to [0, 1], since the weights
+    sum to 1 only to an ulp; see the module docstring for the sampler and
+    the reproducibility contract.
     """
     n_trials = _integer_arg("n_trials", n_trials, 1, MAX_TRIALS)
     seed = _integer_arg("seed", seed, 0)
     pvec, pass_probs = compile_tables(strategy, sigma)
-    _, passes = _draw(pvec, pass_probs, n_trials, trial_rng(seed))
-    n_pass = int(passes.sum())
+    pass_prob = min(max(1.0 - float(pvec @ (1.0 - pass_probs)), 0.0), 1.0)
+    n_pass = int(trial_rng(seed).binomial(n_trials, pass_prob))
     rate = n_pass / n_trials
     std_err = math.sqrt(max(rate * (1.0 - rate), 0.0) / n_trials)
     return RunRecord(

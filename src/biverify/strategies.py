@@ -171,13 +171,13 @@ class Strategy:
     each X_delta one column and ``weights`` = [1 - p] (see
     ``build_strategy``), O(d^2) numbers in all; ``p`` is the record's mixing
     probability of the standard/diagonal test, and its tests are formed on
-    first read of ``tests`` from ``_built_in_mixture``, which also gives its
-    per-test pass probabilities (``simulate.compile_tables``) without
-    forming a test.  A custom mixture has no record (None): its one index
-    set holds all d^2 kets in order, X its eigenvectors, ``weights`` its
-    eigenvalues in descending order and ``diagonal`` 0, and it keeps its
-    checked ``(q, test)`` pairs in ``_tests``.  The record alone tells the
-    two apart.
+    first read of ``tests`` from ``_built_in_mixture``, whose tail tests
+    share one weight and which also gives their pass probabilities
+    (``simulate.compile_tables``) without forming a test.  A custom mixture
+    has no record (None): its one index set holds all d^2 kets in order, X
+    its eigenvectors, ``weights`` its eigenvalues in descending order and
+    ``diagonal`` 0, and it keeps its checked ``(q, test)`` pairs in
+    ``_tests``.  The record alone tells the two apart.
     """
 
     state: SchmidtState
@@ -209,8 +209,8 @@ class Strategy:
             diagonal_test = self._record.label in ("V", "VI")
             tests.append((p, RandomizedDiagonalTest(acceptance) if diagonal_test
                           else standard_test(self.state)))
-        for q_row, basis in zip(q, bases._phase_bases(table)):
-            tests += [(q_row, ConditionalProjectorTest(x, basis, self.state)) for x in directions]
+        for basis in bases._phase_bases(table):
+            tests += [(q, ConditionalProjectorTest(x, basis, self.state)) for x in directions]
         return tuple(tests)
 
     @property
@@ -441,17 +441,17 @@ def _built_in_mixture(state: SchmidtState, record: analysis._StrategyRecord):
     (``designs._Design``, row_l[a] = zeta^{l e(a)}): kind I's one row is
     all ones (exponents 0, modulus 1, multiplier 0), the design kinds' table
     is the design's.  Each row is tested in every one of ``directions`` in
-    turn with probability ``q[l]``, so that the tail realizes (1 - p) Pi
-    averaged over the directions.
+    turn with the same probability ``q``, one float, so that the tail
+    realizes (1 - p) Pi averaged over the directions.
     """
     head, p, design = _head(state, record), record.p, record.design
     if design is None:
         fourier = _Design("Fourier test", (0,) * state.d, 1, range(1))
-        return head, fourier, [1.0 - p], (Direction.A_TO_B,)
+        return head, fourier, 1.0 - p, (Direction.A_TO_B,)
+    d, n = state.d, len(design.multipliers)
     directions = tuple(Direction)[: 1 + (record.label in ("IV", "VI"))]
-    share = (state.d + 1) / state.d / len(directions)
-    q = [(1.0 - p) * share * float(weight) for weight in bases._weights(design)[1:]]
-    return head, design, q, directions
+    share = (d + 1) / d / len(directions)
+    return head, design, (1.0 - p) * share * (d / (n * (d + 1))), directions
 
 
 def build_strategy(

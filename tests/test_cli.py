@@ -252,10 +252,11 @@ class TestCheckDesign:
 
 
 class TestRefusedAllocation:
-    """A design whose test weights cannot be allocated exits 2 with one
-    error line: numpy refuses the 22.6 GiB array of m - 1 = 3037000498
-    weights.  check-design and analyze form no per-test array, so only
-    simulate, which reads the weights, can reach this."""
+    """A design whose per-test tables cannot be allocated exits 2 with one
+    error line: numpy refuses the 22.6 GiB array of the m - 1 = 3037000498
+    tail tests' weights that ``compile_tables`` lays beside their fail
+    masses.  check-design and analyze form no per-test array, so only
+    simulate, which reads each test's pass probability, can reach this."""
 
     @pytest.mark.parametrize(
         "args",

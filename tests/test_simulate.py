@@ -30,13 +30,13 @@ from biverify import (
     two_qubit_state,
     worst_case_state,
 )
-from biverify import bases, simulate
+from biverify import bases, simulate, strategies
 from biverify.errors import (
     DimensionMismatchError,
     NotHomogeneousError,
     OutOfRangeError,
 )
-from biverify.simulate import MAX_TRIALS, _draw, compile_tables
+from biverify.simulate import MAX_TRIALS, compile_tables
 
 import dense_oracle as dense
 
@@ -299,83 +299,43 @@ class TestBinomialOracle:
 
 
 class TestCountSampler:
-    """One run draws the per-test counts as Multinomial(n, q) and the passes
-    of a test as Binomial(count, pi); the draw goes through each test's
-    pass probability."""
-
-    @staticmethod
-    def _tally(strat, sigma, n, seed):
-        pvec, pass_probs = compile_tables(strat, sigma)
-        counts, passes = _draw(pvec, pass_probs, n, trial_rng(seed))
-        return pvec, pass_probs, counts, passes
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_counts_sum_to_n_and_passes_are_the_run(self, kind):
-        strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0]), kind)
-        sigma = _random_density(9, np.random.default_rng(3))
-        for n, seed in ((1, 0), (4097, 1), (10**9, 2)):
-            _, _, counts, passes = self._tally(strat, sigma, n, seed)
-            assert counts.shape == passes.shape == (len(strat.tests),)
-            assert counts.sum() == n
-            assert passes.sum() == run_verification(strat, sigma, n, seed).n_pass
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_passes_never_exceed_counts(self, kind):
-        strat = build_strategy(two_qubit_state(np.pi / 5), kind)
-        sigma = _random_density(4, np.random.default_rng(4))
-        for seed in range(20):
-            _, _, counts, passes = self._tally(strat, sigma, 10**4, seed)
-            assert np.all((passes >= 0) & (passes <= counts))
+    """One run draws its pass count as one Binomial(n, 1 - sum_l q_l f_l),
+    f_l = 1 - pi_l the per-test fail masses of ``compile_tables``: the draw
+    goes through each test's pass probability, and the target's mean reads
+    exactly 1."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_unsupported_outcomes_fail_and_the_target_passes(self, kind):
-        """On a zero-tail target, every test the target runs passes every
-        trial; a noisy source that reaches the outcome the target does not
-        support fails the standard test of I-IV there, and every test some
-        trials."""
+        """On a zero-tail target, every trial passes; a noisy source that
+        reaches the outcome the target does not support fails the standard
+        test of I-IV there, every test has a pass probability below 1, and
+        the run fails some trials."""
         strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0, 0.0]), kind)
         target = density_operator(target_projector(strat.state))
-        _, _, counts, passes = self._tally(strat, target, 10**6, 7)
-        assert np.array_equal(passes, counts)
+        assert run_verification(strat, target, 10**6, 7).n_pass == 10**6
         noisy = _random_density(strat.state.dim, np.random.default_rng(6))
-        _, pass_probs, counts, passes = self._tally(strat, noisy, 10**6, 7)
-        assert np.all(pass_probs < 1.0) and np.all(counts > 0) and np.all(passes < counts)
+        assert np.all(compile_tables(strat, noisy)[1] < 1.0)
+        record = run_verification(strat, noisy, 10**6, 7)
+        assert 0 < record.n_pass < 10**6
+        assert abs(record.pass_rate - record.exact_rate) <= 5 * record.std_err
 
-    def test_zero_weight_last_test_gets_no_trials(self):
-        """numpy's multinomial hands the rounding remainder of the weights to
-        its last category.  Here that is a zero-weight test that never
-        passes, after kind III's tests on its target: drawn from, it would
-        take about a thousand of 2**63 - 1 trials and fail them."""
-        s = make_schmidt_state([3.0, 2.0, 1.0, 0.0])
-        strat = build_strategy(s, "III")
-        pvec, pass_probs = compile_tables(strat, density_operator(target_projector(s)))
-        pvec, pass_probs = np.append(pvec, 0.0), np.append(pass_probs, 0.0)
-        assert trial_rng(0).multinomial(MAX_TRIALS, pvec)[-1] > 0
-        for seed in range(3):
-            counts, passes = _draw(pvec, pass_probs, MAX_TRIALS, trial_rng(seed))
-            assert counts[-1] == 0 and passes.sum() == MAX_TRIALS
-
-    def test_counts_match_weights_chi_square(self):
-        """Pearson chi-square of the per-test counts of a d = 3 kind VI run
-        against n q, over its A -> B and B -> A tests, within 5 sigma of its
-        mean on either side; and the passes of each test against count * pi."""
-        strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0]), "VI")
-        assert {t.direction for _, t in strat.tests[1:]} == set(Direction)
-        sigma = _random_density(9, np.random.default_rng(8))
-        n = 10**7
-        pvec, pass_probs, counts, passes = self._tally(strat, sigma, n, 9)
-        dof = len(pvec) - 1
-        chi2 = float(np.sum((counts - n * pvec) ** 2 / (n * pvec)))
-        assert abs(chi2 - dof) <= 5.0 * math.sqrt(2 * dof)
-        assert np.all((pass_probs > 0.0) & (pass_probs < 1.0))
-        c, a = counts, pass_probs
-        dispersion = float(np.sum((passes - c * a) ** 2 / (c * a * (1.0 - a))))
-        assert abs(dispersion - len(c)) <= 5.0 * math.sqrt(2 * len(c))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_tail_target_passes_every_one_of_max_trials(self, kind):
+        """On a zero-tail target every fail mass is exactly 0, so the run's
+        mean pass probability is 1 minus a sum of zeros, exactly 1, although
+        the weights sum to 1 only to an ulp: all 2**63 - 1 trials pass."""
+        strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0, 0.0]), kind)
+        for sigma in (density_operator(target_projector(strat.state)),
+                      depolarize(strat.state, 0.0)):
+            for seed in range(3):
+                assert run_verification(strat, sigma, MAX_TRIALS, seed).n_pass == MAX_TRIALS
 
     def test_draws_go_through_the_pass_probabilities(self, monkeypatch):
         """With every pass probability zeroed, no trial passes, while
-        exact_rate, read from Omega, is unchanged: the pass count is not a
-        single Binomial(n, exact_rate) draw."""
+        exact_rate, read from Omega, is unchanged: the pass count is one
+        binomial of the mixture's mean pass probability, not of exact_rate.
+        The mean is 1 minus the weighted fail sum, here 1 - sum(pvec), which
+        rounds to -1 ulp for some kinds; it is clamped to [0, 1]."""
         s = two_qubit_state(np.pi / 5)
         sigma = depolarize(s, 0.2)
         strats = {kind: build_strategy(s, kind) for kind in KINDS}
@@ -391,23 +351,6 @@ class TestCountSampler:
             record = run_verification(strats[kind], sigma, 10**4, 1)
             assert record.n_pass == 0, kind
             assert record.exact_rate == exact[kind] > 0.5
-
-    def test_weights_normalized_by_the_sampler(self, monkeypatch):
-        """Scaling the mixture by a power of two leaves every run as it was,
-        bit for bit: the sampler normalizes the test weights itself."""
-        strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0]), "VI")
-        sigma = _random_density(9, np.random.default_rng(10))
-        before = [run_verification(strat, sigma, 10**5, seed) for seed in range(5)]
-        real = simulate.compile_tables
-        for scale in (0.25, 4.0):
-
-            def scaled(strategy, state, scale=scale):
-                pvec, pass_probs = real(strategy, state)
-                return scale * pvec, pass_probs
-
-            monkeypatch.setattr(simulate, "compile_tables", scaled)
-            after = [run_verification(strat, sigma, 10**5, seed) for seed in range(5)]
-            assert after == before, scale
 
 
 def _threshold_cases():
@@ -616,6 +559,27 @@ def test_compile_tables_forms_no_row_table(kind, monkeypatch):
         for i in (0, 1, len(tests) - 1):
             want = dense.pass_probability(tests[i][1], sigma.matrix)
             assert abs(pass_probs[i] - want) <= 1e-12, i
+
+
+def test_built_in_mixture_forms_no_per_test_weights(monkeypatch):
+    """A built-in strategy's tail tests share one weight, which the mixture
+    holds as one float: at d = 24 a run of III and VI and a read of its
+    tests need no per-test weight array (``bases._weights``)."""
+    state = make_schmidt_state(np.arange(24, 0, -1.0))
+    sigma = depolarize(state, 0.1)
+
+    def refused(*args, **kwargs):
+        pytest.fail("a per-test weight array was formed")
+
+    monkeypatch.setattr(bases, "_weights", refused)
+    for kind in ("III", "VI"):
+        strat = build_strategy(state, kind)
+        q = strategies._built_in_mixture(strat.state, strat._record)[2]
+        assert type(q) is float
+        record = run_verification(strat, sigma, 10**5, seed=5)
+        assert abs(record.pass_rate - record.exact_rate) <= 5 * record.std_err
+        assert {w for w, _ in strat.tests[1:]} == {q}
+        assert len(strat.tests) == 1 + (1 + (kind == "VI")) * (min_design_size(24) - 1)
 
 
 @pytest.mark.parametrize("d, kind", [(16, "III"), (16, "VI"), (17, "II")])
