@@ -305,6 +305,59 @@ class TestCountSampler:
     exactly 1."""
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_counts_sum_to_n_and_passes_are_the_run(self, kind):
+        """A run counts n trials, and its passes are the seed's one binomial
+        draw at the mean 1 - pvec @ (1 - pass_probs), which is the sum of
+        q_l pi_l over the tests: tr(Omega sigma) to rounding."""
+        strat = build_strategy(make_schmidt_state([3.0, 2.0, 1.0]), kind)
+        sigma = _random_density(9, np.random.default_rng(3))
+        pvec, pass_probs = compile_tables(strat, sigma)
+        mean = 1.0 - float(pvec @ (1.0 - pass_probs))
+        assert abs(mean - exact_pass_rate(strat, sigma)) <= 1e-12
+        for n, seed in ((1, 0), (4097, 1), (10**9, 2)):
+            record = run_verification(strat, sigma, n, seed)
+            assert record.n_trials == n
+            assert record.n_pass == trial_rng(seed).binomial(n, mean)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_passes_never_exceed_counts(self, kind, monkeypatch):
+        """0 <= n_pass <= n_trials, also where every pass probability rounds
+        one ulp above 1, so that the mean does too: it is clamped to 1."""
+        strat = build_strategy(two_qubit_state(np.pi / 5), kind)
+        sigma = _random_density(4, np.random.default_rng(4))
+        for seed in range(20):
+            record = run_verification(strat, sigma, 10**4, seed)
+            assert 0 <= record.n_pass <= record.n_trials == 10**4
+        real = simulate.compile_tables
+
+        def above_one(strategy, state):
+            pvec, _ = real(strategy, state)
+            return pvec, np.full_like(pvec, 1.0 + 2.0**-52)
+
+        monkeypatch.setattr(simulate, "compile_tables", above_one)
+        for seed in range(3):
+            assert run_verification(strat, sigma, MAX_TRIALS, seed).n_pass == MAX_TRIALS
+
+    def test_zero_weight_last_test_gets_no_trials(self, monkeypatch):
+        """A zero-weight test that never passes, appended after kind III's
+        tests on its target, adds nothing to the weighted fail sum: all
+        2**63 - 1 trials of the target still pass.  (numpy's multinomial
+        would hand such a last category the rounding remainder of the
+        weights, about a thousand failed trials.)"""
+        s = make_schmidt_state([3.0, 2.0, 1.0, 0.0])
+        strat = build_strategy(s, "III")
+        target = density_operator(target_projector(s))
+        real = simulate.compile_tables
+
+        def with_zero_weight_test(strategy, state):
+            pvec, pass_probs = real(strategy, state)
+            return np.append(pvec, 0.0), np.append(pass_probs, 0.0)
+
+        monkeypatch.setattr(simulate, "compile_tables", with_zero_weight_test)
+        for seed in range(3):
+            assert run_verification(strat, target, MAX_TRIALS, seed).n_pass == MAX_TRIALS
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_unsupported_outcomes_fail_and_the_target_passes(self, kind):
         """On a zero-tail target, every trial passes; a noisy source that
         reaches the outcome the target does not support fails the standard
